@@ -10,9 +10,7 @@ import pathlib
 import sys
 
 from ccspace import (
-    ConvexPolytope,
     CyclicTransformation,
-    FinitePointSet,
     compact_sets_space,
     convexification_rate,
     ergodic_run,
@@ -20,7 +18,7 @@ from ccspace import (
     raw_vs_convex_average_run,
     slln_run,
 )
-from ccspace.fixtures import ergodic_element
+from ccspace.fixtures import convexify_point, ergodic_element, family_points, slln_law
 
 
 def write_trace(path: pathlib.Path, trace) -> None:
@@ -43,15 +41,11 @@ def main() -> int:
 
     write_trace(
         out / "slln_euclidean_bernoulli.csv",
-        slln_run(euclid, [(0.5, (0.0,)), (0.5, (1.0,))], n_max=args.n_max, seed=args.seed),
+        slln_run(euclid, slln_law("euclidean", "bernoulli"), n_max=args.n_max, seed=args.seed),
     )
-    interval_law = [
-        (0.5, ConvexPolytope.interval(0.0, 1.0)),
-        (0.5, ConvexPolytope.interval(2.0, 2.0)),
-    ]
     write_trace(
         out / "slln_compact_intervals.csv",
-        slln_run(sets, interval_law, n_max=args.n_max, seed=args.seed),
+        slln_run(sets, slln_law("compact-sets", "interval-pair"), n_max=args.n_max, seed=args.seed),
     )
     write_trace(
         out / "ergodic_rotation_1000_7.csv",
@@ -64,13 +58,12 @@ def main() -> int:
     write_trace(
         out / "convexify_rate_two_point.csv",
         convexification_rate(
-            sets, FinitePointSet.of([(0.0,), (1.0,)]), list(range(1, 65)), tolerance=0.01
+            sets, convexify_point("compact-sets", "two-point"), list(range(1, 65)), tolerance=0.01
         ),
     )
-    family = [FinitePointSet.of([(0.0,), (1.0,)]), FinitePointSet.of([(2.0,)])]
     write_trace(
         out / "raw_vs_convex_two_point_family.csv",
-        raw_vs_convex_average_run(sets, family, n_max=24),
+        raw_vs_convex_average_run(sets, family_points("compact-sets", "two-point-family"), n_max=24),
     )
     return 0
 

@@ -8,6 +8,7 @@ exceptions.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -45,10 +46,13 @@ class CheckResult:
         return self.worst_violation <= self.tolerance
 
     def record(self, violation: float, witness: str) -> None:
+        """Count a trial; NaN is the worst violation and keeps its first witness."""
         self.trials += 1
-        if violation > self.worst_violation:
+        if math.isnan(self.worst_violation):
+            return
+        if violation > self.worst_violation or math.isnan(violation):
             self.worst_violation = violation
-            if violation > self.tolerance:
+            if not violation <= self.tolerance:
                 self.witness = witness
 
 
@@ -72,7 +76,8 @@ class AxiomReport:
 
     @property
     def worst_violation(self) -> float:
-        return max((c.worst_violation for c in self.checks.values()), default=0.0)
+        worst = [c.worst_violation for c in self.checks.values()]
+        return math.nan if any(map(math.isnan, worst)) else max(worst, default=0.0)
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks.values() if not c.passed]

@@ -1,7 +1,8 @@
 """Command-line front end: axiom suites and experiments over named instances.
 
-Every subcommand dispatches to one library operation and serializes its
-report; identical configuration and seed produce byte-identical output.
+``ccspace <command> [flags]``: every command dispatches to one library
+operation and serializes its report; identical configuration and seed produce
+byte-identical output.
 Exit codes: 0 all checks pass (or a documented expected failure confirmed),
 1 violation found, 2 usage error.
 """
@@ -9,15 +10,17 @@ Exit codes: 0 all checks pass (or a documented expected failure confirmed),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from . import fixtures
 from .axioms import AxiomReport, check_axioms, check_cancellation
+from .core import convexify
 from .embedding import embedding_suite
 from .instances import SPACE_NAMES, get_space
 from .limits import (
@@ -26,48 +29,22 @@ from .limits import (
     convexification_rate,
     ergodic_run,
     raw_vs_convex_average_run,
-    scaling_counterexample,
     slln_run,
     rational_jensen_suite,
+    scaling_counterexample,
     weight_perturbation_suite,
 )
 from .probability import (
+    DistanceTo,
+    FinitePartition,
     conditional_suite,
     dyadic_filtration,
+    jensen_check,
     martingale_convergence_trace,
     martingale_sequence,
 )
 
 SEED_ENV_VAR = "CCSPACE_SEED"
-
-COMMANDS = (
-    "check-axioms",
-    "cancellation",
-    "slln",
-    "ergodic",
-    "martingale",
-    "jensen",
-    "embed-verify",
-    "convexify-rate",
-    "counterexample",
-    "prop52",
-    "prop55",
-)
-
-# Short statement of the result each subcommand exercises (report metadata).
-PAPER_REFS = {
-    "check-axioms": "combination axioms and convexification-operator laws",
-    "cancellation": "metric cancellation law on convex points",
-    "slln": "strong law of large numbers for equal-weight combinations",
-    "ergodic": "pointwise ergodic averages under a measure-preserving rotation",
-    "martingale": "martingale convergence of conditional expectations along a filtration",
-    "jensen": "Jensen inequality for expectation and conditional expectation",
-    "embed-verify": "isometric affine embedding of convex compacta via support functions",
-    "convexify-rate": "convergence of equal-weight self-combinations to the convexification",
-    "counterexample": "failure of the weight-perturbation bound without convexification",
-    "prop52": "weight-perturbation bound for combinations of convexified points",
-    "prop55": "asymptotic equivalence of raw and convexified equal-weight averages",
-}
 
 
 class UsageError(Exception):
@@ -76,13 +53,15 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
+    """Settings of one run; these field defaults are the only defaults."""
+
     command: str
     space: str = "euclidean"
     dim: int = 1
     r: float = 2.0
     seed: int = 0
     trials: int = 1000
-    n_max: int = 1000
+    n_max: Optional[int] = None  # None: the command's own trace length
     tolerance: Optional[float] = None
     out: Optional[str] = None
     fmt: str = "json"
@@ -94,27 +73,32 @@ class RunConfig:
     step: int = 7
     scale: float = 1.0
     raw_points: bool = False
-    params: dict = field(default_factory=dict)
 
 
-_CONFIG_KEYS = {
-    "space": str,
-    "dim": int,
-    "r": float,
-    "seed": int,
-    "trials": int,
-    "n_max": int,
-    "tolerance": float,
-    "out": str,
-    "fmt": str,
-    "fixture": str,
-    "fixture_file": str,
-    "mode": str,
-    "p": int,
-    "modulus": int,
-    "step": int,
-    "scale": float,
-    "raw_points": lambda v: v.lower() in ("1", "true", "yes"),
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "command"}
+
+
+# RunConfig field -> (flag, type, further argparse keywords).  Config files
+# use the field names as keys and the same types.
+_FLAGS = {
+    "space": ("--space", str, {"choices": SPACE_NAMES}),
+    "dim": ("--dim", int, {}),
+    "r": ("--r", float, {"help": "power-space exponent (> 1)"}),
+    "seed": ("--seed", int, {}),
+    "trials": ("--trials", int, {}),
+    "n_max": ("--n-max", int, {"help": "trace length (default: per command)"}),
+    "tolerance": ("--tolerance", float, {}),
+    "out": ("--out", str, {"help": "report path (default: stdout)"}),
+    "fmt": ("--format", str, {"choices": ("csv", "json")}),
+    "fixture": ("--fixture", str, {"help": "named fixture"}),
+    "fixture_file": ("--fixture-file", str, {}),
+    "mode": ("--mode", str, {"choices": ("convex_track", "raw_track")}),
+    "p": ("--p", int, {"choices": (1, 2)}),
+    "modulus": ("--modulus", int, {}),
+    "step": ("--step", int, {}),
+    "scale": ("--scale", float, {}),
+    "raw_points": ("--raw-points", lambda v: v.lower() in ("1", "true", "yes"),
+                   {"action": "store_true"}),
 }
 
 
@@ -130,9 +114,9 @@ def load_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in _FLAGS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _CONFIG_KEYS[key](value.strip())
+            out[key] = _FLAGS[key][1](value.strip())
     return out
 
 
@@ -152,59 +136,25 @@ def build_parser() -> argparse.ArgumentParser:
             "Fixture files hold one 'label ; prob ; value' line per atom."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=PAPER_REFS[name])
-        cmd.add_argument("--space", choices=SPACE_NAMES, default=None)
-        cmd.add_argument("--dim", type=int, default=None)
-        cmd.add_argument("--r", type=float, default=None, help="power-space exponent (> 1)")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--trials", type=int, default=None)
-        cmd.add_argument("--n-max", dest="n_max", type=int, default=None)
-        cmd.add_argument("--tolerance", type=float, default=None)
-        cmd.add_argument("--out", default=None, help="report path (default: stdout)")
-        cmd.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-        cmd.add_argument("--config", default=None, help="key = value config file; flags win")
-        cmd.add_argument("--fixture", default=None, help="named fixture")
-        cmd.add_argument("--fixture-file", dest="fixture_file", default=None)
-        cmd.add_argument("--mode", choices=("convex_track", "raw_track"), default=None)
-        cmd.add_argument("--p", type=int, choices=(1, 2), default=None)
-        cmd.add_argument("--modulus", type=int, default=None)
-        cmd.add_argument("--step", type=int, default=None)
-        cmd.add_argument("--scale", type=float, default=None)
-        cmd.add_argument("--raw-points", dest="raw_points", action="store_true", default=None)
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="command",
+        help="; ".join(f"{name}: {ref}" for name, (_, ref) in COMMANDS.items()),
+    )
+    parser.add_argument("--config", help="key = value config file; flags win")
+    for dest, (flag, convert, extra) in _FLAGS.items():
+        kwargs = extra if "action" in extra else {"type": convert, **extra}
+        parser.add_argument(flag, dest=dest, default=None, **kwargs)
     return parser
 
 
-_DEFAULTS = dict(
-    space="euclidean",
-    dim=1,
-    r=2.0,
-    trials=1000,
-    n_max=1000,
-    tolerance=None,
-    out=None,
-    fmt="json",
-    fixture=None,
-    fixture_file=None,
-    mode="convex_track",
-    p=1,
-    modulus=1000,
-    step=7,
-    scale=1.0,
-    raw_points=False,
-)
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
-    values["seed"] = int(os.environ.get(SEED_ENV_VAR, "0"))
+    """RunConfig defaults, overridden by CCSPACE_SEED, the config file and flags."""
+    values = {}
+    if SEED_ENV_VAR in os.environ:
+        values["seed"] = int(os.environ[SEED_ENV_VAR])
     if args.config:
         values.update(load_config_file(args.config))
-    for key in list(values):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values.update((key, getattr(args, key)) for key in _FLAGS if getattr(args, key) is not None)
     cfg = RunConfig(command=args.command, **values)
     _validate(cfg)
     return cfg
@@ -221,7 +171,7 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("compact-sets supports --dim 1 or 2")
     if cfg.space == "euclidean" and cfg.dim not in (1, 2, 3):
         raise UsageError("euclidean supports --dim 1, 2, or 3")
-    if cfg.trials < 1 or cfg.n_max < 1:
+    if cfg.trials < 1 or (cfg.n_max is not None and cfg.n_max < 1):
         raise UsageError("--trials and --n-max must be positive")
 
 
@@ -229,20 +179,23 @@ def _space_for(cfg: RunConfig):
     return get_space(cfg.space, dim=cfg.dim, r=cfg.r)
 
 
-def _report_payload(cfg: RunConfig, verdict: str, details: dict, params: dict) -> dict:
-    return {
-        "command": cfg.command,
-        "space": cfg.space,
-        "params": params,
-        "seed": cfg.seed,
-        "verdict": verdict,
-        "details": details,
-        "paper_ref": PAPER_REFS[cfg.command],
-    }
+def _or(value, default):
+    """``value``, or the command's ``default`` when the setting is unset."""
+    return default if value is None else value
 
 
-def _suite_details(report: AxiomReport) -> dict:
-    return {
+class Outcome(NamedTuple):
+    """What one command found, before it becomes a verdict and exit code."""
+
+    passed: bool
+    details: dict
+    csv: list[str]
+    params: dict
+    expect_fail: bool = False  # the checks run on a documented counterexample
+
+
+def _suite(report: AxiomReport, params: dict, expect_fail: bool = False) -> Outcome:
+    details = {
         "tolerance": report.tolerance,
         "checks": {
             name: {
@@ -254,215 +207,180 @@ def _suite_details(report: AxiomReport) -> dict:
             for name, c in sorted(report.checks.items())
         },
     }
+    csv = ["check,worst_violation,trials,verdict"] + [
+        f"{name},{worst!r},{trials},{verdict}" for name, worst, trials, verdict in report.rows()
+    ]
+    return Outcome(report.passed, details, csv, params, expect_fail)
 
 
-def _suite_csv(report: AxiomReport) -> list[str]:
-    lines = ["check,worst_violation,trials,verdict"]
-    for name, worst, trials, verdict in report.rows():
-        lines.append(f"{name},{worst!r},{trials},{verdict}")
-    return lines
+def _trace(trace: ConvergenceTrace, params: dict) -> Outcome:
+    csv = ["n,distance"] + [f"{n},{d!r}" for n, d in trace.csv_rows()]
+    return Outcome(trace.verdict, trace.to_json_dict(), csv, params)
 
 
-def _trace_csv(trace: ConvergenceTrace) -> list[str]:
-    lines = ["n,distance"]
-    for n, d in trace.csv_rows():
-        lines.append(f"{n},{d!r}")
-    return lines
+def _check_axioms(cfg: RunConfig) -> Outcome:
+    report = check_axioms(_space_for(cfg), trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed)
+    params = {"trials": cfg.trials, "dim": cfg.dim, "tolerance": report.tolerance}
+    if cfg.space == "power":
+        params["r"] = cfg.r
+    return _suite(report, params)
+
+
+def _cancellation(cfg: RunConfig) -> Outcome:
+    # raw points are the documented counterexample; finding the discrepancy
+    # is the expected outcome
+    raw = cfg.raw_points or cfg.space == "power"
+    report = check_cancellation(
+        _space_for(cfg), trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed,
+        convex_points=not raw,
+    )
+    params = {"trials": cfg.trials, "dim": cfg.dim, "raw_points": raw}
+    return _suite(report, params, expect_fail=raw)
+
+
+def _slln(cfg: RunConfig) -> Outcome:
+    space = _space_for(cfg)
+    fixture = cfg.fixture or ("interval-pair" if cfg.space == "compact-sets" else "bernoulli")
+    law = fixtures.slln_law(cfg.space, fixture, dim=cfg.dim)
+    n_max = _or(cfg.n_max, 1000)
+    tol = _or(cfg.tolerance, 0.05)
+    trace = slln_run(space, law, n_max=n_max, seed=cfg.seed, mode=cfg.mode, tolerance=tol)
+    return _trace(trace, {"fixture": fixture, "n_max": n_max, "mode": cfg.mode, "tolerance": tol})
+
+
+def _ergodic(cfg: RunConfig) -> Outcome:
+    space = _space_for(cfg)
+    tau = CyclicTransformation(cfg.modulus, cfg.step)
+    x = fixtures.ergodic_element(space, cfg.space, cfg.modulus, dim=cfg.dim)
+    tol = _or(cfg.tolerance, 1e-12)
+    trace = ergodic_run(tau, x, n_max=_or(cfg.n_max, cfg.modulus), tolerance=tol)
+    return _trace(trace, {"modulus": cfg.modulus, "step": cfg.step, "tolerance": tol})
+
+
+def _martingale(cfg: RunConfig) -> Outcome:
+    space = _space_for(cfg)
+    if cfg.fixture_file:
+        x = fixtures.load_fixture_file(space, cfg.space, cfg.fixture_file, dim=cfg.dim)
+    else:
+        x = fixtures.martingale_element(space, cfg.space, n_atoms=16, dim=cfg.dim)
+    filt = dyadic_filtration(x.sample_space)
+    martingale_sequence(x, filt)
+    forward = martingale_convergence_trace(x, filt, p=cfg.p, direction="forward")
+    reverse = martingale_convergence_trace(x, filt, p=cfg.p, direction="reverse")
+    tol = _or(cfg.tolerance, 1e-12)
+    trace = ConvergenceTrace.build(
+        range(1, len(forward) + 1), forward, "conditional expectation at the finest level", tol
+    )
+    outcome = _trace(trace, {"p": cfg.p, "atoms": len(x.sample_space), "tolerance": tol})
+    outcome.details["reverse_distances"] = [repr(d) for d in reverse]
+    outcome.details["reverse_final"] = repr(reverse[-1])
+    return outcome._replace(passed=trace.verdict and reverse[-1] <= tol)
+
+
+def _jensen(cfg: RunConfig) -> Outcome:
+    space = _space_for(cfg)
+    tol = _or(cfg.tolerance, space.default_tolerance)
+    if not cfg.fixture_file:
+        report = conditional_suite(space, trials=cfg.trials, tol=tol, seed=cfg.seed)
+        return _suite(report, {"trials": cfg.trials, "dim": cfg.dim, "tolerance": tol})
+    x = fixtures.load_fixture_file(space, cfg.space, cfg.fixture_file, dim=cfg.dim)
+    phi = DistanceTo(space, convexify(space, next(iter(x.values.values()))))
+    report = jensen_check(x, phi, conditional=None, tol=tol)
+    atoms = x.sample_space.atoms
+    half = len(atoms) // 2
+    halves = FinitePartition.of([atoms[:half], atoms[half:]] if half else [atoms], x.sample_space)
+    report.checks.update(jensen_check(x, phi, conditional=halves, tol=tol).checks)
+    return _suite(report, {"fixture_file": cfg.fixture_file, "tolerance": tol})
+
+
+def _embed_verify(cfg: RunConfig) -> Outcome:
+    return _suite(embedding_suite(trials=cfg.trials, seed=cfg.seed), {"trials": cfg.trials})
+
+
+def _convexify_rate(cfg: RunConfig) -> Outcome:
+    space = _space_for(cfg)
+    fixture = cfg.fixture or ("two-point" if cfg.space == "compact-sets" else "unit")
+    point = fixtures.convexify_point(cfg.space, fixture, dim=cfg.dim)
+    n_max = _or(cfg.n_max, 64)
+    tol = _or(cfg.tolerance, 1.0)
+    trace = convexification_rate(space, point, list(range(1, n_max + 1)), tolerance=tol)
+    return _trace(trace, {"fixture": fixture, "n_max": n_max, "tolerance": tol})
+
+
+def _counterexample(cfg: RunConfig) -> Outcome:
+    result = scaling_counterexample(scale=cfg.scale)
+    details = {
+        "lhs": repr(result.lhs),
+        "rhs": repr(result.rhs),
+        "inequality": "raw-point weight-perturbation bound",
+        "verdict": result.verdict,
+    }
+    csv = ["lhs,rhs,verdict", f"{result.lhs!r},{result.rhs!r},{result.verdict}"]
+    return Outcome(result.verdict != "fails", details, csv, {"scale": cfg.scale}, expect_fail=True)
+
+
+def _prop52(cfg: RunConfig) -> Outcome:
+    space = _space_for(cfg)
+    tol = _or(cfg.tolerance, space.default_tolerance)
+    report = weight_perturbation_suite(space, trials=cfg.trials, tol=tol, seed=cfg.seed)
+    jensen = rational_jensen_suite(space, trials=cfg.trials, tol=tol, seed=cfg.seed)
+    report.checks.update(jensen.checks)
+    return _suite(report, {"trials": cfg.trials, "dim": cfg.dim, "tolerance": tol})
+
+
+def _prop55(cfg: RunConfig) -> Outcome:
+    space = _space_for(cfg)
+    fixture = cfg.fixture or ("two-point-family" if cfg.space == "compact-sets" else "unit")
+    family = fixtures.family_points(cfg.space, fixture, dim=cfg.dim)
+    n_max = _or(cfg.n_max, 12)
+    tol = _or(cfg.tolerance, 0.5)
+    trace = raw_vs_convex_average_run(space, family, n_max=n_max, tolerance=tol)
+    return _trace(trace, {"fixture": fixture, "n_max": n_max, "tolerance": tol})
+
+
+# name -> (handler, short statement of the result it exercises, reported as
+# paper_ref)
+COMMANDS = {
+    "check-axioms": (_check_axioms, "combination axioms and convexification-operator laws"),
+    "cancellation": (_cancellation, "metric cancellation law on convex points"),
+    "slln": (_slln, "strong law of large numbers for equal-weight combinations"),
+    "ergodic": (_ergodic, "pointwise ergodic averages under a measure-preserving rotation"),
+    "martingale": (_martingale, "martingale convergence of conditional expectations "
+                   "along a filtration"),
+    "jensen": (_jensen, "Jensen inequality for expectation and conditional expectation"),
+    "embed-verify": (_embed_verify, "isometric affine embedding of convex compacta "
+                     "via support functions"),
+    "convexify-rate": (_convexify_rate, "convergence of equal-weight self-combinations "
+                       "to the convexification"),
+    "counterexample": (_counterexample, "failure of the weight-perturbation bound "
+                       "without convexification"),
+    "prop52": (_prop52, "weight-perturbation bound for combinations of convexified points"),
+    "prop55": (_prop55, "asymptotic equivalence of raw and convexified equal-weight "
+               "averages"),
+}
 
 
 def run(cfg: RunConfig) -> tuple[int, dict, list[str]]:
-    """Execute one subcommand; returns (exit code, json payload, csv lines)."""
-    command = cfg.command
-    if command == "check-axioms":
-        space = _space_for(cfg)
-        report = check_axioms(space, trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed)
-        verdict = "pass" if report.passed else "fail"
-        params = {"trials": cfg.trials, "dim": cfg.dim, "tolerance": report.tolerance}
-        if cfg.space == "power":
-            params["r"] = cfg.r
-        return (
-            0 if report.passed else 1,
-            _report_payload(cfg, verdict, _suite_details(report), params),
-            _suite_csv(report),
-        )
-
-    if command == "cancellation":
-        space = _space_for(cfg)
-        raw = cfg.raw_points or cfg.space == "power"
-        report = check_cancellation(
-            space, trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed,
-            convex_points=not raw,
-        )
-        if raw:
-            # raw points are the documented counterexample; finding the
-            # discrepancy is the expected outcome
-            confirmed = not report.passed
-            verdict = "expected_fail_confirmed" if confirmed else "expected_fail_missing"
-            code = 0 if confirmed else 1
-        else:
-            verdict = "pass" if report.passed else "fail"
-            code = 0 if report.passed else 1
-        params = {"trials": cfg.trials, "dim": cfg.dim, "raw_points": raw}
-        return code, _report_payload(cfg, verdict, _suite_details(report), params), _suite_csv(report)
-
-    if command == "slln":
-        space = _space_for(cfg)
-        fixture = cfg.fixture or ("bernoulli" if cfg.space == "euclidean" else "interval-pair")
-        law = fixtures.slln_law(cfg.space, fixture)
-        tol = cfg.tolerance if cfg.tolerance is not None else 0.05
-        trace = slln_run(space, law, n_max=cfg.n_max, seed=cfg.seed, mode=cfg.mode, tolerance=tol)
-        params = {"fixture": fixture, "n_max": cfg.n_max, "mode": cfg.mode, "tolerance": tol}
-        verdict = "pass" if trace.verdict else "fail"
-        return (
-            0 if trace.verdict else 1,
-            _report_payload(cfg, verdict, trace.to_json_dict(), params),
-            _trace_csv(trace),
-        )
-
-    if command == "ergodic":
-        space = _space_for(cfg)
-        tau = CyclicTransformation(cfg.modulus, cfg.step)
-        x = fixtures.ergodic_element(space, cfg.space, cfg.modulus)
-        tol = cfg.tolerance if cfg.tolerance is not None else 1e-12
-        n_max = min(cfg.n_max, cfg.modulus) if cfg.n_max else cfg.modulus
-        trace = ergodic_run(tau, x, n_max=max(n_max, cfg.modulus), tolerance=tol)
-        params = {"modulus": cfg.modulus, "step": cfg.step, "tolerance": tol}
-        verdict = "pass" if trace.verdict else "fail"
-        return (
-            0 if trace.verdict else 1,
-            _report_payload(cfg, verdict, trace.to_json_dict(), params),
-            _trace_csv(trace),
-        )
-
-    if command == "martingale":
-        space = _space_for(cfg)
-        if cfg.fixture_file:
-            x = fixtures.load_fixture_file(space, cfg.space, cfg.fixture_file)
-        else:
-            x = fixtures.martingale_element(space, cfg.space, n_atoms=16)
-        filt = dyadic_filtration(x.sample_space)
-        martingale_sequence(x, filt)
-        forward = martingale_convergence_trace(x, filt, p=cfg.p, direction="forward")
-        reverse = martingale_convergence_trace(x, filt, p=cfg.p, direction="reverse")
-        tol = cfg.tolerance if cfg.tolerance is not None else 1e-12
-        trace = ConvergenceTrace.build(
-            range(1, len(forward) + 1), forward, "conditional expectation at the finest level", tol
-        )
-        details = trace.to_json_dict()
-        details["reverse_distances"] = [repr(d) for d in reverse]
-        details["reverse_final"] = repr(reverse[-1])
-        ok = trace.verdict and reverse[-1] <= tol
-        params = {"p": cfg.p, "atoms": 16, "tolerance": tol}
-        return (
-            0 if ok else 1,
-            _report_payload(cfg, "pass" if ok else "fail", details, params),
-            _trace_csv(trace),
-        )
-
-    if command == "jensen":
-        space = _space_for(cfg)
-        tol = cfg.tolerance if cfg.tolerance is not None else space.default_tolerance
-        if cfg.fixture_file:
-            from .core import convexify
-            from .probability import DistanceTo, FinitePartition, jensen_check
-
-            x = fixtures.load_fixture_file(space, cfg.space, cfg.fixture_file)
-            anchor = convexify(space, next(iter(x.values.values())))
-            phi = DistanceTo(space, anchor)
-            report = jensen_check(x, phi, conditional=None, tol=tol)
-            atoms = x.sample_space.atoms
-            half = FinitePartition.of(
-                [atoms[: max(1, len(atoms) // 2)], atoms[max(1, len(atoms) // 2):]]
-                if len(atoms) > 1
-                else [atoms],
-                x.sample_space,
-            )
-            conditional = jensen_check(x, phi, conditional=half, tol=tol)
-            report.checks.update(conditional.checks)
-            params = {"fixture_file": cfg.fixture_file, "tolerance": tol}
-        else:
-            report = conditional_suite(space, trials=cfg.trials, tol=tol, seed=cfg.seed)
-            params = {"trials": cfg.trials, "dim": cfg.dim, "tolerance": tol}
-        verdict = "pass" if report.passed else "fail"
-        return (
-            0 if report.passed else 1,
-            _report_payload(cfg, verdict, _suite_details(report), params),
-            _suite_csv(report),
-        )
-
-    if command == "embed-verify":
-        report = embedding_suite(trials=cfg.trials, seed=cfg.seed)
-        verdict = "pass" if report.passed else "fail"
-        params = {"trials": cfg.trials}
-        return (
-            0 if report.passed else 1,
-            _report_payload(cfg, verdict, _suite_details(report), params),
-            _suite_csv(report),
-        )
-
-    if command == "convexify-rate":
-        space = _space_for(cfg)
-        fixture = cfg.fixture or ("two-point" if cfg.space == "compact-sets" else "unit")
-        point = fixtures.convexify_point(cfg.space, fixture, dim=cfg.dim)
-        n_max = cfg.n_max if cfg.n_max != _DEFAULTS["n_max"] else 64
-        tol = cfg.tolerance if cfg.tolerance is not None else 1.0
-        trace = convexification_rate(space, point, list(range(1, n_max + 1)), tolerance=tol)
-        params = {"fixture": fixture, "n_max": n_max, "tolerance": tol}
-        verdict = "pass" if trace.verdict else "fail"
-        return (
-            0 if trace.verdict else 1,
-            _report_payload(cfg, verdict, trace.to_json_dict(), params),
-            _trace_csv(trace),
-        )
-
-    if command == "counterexample":
-        result = scaling_counterexample(scale=cfg.scale)
-        confirmed = result.verdict == "fails"
-        details = {
-            "lhs": repr(result.lhs),
-            "rhs": repr(result.rhs),
-            "inequality": "raw-point weight-perturbation bound",
-            "verdict": result.verdict,
-        }
-        params = {"scale": cfg.scale}
-        payload = _report_payload(
-            cfg, "expected_fail_confirmed" if confirmed else "expected_fail_missing",
-            details, params,
-        )
-        csv_lines = ["lhs,rhs,verdict", f"{result.lhs!r},{result.rhs!r},{result.verdict}"]
-        return (0 if confirmed else 1, payload, csv_lines)
-
-    if command == "prop52":
-        space = _space_for(cfg)
-        tol = cfg.tolerance if cfg.tolerance is not None else space.default_tolerance
-        report = weight_perturbation_suite(space, trials=cfg.trials, tol=tol, seed=cfg.seed)
-        jensen = rational_jensen_suite(space, trials=cfg.trials, tol=tol, seed=cfg.seed)
-        for name, check in jensen.checks.items():
-            report.checks[name] = check
-        verdict = "pass" if report.passed else "fail"
-        params = {"trials": cfg.trials, "dim": cfg.dim, "tolerance": tol}
-        return (
-            0 if report.passed else 1,
-            _report_payload(cfg, verdict, _suite_details(report), params),
-            _suite_csv(report),
-        )
-
-    if command == "prop55":
-        space = _space_for(cfg)
-        fixture = cfg.fixture or ("two-point-family" if cfg.space == "compact-sets" else "unit")
-        family = fixtures.family_points(cfg.space, fixture)
-        n_max = cfg.n_max if cfg.n_max != _DEFAULTS["n_max"] else 12
-        tol = cfg.tolerance if cfg.tolerance is not None else 0.5
-        trace = raw_vs_convex_average_run(space, family, n_max=n_max, tolerance=tol)
-        params = {"fixture": fixture, "n_max": n_max, "tolerance": tol}
-        verdict = "pass" if trace.verdict else "fail"
-        return (
-            0 if trace.verdict else 1,
-            _report_payload(cfg, verdict, trace.to_json_dict(), params),
-            _trace_csv(trace),
-        )
-
-    raise UsageError(f"unknown command {command!r}")
+    """Execute one command; returns (exit code, json payload, csv lines)."""
+    if cfg.command not in COMMANDS:
+        raise UsageError(f"unknown command {cfg.command!r}")
+    handler, paper_ref = COMMANDS[cfg.command]
+    outcome = handler(cfg)
+    ok = outcome.passed != outcome.expect_fail
+    if outcome.expect_fail:
+        verdict = "expected_fail_confirmed" if ok else "expected_fail_missing"
+    else:
+        verdict = "pass" if ok else "fail"
+    payload = {
+        "command": cfg.command,
+        "space": cfg.space,
+        "params": outcome.params,
+        "seed": cfg.seed,
+        "verdict": verdict,
+        "details": outcome.details,
+        "paper_ref": paper_ref,
+    }
+    return (0 if ok else 1), payload, outcome.csv
 
 
 def _write_atomic(path: str, data: str) -> None:
@@ -484,10 +402,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
         code, payload, csv_lines = run(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg.fmt == "json":

@@ -55,10 +55,9 @@ class ConvergenceTrace:
             raise ValueError("indices and distances must align and be nonempty")
         if any(d < 0.0 for d in distances):
             raise ValueError("distances must be nonnegative")
-        tail = distances[-window:]
-        return ConvergenceTrace(
-            indices, distances, target, tolerance, max(tail) <= tolerance
-        )
+        # a NaN distance in the tail fails the verdict
+        passed = all(d <= tolerance for d in distances[-window:])
+        return ConvergenceTrace(indices, distances, target, tolerance, passed)
 
     @property
     def final_distance(self) -> float:
@@ -231,6 +230,19 @@ def raw_vs_convex_average_run(
     )
 
 
+def _weight_perturbation_gap(space: SpaceContract, a_weights, b_weights, xs, u) -> float:
+    """d([a_i, Kx_i], [b_i, Kx_i]) - sum |a_i - b_i| d(x_i, u); the bound holds at <= 0."""
+    kxs = [convexify(space, x) for x in xs]
+    lhs = space.distance(
+        combine(space, list(zip(a_weights, kxs))),
+        combine(space, list(zip(b_weights, kxs))),
+    )
+    rhs = math.fsum(
+        abs(a - b) * space.distance(x, u) for a, b, x in zip(a_weights, b_weights, xs)
+    )
+    return lhs - rhs
+
+
 def weight_perturbation_check(
     space: SpaceContract,
     a_weights: Sequence[float],
@@ -247,15 +259,7 @@ def weight_perturbation_check(
             raise ValueError("weights must lie in [0, 1]")
         if abs(math.fsum(ws) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-    kxs = [convexify(space, x) for x in xs]
-    lhs = space.distance(
-        combine(space, list(zip(a_weights, kxs))),
-        combine(space, list(zip(b_weights, kxs))),
-    )
-    rhs = math.fsum(
-        abs(a - b) * space.distance(x, u) for a, b, x in zip(a_weights, b_weights, xs)
-    )
-    return lhs <= rhs + tol
+    return _weight_perturbation_gap(space, a_weights, b_weights, xs, u) <= tol
 
 
 def scaling_counterexample(scale: float = 1.0) -> CounterexampleResult:
@@ -276,6 +280,21 @@ def scaling_counterexample(scale: float = 1.0) -> CounterexampleResult:
     )
     rhs = abs(0.8 - 0.4) * space.distance(x, u) + abs(0.2 - 0.6) * space.distance(y, u)
     return CounterexampleResult(lhs, rhs, "fails" if lhs > rhs else "holds")
+
+
+def _rational_jensen_gaps(space: SpaceContract, phi, qs, xs, denom: int) -> tuple[float, float]:
+    """phi([q_i, x_i]) - sum q_i phi(x_i), and the replication gap; both hold at <= 0.
+
+    The replication gap is the distance from [q_i, x_i] to the equal-weight
+    combination of each x_i repeated q_i * denom times; it is 0.0, unchecked,
+    when denom exceeds 64.
+    """
+    mixed = combine(space, [(float(q), x) for q, x in zip(qs, xs)])
+    jensen_gap = phi(mixed) - math.fsum(float(q) * phi(x) for q, x in zip(qs, xs))
+    if denom > 64:
+        return jensen_gap, 0.0
+    replicated = [x for q, x in zip(qs, xs) for _ in range(q.numerator * (denom // q.denominator))]
+    return jensen_gap, space.distance(mixed, uniform_mix(space, replicated))
 
 
 def rational_jensen_check(
@@ -300,18 +319,8 @@ def rational_jensen_check(
         raise ValueError("rational weights must be positive")
     if len(qs) != len(xs):
         raise ValueError("weights and points must align")
-    mixed = combine(space, [(float(q), x) for q, x in zip(qs, xs)])
-    bound = math.fsum(float(q) * phi(x) for q, x in zip(qs, xs))
-    if phi(mixed) > bound + tol:
-        return False
     denom = math.lcm(*(q.denominator for q in qs))
-    if denom <= 64:
-        replicated = []
-        for q, x in zip(qs, xs):
-            replicated.extend([x] * (q.numerator * (denom // q.denominator)))
-        if space.distance(mixed, uniform_mix(space, replicated)) > tol:
-            return False
-    return True
+    return all(gap <= tol for gap in _rational_jensen_gaps(space, phi, qs, xs, denom))
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +342,8 @@ def weight_perturbation_suite(
             b[0] = 0.0
         xs = [space.sample(rng) for _ in range(k)]
         u = space.sample(rng)
-        kxs = [convexify(space, x) for x in xs]
-        lhs = space.distance(
-            combine(space, list(zip(a, kxs))), combine(space, list(zip(b, kxs)))
-        )
-        rhs = math.fsum(
-            abs(ai - bi) * space.distance(x, u) for ai, bi, x in zip(a, b, xs)
-        )
-        report.check("weight_perturbation").record(lhs - rhs, _fmt(t, a, b))
+        gap = _weight_perturbation_gap(space, a, b, xs, u)
+        report.check("weight_perturbation").record(gap, _fmt(t, a, b))
     return report
 
 
@@ -357,14 +360,7 @@ def rational_jensen_suite(
         qs = [Fraction(c, m) for c in counts]
         xs = [convexify(space, space.sample(rng)) for _ in range(k)]
         phi = DistanceTo(space, convexify(space, space.sample(rng)))
-
-        mixed = combine(space, [(float(q), x) for q, x in zip(qs, xs)])
-        bound = math.fsum(float(q) * phi(x) for q, x in zip(qs, xs))
-        report.check("rational_jensen").record(phi(mixed) - bound, _fmt(t, qs))
-
-        replicated = []
-        for q, x in zip(qs, xs):
-            replicated.extend([x] * (q.numerator * (m // q.denominator)))
-        gap = space.distance(mixed, uniform_mix(space, replicated))
-        report.check("replication_identity").record(gap, _fmt(t, qs))
+        jensen_gap, replication_gap = _rational_jensen_gaps(space, phi, qs, xs, m)
+        report.check("rational_jensen").record(jensen_gap, _fmt(t, qs))
+        report.check("replication_identity").record(replication_gap, _fmt(t, qs))
     return report

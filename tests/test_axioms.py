@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from ccspace import (
     euclidean_space,
     power_space,
 )
+from ccspace.axioms import AxiomReport
 from ccspace.core import SpaceContract, trial_rng
 
 SPACES = [
@@ -67,6 +69,41 @@ def test_mutant_instance_fails_identity_checks():
     assert fixed_point.worst_violation == pytest.approx(0.1, abs=1e-12)
     # the offset also breaks two-level flattening
     assert not report.checks["flattening"].passed
+
+
+def _nan_distance_mutant():
+    return dataclasses.replace(
+        euclidean_space(1), name="euclid-nan-distance", distance=lambda a, b: math.nan
+    )
+
+
+# broken instances, each with a named check that must catch it
+MUTANTS = [
+    (_offset_mutant, "convexification_fixed_point"),
+    (_nan_distance_mutant, "commutativity"),
+]
+
+
+@pytest.mark.parametrize("make,check", MUTANTS, ids=[m[0].__name__ for m in MUTANTS])
+def test_mutant_corpus_is_caught(make, check):
+    report = check_axioms(make(), trials=40, seed=1)
+    assert not report.passed
+    caught = report.checks[check]
+    assert not caught.passed and caught.witness is not None
+    assert not report.worst_violation <= report.tolerance
+
+
+def test_nan_violation_fails_and_keeps_its_witness():
+    report = AxiomReport(space="x", seed=0, tolerance=1e-9)
+    check = report.check("law")
+    check.record(0.0, "ok")
+    check.record(math.nan, "first nan")
+    check.record(5.0, "larger")
+    check.record(math.nan, "second nan")
+    assert not check.passed and check.witness == "first nan"
+    assert check.trials == 4
+    report.check("other").record(1.0, "big")
+    assert math.isnan(report.worst_violation)
 
 
 def test_check_axioms_rejects_zero_trials():

@@ -241,7 +241,9 @@ def test_commands_consume_fixture_files(tmp_path, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 0
-    assert json.loads(out.read_text())["verdict"] == "pass"
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "pass"
+    assert payload["params"]["atoms"] == 4
 
     out = tmp_path / "j.json"
     code = run_cli(
@@ -253,3 +255,57 @@ def test_commands_consume_fixture_files(tmp_path, monkeypatch):
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "pass"
     assert set(payload["details"]["checks"]) == {"jensen", "conditional_jensen"}
+
+
+def trace_length(args, monkeypatch, tmp_path):
+    out = tmp_path / "trace.json"
+    code = run_cli(args + ["--out", str(out)], monkeypatch=monkeypatch)
+    payload = json.loads(out.read_text())
+    return code, len(payload["details"]["indices"]), payload["params"]
+
+
+@pytest.mark.parametrize("args,length", [
+    # an explicit --n-max is used as given, whatever its value
+    (["convexify-rate", "--space", "euclidean", "--n-max", "1000"], 1000),
+    (["prop55", "--space", "euclidean", "--n-max", "1000"], 1000),
+    (["ergodic", "--space", "euclidean", "--modulus", "50", "--n-max", "10"], 10),
+    # unset, each command keeps its own default
+    (["slln", "--space", "euclidean"], 1000),
+    (["ergodic", "--space", "euclidean", "--modulus", "50"], 50),
+    (["convexify-rate", "--space", "euclidean"], 64),
+    (["prop55", "--space", "euclidean"], 12),
+])
+def test_n_max_has_one_meaning(args, length, tmp_path, monkeypatch):
+    _, got, params = trace_length(args, monkeypatch, tmp_path)
+    assert got == length
+    assert params.get("n_max", length) == length
+
+
+def test_n_max_from_config_file(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("space = euclidean\nn-max = 1000\n")
+    assert trace_length(["convexify-rate", "--config", str(cfg)], monkeypatch, tmp_path)[1] == 1000
+
+
+@pytest.mark.parametrize("space", ["power", "distributions"])
+def test_slln_default_fixture_is_bernoulli(space, tmp_path, monkeypatch):
+    code, length, params = trace_length(["slln", "--space", space], monkeypatch, tmp_path)
+    assert code == 0
+    assert params["fixture"] == "bernoulli" and length == 1000
+
+
+@pytest.mark.parametrize("args", [
+    ["slln", "--space", "euclidean", "--dim", "2"],
+    ["ergodic", "--space", "euclidean", "--dim", "2", "--modulus", "10", "--step", "3"],
+    ["martingale", "--space", "euclidean", "--dim", "2"],
+    ["martingale", "--space", "compact-sets", "--dim", "2", "--fixture-file", "sets.fixture"],
+    ["jensen", "--space", "euclidean", "--dim", "2", "--fixture-file", "line.fixture"],
+    ["prop55", "--space", "euclidean", "--dim", "2"],
+    ["prop55", "--space", "compact-sets", "--dim", "2"],
+])
+def test_fixture_dimension_mismatch_is_usage_error(args, tmp_path, monkeypatch, capsys):
+    (tmp_path / "sets.fixture").write_text("w0 ; 0.5 ; 0 1\nw1 ; 0.5 ; 2\n")
+    (tmp_path / "line.fixture").write_text("w0 ; 0.5 ; 1\nw1 ; 0.5 ; 2\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args, monkeypatch=monkeypatch) == 2
+    assert "1-dimensional but the space is 2-dimensional" in capsys.readouterr().err

@@ -30,12 +30,18 @@ point1 = st.tuples(coord)
 
 
 def brute_minkowski(weights, sets):
-    """Oracle: enumerate every selection directly."""
+    """Oracle: enumerate every selection directly.
+
+    The sums are canonicalized by ``FinitePointSet.of``, which by contract
+    merges points closer than ``DEDUP_RESOLUTION``; an exact ``set`` would
+    keep rounding twins such as 1/3 and 1/3 + 5.5e-17 apart.
+    """
     dim = sets[0].dim
-    out = set()
-    for choice in itertools.product(*[s.points for s in sets]):
-        out.add(tuple(math.fsum(w * p[c] for w, p in zip(weights, choice)) for c in range(dim)))
-    return sorted(out)
+    out = [
+        tuple(math.fsum(w * p[c] for w, p in zip(weights, choice)) for c in range(dim))
+        for choice in itertools.product(*[s.points for s in sets])
+    ]
+    return list(FinitePointSet.of(out).points)
 
 
 def grid_directions(k=720):

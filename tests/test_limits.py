@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,11 @@ def test_trace_build_validation():
         ConvergenceTrace.build([1], [-0.5], "x", 1.0)
     trace = ConvergenceTrace.build([1, 2], [0.5, 0.01], "x", 0.05)
     assert trace.verdict and trace.final_distance == 0.01
+
+
+@pytest.mark.parametrize("tail", [[math.nan, 0.01], [0.01, math.nan]])
+def test_trace_with_nan_in_tail_fails(tail):
+    assert not ConvergenceTrace.build([1, 2, 3], [0.5, *tail], "x", 0.05, window=2).verdict
 
 
 # ---------------------------------------------------------------------------
