@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import (
     Point,
@@ -76,8 +76,7 @@ class AxiomReport:
 
     @property
     def worst_violation(self) -> float:
-        worst = [c.worst_violation for c in self.checks.values()]
-        return math.nan if any(map(math.isnan, worst)) else max(worst, default=0.0)
+        return nan_max((c.worst_violation for c in self.checks.values()), default=0.0)
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks.values() if not c.passed]
@@ -87,6 +86,27 @@ class AxiomReport:
             (c.name, c.worst_violation, c.trials, "pass" if c.passed else "fail")
             for c in sorted(self.checks.values(), key=lambda c: c.name)
         ]
+
+
+def nan_max(*values, default: Optional[float] = None) -> float:
+    """``max`` over one iterable or several arguments, NaN if any value is NaN.
+
+    The builtin keeps a NaN only when it comes first, so folding distances
+    with it can turn a NaN into a passing violation.  Finite values give the
+    builtin's result, ties included.
+    """
+    items: Iterable[float] = values[0] if len(values) == 1 else values
+    worst = None
+    for v in items:
+        if math.isnan(v):
+            return v
+        if worst is None or v > worst:
+            worst = v
+    if worst is None:
+        if default is None:
+            raise ValueError("nan_max() of no values needs a default")
+        return default
+    return worst
 
 
 def _sample_weights(rng: random.Random, k: int) -> list[float]:
@@ -176,7 +196,7 @@ def check_axioms(
         for step in range(_CONTINUITY_STEPS + 1):
             delta = _CONTINUITY_DELTA0 * 4.0 ** (-step)
             moved = combine(space, [(lam + delta, u), (1.0 - lam - delta, v)])
-            worst = max(worst, d(moved, base) - _CONTINUITY_LIPSCHITZ * delta)
+            worst = nan_max(worst, d(moved, base) - _CONTINUITY_LIPSCHITZ * delta)
         report.check("continuity").record(worst, _fmt(lam, u, v))
 
         # negative curvature: combination is jointly non-expansive
@@ -196,7 +216,7 @@ def check_axioms(
         for _ in range(doublings):
             iterates.append(midpoint(space, iterates[-1], iterates[-1]))
         gaps = [d(a, b) for a, b in zip(iterates, iterates[1:])]
-        worst = max(
+        worst = nan_max(
             (later - earlier for earlier, later in zip(gaps, gaps[1:])), default=0.0
         )
         report.check("convexification_cauchy").record(worst, _fmt(x, gaps))
@@ -210,14 +230,14 @@ def check_axioms(
             kx = space.convexify_exact(x)
 
             # convex points are fixed by equal-weight self-combination
-            worst = max(d(self_combination(space, kx, n), kx) for n in (2, 3, 5))
+            worst = nan_max(d(self_combination(space, kx, n), kx) for n in (2, 3, 5))
             report.check("convexification_fixed_point").record(worst, _fmt(x, kx))
 
             # idempotence, both as K(K x) = K x and K([w_j, x]_j) = K x
             gap = d(space.convexify_exact(kx), kx)
             ws = _sample_weights(rng, 3)
             repeated = combine(space, [(w, x) for w in ws])
-            gap = max(gap, d(space.convexify_exact(repeated), kx))
+            gap = nan_max(gap, d(space.convexify_exact(repeated), kx))
             report.check("convexifier_idempotent").record(gap, _fmt(x, ws))
 
             # linearity: K(combination) equals the combination of images
@@ -249,9 +269,9 @@ def check_axioms(
         if space.unbiased:
             # unbiased instances: self-combinations leave every point fixed
             w = space.sample(rng)
-            worst = max(d(self_combination(space, w, n), w) for n in (2, 5))
+            worst = nan_max(d(self_combination(space, w, n), w) for n in (2, 5))
             ws = _sample_weights(rng, 3)
-            worst = max(worst, d(combine(space, [(wt, w) for wt in ws]), w))
+            worst = nan_max(worst, d(combine(space, [(wt, w) for wt in ws]), w))
             report.check("unbiased_identity").record(worst, _fmt(w, ws))
 
     return report
@@ -310,7 +330,7 @@ def check_cancellation(
 
         lam_in = rng.uniform(0.05, 0.95)
         mixed = combine(space, [(lam_in, x), (1.0 - lam_in, y)])
-        gap = max(
+        gap = nan_max(
             abs(d(mixed, x) - (1.0 - lam_in) * d(x, y)),
             abs(d(mixed, y) - lam_in * d(x, y)),
         )

@@ -4,7 +4,7 @@
 operation and serializes its report; identical configuration and seed produce
 byte-identical output.
 Exit codes: 0 all checks pass (or a documented expected failure confirmed),
-1 violation found, 2 usage error.
+1 violation found, 2 usage error or a request that exceeds an instance limit.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from typing import NamedTuple, Optional
 
 from . import fixtures
 from .axioms import AxiomReport, check_axioms, check_cancellation
-from .core import convexify
+from .core import ConvexifyError, convexify
 from .embedding import embedding_suite
+from .geometry import EnumerationCapError
 from .instances import SPACE_NAMES, get_space
 from .limits import (
     ConvergenceTrace,
@@ -40,7 +41,7 @@ from .probability import (
     conditional_suite,
     dyadic_filtration,
     jensen_check,
-    martingale_convergence_trace,
+    martingale_distances,
     martingale_sequence,
 )
 
@@ -263,10 +264,9 @@ def _martingale(cfg: RunConfig) -> Outcome:
         x = fixtures.load_fixture_file(space, cfg.space, cfg.fixture_file, dim=cfg.dim)
     else:
         x = fixtures.martingale_element(space, cfg.space, n_atoms=16, dim=cfg.dim)
-    filt = dyadic_filtration(x.sample_space)
-    martingale_sequence(x, filt)
-    forward = martingale_convergence_trace(x, filt, p=cfg.p, direction="forward")
-    reverse = martingale_convergence_trace(x, filt, p=cfg.p, direction="reverse")
+    seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
+    forward = martingale_distances(seq, p=cfg.p, direction="forward")
+    reverse = martingale_distances(seq, p=cfg.p, direction="reverse")
     tol = _or(cfg.tolerance, 1e-12)
     trace = ConvergenceTrace.build(
         range(1, len(forward) + 1), forward, "conditional expectation at the finest level", tol
@@ -404,6 +404,11 @@ def main(argv=None) -> int:
         code, payload, csv_lines = run(cfg)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (EnumerationCapError, ConvexifyError) as exc:
+        limit = ("selection enumeration cap" if isinstance(exc, EnumerationCapError)
+                 else "convexification doubling budget")
+        print(f"error: request exceeds the {limit}: {exc}", file=sys.stderr)
         return 2
     if cfg.fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

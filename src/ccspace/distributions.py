@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 ATOM_MERGE_RESOLUTION = 1e-12
 PROB_SUM_TOL = 1e-12
+_BAD_ATOM = "atoms must be finite with nonnegative probabilities"
 
 
 @dataclass(frozen=True)
@@ -28,14 +29,12 @@ class DiscreteDistribution:
         pairs = sorted(zip((float(a) for a in atoms), (float(p) for p in probs)))
         if not pairs:
             raise ValueError("distribution needs at least one atom")
-        total = math.fsum(p for _, p in pairs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        _check_mass(math.fsum(p for _, p in pairs))
         merged_atoms: list[float] = []
         merged_probs: list[float] = []
         for a, p in pairs:
             if p < 0.0 or not math.isfinite(a):
-                raise ValueError("atoms must be finite with nonnegative probabilities")
+                raise ValueError(_BAD_ATOM)
             if p == 0.0:
                 continue
             if merged_atoms and a - merged_atoms[-1] <= ATOM_MERGE_RESOLUTION:
@@ -64,6 +63,12 @@ class DiscreteDistribution:
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+
+def _check_mass(total: float) -> None:
+    # NaN fails the comparison, so it is rejected with the sum
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
 
 def distribution_mean(f: DiscreteDistribution) -> float:
@@ -97,17 +102,32 @@ def scaled_convolution_combine(
         raise ValueError("need at least one distribution")
     acc = DiscreteDistribution.delta(0.0)
     for w, f in zip(weights, dists):
-        atoms: list[float] = []
-        probs: list[float] = []
-        for a, pa in zip(acc.atoms, acc.probs):
-            base = a
-            for b, pb in zip(f.atoms, f.probs):
-                atoms.append(base + w * b)
-                probs.append(pa * pb)
-        acc = DiscreteDistribution.of(atoms, probs)
+        if len(acc) == 1 and len(f) == 1:
+            acc = _dirac_step(acc, w, f)
+        else:
+            atoms: list[float] = []
+            probs: list[float] = []
+            for a, pa in zip(acc.atoms, acc.probs):
+                base = a
+                for b, pb in zip(f.atoms, f.probs):
+                    atoms.append(base + w * b)
+                    probs.append(pa * pb)
+            acc = DiscreteDistribution.of(atoms, probs)
         if atom_cap is not None and len(acc) > atom_cap:
             acc = quantile_resample(acc, atom_cap)
     return acc
+
+
+def _dirac_step(acc: DiscreteDistribution, w: float, f: DiscreteDistribution) -> DiscreteDistribution:
+    """``DiscreteDistribution.of([a + w*b], [pa*pb])`` for one-atom ``acc`` and
+    ``f``: the same checks, without the sort and merge.  A mass within
+    ``PROB_SUM_TOL`` of 1 is positive, so no zero-mass check is needed."""
+    atom = float(acc.atoms[0] + w * f.atoms[0])
+    prob = float(acc.probs[0] * f.probs[0])
+    _check_mass(prob)
+    if not math.isfinite(atom):
+        raise ValueError(_BAD_ATOM)
+    return DiscreteDistribution((atom,), (prob,))
 
 
 def wasserstein1(f: DiscreteDistribution, g: DiscreteDistribution) -> float:

@@ -179,7 +179,7 @@ def ergodic_run(
     ]
     indices = []
     distances = []
-    for length in range(1, min(n_max, 10 * n) + 1):
+    for length in range(1, n_max + 1):
         reps = [orbit_values[i % n] for i in range(length)]
         avg = uniform_mix(x.space, reps)
         indices.append(length)

@@ -12,9 +12,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Optional, Sequence
 
-from .axioms import AxiomReport, _fmt, _sample_weights
+from .axioms import AxiomReport, CheckResult, _fmt, _sample_weights, nan_max
 from .core import Point, SpaceContract, combine, convexify, trial_rng
 from .embedding import AffineFunctional
 from .geometry import ConvexPolytope, FinitePointSet
@@ -39,8 +40,8 @@ class FiniteSampleSpace:
             raise ValueError("atoms and probabilities must align and be nonempty")
         if len(set(atoms)) != len(atoms):
             raise ValueError("atom labels must be distinct")
-        if any(p <= 0.0 for p in probs):
-            raise ValueError("atom probabilities must be strictly positive")
+        if not all(0.0 < p < math.inf for p in probs):
+            raise ValueError("atom probabilities must be finite and strictly positive")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
@@ -52,8 +53,16 @@ class FiniteSampleSpace:
             tuple(f"{prefix}{i}" for i in range(n)), (1.0 / n,) * n
         )
 
+    @cached_property
+    def _position(self) -> dict[Label, int]:
+        """atom -> index into ``atoms`` and ``probs``, built once per instance."""
+        return {a: i for i, a in enumerate(self.atoms)}
+
     def prob(self, atom: Label) -> float:
-        return self.probs[self.atoms.index(atom)]
+        try:
+            return self.probs[self._position[atom]]
+        except KeyError:
+            raise ValueError(f"{atom!r} is not an atom of the sample space") from None
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -92,7 +101,7 @@ class FinitePartition:
 
     @staticmethod
     def of(blocks: Sequence[Sequence[Label]], omega: FiniteSampleSpace) -> "FinitePartition":
-        order = {a: i for i, a in enumerate(omega.atoms)}
+        order = omega._position
         norm = []
         seen: set[Label] = set()
         for block in blocks:
@@ -116,17 +125,22 @@ class FinitePartition:
     def finest(omega: FiniteSampleSpace) -> "FinitePartition":
         return FinitePartition.of([(a,) for a in omega.atoms], omega)
 
+    @cached_property
+    def _block_index(self) -> dict[Label, int]:
+        """atom -> index of its block, built once per instance."""
+        return {a: i for i, block in enumerate(self.blocks) for a in block}
+
     def block_of(self, atom: Label) -> tuple[Label, ...]:
-        for block in self.blocks:
-            if atom in block:
-                return block
-        raise KeyError(atom)
+        return self.blocks[self._block_index[atom]]
 
     def refines(self, coarser: "FinitePartition") -> bool:
-        return all(
-            any(set(block) <= set(big) for big in coarser.blocks)
-            for block in self.blocks
-        )
+        """Every block lies inside one block of ``coarser``."""
+        owner = coarser._block_index
+        for block in self.blocks:
+            home = owner.get(block[0])
+            if home is None or any(owner.get(a) != home for a in block):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -258,14 +272,15 @@ def conditional_expectation(x: RandomElement, g: FinitePartition) -> RandomEleme
     omega = x.sample_space
     values: dict[Label, Point] = {}
     for block in g.blocks:
-        block_prob = math.fsum(omega.prob(a) for a in block)
+        probs = [omega.prob(a) for a in block]
+        block_prob = math.fsum(probs)
         if block_prob <= 0.0:
             raise ValueError(f"zero-probability block {block!r}")
         mixed = combine(
             space,
             [
-                (omega.prob(a) / block_prob, convexify(space, x.values[a]))
-                for a in block
+                (p / block_prob, convexify(space, x.values[a]))
+                for p, a in zip(probs, block)
             ],
         )
         for a in block:
@@ -300,8 +315,7 @@ def check_ce_characterization(
     """
     _check_same_base(x, y)
     space = x.space
-    worst = 0.0
-    witness = None
+    fold = CheckResult("characterization", tolerance=tol)
     for k in range(len(g.blocks) + 1):
         for chosen in itertools.combinations(g.blocks, k):
             covered = {a for block in chosen for a in block}
@@ -319,11 +333,8 @@ def check_ce_characterization(
             gap = space.distance(
                 expectation(clipped(x.values)), expectation(clipped(y.values))
             )
-            if gap > worst:
-                worst = gap
-                if gap > tol:
-                    witness = chosen
-    return CharacterizationResult(worst <= tol, worst, witness)
+            fold.record(gap, chosen)
+    return CharacterizationResult(fold.passed, fold.worst_violation, fold.witness)
 
 
 def check_ce_properties(
@@ -356,7 +367,7 @@ def check_ce_properties(
     }
     measurable = RandomElement(space, omega, rep_values)
     ce = conditional_expectation(measurable, g_fine)
-    worst = max(
+    worst = nan_max(
         space.distance(ce.values[a], convexify(space, measurable.values[a]))
         for a in omega.atoms
     )
@@ -373,15 +384,15 @@ def check_ce_properties(
     rhs = mix_elements(
         lam, conditional_expectation(x, g_fine), conditional_expectation(y, g_fine)
     )
-    worst = max(space.distance(lhs.values[a], rhs.values[a]) for a in omega.atoms)
+    worst = nan_max(space.distance(lhs.values[a], rhs.values[a]) for a in omega.atoms)
     report.check("mixing").record(worst, _fmt(lam, g_fine.blocks))
 
     # tower property in both orders
     inner = conditional_expectation(x, g_coarse)
     towered = conditional_expectation(inner, g_fine)
     other = conditional_expectation(conditional_expectation(x, g_fine), g_coarse)
-    worst = max(
-        max(
+    worst = nan_max(
+        nan_max(
             space.distance(towered.values[a], inner.values[a]),
             space.distance(other.values[a], inner.values[a]),
         )
@@ -406,13 +417,28 @@ def martingale_sequence(x: RandomElement, filt: Filtration, tol: float = 1e-9) -
     space = x.space
     for earlier_g, earlier, later in zip(filt.partitions, seq, seq[1:]):
         pulled = conditional_expectation(later, earlier_g)
-        worst = max(
+        worst = nan_max(
             space.distance(pulled.values[a], earlier.values[a])
             for a in x.sample_space.atoms
         )
-        if worst > tol:
+        if not worst <= tol:
             raise ValueError(f"martingale property violated by {worst!r}")
     return seq
+
+
+def martingale_distances(
+    seq: Sequence[RandomElement], p: int = 1, direction: str = "forward"
+) -> list[float]:
+    """Delta_p distances along (E(X | F_n))_n to the sequence's limit.
+
+    ``seq`` follows the filtration.  ``forward`` keeps its order (target: the
+    last, finest term); ``reverse`` runs from finest back to coarsest
+    (target: the first term, the expectation when F_0 is trivial).
+    """
+    if direction not in ("forward", "reverse"):
+        raise ValueError("direction must be 'forward' or 'reverse'")
+    terms = list(seq) if direction == "forward" else list(reversed(seq))
+    return [delta_p(term, terms[-1], p=p) for term in terms]
 
 
 def martingale_convergence_trace(
@@ -421,19 +447,10 @@ def martingale_convergence_trace(
     p: int = 1,
     direction: str = "forward",
 ) -> list[float]:
-    """Delta_p distances of E(X | F_n) to the limiting conditional expectation.
-
-    ``forward`` follows the filtration as given (target: its last, finest
-    partition); ``reverse`` conditions from finest back to coarsest (target:
-    the first partition, the expectation when it is trivial).
-    """
-    if direction not in ("forward", "reverse"):
-        raise ValueError("direction must be 'forward' or 'reverse'")
-    parts = list(filt.partitions)
-    if direction == "reverse":
-        parts.reverse()
-    target = conditional_expectation(x, parts[-1])
-    return [delta_p(conditional_expectation(x, g), target, p=p) for g in parts]
+    """Delta_p distances of E(X | F_n) to the limiting conditional expectation;
+    see ``martingale_distances``."""
+    seq = [conditional_expectation(x, g) for g in filt.partitions]
+    return martingale_distances(seq, p=p, direction=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +599,7 @@ def conditional_suite(
                 / block_prob
             )
             gap = space.distance(ce_x.values[block[0]], ce_y.values[block[0]]) - cond_dist
-            worst = max(worst, gap)
+            worst = nan_max(worst, gap)
         report.check("conditional_contraction").record(worst, _fmt(t, g.blocks))
 
         phi = DistanceTo(space, convexify(space, space.sample(rng)))

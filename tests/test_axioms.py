@@ -12,7 +12,7 @@ from ccspace import (
     euclidean_space,
     power_space,
 )
-from ccspace.axioms import AxiomReport
+from ccspace.axioms import AxiomReport, nan_max
 from ccspace.core import SpaceContract, trial_rng
 
 SPACES = [
@@ -77,20 +77,47 @@ def _nan_distance_mutant():
     )
 
 
-# broken instances, each with a named check that must catch it
+# broken instances, each with the named checks that must catch it
 MUTANTS = [
-    (_offset_mutant, "convexification_fixed_point"),
-    (_nan_distance_mutant, "commutativity"),
+    (_offset_mutant, ("convexification_fixed_point",)),
+    # NaN must survive every fold of several distances within a trial
+    (_nan_distance_mutant, ("commutativity", "continuity", "convexification_cauchy",
+                            "convexification_fixed_point", "convexifier_idempotent",
+                            "unbiased_identity")),
 ]
 
 
-@pytest.mark.parametrize("make,check", MUTANTS, ids=[m[0].__name__ for m in MUTANTS])
-def test_mutant_corpus_is_caught(make, check):
+@pytest.mark.parametrize("make,checks", MUTANTS, ids=[m[0].__name__ for m in MUTANTS])
+def test_mutant_corpus_is_caught(make, checks):
     report = check_axioms(make(), trials=40, seed=1)
     assert not report.passed
-    caught = report.checks[check]
-    assert not caught.passed and caught.witness is not None
+    for check in checks:
+        caught = report.checks[check]
+        assert not caught.passed and caught.witness is not None, check
     assert not report.worst_violation <= report.tolerance
+
+
+@pytest.mark.parametrize("values,expected", [
+    ([1.0, 3.0, 2.0], 3.0),
+    ([0.0, -0.0], 0.0),
+    ([-0.0, 0.0], -0.0),
+    ([1.0, math.nan, 5.0], math.nan),
+    ([math.nan, 1.0], math.nan),
+    ([5.0, math.nan], math.nan),
+])
+def test_nan_max_is_max_unless_a_value_is_nan(values, expected):
+    got = nan_max(values)
+    assert repr(got) == repr(expected)
+    assert repr(nan_max(*values)) == repr(expected)
+    if not math.isnan(expected):
+        assert repr(got) == repr(max(values))
+
+
+def test_nan_max_default_only_for_no_values():
+    assert nan_max([], default=0.0) == 0.0
+    assert nan_max([-1.0], default=0.0) == -1.0
+    with pytest.raises(ValueError):
+        nan_max([])
 
 
 def test_nan_violation_fails_and_keeps_its_witness():

@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
-from ccspace import compact_sets_space
+from ccspace import cli, compact_sets_space
 from ccspace.cli import main
+from ccspace.core import ConvexifyError
 from ccspace.fixtures import load_fixture_file, parse_fixture_lines
+from ccspace.geometry import EnumerationCapError
 from ccspace.instances import format_point, parse_point
 
 
@@ -274,6 +276,8 @@ def trace_length(args, monkeypatch, tmp_path):
     (["ergodic", "--space", "euclidean", "--modulus", "50"], 50),
     (["convexify-rate", "--space", "euclidean"], 64),
     (["prop55", "--space", "euclidean"], 12),
+    # an n_max of many orbits is used as given too
+    (["ergodic", "--space", "euclidean", "--modulus", "5", "--step", "2", "--n-max", "100"], 100),
 ])
 def test_n_max_has_one_meaning(args, length, tmp_path, monkeypatch):
     _, got, params = trace_length(args, monkeypatch, tmp_path)
@@ -309,3 +313,27 @@ def test_fixture_dimension_mismatch_is_usage_error(args, tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     assert run_cli(args, monkeypatch=monkeypatch) == 2
     assert "1-dimensional but the space is 2-dimensional" in capsys.readouterr().err
+
+
+def test_nan_probability_in_fixture_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    fixture = tmp_path / "nan.fixture"
+    fixture.write_text("w0 ; nan ; 1\nw1 ; 0.5 ; 2\n")
+    args = ["martingale", "--space", "euclidean", "--fixture-file", str(fixture)]
+    assert run_cli(args, monkeypatch=monkeypatch) == 2
+    assert "error: atom probabilities must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,limit", [
+    (EnumerationCapError("5000 selection points exceed cap 4096 and pruning is disabled"),
+     "selection enumeration cap"),
+    (ConvexifyError("no convergence within 20 doublings (last gap 0.5)", 0.5),
+     "convexification doubling budget"),
+])
+def test_instance_limit_errors_exit_two(error, limit, monkeypatch, capsys):
+    def handler(cfg):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "counterexample", (handler, "raises"))
+    assert run_cli(["counterexample"], monkeypatch=monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and limit in err and str(error) in err

@@ -49,11 +49,23 @@ CASES = [
     ("martingale-distributions", ["martingale", "--space", "distributions", "--format", "csv"], 0),
     ("martingale-sets-file", ["martingale", "--space", "compact-sets",
                               "--fixture-file", "ramp-sets.fixture"], 0),
+    ("martingale-euclidean-file64", ["martingale", "--space", "euclidean",
+                                     "--fixture-file", "seeded64-euclidean.fixture"], 0),
+    ("martingale-sets-file64", ["martingale", "--space", "compact-sets", "--p", "2",
+                                "--fixture-file", "seeded64-sets.fixture"], 0),
+    ("martingale-distributions-file64", ["martingale", "--space", "distributions",
+                                         "--fixture-file", "seeded64-distributions.fixture"], 0),
     ("jensen-sets", ["jensen", "--space", "compact-sets", "--trials", "20", "--seed", "5"], 0),
     ("jensen-distributions", ["jensen", "--space", "distributions", "--trials", "10",
                               "--format", "csv"], 0),
     ("jensen-euclidean-file", ["jensen", "--space", "euclidean",
                                "--fixture-file", "ramp-euclidean.fixture"], 0),
+    ("jensen-euclidean-file64", ["jensen", "--space", "euclidean",
+                                 "--fixture-file", "seeded64-euclidean.fixture"], 0),
+    ("jensen-sets-file64", ["jensen", "--space", "compact-sets",
+                            "--fixture-file", "seeded64-sets.fixture"], 0),
+    ("jensen-distributions-file64", ["jensen", "--space", "distributions",
+                                     "--fixture-file", "seeded64-distributions.fixture"], 0),
     ("embed", ["embed-verify", "--trials", "20", "--seed", "2"], 0),
     ("embed-csv", ["embed-verify", "--trials", "10", "--format", "csv"], 0),
     ("convexify-sets-d1", ["convexify-rate", "--space", "compact-sets", "--fixture", "two-point",

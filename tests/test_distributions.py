@@ -50,6 +50,62 @@ def test_distribution_validation():
     assert merged.probs == (0.5, 0.5)
 
 
+@pytest.mark.parametrize("probs", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                                   (math.inf, -math.inf)])
+def test_distribution_rejects_non_finite_probabilities(probs):
+    # abs(nan - 1) > tol is false, so a NaN once passed the sum check
+    with pytest.raises(ValueError):
+        DiscreteDistribution.of([0.0, 1.0], probs)
+
+
+def general_convolution(weights, dists):
+    """Oracle: the product-atom path for every step, Dirac operands included."""
+    acc = DiscreteDistribution.delta(0.0)
+    for w, f in zip(weights, dists):
+        acc = DiscreteDistribution.of(
+            [a + w * b for a in acc.atoms for b in f.atoms],
+            [pa * pb for pa in acc.probs for pb in f.probs],
+        )
+    return acc
+
+
+def bits(f):
+    return [x.hex() for x in f.atoms], [p.hex() for p in f.probs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.lists(st.floats(-5, 5), min_size=1, max_size=2)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_dirac_step_matches_general_path_bit_for_bit(steps):
+    # Dirac operands take the direct step, a two-atom operand the product path
+    weights = [w for w, _ in steps]
+    dists = [
+        DiscreteDistribution.delta(atoms[0]) if len(atoms) == 1
+        else DiscreteDistribution.of(atoms, [0.375, 0.625])
+        for _, atoms in steps
+    ]
+    expected = general_convolution(weights, dists)
+    assert bits(scaled_convolution_combine(weights, dists, atom_cap=None)) == bits(expected)
+
+
+@pytest.mark.parametrize("dist,message", [
+    (DiscreteDistribution.delta(1e308), "atoms must be finite"),
+    (DiscreteDistribution((math.nan,), (1.0,)), "atoms must be finite"),
+    (DiscreteDistribution((0.0,), (0.5,)), "probabilities sum to 0.5"),
+    (DiscreteDistribution((0.0,), (math.nan,)), "probabilities sum to nan"),
+])
+def test_dirac_step_makes_the_constructor_checks(dist, message):
+    with pytest.raises(ValueError, match=message):
+        general_convolution([1.0, 1.0], [DiscreteDistribution.delta(1e308), dist])
+    with pytest.raises(ValueError, match=message):
+        scaled_convolution_combine([1.0, 1.0], [DiscreteDistribution.delta(1e308), dist])
+
+
 def test_degenerate_convolution():
     got = scaled_convolution_combine(
         [0.5, 0.5], [DiscreteDistribution.delta(0.0), DiscreteDistribution.delta(1.0)]

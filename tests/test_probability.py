@@ -1,7 +1,13 @@
+import contextlib
+import dataclasses
+import io
 import math
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccspace import (
     AffineFunctional,
@@ -30,6 +36,7 @@ from ccspace import (
     power_space,
     psi_n,
 )
+from ccspace import cli, probability
 from ccspace.embedding import combine_support_vectors, direction_set_for, sup_norm_gap
 from ccspace.probability import (
     DenseSequence,
@@ -59,6 +66,112 @@ def test_sample_space_validation():
         FiniteSampleSpace.of(("a", "a"), (0.5, 0.5))
     with pytest.raises(ValueError):
         FiniteSampleSpace.of(("a", "b"), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("probs", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                                   (math.inf, -math.inf)])
+def test_sample_space_rejects_non_finite_probabilities(probs):
+    # abs(nan - 1) > tol is false, so a NaN once passed the sum check
+    with pytest.raises(ValueError):
+        FiniteSampleSpace.of(("a", "b"), probs)
+
+
+# ---------------------------------------------------------------------------
+# lookups against the linear-scan and set-based oracles
+
+
+def oracle_prob(omega, atom):
+    return omega.probs[omega.atoms.index(atom)]
+
+
+def oracle_block_of(part, atom):
+    for block in part.blocks:
+        if atom in block:
+            return block
+    raise KeyError(atom)
+
+
+def oracle_refines(fine, coarse):
+    return all(
+        any(set(block) <= set(big) for big in coarse.blocks) for block in fine.blocks
+    )
+
+
+@st.composite
+def sample_spaces(draw, prefix="w"):
+    n = draw(st.integers(1, 9))
+    atoms = draw(st.permutations([f"{prefix}{i}" for i in range(n)]))
+    raw = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    probs = [r / sum(raw) for r in raw]
+    probs[-1] = 1.0 - math.fsum(probs[:-1])
+    return FiniteSampleSpace.of(atoms, probs)
+
+
+def labelled_partition(omega, labels):
+    blocks = {}
+    for atom, label in zip(omega.atoms, labels):
+        blocks.setdefault(label, []).append(atom)
+    return FinitePartition.of(list(blocks.values()), omega)
+
+
+@st.composite
+def partition_pairs(draw):
+    """(sample space, partition of it, second partition): a coarsening, an
+    unrelated partition, or a partition of another sample space."""
+    omega = draw(sample_spaces())
+    n = len(omega)
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    fine = labelled_partition(omega, labels)
+    kind = draw(st.sampled_from(("coarsening", "unrelated", "other-space")))
+    if kind == "coarsening":
+        merge = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        other = labelled_partition(omega, [merge[label] for label in labels])
+    elif kind == "unrelated":
+        other = labelled_partition(
+            omega, draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    else:
+        space = draw(sample_spaces(prefix=draw(st.sampled_from(("w", "v")))))
+        m = len(space)
+        other = labelled_partition(
+            space, draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))
+    return omega, fine, other
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_pairs())
+def test_lookups_match_oracles(case):
+    omega, fine, other = case
+    assert fine.refines(other) == oracle_refines(fine, other)
+    assert other.refines(fine) == oracle_refines(other, fine)
+    assert fine.refines(fine) and other.refines(other)
+    for atom in omega.atoms:
+        assert omega.prob(atom) == oracle_prob(omega, atom)
+        assert fine.block_of(atom) == oracle_block_of(fine, atom)
+    for part in (fine, other):
+        for atom in {a for block in part.blocks for a in block} | {"x", "w99"}:
+            try:
+                expected = oracle_block_of(part, atom)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    part.block_of(atom)
+            else:
+                assert part.block_of(atom) == expected
+    for atom in ("x", "v0", "w99"):
+        if atom not in omega.atoms:
+            with pytest.raises(ValueError):
+                omega.prob(atom)
+
+
+def test_lookup_maps_stay_out_of_equality_hash_and_repr():
+    omega = FiniteSampleSpace.of(("b", "a"), (0.25, 0.75))
+    part = FinitePartition.finest(omega)
+    before = (repr(omega), repr(part), hash(omega), hash(part))
+    assert omega.prob("a") == 0.75 and part.block_of("a") == ("a",)
+    assert (repr(omega), repr(part), hash(omega), hash(part)) == before
+    assert omega == FiniteSampleSpace.of(("b", "a"), (0.25, 0.75))
+    assert part == FinitePartition.finest(FiniteSampleSpace.of(("b", "a"), (0.25, 0.75)))
+    assert [f.name for f in dataclasses.fields(omega)] == ["atoms", "probs"]
+    assert [f.name for f in dataclasses.fields(part)] == ["blocks"]
 
 
 def test_random_element_requires_total_map():
@@ -366,6 +479,60 @@ def test_martingale_reverse_trace_reaches_expectation():
     ex = expectation(x)
     ce_trivial = conditional_expectation(x, filt.partitions[0])
     assert all(E1.distance(ce_trivial.values[a], ex) <= 1e-12 for a in x.sample_space.atoms)
+
+
+def nan_distance_space():
+    return dataclasses.replace(E1, name="euclid-nan-distance", distance=lambda a, b: math.nan)
+
+
+def test_martingale_guard_raises_on_nan_distance():
+    x = ramp_element(nan_distance_space(), 4)
+    with pytest.raises(ValueError, match="martingale property violated by nan"):
+        martingale_sequence(x, dyadic_filtration(x.sample_space))
+
+
+def test_conditional_checks_fail_on_nan_distance():
+    space = nan_distance_space()
+    report = conditional_suite(space, trials=5, seed=1)
+    assert not report.checks["conditional_contraction"].passed
+    x = ramp_element(space, 4)
+    g = FinitePartition.of([("w0", "w1"), ("w2", "w3")], x.sample_space)
+    result = check_ce_characterization(x, conditional_expectation(x, g), g, (0.0,))
+    assert not result and math.isnan(result.worst_gap) and result.witness_union is not None
+    props = check_ce_properties(x, FinitePartition.trivial(x.sample_space), g)
+    assert all(not c.passed for c in props.checks.values())
+
+
+def test_martingale_distances_follow_one_sequence():
+    x = ramp_element(E1, 16)
+    filt = dyadic_filtration(x.sample_space)
+    seq = martingale_sequence(x, filt)
+    for p in (1, 2):
+        for direction in ("forward", "reverse"):
+            assert probability.martingale_distances(seq, p, direction) == \
+                martingale_convergence_trace(x, filt, p, direction)
+
+
+SEEDED64 = pathlib.Path(__file__).parent / "golden" / "seeded64-euclidean.fixture"
+
+
+def test_martingale_command_conditions_once_per_level(monkeypatch):
+    # L levels: L conditional expectations plus L - 1 for the martingale
+    # guard; both traces reuse that sequence
+    calls = []
+    original = probability.conditional_expectation
+
+    def counted(x, g):
+        calls.append(len(g.blocks))
+        return original(x, g)
+
+    monkeypatch.setattr(probability, "conditional_expectation", counted)
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["martingale", "--space", "euclidean", "--fixture-file", str(SEEDED64)])
+    assert code == 0
+    levels = 7  # 64 atoms: blocks of 64, 32, ..., 1
+    assert len(calls) == 2 * levels - 1
 
 
 def test_martingale_trace_rejects_bad_direction_and_p():
