@@ -29,6 +29,9 @@ from .core import (
 _CONTINUITY_LIPSCHITZ = 100.0
 _CONTINUITY_STEPS = 8
 _CONTINUITY_DELTA0 = 1e-3
+_MIN_GAP = 1e-3  # continuity redraws an endpoint this close to the other
+_DOUBLINGS = 4  # equal-weight doublings per convexification_cauchy trial
+_MAX_ARITY = 4  # most terms in a commutativity trial
 
 
 @dataclass
@@ -117,10 +120,10 @@ def _sample_weights(rng: random.Random, k: int) -> list[float]:
     return ws
 
 
-def _sample_distinct(space: SpaceContract, rng: random.Random, other: Point, min_gap: float = 1e-3) -> Point:
+def _sample_distinct(space: SpaceContract, rng: random.Random, other: Point) -> Point:
     for _ in range(32):
         candidate = space.sample(rng)
-        if space.distance(candidate, other) > min_gap:
+        if space.distance(candidate, other) > _MIN_GAP:
             return candidate
     return candidate
 
@@ -129,13 +132,13 @@ def _fmt(*parts) -> str:
     return " | ".join(repr(p) for p in parts)
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:  # a suite with no trials would pass vacuously
+        raise ValueError("trials must be at least 1")
+
+
 def check_axioms(
-    space: SpaceContract,
-    trials: int = 1000,
-    tol: float | None = None,
-    seed: int = 0,
-    doublings: int = 4,
-    max_arity: int = 4,
+    space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
 ) -> AxiomReport:
     """Randomized verification of the combination axioms and derived laws.
 
@@ -149,8 +152,7 @@ def check_axioms(
     the convexification operator are skipped when the instance supplies no
     exact form.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _require_trials(trials)
     tol = space.default_tolerance if tol is None else tol
     report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
     d = space.distance
@@ -160,7 +162,7 @@ def check_axioms(
         rng = trial_rng(seed, t)
 
         # commutativity: permuting terms leaves the value unchanged
-        k = rng.randint(2, max_arity)
+        k = rng.randint(2, _MAX_ARITY)
         weights = _sample_weights(rng, k)
         points = [space.sample(rng) for _ in range(k)]
         terms = list(zip(weights, points))
@@ -213,7 +215,7 @@ def check_axioms(
         # convexification iterates: successive gaps along doublings may not grow
         x = space.sample(rng)
         iterates = [x]
-        for _ in range(doublings):
+        for _ in range(_DOUBLINGS):
             iterates.append(midpoint(space, iterates[-1], iterates[-1]))
         gaps = [d(a, b) for a, b in zip(iterates, iterates[1:])]
         worst = nan_max(
@@ -294,8 +296,7 @@ def check_cancellation(
     samples the equalities are generally false; the report then documents the
     violation rather than raising.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _require_trials(trials)
     tol = space.default_tolerance if tol is None else tol
     report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
     d = space.distance

@@ -13,8 +13,8 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -25,6 +25,9 @@ from .embedding import embedding_suite
 from .geometry import EnumerationCapError
 from .instances import SPACE_NAMES, get_space
 from .limits import (
+    ERGODIC_TOL,
+    RAW_VS_CONVEX_TOL,
+    SLLN_TOL,
     ConvergenceTrace,
     CyclicTransformation,
     convexification_rate,
@@ -244,7 +247,7 @@ def _slln(cfg: RunConfig) -> Outcome:
     fixture = cfg.fixture or ("interval-pair" if cfg.space == "compact-sets" else "bernoulli")
     law = fixtures.slln_law(cfg.space, fixture, dim=cfg.dim)
     n_max = _or(cfg.n_max, 1000)
-    tol = _or(cfg.tolerance, 0.05)
+    tol = _or(cfg.tolerance, SLLN_TOL)
     trace = slln_run(space, law, n_max=n_max, seed=cfg.seed, mode=cfg.mode, tolerance=tol)
     return _trace(trace, {"fixture": fixture, "n_max": n_max, "mode": cfg.mode, "tolerance": tol})
 
@@ -253,7 +256,7 @@ def _ergodic(cfg: RunConfig) -> Outcome:
     space = _space_for(cfg)
     tau = CyclicTransformation(cfg.modulus, cfg.step)
     x = fixtures.ergodic_element(space, cfg.space, cfg.modulus, dim=cfg.dim)
-    tol = _or(cfg.tolerance, 1e-12)
+    tol = _or(cfg.tolerance, ERGODIC_TOL)
     trace = ergodic_run(tau, x, n_max=_or(cfg.n_max, cfg.modulus), tolerance=tol)
     return _trace(trace, {"modulus": cfg.modulus, "step": cfg.step, "tolerance": tol})
 
@@ -263,7 +266,7 @@ def _martingale(cfg: RunConfig) -> Outcome:
     if cfg.fixture_file:
         x = fixtures.load_fixture_file(space, cfg.space, cfg.fixture_file, dim=cfg.dim)
     else:
-        x = fixtures.martingale_element(space, cfg.space, n_atoms=16, dim=cfg.dim)
+        x = fixtures.martingale_element(space, cfg.space, dim=cfg.dim)
     seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
     forward = martingale_distances(seq, p=cfg.p, direction="forward")
     reverse = martingale_distances(seq, p=cfg.p, direction="reverse")
@@ -333,7 +336,7 @@ def _prop55(cfg: RunConfig) -> Outcome:
     fixture = cfg.fixture or ("two-point-family" if cfg.space == "compact-sets" else "unit")
     family = fixtures.family_points(cfg.space, fixture, dim=cfg.dim)
     n_max = _or(cfg.n_max, 12)
-    tol = _or(cfg.tolerance, 0.5)
+    tol = _or(cfg.tolerance, RAW_VS_CONVEX_TOL)
     trace = raw_vs_convex_average_run(space, family, n_max=n_max, tolerance=tol)
     return _trace(trace, {"fixture": fixture, "n_max": n_max, "tolerance": tol})
 
@@ -383,13 +386,27 @@ def run(cfg: RunConfig) -> tuple[int, dict, list[str]]:
     return (0 if ok else 1), payload, outcome.csv
 
 
-def _write_atomic(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ccspace-")
+def _write_report(path: str, data: str) -> None:
+    """``open(path, "w").write(data)``, but a regular file is replaced atomically,
+    keeping its mode (0666 less the umask if new); a FIFO or a device is written
+    in place, and symlinks are followed."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(data)
+        return
+    tmp = os.path.join(os.path.dirname(target), f".ccspace-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
             handle.write(data)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -415,7 +432,7 @@ def main(argv=None) -> int:
     else:
         text = "\n".join(csv_lines) + "\n"
     if cfg.out:
-        _write_atomic(cfg.out, text)
+        _write_report(cfg.out, text)
     else:
         sys.stdout.write(text)
     return code

@@ -21,7 +21,7 @@ Terms = Sequence[tuple[float, Point]]
 WEIGHT_SUM_TOL = 1e-12
 # Default check tolerance for instances with exact arithmetic.
 EXACT_TOL = 1e-9
-# Default check tolerance for instances that prune or resample.
+# Default check tolerance for instances that resample.
 INEXACT_TOL = 1e-6
 
 
@@ -79,8 +79,8 @@ class SpaceContract:
     sequence whose index-0 element must be a convex point; ``sampler`` draws a
     random point from a bounded region for property testing.  ``unbiased``
     marks instances whose convexification is the identity, and ``exact``
-    distinguishes exact arithmetic from pruning/resampling instances (which
-    get the looser default check tolerance).
+    distinguishes exact arithmetic from resampling instances (which get the
+    looser default check tolerance).
     """
 
     name: str

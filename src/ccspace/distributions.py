@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 ATOM_MERGE_RESOLUTION = 1e-12
 PROB_SUM_TOL = 1e-12
+# Scaled convolution quantile-resamples any law with more atoms than this.
+ATOM_CAP = 512
 _BAD_ATOM = "atoms must be finite with nonnegative probabilities"
 
 
@@ -88,7 +90,7 @@ def quantile_resample(f: DiscreteDistribution, m: int) -> DiscreteDistribution:
 def scaled_convolution_combine(
     weights: Sequence[float],
     dists: Sequence[DiscreteDistribution],
-    atom_cap: int | None = 512,
+    atom_cap: int | None = ATOM_CAP,
 ) -> DiscreteDistribution:
     """Law of sum_i w_i X_i with the X_i independent.
 

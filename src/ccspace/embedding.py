@@ -13,12 +13,14 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .axioms import AxiomReport, _fmt
-from .core import trial_rng
+from .axioms import AxiomReport, _fmt, _require_trials
+from .core import EXACT_TOL, trial_rng
 from .geometry import ConvexPolytope, FinitePointSet, convex_hull, hausdorff_distance, polytope_combine
+from .instances import _vector_sampler
 
 _UNIT_NORM_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
+_AFFINITY_TOL = 1e-12  # embedding_suite's isometry check uses EXACT_TOL
 
 
 @dataclass(frozen=True)
@@ -189,18 +191,14 @@ def affine_expectation_check(f: AffineFunctional, x) -> tuple[float, float]:
     return lhs, rhs
 
 
-def random_polygon(rng: random.Random, max_vertices: int = 8, span: float = 5.0) -> ConvexPolytope:
+def random_polygon(rng: random.Random, max_vertices: int = 8) -> ConvexPolytope:
     n = rng.randint(3, max_vertices)
-    pts = [(rng.uniform(-span, span), rng.uniform(-span, span)) for _ in range(n)]
+    draw = _vector_sampler(2)
+    pts = [draw(rng) for _ in range(n)]
     return convex_hull(FinitePointSet.of(pts))
 
 
-def embedding_suite(
-    trials: int = 1000,
-    seed: int = 0,
-    tol_isometry: float = 1e-9,
-    tol_affinity: float = 1e-12,
-) -> AxiomReport:
+def embedding_suite(trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Isometry, affinity, and linear growth of the support embedding.
 
     Per trial, for a random convex polygon pair (P, Q): the sup-norm distance
@@ -209,7 +207,8 @@ def embedding_suite(
     embeddings componentwise; and each support value must be dominated by the
     Hausdorff distance to the origin.
     """
-    report = AxiomReport(space="compact-sets(d=2)", seed=seed, tolerance=tol_isometry)
+    _require_trials(trials)
+    report = AxiomReport(space="compact-sets(d=2)", seed=seed, tolerance=EXACT_TOL)
     origin = ConvexPolytope(((0.0, 0.0),))
     for t in range(trials):
         rng = trial_rng(seed, t)
@@ -227,7 +226,7 @@ def embedding_suite(
             combine_support_vectors([lam, 1.0 - lam], [embed(p, dirs), embed(q, dirs)]),
         )
         affinity = report.check("affinity")
-        affinity.tolerance = tol_affinity
+        affinity.tolerance = _AFFINITY_TOL
         affinity.record(gap, _fmt(lam, p.vertices, q.vertices))
 
         reach = hausdorff_distance(p, origin)

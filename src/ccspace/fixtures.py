@@ -15,6 +15,8 @@ from .geometry import ConvexPolytope, FinitePointSet
 from .instances import parse_point
 from .probability import FiniteSampleSpace, RandomElement
 
+MARTINGALE_ATOMS = 16  # a power of two, as the dyadic filtration needs
+
 
 def _require_dim(points, dim: int) -> None:
     """Reject fixture values whose dimension is not the space's ``dim``.
@@ -73,11 +75,9 @@ def convexify_point(space_name: str, name: str, dim: int = 1):
     raise ValueError(f"no convexify fixture {name!r} for space {space_name!r}")
 
 
-def martingale_element(
-    space: SpaceContract, space_name: str, n_atoms: int = 16, dim: int = 1
-) -> RandomElement:
+def martingale_element(space: SpaceContract, space_name: str, dim: int = 1) -> RandomElement:
     """Ramp-valued element on a uniform dyadic sample space."""
-    omega = FiniteSampleSpace.uniform(n_atoms)
+    omega = FiniteSampleSpace.uniform(MARTINGALE_ATOMS)
     if space_name in ("euclidean", "power"):
         values = {a: (float(i + 1),) for i, a in enumerate(omega.atoms)}
     elif space_name == "compact-sets":

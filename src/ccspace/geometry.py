@@ -18,10 +18,11 @@ import numpy as np
 
 # Points closer than this (per coordinate) are considered duplicates.
 DEDUP_RESOLUTION = 1e-12
+ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
 
 
 class EnumerationCapError(RuntimeError):
-    """Selection enumeration exceeded the cap with pruning disabled."""
+    """Selection enumeration exceeded its cap."""
 
 
 def _dedup_sorted(points: list[tuple[float, ...]]) -> tuple[tuple[float, ...], ...]:
@@ -160,23 +161,13 @@ def convex_hull(a: FinitePointSet) -> ConvexPolytope:
     return ConvexPolytope(_canonical_polygon(hull))
 
 
-def _scaled_sum_point(selection: Sequence[tuple[float, Sequence[float]]], dim: int) -> tuple[float, ...]:
-    return tuple(math.fsum(w * p[c] for w, p in selection) for c in range(dim))
-
-
 def minkowski_combine(
-    weights: Sequence[float],
-    sets: Sequence[FinitePointSet],
-    cap: int = 100_000,
-    prune_resolution: float = 0.0,
+    weights: Sequence[float], sets: Sequence[FinitePointSet], cap: int = ENUMERATION_CAP
 ) -> FinitePointSet:
     """Selection-wise combination {sum_i w_i u_i : u_i in A_i} of point sets.
 
-    Enumerates selections incrementally with deduplication.  If an
-    intermediate set exceeds ``cap`` and ``prune_resolution`` is positive, the
-    points are snapped to that grid, which adds at most
-    ``prune_resolution * sqrt(d)`` of Hausdorff error per call; with pruning
-    disabled the cap is a hard error.
+    Enumerates selections incrementally with deduplication.  An intermediate
+    set of more than ``cap`` points raises ``EnumerationCapError``.
     """
     if len(weights) != len(sets):
         raise ValueError("weights and sets must align")
@@ -185,27 +176,16 @@ def minkowski_combine(
     dim = sets[0].dim
     if any(s.dim != dim for s in sets):
         raise ValueError("sets must share one dimension")
-    acc: list[tuple[float, ...]] = [(0.0,) * dim]
+    acc: tuple[tuple[float, ...], ...] = ((0.0,) * dim,)
     for w, s in zip(weights, sets):
-        nxt = [
+        acc = _dedup_sorted([
             tuple(pc + w * qc for pc, qc in zip(p, q))
             for p in acc
             for q in s.points
-        ]
-        nxt = list(_dedup_sorted(nxt))
-        if len(nxt) > cap:
-            if prune_resolution > 0.0:
-                snapped = [
-                    tuple(round(c / prune_resolution) * prune_resolution for c in p)
-                    for p in nxt
-                ]
-                nxt = list(_dedup_sorted(snapped))
-            else:
-                raise EnumerationCapError(
-                    f"{len(nxt)} selection points exceed cap {cap} and pruning is disabled"
-                )
-        acc = nxt
-    return FinitePointSet(_dedup_sorted(acc))
+        ])
+        if len(acc) > cap:
+            raise EnumerationCapError(f"{len(acc)} selection points exceed cap {cap}")
+    return FinitePointSet(acc)
 
 
 def _interval_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) -> ConvexPolytope:

@@ -20,6 +20,7 @@ from typing import Sequence
 from .core import SpaceContract, Terms
 from .distributions import DiscreteDistribution, scaled_convolution_combine, wasserstein1
 from .geometry import (
+    ENUMERATION_CAP,
     ConvexPolytope,
     FinitePointSet,
     _point_dist,
@@ -33,6 +34,7 @@ SPACE_NAMES = ("euclidean", "power", "compact-sets", "distributions")
 
 _VDC_BASES = (2, 3, 5)
 _SAMPLE_RANGE = 5.0
+_SAMPLE_SIZE = 3  # most points (compact-sets) or atoms (distributions) in a sample
 
 
 def _van_der_corput(j: int, base: int) -> float:
@@ -96,9 +98,9 @@ def power_space(r: float = 2.0, dim: int = 1) -> SpaceContract:
     )
 
 
-def _set_sampler(dim: int, max_points: int):
+def _set_sampler(dim: int):
     def sample(rng: random.Random) -> FinitePointSet:
-        n = rng.randint(1, max_points)
+        n = rng.randint(1, _SAMPLE_SIZE)
         pts: list[tuple[float, ...]] = []
         while len(pts) < n:
             candidate = tuple(rng.uniform(-_SAMPLE_RANGE, _SAMPLE_RANGE) for _ in range(dim))
@@ -119,12 +121,7 @@ def _dense_compact(j: int, dim: int) -> FinitePointSet:
     return FinitePointSet.of([base, other])
 
 
-def compact_sets_space(
-    dim: int = 1,
-    cap: int = 100_000,
-    prune_resolution: float = 0.0,
-    max_sample_points: int = 3,
-) -> SpaceContract:
+def compact_sets_space(dim: int = 1, cap: int = ENUMERATION_CAP) -> SpaceContract:
     if dim not in (1, 2):
         raise ValueError("compact-sets dimension must be 1 or 2")
 
@@ -132,7 +129,7 @@ def compact_sets_space(
         weights = [w for w, _ in terms]
         values = [v for _, v in terms]
         if all(isinstance(v, FinitePointSet) for v in values):
-            return minkowski_combine(weights, values, cap=cap, prune_resolution=prune_resolution)
+            return minkowski_combine(weights, values, cap=cap)
         if all(isinstance(v, ConvexPolytope) for v in values):
             return polytope_combine(weights, values)
         raise TypeError(
@@ -150,27 +147,23 @@ def compact_sets_space(
         combine_terms=combine_terms,
         convexify_exact=convexify_exact,
         dense_point=lambda j: _dense_compact(j, dim),
-        sampler=_set_sampler(dim, max_sample_points),
+        sampler=_set_sampler(dim),
         unbiased=False,
-        exact=prune_resolution == 0.0,
     )
 
 
-def _dist_sampler(max_atoms: int):
-    def sample(rng: random.Random) -> DiscreteDistribution:
-        n = rng.randint(1, max_atoms)
-        atoms: list[float] = []
-        while len(atoms) < n:
-            a = rng.uniform(-_SAMPLE_RANGE, _SAMPLE_RANGE)
-            if all(abs(a - b) > 1e-6 for b in atoms):
-                atoms.append(a)
-        raw = [rng.uniform(0.1, 1.0) for _ in range(n)]
-        total = sum(raw)
-        probs = [w / total for w in raw]
-        probs[-1] = 1.0 - math.fsum(probs[:-1])
-        return DiscreteDistribution.of(atoms, probs)
-
-    return sample
+def _sample_distribution(rng: random.Random) -> DiscreteDistribution:
+    n = rng.randint(1, _SAMPLE_SIZE)
+    atoms: list[float] = []
+    while len(atoms) < n:
+        a = rng.uniform(-_SAMPLE_RANGE, _SAMPLE_RANGE)
+        if all(abs(a - b) > 1e-6 for b in atoms):
+            atoms.append(a)
+    raw = [rng.uniform(0.1, 1.0) for _ in range(n)]
+    total = sum(raw)
+    probs = [w / total for w in raw]
+    probs[-1] = 1.0 - math.fsum(probs[:-1])
+    return DiscreteDistribution.of(atoms, probs)
 
 
 def _dense_distribution(j: int) -> DiscreteDistribution:
@@ -182,11 +175,11 @@ def _dense_distribution(j: int) -> DiscreteDistribution:
     return DiscreteDistribution.of([x, x + 1.0], [0.5, 0.5])
 
 
-def distribution_space(atom_cap: int | None = 512) -> SpaceContract:
+def distribution_space() -> SpaceContract:
     def combine_terms(terms: Terms) -> DiscreteDistribution:
         weights = [w for w, _ in terms]
         values = [v for _, v in terms]
-        return scaled_convolution_combine(weights, values, atom_cap=atom_cap)
+        return scaled_convolution_combine(weights, values)
 
     return SpaceContract(
         name="distributions",
@@ -194,13 +187,13 @@ def distribution_space(atom_cap: int | None = 512) -> SpaceContract:
         combine_terms=combine_terms,
         convexify_exact=lambda f: DiscreteDistribution.delta(f.mean()),
         dense_point=_dense_distribution,
-        sampler=_dist_sampler(3),
+        sampler=_sample_distribution,
         unbiased=False,
-        exact=atom_cap is None,
+        exact=False,  # laws past ATOM_CAP atoms are quantile-resampled
     )
 
 
-def get_space(name: str, dim: int = 1, r: float = 2.0, atom_cap: int | None = 512) -> SpaceContract:
+def get_space(name: str, dim: int = 1, r: float = 2.0) -> SpaceContract:
     if name == "euclidean":
         return euclidean_space(dim)
     if name == "power":
@@ -208,7 +201,7 @@ def get_space(name: str, dim: int = 1, r: float = 2.0, atom_cap: int | None = 51
     if name == "compact-sets":
         return compact_sets_space(dim)
     if name == "distributions":
-        return distribution_space(atom_cap)
+        return distribution_space()
     raise ValueError(f"unknown space {name!r}; expected one of {SPACE_NAMES}")
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .axioms import AxiomReport, _fmt, _sample_weights
+from .axioms import AxiomReport, _fmt, _require_trials, _sample_weights
 from .core import (
+    EXACT_TOL,
     Point,
     SpaceContract,
     combine,
@@ -29,6 +30,11 @@ from .probability import (
     DistanceTo,
     RandomElement,
 )
+
+# Default tail tolerances of the seeded traces (shared with the CLI).
+SLLN_TOL = 0.05
+ERGODIC_TOL = 1e-12
+RAW_VS_CONVEX_TOL = 0.5
 
 
 @dataclass(frozen=True)
@@ -113,8 +119,7 @@ def slln_run(
     n_max: int,
     seed: int = 0,
     mode: str = "convex_track",
-    tolerance: float = 0.05,
-    record_every: int | None = None,
+    tolerance: float = SLLN_TOL,
 ) -> ConvergenceTrace:
     """Distance of the running equal-weight combination to the expectation.
 
@@ -130,8 +135,7 @@ def slln_run(
     points = [v for _, v in law]
     target = combine(space, [(p, convexify(space, v)) for p, v in law])
     rng = random.Random(seed)
-    if record_every is None:
-        record_every = max(1, n_max // 1000)
+    record_every = max(1, n_max // 1000)
 
     def draw() -> Point:
         value = rng.choices(points, weights=probs, k=1)[0]
@@ -156,7 +160,7 @@ def ergodic_run(
     x: RandomElement,
     n_max: int,
     start: int = 0,
-    tolerance: float = 1e-12,
+    tolerance: float = ERGODIC_TOL,
 ) -> ConvergenceTrace:
     """Orbit averages [n^-1, X(tau^i w)] against the expectation.
 
@@ -191,7 +195,7 @@ def convexification_rate(
     space: SpaceContract,
     x: Point,
     n_list: Sequence[int],
-    tolerance: float = 1e-9,
+    tolerance: float = EXACT_TOL,
 ) -> ConvergenceTrace:
     """d([n^-1, x]^n, Kx) over an increasing list of n."""
     if list(n_list) != sorted(set(int(n) for n in n_list)) or not n_list:
@@ -207,7 +211,7 @@ def raw_vs_convex_average_run(
     space: SpaceContract,
     family: Sequence[Point],
     n_max: int,
-    tolerance: float = 0.5,
+    tolerance: float = RAW_VS_CONVEX_TOL,
 ) -> ConvergenceTrace:
     """Distance between raw and convexified equal-weight running averages.
 
@@ -249,7 +253,7 @@ def weight_perturbation_check(
     b_weights: Sequence[float],
     xs: Sequence[Point],
     u: Point,
-    tol: float = 1e-9,
+    tol: float = EXACT_TOL,
 ) -> bool:
     """d([a_i, Kx_i], [b_i, Kx_i]) <= sum |a_i - b_i| d(x_i, u), within tol."""
     if not (len(a_weights) == len(b_weights) == len(xs)):
@@ -302,7 +306,7 @@ def rational_jensen_check(
     phi,
     q_weights: Sequence[Fraction],
     xs: Sequence[Point],
-    tol: float = 1e-9,
+    tol: float = EXACT_TOL,
 ) -> bool:
     """phi([q_i, x_i]) <= sum q_i phi(x_i) for rational weights on convex points.
 
@@ -328,8 +332,9 @@ def rational_jensen_check(
 
 
 def weight_perturbation_suite(
-    space: SpaceContract, trials: int = 1000, tol: float = 1e-9, seed: int = 0
+    space: SpaceContract, trials: int = 1000, tol: float = EXACT_TOL, seed: int = 0
 ) -> AxiomReport:
+    _require_trials(trials)
     report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
     for t in range(trials):
         rng = trial_rng(seed, t)
@@ -348,8 +353,9 @@ def weight_perturbation_suite(
 
 
 def rational_jensen_suite(
-    space: SpaceContract, trials: int = 1000, tol: float = 1e-9, seed: int = 0
+    space: SpaceContract, trials: int = 1000, tol: float = EXACT_TOL, seed: int = 0
 ) -> AxiomReport:
+    _require_trials(trials)
     report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
     for t in range(trials):
         rng = trial_rng(seed, t)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Optional, Sequence
 
-from .axioms import AxiomReport, CheckResult, _fmt, _sample_weights, nan_max
-from .core import Point, SpaceContract, combine, convexify, trial_rng
+from .axioms import AxiomReport, CheckResult, _fmt, _require_trials, _sample_weights, nan_max
+from .core import EXACT_TOL, Point, SpaceContract, combine, convexify, trial_rng
 from .distributions import PROB_SUM_TOL
 from .embedding import AffineFunctional
 from .geometry import ConvexPolytope, FinitePointSet
@@ -47,10 +47,9 @@ class FiniteSampleSpace:
         return FiniteSampleSpace(atoms, probs)
 
     @staticmethod
-    def uniform(n: int, prefix: str = "w") -> "FiniteSampleSpace":
-        return FiniteSampleSpace.of(
-            tuple(f"{prefix}{i}" for i in range(n)), (1.0 / n,) * n
-        )
+    def uniform(n: int) -> "FiniteSampleSpace":
+        """``n`` equally likely atoms labelled ``w0`` .. ``w{n-1}``."""
+        return FiniteSampleSpace.of(tuple(f"w{i}" for i in range(n)), (1.0 / n,) * n)
 
     @cached_property
     def _position(self) -> dict[Label, int]:
@@ -302,7 +301,7 @@ def check_ce_characterization(
     y: RandomElement,
     g: FinitePartition,
     anchor: Point,
-    tol: float = 1e-9,
+    tol: float = EXACT_TOL,
 ) -> CharacterizationResult:
     """Conditional expectation characterized by block-union replacements.
 
@@ -340,7 +339,7 @@ def check_ce_properties(
     x: RandomElement,
     g_coarse: FinitePartition,
     g_fine: FinitePartition,
-    tol: float = 1e-9,
+    tol: float = EXACT_TOL,
 ) -> AxiomReport:
     """Core identities of conditional expectation on a partition pair.
 
@@ -405,7 +404,7 @@ def check_ce_properties(
 # martingales
 
 
-def martingale_sequence(x: RandomElement, filt: Filtration, tol: float = 1e-9) -> list[RandomElement]:
+def martingale_sequence(x: RandomElement, filt: Filtration, tol: float = EXACT_TOL) -> list[RandomElement]:
     """(E(X | F_n))_n along the filtration, verified to be a martingale.
 
     The martingale property is rechecked blockwise as a sanity guard; when the
@@ -502,7 +501,7 @@ def jensen_check(
     x: RandomElement,
     phi,
     conditional: FinitePartition | None = None,
-    tol: float = 1e-9,
+    tol: float = EXACT_TOL,
 ) -> AxiomReport:
     """phi(EX) <= E phi(X), unconditional or blockwise on a partition.
 
@@ -553,9 +552,10 @@ def sample_partition(rng: random.Random, omega: FiniteSampleSpace, n_blocks: int
 
 
 def expectation_identity_suite(
-    space: SpaceContract, trials: int = 1000, tol: float = 1e-9, seed: int = 0
+    space: SpaceContract, trials: int = 1000, tol: float = EXACT_TOL, seed: int = 0
 ) -> AxiomReport:
     """Contraction and mixing identities for the expectation operator."""
+    _require_trials(trials)
     report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
     for t in range(trials):
         rng = trial_rng(seed, t)
@@ -574,9 +574,10 @@ def expectation_identity_suite(
 
 
 def conditional_suite(
-    space: SpaceContract, trials: int = 1000, tol: float = 1e-9, seed: int = 0
+    space: SpaceContract, trials: int = 1000, tol: float = EXACT_TOL, seed: int = 0
 ) -> AxiomReport:
     """Conditional contraction and conditional Jensen with certified functionals."""
+    _require_trials(trials)
     report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
     for t in range(trials):
         rng = trial_rng(seed, t)

@@ -9,11 +9,14 @@ from ccspace import (
     check_cancellation,
     compact_sets_space,
     distribution_space,
+    embedding_suite,
     euclidean_space,
     power_space,
 )
 from ccspace.axioms import AxiomReport, nan_max
 from ccspace.core import SpaceContract, trial_rng
+from ccspace.limits import rational_jensen_suite, weight_perturbation_suite
+from ccspace.probability import conditional_suite, expectation_identity_suite
 
 SPACES = [
     euclidean_space(2),
@@ -136,6 +139,21 @@ def test_nan_violation_fails_and_keeps_its_witness():
 def test_check_axioms_rejects_zero_trials():
     with pytest.raises(ValueError):
         check_axioms(euclidean_space(1), trials=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: expectation_identity_suite(euclidean_space(1), trials=0),
+    lambda: conditional_suite(euclidean_space(1), trials=0),
+    lambda: weight_perturbation_suite(euclidean_space(1), trials=0),
+    lambda: rational_jensen_suite(euclidean_space(1), trials=0),
+    lambda: embedding_suite(trials=0),
+    lambda: embedding_suite(trials=-3),
+], ids=["expectation_identity", "conditional", "weight_perturbation", "rational_jensen",
+        "embedding", "embedding_negative"])
+def test_suites_reject_fewer_than_one_trial(run):
+    # an empty report would pass vacuously
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -52,6 +55,63 @@ def test_reports_are_byte_identical_for_same_seed(tmp_path, monkeypatch):
     c = tmp_path / "c.json"
     assert run_cli(args[:-1] + ["11", "--out", str(c)], monkeypatch=monkeypatch) == 0
     assert read(a) != read(c)
+
+
+def _stdout_report(args, monkeypatch, capsys):
+    assert run_cli(args, monkeypatch=monkeypatch) == 0
+    return capsys.readouterr().out
+
+
+def test_out_follows_symlink(tmp_path, monkeypatch, capsys):
+    expected = _stdout_report(["counterexample"], monkeypatch, capsys)
+    real = tmp_path / "real.json"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert run_cli(["counterexample", "--out", str(link)], monkeypatch=monkeypatch) == 0
+    assert link.is_symlink()
+    assert real.read_text() == expected
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_out_creates_report_with_umask_mode(tmp_path, monkeypatch):
+    out = tmp_path / "new.json"
+    old = os.umask(0o027)
+    try:
+        assert run_cli(["counterexample", "--out", str(out)], monkeypatch=monkeypatch) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_out_writes_fifo_in_place(tmp_path, monkeypatch, capsys):
+    expected = _stdout_report(["counterexample"], monkeypatch, capsys)
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    spare = tmp_path / "spare.fifo"  # a second name for the same FIFO
+    os.link(fifo, spare)
+    received = []
+
+    def reader():
+        with open(fifo, "rb") as handle:  # blocks until a writer opens the FIFO
+            received.append(handle.read())
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    try:
+        code = run_cli(["counterexample", "--out", str(fifo)], monkeypatch=monkeypatch)
+    finally:
+        thread.join(timeout=10)
+        if thread.is_alive():
+            # nothing was written to the FIFO: release the blocked reader
+            os.close(os.open(spare, os.O_WRONLY | os.O_NONBLOCK))
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert code == 0
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received == [expected.encode("utf-8")]
 
 
 def test_csv_suite_format(tmp_path, monkeypatch):
@@ -324,7 +384,7 @@ def test_nan_probability_in_fixture_file_is_usage_error(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("error,limit", [
-    (EnumerationCapError("5000 selection points exceed cap 4096 and pruning is disabled"),
+    (EnumerationCapError("5000 selection points exceed cap 4096"),
      "selection enumeration cap"),
     (ConvexifyError("no convergence within 20 doublings (last gap 0.5)", 0.5),
      "convexification doubling budget"),

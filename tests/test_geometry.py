@@ -24,6 +24,8 @@ from ccspace import (
 from ccspace.core import self_combination
 from ccspace.fixtures import convexify_point
 from ccspace.geometry import (
+    DEDUP_RESOLUTION,
+    _dedup_sorted,
     _directed_polytope_to_sites,
     _minkowski_sum_pair,
     _polygon_contains,
@@ -35,6 +37,12 @@ from ccspace.instances import compact_sets_space
 coord = st.floats(-10, 10, allow_nan=False)
 point2 = st.tuples(coord, coord)
 point1 = st.tuples(coord)
+# coordinates clustered within a few DEDUP_RESOLUTION of three values
+near_coord = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from((0.0, 1.0, -3.5)),
+    st.floats(-3 * DEDUP_RESOLUTION, 3 * DEDUP_RESOLUTION),
+)
 
 
 def brute_minkowski(weights, sets):
@@ -72,6 +80,17 @@ def test_point_set_dedup_merges_twins_that_sort_apart():
     pts = [(0.0, 0.0), (1.0, 0.0), (2.220446049250313e-16, 1.0), (-1.0, 0.0), (-2.318970003559566e-89, 1.0)]
     hull = convex_hull(FinitePointSet.of(pts))
     assert convex_hull(FinitePointSet.of(hull.vertices)).vertices == hull.vertices
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda d: st.lists(st.tuples(*[near_coord] * d), min_size=1, max_size=12)
+))
+def test_dedup_sorted_is_idempotent(pts):
+    # minkowski_combine returns its last deduplicated step without a second pass
+    once = _dedup_sorted(list(pts))
+    assert list(once) == sorted(once)
+    assert _dedup_sorted(list(once)) == once
 
 
 def test_point_set_rejects_empty_and_mixed_dims():
@@ -151,19 +170,10 @@ def test_minkowski_matches_brute_force(groups, rng):
     assert all(abs(g[0] - o[0]) <= 1e-9 for g, o in zip(got.points, oracle))
 
 
-def test_minkowski_cap_raises_without_pruning():
+def test_minkowski_cap_raises():
     a = FinitePointSet.of([(float(i), float(i * i)) for i in range(8)])
     with pytest.raises(EnumerationCapError):
         minkowski_combine([0.25] * 4, [a] * 4, cap=100)
-
-
-def test_minkowski_pruning_error_is_bounded():
-    a = FinitePointSet.of([(float(i), float(3 * i + 1)) for i in range(8)])
-    exact = minkowski_combine([0.25] * 4, [a] * 4, cap=100_000)
-    res = 1e-3
-    pruned = minkowski_combine([0.25] * 4, [a] * 4, cap=100, prune_resolution=res)
-    # documented bound: resolution * sqrt(d) per call, accumulated over steps
-    assert hausdorff_distance(exact, pruned) <= 4 * res * math.sqrt(2)
 
 
 # ---------------------------------------------------------------------------
