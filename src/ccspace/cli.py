@@ -431,10 +431,14 @@ def main(argv=None) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(csv_lines) + "\n"
-    if cfg.out:
-        _write_report(cfg.out, text)
-    else:
+    if not cfg.out:
         sys.stdout.write(text)
+        return code
+    try:
+        _write_report(cfg.out, text)
+    except OSError as exc:
+        print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

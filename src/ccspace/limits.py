@@ -11,9 +11,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .axioms import AxiomReport, _fmt, _require_trials, _sample_weights
+from .axioms import AxiomReport, _fmt, _require_trials, _sample_weights, nan_max
 from .core import (
     EXACT_TOL,
     Point,
@@ -36,16 +36,26 @@ SLLN_TOL = 0.05
 ERGODIC_TOL = 1e-12
 RAW_VS_CONVEX_TOL = 0.5
 
+# Trace lengths at which a running equal-weight combination is compared with
+# the same combination evaluated directly from all of its terms.
+DIRECT_CHECK_LENGTHS = frozenset(2 ** k for k in range(7))
+
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Distances d_n over an index list, with a pass verdict on the tail."""
+    """Distances d_n over an index list, with a pass verdict on the tail.
+
+    Traces built incrementally carry ``direct_check_gap``, the worst distance
+    between a running value and its direct evaluation; beyond ``EXACT_TOL``
+    it fails the verdict.
+    """
 
     indices: tuple[int, ...]
     distances: tuple[float, ...]
     target: str
     tolerance: float
     verdict: bool
+    direct_check_gap: Optional[float] = None
 
     @staticmethod
     def build(
@@ -54,6 +64,7 @@ class ConvergenceTrace:
         target: str,
         tolerance: float,
         window: int = 1,
+        direct_check_gap: Optional[float] = None,
     ) -> "ConvergenceTrace":
         indices = tuple(int(i) for i in indices)
         distances = tuple(float(d) for d in distances)
@@ -61,9 +72,12 @@ class ConvergenceTrace:
             raise ValueError("indices and distances must align and be nonempty")
         if any(d < 0.0 for d in distances):
             raise ValueError("distances must be nonnegative")
-        # a NaN distance in the tail fails the verdict
+        # a NaN distance in the tail, or a NaN gap, fails the verdict
         passed = all(d <= tolerance for d in distances[-window:])
-        return ConvergenceTrace(indices, distances, target, tolerance, passed)
+        if direct_check_gap is not None:
+            direct_check_gap = float(direct_check_gap)
+            passed = passed and direct_check_gap <= EXACT_TOL
+        return ConvergenceTrace(indices, distances, target, tolerance, passed, direct_check_gap)
 
     @property
     def final_distance(self) -> float:
@@ -73,7 +87,7 @@ class ConvergenceTrace:
         return list(zip(self.indices, self.distances))
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "indices": list(self.indices),
             "distances": [repr(d) for d in self.distances],
             "target": self.target,
@@ -81,6 +95,9 @@ class ConvergenceTrace:
             "final_distance": repr(self.final_distance),
             "verdict": "pass" if self.verdict else "fail",
         }
+        if self.direct_check_gap is not None:
+            out["direct_check_gap"] = repr(self.direct_check_gap)
+        return out
 
 
 @dataclass(frozen=True)
@@ -111,6 +128,15 @@ class CounterexampleResult(NamedTuple):
     lhs: float
     rhs: float
     verdict: str
+
+
+def _advance(space: SpaceContract, running: Point, n: int, point: Point) -> Point:
+    """[n^-1, x_1 .. x_n] from running = [(n-1)^-1, x_1 .. x_(n-1)] and point = x_n.
+
+    One binary combination, by associativity:
+    [n^-1, x]^n = [(n-1)/n, [(n-1)^-1, x]^(n-1) ; 1/n, x_n].
+    """
+    return combine(space, [((n - 1) / n, running), (1.0 / n, point)])
 
 
 def slln_run(
@@ -146,9 +172,7 @@ def slln_run(
     distances = []
     for n in range(1, n_max + 1):
         if n > 1:
-            running = combine(
-                space, [((n - 1) / n, running), (1.0 / n, draw())]
-            )
+            running = _advance(space, running, n, draw())
         if n % record_every == 0 or n == n_max:
             indices.append(n)
             distances.append(space.distance(running, target))
@@ -165,9 +189,14 @@ def ergodic_run(
     """Orbit averages [n^-1, X(tau^i w)] against the expectation.
 
     Requires a uniform sample space matching the rotation's modulus.  Each
-    average is evaluated as one equal-weight combination, so for convex-valued
-    X the distance at n = modulus vanishes exactly: the full orbit visits
-    every atom once and the average is the expectation itself.
+    average is advanced from the previous one by a single binary combination.
+    At every full period it is set to the one-period average A, evaluated
+    once as an equal-weight combination over the orbit: at length = modulus
+    that is the average itself, and at k periods it is [1/k, A]^k, which is A
+    when A is convex.  So for convex-valued X the distance vanishes exactly at
+    every full period: the orbit visits every atom once and A is the
+    expectation itself.  At powers of two up to 64 each average is also
+    evaluated directly, and the worst gap is the trace's ``direct_check_gap``.
     """
     omega = x.sample_space
     n = tau.modulus
@@ -177,18 +206,30 @@ def ergodic_run(
         raise ValueError("ergodic averages need the uniform measure")
     from .probability import expectation
 
+    space = x.space
     target = expectation(x)
     orbit_values = [
         x.values[omega.atoms[i]] for i in tau.orbit(start % n)
     ]
+    period_average = uniform_mix(space, orbit_values)
+    period_is_convex = space.distance(convexify(space, period_average), period_average) == 0.0
+    running = orbit_values[0]
     indices = []
     distances = []
+    gaps = []
     for length in range(1, n_max + 1):
-        reps = [orbit_values[i % n] for i in range(length)]
-        avg = uniform_mix(x.space, reps)
+        if length % n == 0 and (length == n or period_is_convex):
+            running = period_average
+        elif length > 1:
+            running = _advance(space, running, length, orbit_values[(length - 1) % n])
+        if length in DIRECT_CHECK_LENGTHS:
+            direct = uniform_mix(space, [orbit_values[i % n] for i in range(length)])
+            gaps.append(space.distance(direct, running))
         indices.append(length)
-        distances.append(x.space.distance(avg, target))
-    return ConvergenceTrace.build(indices, distances, "expectation", tolerance)
+        distances.append(space.distance(running, target))
+    return ConvergenceTrace.build(
+        indices, distances, "expectation", tolerance, direct_check_gap=nan_max(gaps)
+    )
 
 
 def convexification_rate(
@@ -197,14 +238,30 @@ def convexification_rate(
     n_list: Sequence[int],
     tolerance: float = EXACT_TOL,
 ) -> ConvergenceTrace:
-    """d([n^-1, x]^n, Kx) over an increasing list of n."""
-    if list(n_list) != sorted(set(int(n) for n in n_list)) or not n_list:
-        raise ValueError("n_list must be increasing and nonempty")
+    """d([n^-1, x]^n, Kx) over an increasing list of positive n.
+
+    [n^-1, x]^n is advanced from [(n-1)^-1, x]^(n-1) by a single binary
+    combination for every n up to the last of ``n_list``.  At powers of two
+    up to 64 it is also evaluated directly (``self_combination``), and the
+    worst gap is the trace's ``direct_check_gap``.
+    """
+    if not n_list or list(n_list) != sorted(set(int(n) for n in n_list)) or n_list[0] < 1:
+        raise ValueError("n_list must be increasing, positive and nonempty")
     kx = convexify(space, x)
-    distances = [
-        space.distance(self_combination(space, x, n), kx) for n in n_list
-    ]
-    return ConvergenceTrace.build(n_list, distances, "convexification of x", tolerance)
+    recorded = set(n_list)
+    running = x
+    distances = []
+    gaps = []
+    for n in range(1, n_list[-1] + 1):
+        if n > 1:
+            running = _advance(space, running, n, x)
+        if n in DIRECT_CHECK_LENGTHS:
+            gaps.append(space.distance(self_combination(space, x, n), running))
+        if n in recorded:
+            distances.append(space.distance(running, kx))
+    return ConvergenceTrace.build(
+        n_list, distances, "convexification of x", tolerance, direct_check_gap=nan_max(gaps)
+    )
 
 
 def raw_vs_convex_average_run(
@@ -217,20 +274,34 @@ def raw_vs_convex_average_run(
 
     The sequence cycles through the declared finite family (the desk-scale
     stand-in for a compact family); the raw side is bounded by the instance's
-    enumeration cap.
+    enumeration cap.  Each family member is convexified once, and both
+    averages are advanced by a single binary combination per step.  At powers
+    of two up to 64 both are also evaluated directly, and the worst gap is
+    the trace's ``direct_check_gap``.
     """
     if not family:
         raise ValueError("family must be nonempty")
+    cooked_family = [convexify(space, p) for p in family]
+    raw, cooked = family[0], cooked_family[0]
     indices = []
     distances = []
+    gaps = []
     for n in range(1, n_max + 1):
-        seq = [family[i % len(family)] for i in range(n)]
-        raw = uniform_mix(space, seq)
-        cooked = uniform_mix(space, [convexify(space, p) for p in seq])
+        if n > 1:
+            i = (n - 1) % len(family)
+            raw = _advance(space, raw, n, family[i])
+            cooked = _advance(space, cooked, n, cooked_family[i])
+        if n in DIRECT_CHECK_LENGTHS:
+            cycle = [i % len(family) for i in range(n)]
+            gaps.append(space.distance(uniform_mix(space, [family[i] for i in cycle]), raw))
+            gaps.append(
+                space.distance(uniform_mix(space, [cooked_family[i] for i in cycle]), cooked)
+            )
         indices.append(n)
         distances.append(space.distance(raw, cooked))
     return ConvergenceTrace.build(
-        indices, distances, "convexified running average", tolerance
+        indices, distances, "convexified running average", tolerance,
+        direct_check_gap=nan_max(gaps),
     )
 
 

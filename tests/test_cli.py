@@ -114,6 +114,14 @@ def test_out_writes_fifo_in_place(tmp_path, monkeypatch, capsys):
     assert received == [expected.encode("utf-8")]
 
 
+def test_out_write_error_exits_two(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert run_cli(["counterexample", "--out", str(out)], monkeypatch=monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == "" and not out.parent.exists()
+
+
 def test_csv_suite_format(tmp_path, monkeypatch):
     out = tmp_path / "report.csv"
     code = run_cli(

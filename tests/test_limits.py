@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from ccspace import cli
 from ccspace import (
     ConvexPolytope,
     CyclicTransformation,
+    DiscreteDistribution,
     DistanceTo,
     EnumerationCapError,
     FinitePointSet,
@@ -24,12 +28,13 @@ from ccspace import (
     slln_run,
     weight_perturbation_check,
 )
+from ccspace.core import EXACT_TOL
 from ccspace.limits import (
     ConvergenceTrace,
     rational_jensen_suite,
     weight_perturbation_suite,
 )
-from ccspace.fixtures import ergodic_element
+from ccspace.fixtures import convexify_point, ergodic_element
 
 E1 = euclidean_space(1)
 CS1 = compact_sets_space(1)
@@ -142,6 +147,28 @@ def test_ergodic_full_orbit_identity_every_start():
         assert trace.distances[-1] <= 1e-12
 
 
+def test_ergodic_is_exact_at_every_full_period_and_linear():
+    x = ergodic_element(E1, "euclidean", 4000)
+    started = time.monotonic()
+    trace = ergodic_run(CyclicTransformation(4000, 7), x, 12_000)
+    elapsed = time.monotonic() - started
+    assert [trace.distances[n - 1] for n in (4000, 8000, 12_000)] == [0.0, 0.0, 0.0]
+    assert trace.verdict and trace.direct_check_gap <= EXACT_TOL
+    assert elapsed < 2.0, f"12000-row ergodic trace took {elapsed:.2f}s"
+
+
+def test_ergodic_later_periods_of_a_non_convex_average():
+    # in the power space [1/k, A]^k = k^(1-r) A, so A is not the k-period average
+    space = power_space(2.0, 1)
+    omega = FiniteSampleSpace.uniform(4)
+    x = RandomElement(space, omega, {a: (float(i + 1),) for i, a in enumerate(omega.atoms)})
+    trace = ergodic_run(CyclicTransformation(4, 1), x, 16, tolerance=1.0)
+    period = 10.0 / 16.0  # [1/4, (1, 2, 3, 4)] = (1 + 2 + 3 + 4) / 4^2
+    for k in (1, 2, 3, 4):
+        assert trace.distances[4 * k - 1] == pytest.approx(period / k, rel=1e-12)
+    assert trace.verdict and trace.direct_check_gap <= EXACT_TOL
+
+
 def test_ergodic_rejects_non_coprime_step():
     with pytest.raises(ValueError):
         CyclicTransformation(10, 4)
@@ -182,6 +209,27 @@ def test_convexify_rate_power_space_closed_form():
 def test_convexify_rate_rejects_unsorted_n():
     with pytest.raises(ValueError):
         convexification_rate(E1, (0.0,), [4, 2])
+    with pytest.raises(ValueError):
+        convexification_rate(E1, (0.0,), [0, 2])
+
+
+def test_convexify_rate_sparse_n_list_matches_full_sweep():
+    x = FinitePointSet.of([(0.0,), (1.0,)])
+    full = convexification_rate(CS1, x, list(range(1, 41)), tolerance=1.0)
+    sparse = convexification_rate(CS1, x, [3, 17, 40], tolerance=1.0)
+    assert sparse.distances == tuple(full.distances[n - 1] for n in (3, 17, 40))
+
+
+@pytest.mark.parametrize("space,fixture", [
+    (CS1, convexify_point("compact-sets", "two-point")),
+    (distribution_space(), convexify_point("distributions", "unit")),
+], ids=["compact-sets", "distributions"])
+def test_convexify_rate_scales_to_256(space, fixture):
+    started = time.monotonic()
+    trace = convexification_rate(space, fixture, list(range(1, 257)), tolerance=1.0)
+    elapsed = time.monotonic() - started
+    assert trace.verdict and trace.direct_check_gap <= EXACT_TOL
+    assert elapsed < 2.0, f"rate trace to n = 256 took {elapsed:.2f}s"
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +256,77 @@ def test_raw_vs_convex_single_point_matches_rate():
     trace = raw_vs_convex_average_run(CS1, [x], n_max=8)
     rate = convexification_rate(CS1, x, list(range(1, 9)), tolerance=1.0)
     assert trace.distances == pytest.approx(list(rate.distances), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# direct checks of the incrementally built traces
+
+
+def _mass_to_first_mutant():
+    """Distributions whose combination of three or more terms moves the last
+    term's weight onto the first; binary combinations are untouched."""
+    base = distribution_space()
+
+    def combine_terms(terms):
+        if len(terms) >= 3:
+            (w_first, first), *middle, (w_last, _) = terms
+            terms = [(w_first + w_last, first), *middle]
+        return base.combine_terms(terms)
+
+    return dataclasses.replace(base, name="mass-to-first", combine_terms=combine_terms)
+
+
+def _mutant_traces():
+    space = _mass_to_first_mutant()
+    unit = DiscreteDistribution.of([0.0, 1.0], [0.5, 0.5])
+    family = [unit, DiscreteDistribution.delta(2.0)]
+    x = ergodic_element(space, "distributions", 11)
+    # tail tolerances loose enough that only the direct check can fail
+    return {
+        "convexify-rate": convexification_rate(space, unit, list(range(1, 9)), tolerance=1.0),
+        "prop55": raw_vs_convex_average_run(space, family, n_max=8, tolerance=1.0),
+        "ergodic": ergodic_run(CyclicTransformation(11, 7), x, 11, tolerance=1.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["convexify-rate", "prop55", "ergodic"])
+def test_direct_check_catches_non_associative_combination(name):
+    trace = _mutant_traces()[name]
+    assert trace.direct_check_gap > EXACT_TOL
+    assert not trace.verdict
+    assert trace.to_json_dict()["verdict"] == "fail"
+
+
+def test_direct_check_gap_nan_fails():
+    trace = ConvergenceTrace.build([1], [0.0], "x", 1.0, direct_check_gap=math.nan)
+    assert not trace.verdict
+
+
+# every trace command on each space with a default fixture, at default length
+DEFAULT_TRACES = [
+    ["convexify-rate", "--space", "euclidean"],
+    ["convexify-rate", "--space", "euclidean", "--dim", "2"],
+    ["convexify-rate", "--space", "power"],
+    ["convexify-rate", "--space", "compact-sets"],
+    # the d=2 lattice has about n^2/2 sites, so this one stops at n = 14
+    ["convexify-rate", "--space", "compact-sets", "--dim", "2", "--n-max", "14"],
+    ["convexify-rate", "--space", "distributions"],
+    ["prop55", "--space", "euclidean"],
+    ["prop55", "--space", "power"],
+    ["prop55", "--space", "compact-sets"],
+    ["ergodic", "--space", "euclidean"],
+    ["ergodic", "--space", "power"],
+    ["ergodic", "--space", "compact-sets"],
+    ["ergodic", "--space", "distributions"],
+]
+
+
+@pytest.mark.parametrize("argv", DEFAULT_TRACES, ids=" ".join)
+def test_default_traces_agree_with_direct_evaluation(argv):
+    code, payload, _ = cli.run(cli.resolve_config(cli.build_parser().parse_args(argv)))
+    assert float(payload["details"]["direct_check_gap"]) <= EXACT_TOL
+    # the power space's orbit averages do not reach its only convex point
+    assert code == (1 if argv[:3] == ["ergodic", "--space", "power"] else 0)
 
 
 # ---------------------------------------------------------------------------
