@@ -21,7 +21,6 @@ from .core import (
 )
 from .distributions import (
     DiscreteDistribution,
-    distribution_mean,
     quantile_resample,
     scaled_convolution_combine,
     wasserstein1,

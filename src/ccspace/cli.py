@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import stat
 import sys
@@ -43,6 +44,7 @@ from .probability import (
     FinitePartition,
     conditional_suite,
     dyadic_filtration,
+    expectation_identity_suite,
     jensen_check,
     martingale_distances,
     martingale_sequence,
@@ -177,6 +179,10 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("euclidean supports --dim 1, 2, or 3")
     if cfg.trials < 1 or (cfg.n_max is not None and cfg.n_max < 1):
         raise UsageError("--trials and --n-max must be positive")
+    if cfg.tolerance is not None and not cfg.tolerance >= 0.0:
+        raise UsageError("--tolerance must be a non-negative number")
+    if not math.isfinite(cfg.scale):
+        raise UsageError("--scale must be finite")
 
 
 def _space_for(cfg: RunConfig):
@@ -341,6 +347,43 @@ def _prop55(cfg: RunConfig) -> Outcome:
     return _trace(trace, {"fixture": fixture, "n_max": n_max, "tolerance": tol})
 
 
+# The battery's space configurations: label -> (space, dim, whether
+# check_cancellation runs).  A label has no comma, so "<label>/<check>" is one
+# CSV field.
+BATTERY = {
+    "euclidean-d2": ("euclidean", 2, True),
+    "power-d1": ("power", 1, False),
+    "compact-sets-d1": ("compact-sets", 1, True),
+    "compact-sets-d2": ("compact-sets", 2, True),
+    "distributions": ("distributions", 1, False),
+}
+
+
+def _battery(cfg: RunConfig) -> Outcome:
+    reports = {}
+    for label, (name, dim, cancellation) in BATTERY.items():
+        space = get_space(name, dim=dim)
+        tol = space.default_tolerance
+        report = check_axioms(space, trials=cfg.trials, seed=cfg.seed)
+        for suite, trials in ((expectation_identity_suite, cfg.trials),
+                              (conditional_suite, max(1, cfg.trials // 2)),
+                              (weight_perturbation_suite, cfg.trials),
+                              (rational_jensen_suite, cfg.trials)):
+            report.checks.update(suite(space, trials=trials, tol=tol, seed=cfg.seed).checks)
+        if cancellation:
+            report.checks.update(check_cancellation(space, trials=cfg.trials, seed=cfg.seed).checks)
+        reports[label] = report
+    reports["embedding"] = embedding_suite(trials=cfg.trials, seed=cfg.seed)
+    tolerances = {label: report.tolerance for label, report in reports.items()}
+    # each check keeps its configuration's tolerance; the report states the loosest
+    battery = AxiomReport("battery", cfg.seed, max(tolerances.values()))
+    for label, report in reports.items():
+        for check in report.checks.values():
+            name = f"{label}/{check.name}"
+            battery.checks[name] = dataclasses.replace(check, name=name)
+    return _suite(battery, {"trials": cfg.trials, "tolerances": tolerances})
+
+
 # name -> (handler, short statement of the result it exercises, reported as
 # paper_ref)
 COMMANDS = {
@@ -360,6 +403,8 @@ COMMANDS = {
     "prop52": (_prop52, "weight-perturbation bound for combinations of convexified points"),
     "prop55": (_prop55, "asymptotic equivalence of raw and convexified equal-weight "
                "averages"),
+    "battery": (_battery, "every axiom and expectation suite on five space configurations, "
+                "and the support-function embedding"),
 }
 
 

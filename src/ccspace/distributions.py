@@ -73,10 +73,6 @@ def _check_mass(total: float) -> None:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
 
-def distribution_mean(f: DiscreteDistribution) -> float:
-    return f.mean()
-
-
 def quantile_resample(f: DiscreteDistribution, m: int) -> DiscreteDistribution:
     """m equal-probability atoms at mid-quantiles F^-1((k - 1/2) / m).
 

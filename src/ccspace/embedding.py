@@ -42,13 +42,21 @@ class AffineFunctional:
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"direction must be unit-norm, got {norm!r}")
 
-    def __call__(self, body: ConvexPolytope | FinitePointSet) -> float:
+    def __call__(self, body: ConvexPolytope | FinitePointSet | Sequence[float]) -> float:
         return support_function(body, self.direction)
 
 
-def support_function(body: ConvexPolytope | FinitePointSet, v: Sequence[float]) -> float:
-    """max over the body of <point, v>; exact for polytopes and point sets."""
-    pts = body.vertices if isinstance(body, ConvexPolytope) else body.points
+def support_function(
+    body: ConvexPolytope | FinitePointSet | Sequence[float], v: Sequence[float]
+) -> float:
+    """max over the body of <point, v>; exact for polytopes and point sets.  A
+    vector is the body made of that one point, so its value is <vector, v>."""
+    if isinstance(body, ConvexPolytope):
+        pts = body.vertices
+    elif isinstance(body, FinitePointSet):
+        pts = body.points
+    else:
+        pts = (body,)
     return max(sum(c * d for c, d in zip(p, v)) for p in pts)
 
 

@@ -96,10 +96,6 @@ class ConvexPolytope:
             return ConvexPolytope(((lo,),))
         return ConvexPolytope(((lo,), (hi,)))
 
-    @staticmethod
-    def from_points(points: Iterable[Sequence[float]]) -> "ConvexPolytope":
-        return convex_hull(FinitePointSet.of(points))
-
     @property
     def dim(self) -> int:
         return len(self.vertices[0])
@@ -264,13 +260,6 @@ def polytope_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) 
     for w, p in zip(weights[1:], polys[1:]):
         acc = _minkowski_sum_pair(acc, _scale_polytope(w, p))
     return acc
-
-
-def translate_polytope(p: ConvexPolytope, offset: Sequence[float]) -> ConvexPolytope:
-    if p.dim == 1:
-        return ConvexPolytope.interval(p.lo + offset[0], p.hi + offset[0])
-    verts = [(v[0] + offset[0], v[1] + offset[1]) for v in p.vertices]
-    return ConvexPolytope(_canonical_polygon(verts))
 
 
 # ---------------------------------------------------------------------------

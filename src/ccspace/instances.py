@@ -1,4 +1,4 @@
-"""The four concrete space instances and their text serialization.
+"""The four concrete space instances and the parser of their text form.
 
 * ``euclidean_space``: R^d with the arithmetic weighted mean (unbiased).
 * ``power_space``: R^d with sum_i w_i^r x_i for an exponent r > 1; its only
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
 
 from .core import SpaceContract, Terms
 from .distributions import DiscreteDistribution, scaled_convolution_combine, wasserstein1
@@ -206,11 +205,7 @@ def get_space(name: str, dim: int = 1, r: float = 2.0) -> SpaceContract:
 
 
 # ---------------------------------------------------------------------------
-# text serialization (CLI fixture formats)
-
-
-def format_vector(p: Sequence[float]) -> str:
-    return ",".join(repr(float(c)) for c in p)
+# text parsing (CLI fixture formats)
 
 
 def parse_vector(text: str) -> tuple[float, ...]:
@@ -220,20 +215,8 @@ def parse_vector(text: str) -> tuple[float, ...]:
     return coords
 
 
-def format_point_set(s: FinitePointSet) -> str:
-    return " ".join(format_vector(p) for p in s.points)
-
-
 def parse_point_set(text: str) -> FinitePointSet:
     return FinitePointSet.of([parse_vector(tok) for tok in text.split()])
-
-
-def format_polytope(p: ConvexPolytope) -> str:
-    return "hull: " + " ".join(format_vector(v) for v in p.vertices)
-
-
-def format_distribution(f: DiscreteDistribution) -> str:
-    return " ".join(f"{repr(a)}:{repr(p)}" for a, p in zip(f.atoms, f.probs))
 
 
 def parse_distribution(text: str) -> DiscreteDistribution:
@@ -263,16 +246,4 @@ def parse_point(space_name: str, text: str):
         return parse_point_set(text)
     if space_name == "distributions":
         return parse_distribution(text)
-    raise ValueError(f"unknown space {space_name!r}")
-
-
-def format_point(space_name: str, value) -> str:
-    if space_name in ("euclidean", "power"):
-        return format_vector(value)
-    if space_name == "compact-sets":
-        if isinstance(value, ConvexPolytope):
-            return format_polytope(value)
-        return format_point_set(value)
-    if space_name == "distributions":
-        return format_distribution(value)
     raise ValueError(f"unknown space {space_name!r}")

@@ -19,7 +19,6 @@ from .axioms import AxiomReport, CheckResult, _fmt, _require_trials, _sample_wei
 from .core import EXACT_TOL, Point, SpaceContract, combine, convexify, trial_rng
 from .distributions import PROB_SUM_TOL
 from .embedding import AffineFunctional
-from .geometry import ConvexPolytope, FinitePointSet
 
 Label = Hashable
 
@@ -84,11 +83,6 @@ class RandomElement:
             (p, self.values[a])
             for a, p in zip(self.sample_space.atoms, self.sample_space.probs)
         ]
-
-    def map_values(self, fn: Callable[[Point], Point]) -> "RandomElement":
-        return RandomElement(
-            self.space, self.sample_space, {a: fn(v) for a, v in self.values.items()}
-        )
 
 
 @dataclass(frozen=True)
@@ -482,16 +476,7 @@ class SupportMax:
         )
 
     def __call__(self, x) -> float:
-        if isinstance(x, (ConvexPolytope, FinitePointSet)):
-            return max(f(x) + c for f, c in zip(self.functionals, self.offsets))
-        return max(
-            support_function_vector(x, f.direction) + c
-            for f, c in zip(self.functionals, self.offsets)
-        )
-
-
-def support_function_vector(x: Sequence[float], v: Sequence[float]) -> float:
-    return sum(c * d for c, d in zip(x, v))
+        return max(f(x) + c for f, c in zip(self.functionals, self.offsets))
 
 
 CERTIFIED_FUNCTIONALS = (DistanceTo, SupportMax)

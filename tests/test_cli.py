@@ -11,8 +11,9 @@ from ccspace import cli, compact_sets_space
 from ccspace.cli import main
 from ccspace.core import ConvexifyError
 from ccspace.fixtures import load_fixture_file, parse_fixture_lines
-from ccspace.geometry import EnumerationCapError
-from ccspace.instances import format_point, parse_point
+from ccspace.geometry import ConvexPolytope, EnumerationCapError
+from ccspace.instances import parse_point
+from test_axioms import MUTANTS
 
 
 def run_cli(args, env_seed=None, monkeypatch=None):
@@ -193,6 +194,19 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["check-axioms", "--tolerance", "nan"], "--tolerance must be a non-negative number"),
+    (["check-axioms", "--tolerance", "-1"], "--tolerance must be a non-negative number"),
+    (["slln", "--tolerance=-inf"], "--tolerance must be a non-negative number"),
+    (["counterexample", "--scale", "nan"], "--scale must be finite"),
+    (["counterexample", "--scale", "inf"], "--scale must be finite"),
+    (["counterexample", "--scale=-inf"], "--scale must be finite"),
+])
+def test_meaningless_numeric_flags_are_usage_errors(args, message, monkeypatch, capsys):
+    assert run_cli(args, monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_command_exits_two():
     proc = subprocess.run(
         [sys.executable, "-m", "ccspace", "frobnicate"],
@@ -267,6 +281,46 @@ def test_martingale_jensen_embed_prop_commands(tmp_path, monkeypatch):
         payload = json.loads(out.read_text())
         assert payload["verdict"] == "pass"
         assert payload["paper_ref"]
+
+
+def battery_rows(capsys):
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    return {label: (int(trials), verdict) for label, _, trials, verdict in rows}
+
+
+@pytest.mark.parametrize("make,checks", MUTANTS, ids=[m[0].__name__ for m in MUTANTS])
+def test_battery_fails_on_a_broken_space(make, checks, monkeypatch, capsys):
+    real = cli.get_space
+    monkeypatch.setattr(cli, "get_space",
+                        lambda name, dim: make() if name == "power" else real(name, dim=dim))
+    args = ["battery", "--trials", "40", "--seed", "1", "--format", "csv"]
+    assert run_cli(args, monkeypatch=monkeypatch) == 1
+    rows = battery_rows(capsys)
+    for check in checks:
+        assert rows[f"power-d1/{check}"][1] == "fail", check
+    assert all(verdict == "pass" for label, (_, verdict) in rows.items()
+               if not label.startswith("power-d1/"))
+
+
+def test_battery_with_one_trial(monkeypatch, capsys):
+    assert run_cli(["battery", "--trials", "1", "--format", "csv"], monkeypatch=monkeypatch) == 0
+    rows = battery_rows(capsys)
+    assert len(rows) == 108
+    assert {trials for trials, _ in rows.values()} == {1}
+
+
+def format_point(space_name, value):
+    """The text form of one point, as ``parse_point`` reads it."""
+    def vector(p):
+        return ",".join(repr(float(c)) for c in p)
+
+    if space_name == "euclidean":
+        return vector(value)
+    if space_name == "compact-sets":
+        if isinstance(value, ConvexPolytope):
+            return "hull: " + " ".join(vector(v) for v in value.vertices)
+        return " ".join(vector(p) for p in value.points)
+    return " ".join(f"{a!r}:{p!r}" for a, p in zip(value.atoms, value.probs))
 
 
 def test_fixture_round_trip_parsing():

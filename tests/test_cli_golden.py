@@ -4,7 +4,9 @@ Every case runs ``ccspace.cli.main`` in-process from ``tests/golden`` (so
 fixture and config paths echo as written) and compares stdout with
 ``tests/golden/<case>.<format>``.  To rewrite the golden files after a
 deliberate output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``
-and record the change in CHANGES.md.
+and record the change in CHANGES.md.  ``golden/scripts/run_all_checks.txt``
+holds the lines of the former ``run_all_checks.py`` script, the oracle for the
+``battery`` rows; nothing rewrites it.
 """
 
 import contextlib
@@ -15,7 +17,8 @@ import sys
 
 import pytest
 
-from ccspace.cli import SEED_ENV_VAR, main
+from ccspace.cli import BATTERY, SEED_ENV_VAR, main
+from ccspace.instances import get_space
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -84,6 +87,20 @@ CASES = [
                               "--seed", "123"], 0),
     ("prop55-sets", ["prop55", "--space", "compact-sets", "--n-max", "10"], 0),
     ("prop55-euclidean-default", ["prop55", "--space", "euclidean", "--format", "csv"], 0),
+    ("battery-csv", ["battery", "--trials", "20", "--seed", "7", "--format", "csv"], 0),
+    ("battery", ["battery", "--trials", "5", "--seed", "3"], 0),
+    # longer traces, at the seeds and lengths of the limit experiments
+    ("slln_euclidean_bernoulli", ["slln", "--space", "euclidean", "--fixture", "bernoulli",
+                                  "--n-max", "50", "--seed", "7", "--format", "csv"], 1),
+    ("slln_compact_intervals", ["slln", "--space", "compact-sets", "--fixture", "interval-pair",
+                                "--n-max", "50", "--seed", "7", "--format", "csv"], 1),
+    ("ergodic_rotation_1000_7", ["ergodic", "--space", "compact-sets", "--modulus", "1000",
+                                 "--step", "7", "--n-max", "1000", "--format", "csv"], 0),
+    ("convexify_rate_two_point", ["convexify-rate", "--space", "compact-sets", "--fixture",
+                                  "two-point", "--n-max", "64", "--tolerance", "0.01",
+                                  "--format", "csv"], 0),
+    ("raw_vs_convex_two_point_family", ["prop55", "--space", "compact-sets", "--fixture",
+                                        "two-point-family", "--n-max", "24", "--format", "csv"], 0),
 ]
 
 
@@ -107,6 +124,26 @@ def test_report_matches_golden(name, argv, code, monkeypatch):
     got_code, text = render(argv)
     assert got_code == code
     assert text == golden_path(name, argv).read_text(encoding="utf-8")
+
+
+def test_battery_rows_match_run_all_checks_lines(monkeypatch):
+    """Each battery row, in the line format of the former ``run_all_checks.py``
+    with the configuration named as its space prints itself, reproduces that
+    script's output at the same trials and seed."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    code, text = render(["battery", "--trials", "20", "--seed", "7", "--format", "csv"])
+    assert code == 0
+    names = {label: get_space(space, dim=dim).name for label, (space, dim, _) in BATTERY.items()}
+    names["embedding"] = "embedding"
+    lines = []
+    for row in text.splitlines()[1:]:
+        label, worst, trials, verdict = row.split(",")
+        config, check = label.split("/")
+        lines.append(f"{names[config]:20s} {check:32s} {verdict:4s} worst={float(worst):.3e} "
+                     f"trials={trials}")
+    expected = (GOLDEN / "scripts" / "run_all_checks.txt").read_text(encoding="utf-8")
+    assert len(lines) == len(set(lines)) == 108
+    assert set(lines) == set(expected.splitlines())
 
 
 if __name__ == "__main__":

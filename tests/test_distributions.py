@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ccspace import (
     DiscreteDistribution,
-    distribution_mean,
     quantile_resample,
     scaled_convolution_combine,
     wasserstein1,
@@ -179,9 +178,9 @@ def test_w1_is_a_metric(a_atoms, b_atoms, c_atoms, raw):
 
 
 def test_mean_examples():
-    assert distribution_mean(DiscreteDistribution.of([0.0, 1.0], [0.5, 0.5])) == 0.5
-    assert distribution_mean(DiscreteDistribution.delta(-3.25)) == -3.25
-    got = distribution_mean(DiscreteDistribution.of([1.0, 2.0, 3.0], [0.2, 0.3, 0.5]))
+    assert DiscreteDistribution.of([0.0, 1.0], [0.5, 0.5]).mean() == 0.5
+    assert DiscreteDistribution.delta(-3.25).mean() == -3.25
+    got = DiscreteDistribution.of([1.0, 2.0, 3.0], [0.2, 0.3, 0.5]).mean()
     assert got == pytest.approx(2.3, abs=1e-15)
 
 

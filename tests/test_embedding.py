@@ -26,9 +26,7 @@ from ccspace.embedding import (
     random_polygon,
     sup_norm_gap,
 )
-from ccspace.geometry import translate_polytope
-
-SQUARE = ConvexPolytope.from_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+SQUARE = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
 
 
 def grid_sup_gap(p, q, k=2000):
@@ -46,7 +44,7 @@ def test_support_function_examples():
     box = ConvexPolytope.interval(-2.0, 5.0)
     assert support_function(box, (1.0,)) == 5.0
     assert support_function(box, (-1.0,)) == 2.0
-    tri = ConvexPolytope.from_points([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)])
+    tri = convex_hull(FinitePointSet.of([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)]))
     d = 1 / math.sqrt(2)
     assert support_function(tri, (d, d)) == pytest.approx(math.sqrt(2), abs=1e-15)
 
@@ -86,7 +84,7 @@ def test_embedding_affinity_is_exact():
 
 
 def test_embedded_distance_translate_example():
-    moved = translate_polytope(SQUARE, (2.0, 0.0))
+    moved = convex_hull(FinitePointSet.of([(x + 2.0, y) for x, y in SQUARE.vertices]))
     assert embedded_distance(SQUARE, moved) == pytest.approx(2.0, abs=1e-12)
     assert embedded_distance(SQUARE, SQUARE) == 0.0
 
@@ -179,3 +177,6 @@ def test_support_function_on_point_sets():
     # support of a set equals the support of its hull
     hull = convex_hull(s)
     assert support_function(hull, (0.6, 0.8)) == support_function(s, (0.6, 0.8))
+    # a vector is its one-point body
+    assert support_function((1.0, 3.0), (0.6, 0.8)) == support_function(
+        FinitePointSet.of([(1.0, 3.0)]), (0.6, 0.8))

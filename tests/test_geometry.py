@@ -30,7 +30,6 @@ from ccspace.geometry import (
     _minkowski_sum_pair,
     _polygon_contains,
     point_to_polytope,
-    translate_polytope,
 )
 from ccspace.instances import compact_sets_space
 
@@ -192,10 +191,12 @@ def test_combining_identical_intervals_is_identity():
 
 
 def test_square_translation_average():
-    square = ConvexPolytope.from_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    moved = translate_polytope(square, (2.0, 0.0))
-    got = polytope_combine([0.5, 0.5], [square, moved])
-    assert got.vertices == translate_polytope(square, (1.0, 0.0)).vertices
+    square = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
+    def moved(dx):
+        return convex_hull(FinitePointSet.of([(x + dx, y) for x, y in square.vertices]))
+
+    got = polytope_combine([0.5, 0.5], [square, moved(2.0)])
+    assert got.vertices == moved(1.0).vertices
 
 
 @settings(max_examples=80, deadline=None)
@@ -348,8 +349,8 @@ def site_layout(kind, m, rng):
 def polytope_shapes(rng):
     """A polygon, a segment and a single point, each as a ``ConvexPolytope``."""
     polygon = convex_hull(FinitePointSet.of([(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(7)]))
-    segment = ConvexPolytope.from_points([(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(2)])
-    point = ConvexPolytope.from_points([(rng.uniform(-5, 5), rng.uniform(-5, 5))])
+    segment = convex_hull(FinitePointSet.of([(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(2)]))
+    point = convex_hull(FinitePointSet.of([(rng.uniform(-5, 5), rng.uniform(-5, 5))]))
     return polygon, segment, point
 
 
@@ -404,7 +405,7 @@ def test_covering_radius_voronoi_path_matches_bruteforce():
 
 
 def test_hausdorff_collinear_sites_to_triangle():
-    triangle = ConvexPolytope.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    triangle = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
     sites = FinitePointSet.of([(k / 99, k / 99) for k in range(100)])
     oracle = max(
         max(point_to_polytope(p, triangle) for p in sites.points),
@@ -416,10 +417,10 @@ def test_hausdorff_collinear_sites_to_triangle():
 
 SCIPY_FREE_RUN = """
 import sys
-from ccspace import ConvexPolytope, FinitePointSet, cli, hausdorff_distance
+from ccspace import FinitePointSet, cli, convex_hull, hausdorff_distance
 sites = FinitePointSet.of([(i / 14, j / 14) for i in range(15) for j in range(15 - i)])
 assert len(sites) == 120
-hausdorff_distance(sites, ConvexPolytope.from_points([(0, 0), (1, 0), (0, 1)]))
+hausdorff_distance(sites, convex_hull(FinitePointSet.of([(0, 0), (1, 0), (0, 1)])))
 argv = ["convexify-rate", "--space", "compact-sets", "--dim", "2", "--n-max", "14"]
 assert cli.main(argv + ["--out", sys.argv[1]]) == 0
 assert "scipy" not in sys.modules

@@ -426,7 +426,7 @@ def test_dominated_convergence_for_conditional_expectation():
     target = conditional_expectation(x, g)
     gaps = []
     for n in (1, 2, 4, 8, 16, 32):
-        shifted = x.map_values(lambda v, n=n: (v[0] + 1.0 / n,))
+        shifted = RandomElement(E1, omega, {a: (v[0] + 1.0 / n,) for a, v in x.values.items()})
         ce = conditional_expectation(shifted, g)
         gaps.append(max(E1.distance(ce.values[a], target.values[a]) for a in omega.atoms))
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -600,6 +600,7 @@ def test_support_max_functional_is_convex_certified():
     phi = SupportMax.of([(1.0,), (-1.0,)], [0.0, 0.5])
     report = jensen_check(x, phi, conditional=FinitePartition.trivial(omega))
     assert report.passed
+    assert phi((-2.0,)) == 2.5 and phi((3.0,)) == 3.0
 
 
 def test_conditional_jensen_suite_zero_violations():
