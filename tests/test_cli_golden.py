@@ -17,8 +17,10 @@ import sys
 
 import pytest
 
+from ccspace import cli
 from ccspace.cli import BATTERY, SEED_ENV_VAR, main
 from ccspace.instances import get_space
+from test_axioms import MUTANTS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -112,6 +114,21 @@ def render(argv):
     return code, buffer.getvalue()
 
 
+def render_battery_mutant(make):
+    """``battery --trials 3 --seed 1`` in JSON, with the mutant as ``power-d1``."""
+    real = cli.get_space
+    cli.get_space = lambda name, dim: make() if name == "power" else real(name, dim=dim)
+    try:
+        return render(["battery", "--trials", "3", "--seed", "1"])
+    finally:
+        cli.get_space = real
+
+
+def mutant_golden_path(make):
+    name = make.__name__.strip("_").removesuffix("_mutant")
+    return GOLDEN / f"battery-mutant-{name}.json"
+
+
 def golden_path(name, argv):
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
     return GOLDEN / f"{name}.{fmt}"
@@ -124,6 +141,15 @@ def test_report_matches_golden(name, argv, code, monkeypatch):
     got_code, text = render(argv)
     assert got_code == code
     assert text == golden_path(name, argv).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("make", [m[0] for m in MUTANTS], ids=[m[0].__name__ for m in MUTANTS])
+def test_battery_witnesses_on_a_broken_space_match_golden(make, monkeypatch):
+    """Pins the failing checks' witness strings, byte for byte."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    code, text = render_battery_mutant(make)
+    assert code == 1
+    assert text == mutant_golden_path(make).read_text(encoding="utf-8")
 
 
 def test_battery_rows_match_run_all_checks_lines(monkeypatch):
@@ -155,3 +181,9 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit code {got_code}, expected {code}")
         golden_path(name, argv).write_text(text, encoding="utf-8")
         print(golden_path(name, argv).name)
+    for make, _ in MUTANTS:
+        got_code, text = render_battery_mutant(make)
+        if got_code != 1:
+            sys.exit(f"{make.__name__}: exit code {got_code}, expected 1")
+        mutant_golden_path(make).write_text(text, encoding="utf-8")
+        print(mutant_golden_path(make).name)
