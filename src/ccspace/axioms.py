@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     Point,
@@ -48,15 +48,19 @@ class CheckResult:
     def passed(self) -> bool:
         return self.worst_violation <= self.tolerance
 
-    def record(self, violation: float, witness: str) -> None:
-        """Count a trial; NaN is the worst violation and keeps its first witness."""
+    def record(self, violation: float, *parts) -> None:
+        """Count a trial; NaN is the worst violation and keeps its first witness.
+
+        The witness is the reprs of ``parts`` joined by `` | ``, formatted only
+        when this trial becomes the failing witness.
+        """
         self.trials += 1
         if math.isnan(self.worst_violation):
             return
         if violation > self.worst_violation or math.isnan(violation):
             self.worst_violation = violation
             if not violation <= self.tolerance:
-                self.witness = witness
+                self.witness = " | ".join(map(repr, parts))
 
 
 @dataclass
@@ -67,6 +71,11 @@ class AxiomReport:
     seed: int
     tolerance: float
     checks: dict[str, CheckResult] = field(default_factory=dict)
+
+    @classmethod
+    def for_space(cls, space: SpaceContract, tol: float | None, seed: int = 0) -> "AxiomReport":
+        """An empty report; ``tol=None`` means the space's default tolerance."""
+        return cls(space.name, seed, space.default_tolerance if tol is None else tol)
 
     def check(self, name: str) -> CheckResult:
         if name not in self.checks:
@@ -128,13 +137,11 @@ def _sample_distinct(space: SpaceContract, rng: random.Random, other: Point) -> 
     return candidate
 
 
-def _fmt(*parts) -> str:
-    return " | ".join(repr(p) for p in parts)
-
-
-def _require_trials(trials: int) -> None:
+def seeded_trials(trials: int, seed: int) -> Iterator[tuple[int, random.Random]]:
+    """``(t, rng)`` for each trial, each with its own stream."""
     if trials < 1:  # a suite with no trials would pass vacuously
         raise ValueError("trials must be at least 1")
+    return ((t, trial_rng(seed, t)) for t in range(trials))
 
 
 def check_axioms(
@@ -152,15 +159,11 @@ def check_axioms(
     the convexification operator are skipped when the instance supplies no
     exact form.
     """
-    _require_trials(trials)
-    tol = space.default_tolerance if tol is None else tol
-    report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
+    report = AxiomReport.for_space(space, tol, seed)
     d = space.distance
     has_k = space.convexify_exact is not None
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-
+    for _, rng in seeded_trials(trials, seed):
         # commutativity: permuting terms leaves the value unchanged
         k = rng.randint(2, _MAX_ARITY)
         weights = _sample_weights(rng, k)
@@ -169,7 +172,7 @@ def check_axioms(
         permuted = terms[:]
         rng.shuffle(permuted)
         gap = d(combine(space, terms), combine(space, permuted))
-        report.check("commutativity").record(gap, _fmt(terms))
+        report.check("commutativity").record(gap, terms)
 
         # flattening: nested two-level combination equals the product-weight form
         m, n_inner = 2, 2
@@ -186,7 +189,7 @@ def check_axioms(
                 for j in range(n_inner)
             ],
         )
-        report.check("flattening").record(d(nested, flat), _fmt(alphas, betas, grid))
+        report.check("flattening").record(d(nested, flat), alphas, betas, grid)
 
         # continuity: the displacement under a weight perturbation must vanish
         # linearly with the perturbation
@@ -199,7 +202,7 @@ def check_axioms(
             delta = _CONTINUITY_DELTA0 * 4.0 ** (-step)
             moved = combine(space, [(lam + delta, u), (1.0 - lam - delta, v)])
             worst = nan_max(worst, d(moved, base) - _CONTINUITY_LIPSCHITZ * delta)
-        report.check("continuity").record(worst, _fmt(lam, u, v))
+        report.check("continuity").record(worst, lam, u, v)
 
         # negative curvature: combination is jointly non-expansive
         lam = rng.uniform(0.05, 0.95)
@@ -210,7 +213,7 @@ def check_axioms(
             combine(space, [(lam, v1), (1.0 - lam, v2)]),
         )
         rhs = lam * d(u1, v1) + (1.0 - lam) * d(u2, v2)
-        report.check("negative_curvature").record(lhs - rhs, _fmt(lam, u1, u2, v1, v2))
+        report.check("negative_curvature").record(lhs - rhs, lam, u1, u2, v1, v2)
 
         # convexification iterates: successive gaps along doublings may not grow
         x = space.sample(rng)
@@ -221,40 +224,38 @@ def check_axioms(
         worst = nan_max(
             (later - earlier for earlier, later in zip(gaps, gaps[1:])), default=0.0
         )
-        report.check("convexification_cauchy").record(worst, _fmt(x, gaps))
+        report.check("convexification_cauchy").record(worst, x, gaps)
 
         # unit weight: a weight-1 term with zero-weight padding is the identity
         u, v = space.sample(rng), space.sample(rng)
         gap = d(combine(space, [(1.0, u), (0.0, v)]), u)
-        report.check("unit_weight_identity").record(gap, _fmt(u, v))
+        report.check("unit_weight_identity").record(gap, u, v)
 
         if has_k:
             kx = space.convexify_exact(x)
 
             # convex points are fixed by equal-weight self-combination
             worst = nan_max(d(self_combination(space, kx, n), kx) for n in (2, 3, 5))
-            report.check("convexification_fixed_point").record(worst, _fmt(x, kx))
+            report.check("convexification_fixed_point").record(worst, x, kx)
 
             # idempotence, both as K(K x) = K x and K([w_j, x]_j) = K x
             gap = d(space.convexify_exact(kx), kx)
             ws = _sample_weights(rng, 3)
             repeated = combine(space, [(w, x) for w in ws])
             gap = nan_max(gap, d(space.convexify_exact(repeated), kx))
-            report.check("convexifier_idempotent").record(gap, _fmt(x, ws))
+            report.check("convexifier_idempotent").record(gap, x, ws)
 
             # linearity: K(combination) equals the combination of images
             gap = d(
                 space.convexify_exact(combine(space, terms)),
                 combine(space, [(w, space.convexify_exact(p)) for w, p in terms]),
             )
-            report.check("convexifier_linear").record(gap, _fmt(terms))
+            report.check("convexifier_linear").record(gap, terms)
 
             # non-expansiveness
             ku = space.convexify_exact(u)
             kv = space.convexify_exact(v)
-            report.check("convexifier_nonexpansive").record(
-                d(ku, kv) - d(u, v), _fmt(u, v)
-            )
+            report.check("convexifier_nonexpansive").record(d(ku, kv) - d(u, v), u, v)
 
             # a repeated convex term merges its weights; the outer term stays
             # raw unless the instance cannot mix the two representations
@@ -266,7 +267,7 @@ def check_axioms(
                 outer = space.convexify_exact(u)
                 lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
             gap = d(lhs, combine(space, [(l1, outer), (l2 + l3, kv)]))
-            report.check("repeated_convex_merge").record(gap, _fmt(l1, l2, l3, outer, kv))
+            report.check("repeated_convex_merge").record(gap, l1, l2, l3, outer, kv)
 
         if space.unbiased:
             # unbiased instances: self-combinations leave every point fixed
@@ -274,7 +275,7 @@ def check_axioms(
             worst = nan_max(d(self_combination(space, w, n), w) for n in (2, 5))
             ws = _sample_weights(rng, 3)
             worst = nan_max(worst, d(combine(space, [(wt, w) for wt in ws]), w))
-            report.check("unbiased_identity").record(worst, _fmt(w, ws))
+            report.check("unbiased_identity").record(worst, w, ws)
 
     return report
 
@@ -296,9 +297,7 @@ def check_cancellation(
     samples the equalities are generally false; the report then documents the
     violation rather than raising.
     """
-    _require_trials(trials)
-    tol = space.default_tolerance if tol is None else tol
-    report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
+    report = AxiomReport.for_space(space, tol, seed)
     d = space.distance
 
     def pick(rng: random.Random) -> Point:
@@ -309,8 +308,7 @@ def check_cancellation(
             return space.convexify_exact(p)
         return p
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    for _, rng in seeded_trials(trials, seed):
         x = pick(rng)
         y = pick(rng)
         z = pick(rng)
@@ -327,7 +325,7 @@ def check_cancellation(
             combine(space, [(lam, x), (1.0 - lam, z)]),
         )
         gap = abs(lhs - (1.0 - lam) * d(y, z))
-        report.check("cancellation_equality").record(gap, _fmt(lam, x, y, z))
+        report.check("cancellation_equality").record(gap, lam, x, y, z)
 
         lam_in = rng.uniform(0.05, 0.95)
         mixed = combine(space, [(lam_in, x), (1.0 - lam_in, y)])
@@ -335,12 +333,12 @@ def check_cancellation(
             abs(d(mixed, x) - (1.0 - lam_in) * d(x, y)),
             abs(d(mixed, y) - lam_in * d(x, y)),
         )
-        report.check("endpoint_ratios").record(gap, _fmt(lam_in, x, y))
+        report.check("endpoint_ratios").record(gap, lam_in, x, y)
 
         u = combine(space, [(lam_in, x), (1.0 - lam_in, y)])
         v = combine(space, [(lam_in, x), (1.0 - lam_in, z)])
         w = combine(space, [(lam_in, y), (1.0 - lam_in, z)])
         gap = abs(d(u, v) - d(y, w))
-        report.check("parallelogram_transfer").record(gap, _fmt(lam_in, x, y, z))
+        report.check("parallelogram_transfer").record(gap, lam_in, x, y, z)
 
     return report

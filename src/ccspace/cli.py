@@ -167,8 +167,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.space not in SPACE_NAMES:
-        raise UsageError(f"unknown space {cfg.space!r}")
+    for key, (flag, _, extra) in _FLAGS.items():
+        if "choices" in extra and getattr(cfg, key) not in extra["choices"]:
+            raise UsageError(f"{flag} must be one of {', '.join(map(str, extra['choices']))}")
+    if cfg.command in SPACELESS:
+        for key in ("space", "dim", "r"):
+            if getattr(cfg, key) != _DEFAULTS[key]:
+                raise UsageError(f"{cfg.command} takes no {_FLAGS[key][0]}")
     if cfg.space == "power" and not cfg.r > 1.0:
         raise UsageError("power space needs --r greater than 1")
     if cfg.space != "power" and cfg.r != _DEFAULTS["r"]:
@@ -177,8 +182,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("compact-sets supports --dim 1 or 2")
     if cfg.space == "euclidean" and cfg.dim not in (1, 2, 3):
         raise UsageError("euclidean supports --dim 1, 2, or 3")
-    if cfg.trials < 1 or (cfg.n_max is not None and cfg.n_max < 1):
-        raise UsageError("--trials and --n-max must be positive")
+    if cfg.n_max is not None and cfg.n_max < 1:  # the suites reject --trials below 1
+        raise UsageError("--n-max must be positive")
     if cfg.tolerance is not None and not cfg.tolerance >= 0.0:
         raise UsageError("--tolerance must be a non-negative number")
     if not math.isfinite(cfg.scale):
@@ -288,22 +293,22 @@ def _martingale(cfg: RunConfig) -> Outcome:
 
 def _jensen(cfg: RunConfig) -> Outcome:
     space = _space_for(cfg)
-    tol = _or(cfg.tolerance, space.default_tolerance)
     if not cfg.fixture_file:
-        report = conditional_suite(space, trials=cfg.trials, tol=tol, seed=cfg.seed)
-        return _suite(report, {"trials": cfg.trials, "dim": cfg.dim, "tolerance": tol})
+        report = conditional_suite(space, trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed)
+        return _suite(report, {"trials": cfg.trials, "dim": cfg.dim, "tolerance": report.tolerance})
     x = fixtures.load_fixture_file(space, cfg.space, cfg.fixture_file, dim=cfg.dim)
     phi = DistanceTo(space, convexify(space, next(iter(x.values.values()))))
-    report = jensen_check(x, phi, conditional=None, tol=tol)
+    report = jensen_check(x, phi, conditional=None, tol=cfg.tolerance)
     atoms = x.sample_space.atoms
     half = len(atoms) // 2
     halves = FinitePartition.of([atoms[:half], atoms[half:]] if half else [atoms], x.sample_space)
-    report.checks.update(jensen_check(x, phi, conditional=halves, tol=tol).checks)
-    return _suite(report, {"fixture_file": cfg.fixture_file, "tolerance": tol})
+    report.checks.update(jensen_check(x, phi, conditional=halves, tol=cfg.tolerance).checks)
+    return _suite(report, {"fixture_file": cfg.fixture_file, "tolerance": report.tolerance})
 
 
 def _embed_verify(cfg: RunConfig) -> Outcome:
-    return _suite(embedding_suite(trials=cfg.trials, seed=cfg.seed), {"trials": cfg.trials})
+    report = embedding_suite(trials=cfg.trials, seed=cfg.seed, tol=cfg.tolerance)
+    return _suite(report, {"trials": cfg.trials})
 
 
 def _convexify_rate(cfg: RunConfig) -> Outcome:
@@ -330,11 +335,10 @@ def _counterexample(cfg: RunConfig) -> Outcome:
 
 def _prop52(cfg: RunConfig) -> Outcome:
     space = _space_for(cfg)
-    tol = _or(cfg.tolerance, space.default_tolerance)
-    report = weight_perturbation_suite(space, trials=cfg.trials, tol=tol, seed=cfg.seed)
-    jensen = rational_jensen_suite(space, trials=cfg.trials, tol=tol, seed=cfg.seed)
+    report = weight_perturbation_suite(space, trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed)
+    jensen = rational_jensen_suite(space, trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed)
     report.checks.update(jensen.checks)
-    return _suite(report, {"trials": cfg.trials, "dim": cfg.dim, "tolerance": tol})
+    return _suite(report, {"trials": cfg.trials, "dim": cfg.dim, "tolerance": report.tolerance})
 
 
 def _prop55(cfg: RunConfig) -> Outcome:
@@ -363,17 +367,17 @@ def _battery(cfg: RunConfig) -> Outcome:
     reports = {}
     for label, (name, dim, cancellation) in BATTERY.items():
         space = get_space(name, dim=dim)
-        tol = space.default_tolerance
-        report = check_axioms(space, trials=cfg.trials, seed=cfg.seed)
-        for suite, trials in ((expectation_identity_suite, cfg.trials),
-                              (conditional_suite, max(1, cfg.trials // 2)),
-                              (weight_perturbation_suite, cfg.trials),
-                              (rational_jensen_suite, cfg.trials)):
-            report.checks.update(suite(space, trials=trials, tol=tol, seed=cfg.seed).checks)
+        report = check_axioms(space, trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed)
+        suites = [(expectation_identity_suite, cfg.trials),
+                  (conditional_suite, max(1, cfg.trials // 2)),
+                  (weight_perturbation_suite, cfg.trials),
+                  (rational_jensen_suite, cfg.trials)]
         if cancellation:
-            report.checks.update(check_cancellation(space, trials=cfg.trials, seed=cfg.seed).checks)
+            suites.append((check_cancellation, cfg.trials))
+        for suite, trials in suites:
+            report.checks.update(suite(space, trials=trials, tol=cfg.tolerance, seed=cfg.seed).checks)
         reports[label] = report
-    reports["embedding"] = embedding_suite(trials=cfg.trials, seed=cfg.seed)
+    reports["embedding"] = embedding_suite(trials=cfg.trials, seed=cfg.seed, tol=cfg.tolerance)
     tolerances = {label: report.tolerance for label, report in reports.items()}
     # each check keeps its configuration's tolerance; the report states the loosest
     battery = AxiomReport("battery", cfg.seed, max(tolerances.values()))
@@ -383,6 +387,10 @@ def _battery(cfg: RunConfig) -> Outcome:
             battery.checks[name] = dataclasses.replace(check, name=name)
     return _suite(battery, {"trials": cfg.trials, "tolerances": tolerances})
 
+
+# Commands that choose their own spaces: a non-default --space, --dim or --r
+# is a usage error, and their reports echo the default space.
+SPACELESS = ("battery", "embed-verify", "counterexample")
 
 # name -> (handler, short statement of the result it exercises, reported as
 # paper_ref)

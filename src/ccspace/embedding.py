@@ -13,14 +13,13 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .axioms import AxiomReport, _fmt, _require_trials
-from .core import EXACT_TOL, trial_rng
+from .axioms import AxiomReport, CheckResult, seeded_trials
 from .geometry import ConvexPolytope, FinitePointSet, convex_hull, hausdorff_distance, polytope_combine
-from .instances import _vector_sampler
+from .instances import _vector_sampler, compact_sets_space
 
 _UNIT_NORM_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
-_AFFINITY_TOL = 1e-12  # embedding_suite's isometry check uses EXACT_TOL
+_AFFINITY_TOL = 1e-12  # the affinity check's own bound, whatever embedding_suite's tol
 
 
 @dataclass(frozen=True)
@@ -206,25 +205,25 @@ def random_polygon(rng: random.Random, max_vertices: int = 8) -> ConvexPolytope:
     return convex_hull(FinitePointSet.of(pts))
 
 
-def embedding_suite(trials: int = 1000, seed: int = 0) -> AxiomReport:
+def embedding_suite(trials: int = 1000, seed: int = 0, tol: float | None = None) -> AxiomReport:
     """Isometry, affinity, and linear growth of the support embedding.
 
     Per trial, for a random convex polygon pair (P, Q): the sup-norm distance
     between their support functions must match the Hausdorff distance; the
     embedding of a random Minkowski combination must equal the weighted sum of
     embeddings componentwise; and each support value must be dominated by the
-    Hausdorff distance to the origin.
+    Hausdorff distance to the origin.  Affinity is held to 1e-12 whatever
+    ``tol`` is.
     """
-    _require_trials(trials)
-    report = AxiomReport(space="compact-sets(d=2)", seed=seed, tolerance=EXACT_TOL)
+    report = AxiomReport.for_space(compact_sets_space(2), tol, seed)
+    affinity = report.checks["affinity"] = CheckResult("affinity", tolerance=_AFFINITY_TOL)
     origin = ConvexPolytope(((0.0, 0.0),))
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    for _, rng in seeded_trials(trials, seed):
         p = random_polygon(rng)
         q = random_polygon(rng)
 
         gap = abs(embedded_distance(p, q) - hausdorff_distance(p, q))
-        report.check("isometry").record(gap, _fmt(p.vertices, q.vertices))
+        report.check("isometry").record(gap, p.vertices, q.vertices)
 
         lam = rng.uniform(0.05, 0.95)
         mixed = polytope_combine([lam, 1.0 - lam], [p, q])
@@ -233,11 +232,9 @@ def embedding_suite(trials: int = 1000, seed: int = 0) -> AxiomReport:
             embed(mixed, dirs),
             combine_support_vectors([lam, 1.0 - lam], [embed(p, dirs), embed(q, dirs)]),
         )
-        affinity = report.check("affinity")
-        affinity.tolerance = _AFFINITY_TOL
-        affinity.record(gap, _fmt(lam, p.vertices, q.vertices))
+        affinity.record(gap, lam, p.vertices, q.vertices)
 
         reach = hausdorff_distance(p, origin)
         worst = max(abs(v) for v in embed(p, dirs).values) - reach
-        report.check("linear_growth").record(worst, _fmt(p.vertices))
+        report.check("linear_growth").record(worst, p.vertices)
     return report

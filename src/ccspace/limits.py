@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .axioms import AxiomReport, _fmt, _require_trials, _sample_weights, nan_max
+from .axioms import AxiomReport, _sample_weights, nan_max, seeded_trials
 from .core import (
     EXACT_TOL,
     Point,
@@ -21,7 +21,6 @@ from .core import (
     combine,
     convexify,
     self_combination,
-    trial_rng,
     uniform_mix,
 )
 from .instances import power_space
@@ -403,12 +402,10 @@ def rational_jensen_check(
 
 
 def weight_perturbation_suite(
-    space: SpaceContract, trials: int = 1000, tol: float = EXACT_TOL, seed: int = 0
+    space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
 ) -> AxiomReport:
-    _require_trials(trials)
-    report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    report = AxiomReport.for_space(space, tol, seed)
+    for t, rng in seeded_trials(trials, seed):
         k = rng.randint(2, 4)
         a = _sample_weights(rng, k)
         b = _sample_weights(rng, k)
@@ -419,17 +416,15 @@ def weight_perturbation_suite(
         xs = [space.sample(rng) for _ in range(k)]
         u = space.sample(rng)
         gap = _weight_perturbation_gap(space, a, b, xs, u)
-        report.check("weight_perturbation").record(gap, _fmt(t, a, b))
+        report.check("weight_perturbation").record(gap, t, a, b)
     return report
 
 
 def rational_jensen_suite(
-    space: SpaceContract, trials: int = 1000, tol: float = EXACT_TOL, seed: int = 0
+    space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
 ) -> AxiomReport:
-    _require_trials(trials)
-    report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    report = AxiomReport.for_space(space, tol, seed)
+    for t, rng in seeded_trials(trials, seed):
         k = rng.randint(2, 3)
         m = rng.choice((6, 12, 24))
         cuts = sorted(rng.sample(range(1, m), k - 1))
@@ -438,6 +433,6 @@ def rational_jensen_suite(
         xs = [convexify(space, space.sample(rng)) for _ in range(k)]
         phi = DistanceTo(space, convexify(space, space.sample(rng)))
         jensen_gap, replication_gap = _rational_jensen_gaps(space, phi, qs, xs, m)
-        report.check("rational_jensen").record(jensen_gap, _fmt(t, qs))
-        report.check("replication_identity").record(replication_gap, _fmt(t, qs))
+        report.check("rational_jensen").record(jensen_gap, t, qs)
+        report.check("replication_identity").record(replication_gap, t, qs)
     return report

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Optional, Sequence
 
-from .axioms import AxiomReport, CheckResult, _fmt, _require_trials, _sample_weights, nan_max
-from .core import EXACT_TOL, Point, SpaceContract, combine, convexify, trial_rng
+from .axioms import AxiomReport, CheckResult, _sample_weights, nan_max, seeded_trials
+from .core import EXACT_TOL, Point, SpaceContract, combine, convexify
 from .distributions import PROB_SUM_TOL
 from .embedding import AffineFunctional
 
@@ -284,7 +284,7 @@ def conditional_expectation(x: RandomElement, g: FinitePartition) -> RandomEleme
 class CharacterizationResult:
     equal: bool
     worst_gap: float
-    witness_union: Optional[tuple[tuple[Label, ...], ...]]
+    witness_union: Optional[str]  # repr of the worst union's blocks
 
     def __bool__(self) -> bool:
         return self.equal
@@ -333,7 +333,7 @@ def check_ce_properties(
     x: RandomElement,
     g_coarse: FinitePartition,
     g_fine: FinitePartition,
-    tol: float = EXACT_TOL,
+    tol: float | None = None,
 ) -> AxiomReport:
     """Core identities of conditional expectation on a partition pair.
 
@@ -346,12 +346,12 @@ def check_ce_properties(
         raise ValueError("g_coarse must be coarser than g_fine")
     space = x.space
     omega = x.sample_space
-    report = AxiomReport(space=space.name, seed=0, tolerance=tol)
+    report = AxiomReport.for_space(space, tol)
 
     for g in (g_coarse, g_fine):
         ce = conditional_expectation(x, g)
         gap = space.distance(expectation(ce), expectation(x))
-        report.check("iterated_expectation").record(gap, _fmt(g.blocks))
+        report.check("iterated_expectation").record(gap, g.blocks)
 
     # a measurable element conditions to its convexified values
     rep_values = {
@@ -363,7 +363,7 @@ def check_ce_properties(
         space.distance(ce.values[a], convexify(space, measurable.values[a]))
         for a in omega.atoms
     )
-    report.check("measurable_to_convexification").record(worst, _fmt(g_fine.blocks))
+    report.check("measurable_to_convexification").record(worst, g_fine.blocks)
 
     # mixing commutes with conditioning
     rotated = {
@@ -377,7 +377,7 @@ def check_ce_properties(
         lam, conditional_expectation(x, g_fine), conditional_expectation(y, g_fine)
     )
     worst = nan_max(space.distance(lhs.values[a], rhs.values[a]) for a in omega.atoms)
-    report.check("mixing").record(worst, _fmt(lam, g_fine.blocks))
+    report.check("mixing").record(worst, lam, g_fine.blocks)
 
     # tower property in both orders
     inner = conditional_expectation(x, g_coarse)
@@ -390,7 +390,7 @@ def check_ce_properties(
         )
         for a in omega.atoms
     )
-    report.check("tower").record(worst, _fmt(g_coarse.blocks, g_fine.blocks))
+    report.check("tower").record(worst, g_coarse.blocks, g_fine.blocks)
     return report
 
 
@@ -439,10 +439,9 @@ def martingale_convergence_trace(
     p: int = 1,
     direction: str = "forward",
 ) -> list[float]:
-    """Delta_p distances of E(X | F_n) to the limiting conditional expectation;
-    see ``martingale_distances``."""
-    seq = [conditional_expectation(x, g) for g in filt.partitions]
-    return martingale_distances(seq, p=p, direction=direction)
+    """Delta_p distances of E(X | F_n), from ``martingale_sequence`` and its
+    guard, to the limiting conditional expectation; see ``martingale_distances``."""
+    return martingale_distances(martingale_sequence(x, filt), p=p, direction=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +485,7 @@ def jensen_check(
     x: RandomElement,
     phi,
     conditional: FinitePartition | None = None,
-    tol: float = EXACT_TOL,
+    tol: float | None = None,
 ) -> AxiomReport:
     """phi(EX) <= E phi(X), unconditional or blockwise on a partition.
 
@@ -495,20 +494,19 @@ def jensen_check(
     """
     if not isinstance(phi, CERTIFIED_FUNCTIONALS):
         raise TypeError(f"functional {phi!r} is not certified midpoint-convex")
-    space = x.space
     omega = x.sample_space
-    report = AxiomReport(space=space.name, seed=0, tolerance=tol)
+    report = AxiomReport.for_space(x.space, tol)
     if conditional is None:
         lhs = phi(expectation(x))
         rhs = math.fsum(p * phi(v) for p, v in x.value_weight_pairs())
-        report.check("jensen").record(lhs - rhs, _fmt(lhs, rhs))
+        report.check("jensen").record(lhs - rhs, lhs, rhs)
         return report
     ce = conditional_expectation(x, conditional)
     for block in conditional.blocks:
         block_prob = math.fsum(omega.prob(a) for a in block)
         lhs = phi(ce.values[block[0]])
         rhs = math.fsum(omega.prob(a) * phi(x.values[a]) for a in block) / block_prob
-        report.check("conditional_jensen").record(lhs - rhs, _fmt(block, lhs, rhs))
+        report.check("conditional_jensen").record(lhs - rhs, block, lhs, rhs)
     return report
 
 
@@ -537,35 +535,31 @@ def sample_partition(rng: random.Random, omega: FiniteSampleSpace, n_blocks: int
 
 
 def expectation_identity_suite(
-    space: SpaceContract, trials: int = 1000, tol: float = EXACT_TOL, seed: int = 0
+    space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
 ) -> AxiomReport:
     """Contraction and mixing identities for the expectation operator."""
-    _require_trials(trials)
-    report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    report = AxiomReport.for_space(space, tol, seed)
+    for t, rng in seeded_trials(trials, seed):
         omega = sample_sample_space(rng, rng.randint(2, 5))
         x = sample_random_element(space, omega, rng)
         y = sample_random_element(space, omega, rng)
 
         gap = space.distance(expectation(x), expectation(y)) - expected_distance(x, y)
-        report.check("expectation_contraction").record(gap, _fmt(t))
+        report.check("expectation_contraction").record(gap, t)
 
         lam = rng.uniform(0.05, 0.95)
         lhs = expectation(mix_elements(lam, x, y))
         rhs = combine(space, [(lam, expectation(x)), (1.0 - lam, expectation(y))])
-        report.check("expectation_mixing").record(space.distance(lhs, rhs), _fmt(t, lam))
+        report.check("expectation_mixing").record(space.distance(lhs, rhs), t, lam)
     return report
 
 
 def conditional_suite(
-    space: SpaceContract, trials: int = 1000, tol: float = EXACT_TOL, seed: int = 0
+    space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
 ) -> AxiomReport:
     """Conditional contraction and conditional Jensen with certified functionals."""
-    _require_trials(trials)
-    report = AxiomReport(space=space.name, seed=seed, tolerance=tol)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    report = AxiomReport.for_space(space, tol, seed)
+    for t, rng in seeded_trials(trials, seed):
         omega = sample_sample_space(rng, rng.randint(4, 6))
         g = sample_partition(rng, omega, rng.randint(2, 3))
         x = sample_random_element(space, omega, rng)
@@ -585,13 +579,11 @@ def conditional_suite(
             )
             gap = space.distance(ce_x.values[block[0]], ce_y.values[block[0]]) - cond_dist
             worst = nan_max(worst, gap)
-        report.check("conditional_contraction").record(worst, _fmt(t, g.blocks))
+        report.check("conditional_contraction").record(worst, t, g.blocks)
 
         phi = DistanceTo(space, convexify(space, space.sample(rng)))
-        jensen = jensen_check(x, phi, conditional=g, tol=tol)
-        report.check("conditional_jensen").record(
-            jensen.check("conditional_jensen").worst_violation, _fmt(t)
-        )
-        jensen_u = jensen_check(x, phi, conditional=None, tol=tol)
-        report.check("jensen").record(jensen_u.check("jensen").worst_violation, _fmt(t))
+        jensen = jensen_check(x, phi, conditional=g, tol=report.tolerance)
+        report.check("conditional_jensen").record(jensen.check("conditional_jensen").worst_violation, t)
+        jensen_u = jensen_check(x, phi, conditional=None, tol=report.tolerance)
+        report.check("jensen").record(jensen_u.check("jensen").worst_violation, t)
     return report

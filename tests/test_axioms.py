@@ -130,10 +130,30 @@ def test_nan_violation_fails_and_keeps_its_witness():
     check.record(math.nan, "first nan")
     check.record(5.0, "larger")
     check.record(math.nan, "second nan")
-    assert not check.passed and check.witness == "first nan"
+    assert not check.passed and check.witness == repr("first nan")
     assert check.trials == 4
     report.check("other").record(1.0, "big")
     assert math.isnan(report.worst_violation)
+
+
+@pytest.mark.parametrize("suite", [check_axioms, check_cancellation, expectation_identity_suite,
+                                   conditional_suite, weight_perturbation_suite,
+                                   rational_jensen_suite], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("space", [euclidean_space(1), power_space(2.0, 1), compact_sets_space(1),
+                                   distribution_space()], ids=lambda s: s.name)
+def test_suites_default_to_the_space_tolerance(suite, space):
+    assert suite(space, trials=1).tolerance == space.default_tolerance
+
+
+def test_witness_is_formatted_only_for_a_failing_trial():
+    class Loud:
+        def __repr__(self):
+            raise AssertionError("formatted a passing trial's witness")
+
+    check = AxiomReport(space="x", seed=0, tolerance=1.0).check("law")
+    check.record(0.5, Loud())
+    check.record(2.0, "a", (1.0,))
+    assert check.witness == "'a' | (1.0,)"
 
 
 def test_check_axioms_rejects_zero_trials():

@@ -201,6 +201,9 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
     (["counterexample", "--scale", "nan"], "--scale must be finite"),
     (["counterexample", "--scale", "inf"], "--scale must be finite"),
     (["counterexample", "--scale=-inf"], "--scale must be finite"),
+    (["check-axioms", "--trials", "0"], "trials must be at least 1"),
+    (["battery", "--trials=-1"], "trials must be at least 1"),
+    (["slln", "--n-max", "0"], "--n-max must be positive"),
 ])
 def test_meaningless_numeric_flags_are_usage_errors(args, message, monkeypatch, capsys):
     assert run_cli(args, monkeypatch=monkeypatch) == 2
@@ -244,6 +247,48 @@ def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch, capsys):
     cfg.write_text("wibble = 3\n")
     assert run_cli(["check-axioms", "--config", str(cfg)], monkeypatch=monkeypatch) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("fmt = xml", "--format must be one of csv, json"),
+    ("mode = sideways", "--mode must be one of convex_track, raw_track"),
+    ("p = 3", "--p must be one of 1, 2"),
+    ("space = hilbert", "--space must be one of euclidean, power, compact-sets, distributions"),
+])
+def test_config_file_values_obey_the_flag_choices(line, message, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli(["slln", "--config", str(cfg), "--n-max", "5"], monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["battery", "--space", "power"], "--space"),
+    (["battery", "--dim", "2"], "--dim"),
+    (["embed-verify", "--space", "compact-sets", "--dim", "2"], "--space"),
+    (["embed-verify", "--r", "3"], "--r"),
+    (["counterexample", "--space", "power", "--r", "3"], "--space"),
+])
+def test_commands_that_choose_their_spaces_reject_space_flags(args, flag, monkeypatch, capsys):
+    assert run_cli(args + ["--trials", "1"], monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr() == ("", f"error: {args[0]} takes no {flag}\n")
+
+
+def test_space_flags_at_their_defaults_are_accepted_without_a_space(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("space = euclidean\ndim = 1\nr = 2.0\n")
+    for command in ("embed-verify", "counterexample"):
+        out = tmp_path / f"{command}.json"
+        args = [command, "--config", str(cfg), "--trials", "2", "--out", str(out)]
+        assert run_cli(args, monkeypatch=monkeypatch) == 0
+        assert json.loads(out.read_text())["space"] == "euclidean"
+
+
+def test_space_flags_in_a_config_file_are_rejected_without_a_space(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("space = compact-sets\ndim = 2\n")
+    assert run_cli(["battery", "--config", str(cfg)], monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr().err == "error: battery takes no --space\n"
 
 
 def test_slln_and_ergodic_commands(tmp_path, monkeypatch):

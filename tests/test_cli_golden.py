@@ -4,7 +4,10 @@ Every case runs ``ccspace.cli.main`` in-process from ``tests/golden`` (so
 fixture and config paths echo as written) and compares stdout with
 ``tests/golden/<case>.<format>``.  To rewrite the golden files after a
 deliberate output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``
-and record the change in CHANGES.md.  ``golden/scripts/run_all_checks.txt``
+and record the change in CHANGES.md.  ``golden/battery-mutant-<name>.json``
+pins the failing witnesses of a ``battery`` run with each broken space of
+``test_axioms.MUTANTS`` standing in for ``power-d1``.
+``golden/scripts/run_all_checks.txt``
 holds the lines of the former ``run_all_checks.py`` script, the oracle for the
 ``battery`` rows; nothing rewrites it.
 """

@@ -489,6 +489,9 @@ def test_martingale_guard_raises_on_nan_distance():
     x = ramp_element(nan_distance_space(), 4)
     with pytest.raises(ValueError, match="martingale property violated by nan"):
         martingale_sequence(x, dyadic_filtration(x.sample_space))
+    # the trace builds its sequence through the same guard
+    with pytest.raises(ValueError, match="martingale property violated by nan"):
+        martingale_convergence_trace(x, dyadic_filtration(x.sample_space))
 
 
 def test_conditional_checks_fail_on_nan_distance():
