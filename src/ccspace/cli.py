@@ -307,8 +307,7 @@ def _jensen(cfg: RunConfig) -> Outcome:
 
 
 def _embed_verify(cfg: RunConfig) -> Outcome:
-    report = embedding_suite(trials=cfg.trials, seed=cfg.seed, tol=cfg.tolerance)
-    return _suite(report, {"trials": cfg.trials})
+    return _suite(embedding_suite(trials=cfg.trials, seed=cfg.seed), {"trials": cfg.trials})
 
 
 def _convexify_rate(cfg: RunConfig) -> Outcome:
@@ -367,7 +366,7 @@ def _battery(cfg: RunConfig) -> Outcome:
     reports = {}
     for label, (name, dim, cancellation) in BATTERY.items():
         space = get_space(name, dim=dim)
-        report = check_axioms(space, trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed)
+        report = check_axioms(space, trials=cfg.trials, seed=cfg.seed)
         suites = [(expectation_identity_suite, cfg.trials),
                   (conditional_suite, max(1, cfg.trials // 2)),
                   (weight_perturbation_suite, cfg.trials),
@@ -375,9 +374,9 @@ def _battery(cfg: RunConfig) -> Outcome:
         if cancellation:
             suites.append((check_cancellation, cfg.trials))
         for suite, trials in suites:
-            report.checks.update(suite(space, trials=trials, tol=cfg.tolerance, seed=cfg.seed).checks)
+            report.checks.update(suite(space, trials=trials, seed=cfg.seed).checks)
         reports[label] = report
-    reports["embedding"] = embedding_suite(trials=cfg.trials, seed=cfg.seed, tol=cfg.tolerance)
+    reports["embedding"] = embedding_suite(trials=cfg.trials, seed=cfg.seed)
     tolerances = {label: report.tolerance for label, report in reports.items()}
     # each check keeps its configuration's tolerance; the report states the loosest
     battery = AxiomReport("battery", cfg.seed, max(tolerances.values()))
