@@ -50,6 +50,9 @@ CASES = [
     ("slln-sets", ["slln", "--space", "compact-sets", "--n-max", "60", "--format", "csv"], 1),
     ("slln-distributions-raw", ["slln", "--space", "distributions", "--fixture", "bernoulli",
                                 "--mode", "raw_track", "--n-max", "40", "--tolerance", "0.5"], 0),
+    # the running law first passes ATOM_CAP and is resampled at n = 1030 (513 atoms)
+    ("slln-distributions-raw-1100", ["slln", "--space", "distributions", "--fixture",
+                                     "bernoulli", "--mode", "raw_track", "--n-max", "1100"], 0),
     ("ergodic-sets", ["ergodic", "--space", "compact-sets", "--modulus", "40", "--step", "7"], 0),
     ("ergodic-distributions", ["ergodic", "--space", "distributions", "--modulus", "30",
                                "--step", "11", "--format", "csv"], 0),
