@@ -4,7 +4,8 @@
 operation and serializes its report; identical configuration and seed produce
 byte-identical output.
 Exit codes: 0 all checks pass (or a documented expected failure confirmed),
-1 violation found, 2 usage error or a request that exceeds an instance limit.
+1 violation found, 2 usage error, a request that exceeds an instance limit,
+or an unexpected library exception (``error: internal: <Type>: <message>``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 import stat
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -182,6 +184,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("compact-sets supports --dim 1 or 2")
     if cfg.space == "euclidean" and cfg.dim not in (1, 2, 3):
         raise UsageError("euclidean supports --dim 1, 2, or 3")
+    if cfg.space == "distributions" and cfg.dim != 1:
+        raise UsageError("distributions supports --dim 1 only")
     if cfg.n_max is not None and cfg.n_max < 1:  # the suites reject --trials below 1
         raise UsageError("--n-max must be positive")
     if cfg.tolerance is not None and not cfg.tolerance >= 0.0:
@@ -471,6 +475,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
         code, payload, csv_lines = run(cfg)
+        if cfg.fmt == "json":
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        else:
+            text = "\n".join(csv_lines) + "\n"
+        if not cfg.out:
+            sys.stdout.write(text)
+            return code
+        try:
+            _write_report(cfg.out, text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+        return code
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -479,19 +496,11 @@ def main(argv=None) -> int:
                  else "convexification doubling budget")
         print(f"error: request exceeds the {limit}: {exc}", file=sys.stderr)
         return 2
-    if cfg.fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = "\n".join(csv_lines) + "\n"
-    if not cfg.out:
-        sys.stdout.write(text)
-        return code
-    try:
-        _write_report(cfg.out, text)
-    except OSError as exc:
-        print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+    except Exception as exc:
+        # a library defect, not a violation: keep exit 1 for violations found
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -192,6 +193,41 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
     assert run_cli(["check-axioms", "--space", "power", "--r", "0.5"], monkeypatch=monkeypatch) == 2
     assert run_cli(["check-axioms", "--space", "euclidean", "--r", "3.0"], monkeypatch=monkeypatch) == 2
     capsys.readouterr()
+
+
+def test_distributions_take_only_dim_one(tmp_path, monkeypatch, capsys):
+    args = ["check-axioms", "--space", "distributions", "--trials", "2"]
+    assert run_cli(args + ["--dim", "7"], monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr() == ("", "error: distributions supports --dim 1 only\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("space = distributions\ndim = 2\n")
+    assert run_cli(["slln", "--config", str(cfg), "--n-max", "5"], monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr() == ("", "error: distributions supports --dim 1 only\n")
+    assert run_cli(args + ["--dim", "1"], monkeypatch=monkeypatch) == 0
+
+
+def _raise_type_error(*args):
+    raise TypeError("unsupported operand")
+
+
+def test_unexpected_library_exception_exits_two(monkeypatch, capsys):
+    # a defect in a space, not a violation: exit 2, not 1
+    real = cli.get_space
+    monkeypatch.setattr(cli, "get_space", lambda name, dim, r: dataclasses.replace(
+        real(name, dim=dim, r=r), combine_terms=_raise_type_error))
+    assert run_cli(["check-axioms", "--trials", "2"], monkeypatch=monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: internal: TypeError: unsupported operand"
+
+
+def test_unexpected_exception_in_the_report_writer_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_write_report", _raise_type_error)
+    out = tmp_path / "r.json"
+    assert run_cli(["counterexample", "--out", str(out)], monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: internal: TypeError: unsupported operand")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args,message", [

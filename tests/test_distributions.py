@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from ccspace import (
     scaled_convolution_combine,
     wasserstein1,
 )
+from ccspace.distributions import ARRAY_KERNEL_ATOMS, ATOM_MERGE_RESOLUTION
 
 
 def brute_convolution(weights, dists):
@@ -221,3 +223,140 @@ def test_convolution_resamples_above_cap():
     spread = exact.atoms[-1] - exact.atoms[0]
     # one resample per step above the cap, each bounded by spread / cap
     assert wasserstein1(exact, capped) <= 4 * spread / 8
+
+
+# Array kernels: laws built directly (no merging), so that the product step
+# meets every pattern its merge must reproduce.  ``kind`` picks the atoms:
+#   lattice - multiples of 1/8, so product atoms collide with different probs,
+#             and a signed zero;
+#   chain   - runs of atoms 0.6e-12 apart whose span exceeds the resolution;
+#   spread  - distinct uniform draws.
+# Some probabilities are 1e-200, so products of two of them underflow to 0.
+LAW_KINDS = ("lattice", "chain", "spread")
+
+
+def law_from(rng, n, kind):
+    if kind == "lattice":
+        atoms = sorted(k / 8 for k in rng.sample(range(-8 * n, 8 * n), n))
+        atoms = [rng.choice((-0.0, 0.0)) if a == 0 else a for a in atoms]
+    elif kind == "chain":
+        centres = sorted(rng.sample(range(-50, 50), 1 + n // 8))
+        atoms = sorted({c / 4 + i * 0.6e-12 for c in centres for i in range(8)})[:n]
+    else:
+        atoms = sorted({rng.uniform(-5.0, 5.0) for _ in range(n)})
+    raw = [rng.random() + 0.01 for _ in atoms]
+    total = math.fsum(raw)
+    probs = [1e-200 if rng.random() < 0.1 else r / total for r in raw]
+    probs[-1] = 0.0
+    probs[-1] = 1.0 - math.fsum(probs)
+    return DiscreteDistribution(tuple(atoms), tuple(probs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.lists(st.tuples(st.integers(1, 300), st.sampled_from(LAW_KINDS)), min_size=1, max_size=3),
+)
+def test_product_step_kernels_match_the_loop_bit_for_bit(seed, shapes):
+    # operands from a few atoms to several hundred: steps on both sides of
+    # ARRAY_KERNEL_ATOMS, against the loop-only oracle
+    rng = random.Random(seed)
+    dists = [law_from(rng, n if i == 0 else 1 + n % 4, kind) for i, (n, kind) in enumerate(shapes)]
+    weights = [rng.choice((0.5, 1.0 / 3.0, rng.uniform(-2.0, 2.0))) for _ in dists]
+    expected = general_convolution(weights, dists)
+    assert bits(scaled_convolution_combine(weights, dists, atom_cap=None)) == bits(expected)
+
+
+@pytest.mark.parametrize("n", [3, 63, 64, 127, 128, 400])
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_product_step_kernels_at_the_threshold(n, kind):
+    rng = random.Random(n)
+    f, g = law_from(rng, n, kind), law_from(rng, 2, kind)
+    weights = [0.5, 0.5]
+    got = scaled_convolution_combine(weights, [f, g], atom_cap=None)
+    assert bits(got) == bits(general_convolution(weights, [f, g]))
+
+
+def test_chain_merges_relative_to_the_first_atom():
+    # 0.6e-12 gaps: each atom is within the resolution of its neighbour, but
+    # the third is past the resolution from the first, so it starts a group
+    n = ARRAY_KERNEL_ATOMS
+    f = DiscreteDistribution(tuple(i * 0.6e-12 for i in range(n)), (1.0 / n,) * n)
+    got = scaled_convolution_combine([1.0, 1.0], [f, DiscreteDistribution.delta(0.0)],
+                                     atom_cap=None)
+    assert bits(got) == bits(general_convolution([1.0, 1.0], [f, DiscreteDistribution.delta(0.0)]))
+    assert len(got) == n // 2
+    assert all(b - a > ATOM_MERGE_RESOLUTION for a, b in zip(got.atoms, got.atoms[1:]))
+
+
+@pytest.mark.parametrize("n", [4, ARRAY_KERNEL_ATOMS])
+@pytest.mark.parametrize("f,message", [
+    # both addends near the largest float: the product atom overflows to inf
+    (DiscreteDistribution((1e308,), (1.0,)), "atoms must be finite"),
+    (DiscreteDistribution((0.0, 1.0), (0.25, 0.25)), "probabilities sum to 0.5"),
+])
+def test_product_step_kernels_make_the_constructor_checks(n, f, message):
+    big = DiscreteDistribution(tuple(1e308 - i * 1e292 for i in range(n)), (1.0 / n,) * n)
+    with pytest.raises(ValueError, match=message) as expected:
+        general_convolution([1.0, 1.0], [big, f])
+    with pytest.raises(ValueError, match=message) as got:
+        scaled_convolution_combine([1.0, 1.0], [big, f])
+    assert str(got.value) == str(expected.value)
+
+
+def loop_wasserstein1(f, g):
+    """The loop ``wasserstein1`` runs below ARRAY_KERNEL_ATOMS, kept as the
+    array kernel's reference."""
+    breaks = sorted(set(f.atoms) | set(g.atoms))
+    total = 0.0
+    cf = 0.0
+    cg = 0.0
+    fi = 0
+    gi = 0
+    for left, right in zip(breaks, breaks[1:]):
+        while fi < len(f.atoms) and f.atoms[fi] <= left:
+            cf += f.probs[fi]
+            fi += 1
+        while gi < len(g.atoms) and g.atoms[gi] <= left:
+            cg += g.probs[gi]
+            gi += 1
+        total += abs(cf - cg) * (right - left)
+    return total
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 400), st.integers(1, 400),
+       st.sampled_from(LAW_KINDS), st.sampled_from(LAW_KINDS))
+def test_w1_kernel_matches_the_loop_exactly(seed, n, m, kind_f, kind_g):
+    rng = random.Random(seed)
+    f, g = law_from(rng, n, kind_f), law_from(rng, m, kind_g)
+    assert wasserstein1(f, g) == loop_wasserstein1(f, g)
+    assert wasserstein1(f, f) == loop_wasserstein1(f, f) == 0.0
+
+
+def test_w1_kernel_on_shared_and_signed_zero_atoms():
+    n = ARRAY_KERNEL_ATOMS
+    atoms = tuple(i / 4 - 8 for i in range(n))
+    f = DiscreteDistribution(atoms, (1.0 / n,) * n)
+    g = DiscreteDistribution(tuple(-0.0 if a == 0 else a + 0.125 * (i % 2)
+                                   for i, a in enumerate(atoms)), (1.0 / n,) * n)
+    assert 0.0 in f.atoms and -0.0 in g.atoms
+    assert wasserstein1(f, g) == loop_wasserstein1(f, g) > 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 600), st.integers(1, 600), st.sampled_from(LAW_KINDS))
+def test_quantile_resample_matches_quantile(seed, n, m, kind):
+    f = law_from(random.Random(seed), n, kind)
+    expected = DiscreteDistribution.of([f.quantile((k + 0.5) / m) for k in range(m)], [1.0 / m] * m)
+    assert bits(quantile_resample(f, m)) == bits(expected)
+
+
+@pytest.mark.parametrize("probs", [
+    (0.25, 0.5, 0.25),                  # the running sum hits 0.25 and 0.75 exactly
+    (0.25 - 1e-15, 0.5, 0.25 + 1e-15),  # ... and q - 1e-15, the search key itself
+])
+def test_quantile_resample_on_a_running_sum_at_a_quantile(probs):
+    f = DiscreteDistribution((-1.0, 0.0, 2.0), probs)
+    expected = [f.quantile((k + 0.5) / 2) for k in range(2)]
+    assert quantile_resample(f, 2).atoms == tuple(expected) == (-1.0, 0.0)
