@@ -52,6 +52,14 @@ def _dense_coords(j: int, dim: int) -> tuple[float, ...]:
     return tuple(16.0 * _van_der_corput(j, _VDC_BASES[c]) - 8.0 for c in range(dim))
 
 
+def _finite_vector(coords: tuple[float, ...]) -> tuple[float, ...]:
+    """``coords``, or ValueError if a coordinate is NaN or infinite: a
+    combination of vectors that are not all finite is no point of R^d."""
+    if not all(math.isfinite(c) for c in coords):
+        raise ValueError("coordinates must be finite")
+    return coords
+
+
 def _vector_sampler(dim: int):
     def sample(rng: random.Random) -> tuple[float, ...]:
         return tuple(rng.uniform(-_SAMPLE_RANGE, _SAMPLE_RANGE) for _ in range(dim))
@@ -64,7 +72,7 @@ def euclidean_space(dim: int = 2) -> SpaceContract:
         raise ValueError("euclidean dimension must be 1, 2, or 3")
 
     def combine_terms(terms: Terms) -> tuple[float, ...]:
-        return tuple(math.fsum(w * p[c] for w, p in terms) for c in range(dim))
+        return _finite_vector(tuple(math.fsum(w * p[c] for w, p in terms) for c in range(dim)))
 
     return SpaceContract(
         name=f"euclidean(d={dim})",
@@ -84,7 +92,9 @@ def power_space(r: float = 2.0, dim: int = 1) -> SpaceContract:
         raise ValueError("power dimension must be 1, 2, or 3")
 
     def combine_terms(terms: Terms) -> tuple[float, ...]:
-        return tuple(math.fsum((w ** r) * p[c] for w, p in terms) for c in range(dim))
+        return _finite_vector(
+            tuple(math.fsum((w ** r) * p[c] for w, p in terms) for c in range(dim))
+        )
 
     return SpaceContract(
         name=f"power(r={r}, d={dim})",
@@ -209,10 +219,7 @@ def get_space(name: str, dim: int = 1, r: float = 2.0) -> SpaceContract:
 
 
 def parse_vector(text: str) -> tuple[float, ...]:
-    coords = tuple(float(c) for c in text.split(","))
-    if not all(math.isfinite(c) for c in coords):
-        raise ValueError("coordinates must be finite")
-    return coords
+    return _finite_vector(tuple(float(c) for c in text.split(",")))
 
 
 def parse_point_set(text: str) -> FinitePointSet:

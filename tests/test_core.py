@@ -61,6 +61,17 @@ def test_power_combination_matches_closed_form():
     assert got[0] == pytest.approx(0.62, abs=1e-15)
 
 
+@pytest.mark.parametrize("space", [euclidean_space(1), euclidean_space(3), power_space(2.0, 1),
+                                   power_space(3.0, 2)], ids=lambda space: space.name)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vector_combination_rejects_non_finite_points(space, bad):
+    # points built in code skip the text parser's check; the combination
+    # must not hand back a NaN or infinite coordinate
+    dim = len(space.dense_point(1))
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        combine(space, [(0.5, (bad,) + (0.0,) * (dim - 1)), (0.5, (1.0,) * dim)])
+
+
 def test_midpoint_definitions():
     euclid = euclidean_space(2)
     assert midpoint(euclid, (0.0, 0.0), (2.0, 2.0)) == (1.0, 1.0)

@@ -1,6 +1,9 @@
 import itertools
 import math
 import random
+from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,14 @@ from ccspace import (
     scaled_convolution_combine,
     wasserstein1,
 )
-from ccspace.distributions import ARRAY_KERNEL_ATOMS, ATOM_MERGE_RESOLUTION
+from ccspace import distribution_space, distributions, slln_run
+from ccspace.distributions import (
+    ARRAY_KERNEL_ATOMS,
+    ATOM_MERGE_RESOLUTION,
+    PROB_SUM_TOL,
+    _product_step_array,
+)
+from ccspace.fixtures import slln_law
 
 
 def brute_convolution(weights, dists):
@@ -302,6 +312,192 @@ def test_product_step_kernels_make_the_constructor_checks(n, f, message):
     with pytest.raises(ValueError, match=message) as got:
         scaled_convolution_combine([1.0, 1.0], [big, f])
     assert str(got.value) == str(expected.value)
+
+
+def outcome(step):
+    """The law ``step()`` returns, as bits, or the message of its ValueError."""
+    try:
+        return "law", bits(step())
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def loop_step(acc, w, f):
+    """One product step of the loop path: the array kernels' oracle."""
+    return DiscreteDistribution.of([a + w * b for a in acc.atoms for b in f.atoms],
+                                   [pa * pb for pa in acc.probs for pb in f.probs])
+
+
+# One-atom steps: weight 1e-13 pushes scaled gaps below the resolution (merges),
+# a negative weight reverses the atoms, and 0.0 sends every atom to one point.
+ONE_ATOM_WEIGHTS = (1.0, 0.5, 1e-13, -0.75, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(64, 400), st.sampled_from(LAW_KINDS),
+       st.sampled_from(ONE_ATOM_WEIGHTS), st.sampled_from(ONE_ATOM_WEIGHTS),
+       st.sampled_from((0.0, -0.0, 1.0, -2.5)), st.sampled_from((1.0, 1.0 - 2.0**-40)),
+       st.booleans())
+def test_one_atom_steps_match_the_loop_bit_for_bit(seed, n, kind, w1, w2, x, px, law_first):
+    # [law, dirac]: delta(0) (x) law has a one-atom acc, then the result (x)
+    # dirac a one-atom f; [dirac, law]: a one-atom acc at x * w1
+    law = law_from(random.Random(seed), n, kind)
+    dirac = DiscreteDistribution((x,), (px,))
+    dists = [law, dirac] if law_first else [dirac, law]
+    expected = outcome(lambda: general_convolution([w1, w2], dists))
+    assert outcome(lambda: scaled_convolution_combine([w1, w2], dists, atom_cap=None)) == expected
+
+
+@pytest.mark.parametrize("law_first,kind,w,shortcut", [
+    # delta (x) law scales the law by w
+    (False, "spread", 1.0, True),
+    (False, "lattice", 0.5, True),  # one signed zero among lattice atoms
+    (False, "spread", -0.75, False),  # decreasing atoms
+    (False, "spread", 0.0, False),
+    (False, "lattice", 1e-13, False),
+    (False, "chain", 1.0, False),  # 0.6e-12 gaps
+    # law (x) delta shifts the law by w * 0.25
+    (True, "spread", -0.75, True),
+    (True, "lattice", 1e-13, True),
+    (True, "chain", 1.0, False),
+])
+def test_one_atom_step_skips_the_sort_only_when_nothing_merges(monkeypatch, law_first, kind, w,
+                                                                shortcut):
+    law = law_from(random.Random(7), 300, kind)
+    dirac = DiscreteDistribution.delta(0.25)
+    acc, f = (law, dirac) if law_first else (dirac, law)
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    assert bits(_product_step_array(acc, w, f)) == bits(loop_step(acc, w, f))
+    assert sorts == ([] if shortcut else [1])
+
+
+def test_one_atom_step_drops_zero_probabilities():
+    law = law_from(random.Random(7), 300, "spread")
+    probs = list(law.probs)
+    probs[0], probs[1] = probs[0] + probs[1], 0.0
+    law = DiscreteDistribution(law.atoms, tuple(probs))
+    dirac = DiscreteDistribution.delta(0.25)
+    for acc, f in ((dirac, law), (law, dirac)):
+        got = _product_step_array(acc, 1.0, f)
+        assert bits(got) == bits(loop_step(acc, 1.0, f))
+        assert len(got) == len(law) - 1
+
+
+def test_slln_raw_track_takes_the_one_atom_step(monkeypatch):
+    # each step [(n-1)/n, S ; 1/n, X] scales S by delta(0) (x) S, and shifts
+    # it when X is a Dirac law: every such array step must skip the sort
+    steps = {"one-atom": 0, "other": 0}
+    sorts = []
+    product_step = distributions._product_step_array
+    lexsort = np.lexsort
+
+    def counted_step(acc, w, f):
+        steps["one-atom" if min(len(acc), len(f)) == 1 else "other"] += 1
+        return product_step(acc, w, f)
+
+    monkeypatch.setattr(distributions, "_product_step_array", counted_step)
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    slln_run(distribution_space(), slln_law("distributions", "bernoulli"), n_max=400, seed=5,
+             mode="raw_track")
+    assert steps["one-atom"] > steps["other"] > 0
+    assert len(sorts) == steps["other"]
+
+
+def boundary_masses():
+    """The floats one ulp inside and one ulp outside 1 +- PROB_SUM_TOL, as
+    ``_check_mass`` compares them."""
+    def inside(s):
+        return abs(s - 1.0) <= PROB_SUM_TOL
+
+    masses = {}
+    for side, away in (("above", 2.0), ("below", 0.0)):
+        s = 1.0
+        while inside(math.nextafter(s, away)):
+            s = math.nextafter(s, away)
+        masses["inside " + side] = s
+        masses["outside " + side] = math.nextafter(s, away)
+    return masses
+
+
+BOUNDARY_MASSES = boundary_masses()
+
+
+def probs_summing_to(n, target):
+    """n probabilities whose exact sum is ``target``, made so that a float sum
+    that starts from the first one misses it toward 1 by several ulps.
+
+    The first is 9/16; each other one but the last is a multiple of u = 2**-53,
+    the spacing of floats in [1/2, 1), plus 31/64 u (or 33/64 u below 1).  Each
+    addition to a running sum in [1/2, 1) then rounds the same way.
+    """
+    u = 2.0 ** -53
+    frac = 31 / 64 if target > 1.0 else 33 / 64
+    small = (math.floor((target - 0.5625) / (n - 1) / u) + frac) * u
+    rest = [0.5625] + [small] * (n - 2)
+    last = float(Fraction(target) - sum(map(Fraction, rest)))
+    probs = rest + [last]
+    assert math.fsum(probs) == target and 0.0 < last < 2 * small
+    return probs
+
+
+@pytest.mark.parametrize("atoms", [128, 1024])
+@pytest.mark.parametrize("other", [1, 2])
+@pytest.mark.parametrize("where", sorted(BOUNDARY_MASSES))
+def test_mass_check_at_the_tolerance_boundary(atoms, other, where):
+    # products of a law whose exact mass sits one ulp either side of the
+    # tolerance with delta(0), or with a two-atom law of probabilities 1/2:
+    # both multiply exactly, so the product mass is that mass
+    n = atoms // other
+    acc = DiscreteDistribution(tuple(map(float, range(n))),
+                               tuple(probs_summing_to(n, BOUNDARY_MASSES[where])))
+    f = DiscreteDistribution.delta(0.0) if other == 1 else DiscreteDistribution((0.0, 0.5),
+                                                                                (0.5, 0.5))
+    expected = outcome(lambda: loop_step(acc, 1.0, f))
+    assert expected[0] == ("law" if where.startswith("inside") else "error")
+    assert outcome(lambda: _product_step_array(acc, 1.0, f)) == expected
+
+
+@pytest.mark.parametrize("atoms", [128, 1024])
+@pytest.mark.parametrize("head", [
+    (math.nan, 0.5), (math.inf, 0.5), (math.inf, -math.inf), (1e308, 1e308),
+    (-0.25, 0.75),  # the mass is 1, but a probability is negative
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+def test_mass_check_on_non_finite_and_negative_probabilities(atoms, head):
+    tail = [0.5 / (atoms - 2)] * (atoms - 2)
+    acc = DiscreteDistribution(tuple(map(float, range(atoms))), head + tuple(tail))
+    f = DiscreteDistribution.delta(0.0)
+    expected = outcome(lambda: loop_step(acc, 1.0, f))
+    assert expected[0] == "error"
+    assert outcome(lambda: _product_step_array(acc, 1.0, f)) == expected
+
+
+@pytest.mark.parametrize("atoms", [128, 1024])
+def test_mass_check_when_negative_probabilities_cancel(atoms):
+    # a float sum that adds 1e17, 0.25 and -1e17 in turn loses the 0.25 and
+    # reads about 1; the exact mass is about 1.25, and that is the message
+    probs = [1.0 / (atoms - 3)] * atoms
+    probs[0], probs[8], probs[16] = 1e17, 0.25, -1e17
+    acc = DiscreteDistribution(tuple(map(float, range(atoms))), tuple(probs))
+    f = DiscreteDistribution.delta(0.0)
+    expected = outcome(lambda: loop_step(acc, 1.0, f))
+    assert expected[1].startswith("probabilities sum to 1.25")
+    assert outcome(lambda: _product_step_array(acc, 1.0, f)) == expected
+
+
+@pytest.mark.parametrize("n", [2, ARRAY_KERNEL_ATOMS])
+@pytest.mark.parametrize("head", [(math.inf, -math.inf), (1e308, 1e308)])
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+def test_a_mass_that_cannot_be_summed_reads_as_nan(n, head):
+    # math.fsum raises on both: inf + -inf, and an intermediate overflow
+    law = DiscreteDistribution(tuple(map(float, range(n))), head + (0.0,) * (n - 2))
+    message = r"^probabilities sum to nan, expected 1$"
+    with pytest.raises(ValueError, match=message):
+        DiscreteDistribution.of(law.atoms, law.probs)
+    with pytest.raises(ValueError, match=message):
+        scaled_convolution_combine([1.0], [law])
 
 
 def loop_wasserstein1(f, g):
