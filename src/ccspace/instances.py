@@ -55,7 +55,7 @@ def _dense_coords(j: int, dim: int) -> tuple[float, ...]:
 def _finite_vector(coords: tuple[float, ...]) -> tuple[float, ...]:
     """``coords``, or ValueError if a coordinate is NaN or infinite: a
     combination of vectors that are not all finite is no point of R^d."""
-    if not all(math.isfinite(c) for c in coords):
+    if not all(map(math.isfinite, coords)):
         raise ValueError("coordinates must be finite")
     return coords
 
