@@ -53,8 +53,8 @@ def _dense_coords(j: int, dim: int) -> tuple[float, ...]:
 
 
 def _finite_vector(coords: tuple[float, ...]) -> tuple[float, ...]:
-    """``coords``, or ValueError if a coordinate is NaN or infinite: a
-    combination of vectors that are not all finite is no point of R^d."""
+    """``coords``, or ValueError if a coordinate is NaN or infinite: such a
+    tuple, parsed or combined, is no point of R^d."""
     if not all(map(math.isfinite, coords)):
         raise ValueError("coordinates must be finite")
     return coords
