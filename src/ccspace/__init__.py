@@ -10,7 +10,6 @@ convolution.
 from .axioms import AxiomReport, CheckResult, check_axioms, check_cancellation
 from .core import (
     CombinationError,
-    ConvexifyError,
     SpaceContract,
     WeightedCombination,
     combine,
@@ -62,7 +61,6 @@ from .limits import (
     weight_perturbation_check,
 )
 from .probability import (
-    DenseSequence,
     DistanceTo,
     Filtration,
     FinitePartition,
@@ -73,14 +71,12 @@ from .probability import (
     check_ce_properties,
     conditional_expectation,
     delta_p,
-    dense_sequence_for,
     dyadic_filtration,
     expectation,
     jensen_check,
     martingale_convergence_trace,
     martingale_sequence,
     mix_elements,
-    psi_n,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -155,13 +155,10 @@ def check_axioms(
     iterates along doublings plus fixed-point behaviour on convex points;
     linearity, idempotence and non-expansiveness of the convexification
     operator; merging of a repeated convex term; and, on unbiased instances,
-    the identity behaviour of equal-weight self-combinations.  Checks needing
-    the convexification operator are skipped when the instance supplies no
-    exact form.
+    the identity behaviour of equal-weight self-combinations.
     """
     report = AxiomReport.for_space(space, tol, seed)
     d = space.distance
-    has_k = space.convexify_exact is not None
 
     for _, rng in seeded_trials(trials, seed):
         # commutativity: permuting terms leaves the value unchanged
@@ -231,43 +228,42 @@ def check_axioms(
         gap = d(combine(space, [(1.0, u), (0.0, v)]), u)
         report.check("unit_weight_identity").record(gap, u, v)
 
-        if has_k:
-            kx = space.convexify_exact(x)
+        kx = space.convexify_exact(x)
 
-            # convex points are fixed by equal-weight self-combination
-            worst = nan_max(d(self_combination(space, kx, n), kx) for n in (2, 3, 5))
-            report.check("convexification_fixed_point").record(worst, x, kx)
+        # convex points are fixed by equal-weight self-combination
+        worst = nan_max(d(self_combination(space, kx, n), kx) for n in (2, 3, 5))
+        report.check("convexification_fixed_point").record(worst, x, kx)
 
-            # idempotence, both as K(K x) = K x and K([w_j, x]_j) = K x
-            gap = d(space.convexify_exact(kx), kx)
-            ws = _sample_weights(rng, 3)
-            repeated = combine(space, [(w, x) for w in ws])
-            gap = nan_max(gap, d(space.convexify_exact(repeated), kx))
-            report.check("convexifier_idempotent").record(gap, x, ws)
+        # idempotence, both as K(K x) = K x and K([w_j, x]_j) = K x
+        gap = d(space.convexify_exact(kx), kx)
+        ws = _sample_weights(rng, 3)
+        repeated = combine(space, [(w, x) for w in ws])
+        gap = nan_max(gap, d(space.convexify_exact(repeated), kx))
+        report.check("convexifier_idempotent").record(gap, x, ws)
 
-            # linearity: K(combination) equals the combination of images
-            gap = d(
-                space.convexify_exact(combine(space, terms)),
-                combine(space, [(w, space.convexify_exact(p)) for w, p in terms]),
-            )
-            report.check("convexifier_linear").record(gap, terms)
+        # linearity: K(combination) equals the combination of images
+        gap = d(
+            space.convexify_exact(combine(space, terms)),
+            combine(space, [(w, space.convexify_exact(p)) for w, p in terms]),
+        )
+        report.check("convexifier_linear").record(gap, terms)
 
-            # non-expansiveness
-            ku = space.convexify_exact(u)
-            kv = space.convexify_exact(v)
-            report.check("convexifier_nonexpansive").record(d(ku, kv) - d(u, v), u, v)
+        # non-expansiveness
+        ku = space.convexify_exact(u)
+        kv = space.convexify_exact(v)
+        report.check("convexifier_nonexpansive").record(d(ku, kv) - d(u, v), u, v)
 
-            # a repeated convex term merges its weights; the outer term stays
-            # raw unless the instance cannot mix the two representations
-            outer = u
-            l1, l2, l3 = _sample_weights(rng, 3)
-            try:
-                lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
-            except TypeError:
-                outer = space.convexify_exact(u)
-                lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
-            gap = d(lhs, combine(space, [(l1, outer), (l2 + l3, kv)]))
-            report.check("repeated_convex_merge").record(gap, l1, l2, l3, outer, kv)
+        # a repeated convex term merges its weights; the outer term stays
+        # raw unless the instance cannot mix the two representations
+        outer = u
+        l1, l2, l3 = _sample_weights(rng, 3)
+        try:
+            lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
+        except TypeError:
+            outer = space.convexify_exact(u)
+            lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
+        gap = d(lhs, combine(space, [(l1, outer), (l2 + l3, kv)]))
+        report.check("repeated_convex_merge").record(gap, l1, l2, l3, outer, kv)
 
         if space.unbiased:
             # unbiased instances: self-combinations leave every point fixed
@@ -302,11 +298,7 @@ def check_cancellation(
 
     def pick(rng: random.Random) -> Point:
         p = space.sample(rng)
-        if convex_points:
-            if space.convexify_exact is None:
-                raise ValueError("convex-point sampling needs an exact convexification")
-            return space.convexify_exact(p)
-        return p
+        return space.convexify_exact(p) if convex_points else p
 
     for _, rng in seeded_trials(trials, seed):
         x = pick(rng)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from . import fixtures
 from .axioms import AxiomReport, check_axioms, check_cancellation
-from .core import ConvexifyError, convexify
+from .core import convexify
 from .embedding import embedding_suite
 from .geometry import EnumerationCapError
 from .instances import SPACE_NAMES, get_space
@@ -86,6 +86,16 @@ class RunConfig:
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "command"}
 
 
+def _boolean(text: str) -> bool:
+    """1/0, true/false or yes/no, in any case."""
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
+
+
 # RunConfig field -> (flag, type, further argparse keywords).  Config files
 # use the field names as keys and the same types.
 _FLAGS = {
@@ -105,8 +115,7 @@ _FLAGS = {
     "modulus": ("--modulus", int, {}),
     "step": ("--step", int, {}),
     "scale": ("--scale", float, {}),
-    "raw_points": ("--raw-points", lambda v: v.lower() in ("1", "true", "yes"),
-                   {"action": "store_true"}),
+    "raw_points": ("--raw-points", _boolean, {"action": "store_true"}),
 }
 
 
@@ -124,7 +133,10 @@ def load_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _FLAGS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _FLAGS[key][1](value.strip())
+            try:
+                out[key] = _FLAGS[key][1](value.strip())
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
@@ -491,10 +503,8 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EnumerationCapError, ConvexifyError) as exc:
-        limit = ("selection enumeration cap" if isinstance(exc, EnumerationCapError)
-                 else "convexification doubling budget")
-        print(f"error: request exceeds the {limit}: {exc}", file=sys.stderr)
+    except EnumerationCapError as exc:
+        print(f"error: request exceeds the selection enumeration cap: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # a library defect, not a violation: keep exit 1 for violations found

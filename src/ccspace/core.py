@@ -1,9 +1,9 @@
 """Core contract for metric spaces carrying an n-ary convex combination.
 
-A space instance supplies a metric, an n-ary weighted combination, and
-optionally an exact convexification operator, a deterministic dense point
-enumeration, and a seeded point sampler.  Everything else in the package
-(checkers, expectation, limit experiments) is generic over this contract.
+A space instance supplies a metric, an n-ary weighted combination, its
+closed-form convexification operator and a seeded point sampler.  Everything
+else in the package (checkers, expectation, limit experiments) is generic over
+this contract.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 Point = Any
 Terms = Sequence[tuple[float, Point]]
@@ -27,14 +27,6 @@ INEXACT_TOL = 1e-6
 
 class CombinationError(ValueError):
     """Empty term list, negative weight, or weight sum off 1 beyond tolerance."""
-
-
-class ConvexifyError(RuntimeError):
-    """Equal-weight self-combinations failed to settle within the budget."""
-
-    def __init__(self, message: str, last_gap: float):
-        super().__init__(message)
-        self.last_gap = last_gap
 
 
 @dataclass(frozen=True)
@@ -74,21 +66,19 @@ class SpaceContract:
 
     ``combine_terms`` receives at least two terms with positive weights whose
     sum has already been validated; single-term combinations never reach it.
-    ``convexify_exact`` maps a point to its convexification when the instance
-    has a closed form; ``dense_point`` deterministically enumerates a dense
-    sequence whose index-0 element must be a convex point; ``sampler`` draws a
-    random point from a bounded region for property testing.  ``unbiased``
-    marks instances whose convexification is the identity, and ``exact``
-    distinguishes exact arithmetic from resampling instances (which get the
-    looser default check tolerance).
+    ``convexify_exact`` maps a point to its convexification in closed form;
+    ``sampler`` draws a random point from a bounded region for property
+    testing.  Both are required.  ``unbiased`` marks instances whose
+    convexification is the identity, and ``exact`` distinguishes exact
+    arithmetic from resampling instances (which get the looser default check
+    tolerance).
     """
 
     name: str
     distance: Callable[[Point, Point], float]
     combine_terms: Callable[[Terms], Point]
-    convexify_exact: Optional[Callable[[Point], Point]] = None
-    dense_point: Optional[Callable[[int], Point]] = None
-    sampler: Optional[Callable[[random.Random], Point]] = None
+    convexify_exact: Callable[[Point], Point]
+    sampler: Callable[[random.Random], Point]
     unbiased: bool = False
     exact: bool = True
 
@@ -97,8 +87,6 @@ class SpaceContract:
         return EXACT_TOL if self.exact else INEXACT_TOL
 
     def sample(self, rng: random.Random) -> Point:
-        if self.sampler is None:
-            raise ValueError(f"space {self.name!r} has no sampler")
         return self.sampler(rng)
 
 
@@ -130,28 +118,10 @@ def uniform_mix(space: SpaceContract, points: Sequence[Point]) -> Point:
     return space.combine_terms([(w, p) for p in points])
 
 
-def convexify(space: SpaceContract, x: Point, tol: float = 1e-9, max_doublings: int = 20) -> Point:
-    """Convexification of ``x``: the limit of equal-weight self-combinations.
-
-    Uses the instance's exact operator when available; otherwise iterates
-    n = 1, 2, 4, ..., 2**max_doublings and returns the first iterate whose
-    distance to its successor drops below ``tol``.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if space.convexify_exact is not None:
-        return space.convexify_exact(x)
-    current = x
-    for _ in range(max_doublings):
-        # doubling reuses the previous iterate: [1/2n, x]^{2n} = m(y_n, y_n)
-        successor = midpoint(space, current, current)
-        gap = space.distance(current, successor)
-        if gap < tol:
-            return current
-        current = successor
-    raise ConvexifyError(
-        f"no convergence within {max_doublings} doublings (last gap {gap!r})", gap
-    )
+def convexify(space: SpaceContract, x: Point) -> Point:
+    """Convexification of ``x``: the limit of equal-weight self-combinations,
+    given in closed form by the instance."""
+    return space.convexify_exact(x)
 
 
 def self_combination(space: SpaceContract, x: Point, n: int) -> Point:

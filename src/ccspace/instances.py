@@ -31,25 +31,8 @@ from .geometry import (
 
 SPACE_NAMES = ("euclidean", "power", "compact-sets", "distributions")
 
-_VDC_BASES = (2, 3, 5)
 _SAMPLE_RANGE = 5.0
 _SAMPLE_SIZE = 3  # most points (compact-sets) or atoms (distributions) in a sample
-
-
-def _van_der_corput(j: int, base: int) -> float:
-    x = 0.0
-    denom = 1.0
-    while j > 0:
-        j, digit = divmod(j, base)
-        denom *= base
-        x += digit / denom
-    return x
-
-
-def _dense_coords(j: int, dim: int) -> tuple[float, ...]:
-    if j == 0:
-        return (0.0,) * dim
-    return tuple(16.0 * _van_der_corput(j, _VDC_BASES[c]) - 8.0 for c in range(dim))
 
 
 def _finite_vector(coords: tuple[float, ...]) -> tuple[float, ...]:
@@ -79,7 +62,6 @@ def euclidean_space(dim: int = 2) -> SpaceContract:
         distance=_point_dist,
         combine_terms=combine_terms,
         convexify_exact=lambda x: x,
-        dense_point=lambda j: _dense_coords(j, dim),
         sampler=_vector_sampler(dim),
         unbiased=True,
     )
@@ -101,7 +83,6 @@ def power_space(r: float = 2.0, dim: int = 1) -> SpaceContract:
         distance=_point_dist,
         combine_terms=combine_terms,
         convexify_exact=lambda x: (0.0,) * dim,
-        dense_point=lambda j: _dense_coords(j, dim),
         sampler=_vector_sampler(dim),
         unbiased=False,
     )
@@ -119,15 +100,6 @@ def _set_sampler(dim: int):
         return FinitePointSet.of(pts)
 
     return sample
-
-
-def _dense_compact(j: int, dim: int) -> FinitePointSet:
-    base = _dense_coords(j, dim)
-    if j == 0 or j % 2 == 1:
-        return FinitePointSet.of([base])
-    offset = 1.0 / ((j % 7) + 2)
-    other = tuple(c + offset for c in base)
-    return FinitePointSet.of([base, other])
 
 
 def compact_sets_space(dim: int = 1, cap: int = ENUMERATION_CAP) -> SpaceContract:
@@ -155,7 +127,6 @@ def compact_sets_space(dim: int = 1, cap: int = ENUMERATION_CAP) -> SpaceContrac
         distance=hausdorff_distance,
         combine_terms=combine_terms,
         convexify_exact=convexify_exact,
-        dense_point=lambda j: _dense_compact(j, dim),
         sampler=_set_sampler(dim),
         unbiased=False,
     )
@@ -175,15 +146,6 @@ def _sample_distribution(rng: random.Random) -> DiscreteDistribution:
     return DiscreteDistribution.of(atoms, probs)
 
 
-def _dense_distribution(j: int) -> DiscreteDistribution:
-    if j == 0:
-        return DiscreteDistribution.delta(0.0)
-    x = 16.0 * _van_der_corput(j, 2) - 8.0
-    if j % 2 == 1:
-        return DiscreteDistribution.delta(x)
-    return DiscreteDistribution.of([x, x + 1.0], [0.5, 0.5])
-
-
 def distribution_space() -> SpaceContract:
     def combine_terms(terms: Terms) -> DiscreteDistribution:
         weights = [w for w, _ in terms]
@@ -195,7 +157,6 @@ def distribution_space() -> SpaceContract:
         distance=wasserstein1,
         combine_terms=combine_terms,
         convexify_exact=lambda f: DiscreteDistribution.delta(f.mean()),
-        dense_point=_dense_distribution,
         sampler=_sample_distribution,
         unbiased=False,
         exact=False,  # laws past ATOM_CAP atoms are quantile-resampled

@@ -42,11 +42,12 @@ DIRECT_CHECK_LENGTHS = frozenset(2 ** k for k in range(7))
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Distances d_n over an index list, with a pass verdict on the tail.
+    """Distances d_n over an index list, with a pass verdict on the last one.
 
-    Traces built incrementally carry ``direct_check_gap``, the worst distance
-    between a running value and its direct evaluation; beyond ``EXACT_TOL``
-    it fails the verdict.
+    The verdict passes when the last distance is within ``tolerance`` and no
+    distance in the trace is NaN.  Traces built incrementally carry
+    ``direct_check_gap``, the worst distance between a running value and its
+    direct evaluation; beyond ``EXACT_TOL`` it fails the verdict.
     """
 
     indices: tuple[int, ...]
@@ -62,7 +63,6 @@ class ConvergenceTrace:
         distances: Sequence[float],
         target: str,
         tolerance: float,
-        window: int = 1,
         direct_check_gap: Optional[float] = None,
     ) -> "ConvergenceTrace":
         indices = tuple(int(i) for i in indices)
@@ -71,8 +71,8 @@ class ConvergenceTrace:
             raise ValueError("indices and distances must align and be nonempty")
         if any(d < 0.0 for d in distances):
             raise ValueError("distances must be nonnegative")
-        # a NaN distance in the tail, or a NaN gap, fails the verdict
-        passed = all(d <= tolerance for d in distances[-window:])
+        # a NaN distance anywhere, or a NaN gap, fails the verdict
+        passed = distances[-1] <= tolerance and not any(map(math.isnan, distances))
         if direct_check_gap is not None:
             direct_check_gap = float(direct_check_gap)
             passed = passed and direct_check_gap <= EXACT_TOL

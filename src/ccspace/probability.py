@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 from .axioms import AxiomReport, CheckResult, _sample_weights, nan_max, seeded_trials
 from .core import EXACT_TOL, Point, SpaceContract, combine, convexify
@@ -169,27 +169,6 @@ def dyadic_filtration(omega: FiniteSampleSpace) -> Filtration:
     return Filtration.of(parts)
 
 
-@dataclass(frozen=True)
-class DenseSequence:
-    """Deterministic enumeration u_0, u_1, ... with u_0 a convex point."""
-
-    space: SpaceContract
-    point_at: Callable[[int], Point]
-
-    def validate_origin(self, tol: float = 1e-9) -> None:
-        u0 = self.point_at(0)
-        if self.space.distance(convexify(self.space, u0, tol=tol), u0) > tol:
-            raise ValueError("dense sequence must start at a convex point")
-
-
-def dense_sequence_for(space: SpaceContract) -> DenseSequence:
-    if space.dense_point is None:
-        raise ValueError(f"space {space.name!r} declares no dense sequence")
-    ds = DenseSequence(space, space.dense_point)
-    ds.validate_origin()
-    return ds
-
-
 # ---------------------------------------------------------------------------
 # expectation and conditional expectation
 
@@ -238,20 +217,6 @@ def mix_elements(lam: float, x: RandomElement, y: RandomElement) -> RandomElemen
 def _check_same_base(x: RandomElement, y: RandomElement) -> None:
     if x.space is not y.space or x.sample_space != y.sample_space:
         raise ValueError("random elements must share space and sample space")
-
-
-def psi_n(x: Point, ds: DenseSequence, n: int) -> Point:
-    """Nearest of u_0..u_n with ties broken toward the smallest index."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    best = ds.point_at(0)
-    best_d = ds.space.distance(best, x)
-    for j in range(1, n + 1):
-        candidate = ds.point_at(j)
-        dist = ds.space.distance(candidate, x)
-        if dist < best_d:
-            best, best_d = candidate, dist
-    return best
 
 
 def conditional_expectation(x: RandomElement, g: FinitePartition) -> RandomElement:

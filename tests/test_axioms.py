@@ -221,16 +221,3 @@ def test_cancellation_raw_power_space_matches_closed_form():
     assert abs(lhs - (1 - lam) * abs(y[0] - z[0])) == pytest.approx(
         lam * (1 - lam) * abs(y[0] - z[0]), abs=1e-12
     )
-
-
-def test_cancellation_convex_mode_requires_exact_convexifier():
-    base = euclidean_space(1)
-    stripped = SpaceContract(
-        name="no-k",
-        distance=base.distance,
-        combine_terms=base.combine_terms,
-        convexify_exact=None,
-        sampler=base.sampler,
-    )
-    with pytest.raises(ValueError):
-        check_cancellation(stripped, trials=1)

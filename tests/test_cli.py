@@ -10,7 +10,6 @@ import pytest
 
 from ccspace import cli, compact_sets_space
 from ccspace.cli import main
-from ccspace.core import ConvexifyError
 from ccspace.fixtures import load_fixture_file, parse_fixture_lines
 from ccspace.geometry import ConvexPolytope, EnumerationCapError
 from ccspace.instances import parse_point
@@ -298,6 +297,30 @@ def test_config_file_values_obey_the_flag_choices(line, message, tmp_path, monke
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("value,expected", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("nO", False),
+])
+def test_config_file_raw_points_reads_booleans(value, expected, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"raw_points = {value}\n")
+    out = tmp_path / "cancel.json"
+    args = ["cancellation", "--config", str(cfg), "--trials", "2", "--out", str(out)]
+    # raw euclidean points satisfy the law, so the expected failure is not
+    # confirmed and the run exits 1
+    assert run_cli(args, monkeypatch=monkeypatch) == (1 if expected else 0)
+    assert json.loads(out.read_text())["params"]["raw_points"] is expected
+
+
+@pytest.mark.parametrize("value", ["ture", "2", "on", ""])
+def test_config_file_raw_points_rejects_non_booleans(value, tmp_path, monkeypatch, capsys):
+    # a misspelt boolean used to read as false and run the command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"space = euclidean\nraw_points = {value}\n")
+    assert run_cli(["cancellation", "--config", str(cfg)], monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {cfg}:2: raw_points: expected 1/0, true/false or yes/no, got {value!r}\n")
+
+
 @pytest.mark.parametrize("args,flag", [
     (["battery", "--space", "power"], "--space"),
     (["battery", "--dim", "2"], "--dim"),
@@ -529,8 +552,6 @@ def test_nan_probability_in_fixture_file_is_usage_error(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("error,limit", [
     (EnumerationCapError("5000 selection points exceed cap 4096"),
      "selection enumeration cap"),
-    (ConvexifyError("no convergence within 20 doublings (last gap 0.5)", 0.5),
-     "convexification doubling budget"),
 ])
 def test_instance_limit_errors_exit_two(error, limit, monkeypatch, capsys):
     def handler(cfg):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from ccspace import (
     CombinationError,
-    ConvexifyError,
     FinitePointSet,
     WeightedCombination,
     combine,
@@ -67,7 +67,7 @@ def test_power_combination_matches_closed_form():
 def test_vector_combination_rejects_non_finite_points(space, bad):
     # points built in code skip the text parser's check; the combination
     # must not hand back a NaN or infinite coordinate
-    dim = len(space.dense_point(1))
+    dim = len(space.sample(random.Random(0)))
     with pytest.raises(ValueError, match="coordinates must be finite"):
         combine(space, [(0.5, (bad,) + (0.0,) * (dim - 1)), (0.5, (1.0,) * dim)])
 
@@ -93,38 +93,14 @@ def test_convexify_uses_exact_operator():
     assert convexify(euclid, (3.5,)) == (3.5,)
 
 
-def test_convexify_iterative_path():
-    base = compact_sets_space(1)
-    space = SpaceContract(
-        name="compact-no-exact",
-        distance=base.distance,
-        combine_terms=base.combine_terms,
-        convexify_exact=None,
-        sampler=base.sampler,
-    )
-    got = convexify(space, FinitePointSet.of([(0.0,), (1.0,)]), tol=0.02)
-    # iterate {k/n} has successor gap 1/(2n); the first below 0.02 is n = 32
-    assert len(got) == 33
-    assert got.points[0] == (0.0,) and got.points[-1] == (1.0,)
-
-
-def test_convexify_reports_non_convergence():
-    base = compact_sets_space(1)
-    space = SpaceContract(
-        name="compact-no-exact",
-        distance=base.distance,
-        combine_terms=base.combine_terms,
-        convexify_exact=None,
-        sampler=base.sampler,
-    )
-    with pytest.raises(ConvexifyError) as err:
-        convexify(space, FinitePointSet.of([(0.0,), (1.0,)]), tol=1e-6, max_doublings=4)
-    assert err.value.last_gap > 1e-6
-
-
-def test_convexify_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        convexify(euclidean_space(1), (0.0,), tol=0.0)
+@pytest.mark.parametrize("missing", ["convexify_exact", "sampler"])
+def test_space_contract_requires_convexifier_and_sampler(missing):
+    base = euclidean_space(1)
+    fields = dict(name="partial", distance=base.distance, combine_terms=base.combine_terms,
+                  convexify_exact=base.convexify_exact, sampler=base.sampler)
+    del fields[missing]
+    with pytest.raises(TypeError, match=missing):
+        SpaceContract(**fields)
 
 
 @settings(max_examples=100, deadline=None)

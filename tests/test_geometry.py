@@ -259,13 +259,42 @@ def test_hausdorff_rejects_dim_mismatch():
         hausdorff_distance(FinitePointSet.of([(0.0,)]), FinitePointSet.of([(0.0, 0.0)]))
 
 
+def _contains_all(poly, pts):
+    """``_polygon_contains`` on each row of ``pts``: one half-plane test per
+    edge, with the cross product evaluated in ``_cross``'s operation order."""
+    verts = poly.vertices
+    n = len(verts)
+    inside = np.full(len(pts), n >= 3)
+    for i in range(n):
+        (ox, oy), (ax, ay) = verts[i], verts[(i + 1) % n]
+        inside &= ~((ax - ox) * (pts[:, 1] - oy) - (ay - oy) * (pts[:, 0] - ox) < 0.0)
+    return inside
+
+
+def test_contains_all_matches_polygon_contains():
+    rng = random.Random(5)
+    for _ in range(10):
+        poly = convex_hull(
+            FinitePointSet.of([(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(6)])
+        )
+        # grid points, the vertices and edge midpoints sit on or next to the boundary
+        verts = poly.vertices
+        on_edges = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+                    for a, b in zip(verts, verts[1:] + verts[:1])]
+        pts = np.array(
+            [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(300)] + list(verts) + on_edges
+        )
+        assert _contains_all(poly, pts).tolist() == [_polygon_contains(poly, p) for p in pts]
+    segment = ConvexPolytope(((0.0, 0.0), (1.0, 1.0)))
+    assert not _contains_all(segment, np.array([(0.5, 0.5)])).any()
+
+
 def _grid_covering_radius(poly, sites, k=220):
     arr = np.array(poly.vertices)
     lo, hi = arr.min(0), arr.max(0)
     gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], k), np.linspace(lo[1], hi[1], k))
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    inside = np.array([_polygon_contains(poly, p) for p in pts])
-    pts = pts[inside]
+    pts = pts[_contains_all(poly, pts)]
     dists = np.sqrt(((pts[:, None, :] - sites.arr[None, :, :]) ** 2).sum(2)).min(1)
     return float(dists.max()) if len(dists) else 0.0
 

@@ -53,7 +53,7 @@ def test_trace_build_validation():
 
 @pytest.mark.parametrize("tail", [[math.nan, 0.01], [0.01, math.nan]])
 def test_trace_with_nan_in_tail_fails(tail):
-    assert not ConvergenceTrace.build([1, 2, 3], [0.5, *tail], "x", 0.05, window=2).verdict
+    assert not ConvergenceTrace.build([1, 2, 3], [0.5, *tail], "x", 0.05).verdict
 
 
 # ---------------------------------------------------------------------------

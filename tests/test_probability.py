@@ -23,7 +23,6 @@ from ccspace import (
     conditional_expectation,
     convexify,
     delta_p,
-    dense_sequence_for,
     distribution_space,
     dyadic_filtration,
     embed,
@@ -34,12 +33,10 @@ from ccspace import (
     martingale_sequence,
     mix_elements,
     power_space,
-    psi_n,
 )
 from ccspace import cli, probability
 from ccspace.embedding import combine_support_vectors, direction_set_for, sup_norm_gap
 from ccspace.probability import (
-    DenseSequence,
     Filtration,
     FinitePartition,
     expectation_identity_suite,
@@ -281,42 +278,6 @@ def test_embedding_witness_for_expectation():
             list(omega.probs), [embed(h, dirs) for h in hulls]
         )
         assert sup_norm_gap(embed(ex, dirs), weighted) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# dense sequences and psi_n
-
-
-def test_psi_n_spec_examples():
-    ds = DenseSequence(E1, lambda j: ((0.0,), (1.0,), (0.5,))[j] if j < 3 else (float(j),))
-    assert psi_n((0.6,), ds, 2) == (0.5,)
-    assert psi_n((0.0,), ds, 7) == (0.0,)
-    # exact tie at distance 0.5: smallest index wins
-    assert psi_n((0.5,), ds, 1) == (0.0,)
-
-
-def test_psi_n_growth_bound_on_instances():
-    for space in (E1, euclidean_space(2), power_space(2.0, 1), CS1, distribution_space()):
-        ds = dense_sequence_for(space)
-        u0 = ds.point_at(0)
-        rng = random.Random(13)
-        for _ in range(40):
-            x = space.sample(rng)
-            for n in (0, 1, 5, 20):
-                proj = psi_n(x, ds, n)
-                assert space.distance(u0, proj) <= 2.0 * space.distance(u0, x) + 1e-12
-
-
-def test_dense_sequence_origin_must_be_convex():
-    bad = DenseSequence(power_space(2.0, 1), lambda j: (1.0,))
-    with pytest.raises(ValueError):
-        bad.validate_origin()
-
-
-def test_psi_n_rejects_negative_n():
-    ds = dense_sequence_for(E1)
-    with pytest.raises(ValueError):
-        psi_n((0.0,), ds, -1)
 
 
 # ---------------------------------------------------------------------------
