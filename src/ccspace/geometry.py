@@ -9,7 +9,9 @@ for every pairing of the two, including point-set versus polytope.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -19,6 +21,10 @@ import numpy as np
 # Points closer than this (per coordinate) are considered duplicates.
 DEDUP_RESOLUTION = 1e-12
 ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
+# the covering radius holds at most this many candidate-site distances, for
+# at most _NEAREST_ROWS candidates, at once
+_NEAREST_BLOCK = 1 << 18
+_NEAREST_ROWS = 256
 
 
 class EnumerationCapError(RuntimeError):
@@ -27,18 +33,46 @@ class EnumerationCapError(RuntimeError):
 
 def _dedup_sorted(points: list[tuple[float, ...]]) -> tuple[tuple[float, ...], ...]:
     """Sort ``points``, dropping each within ``DEDUP_RESOLUTION`` (per coordinate)
-    of a kept one; only kept points that close in the first coordinate can be."""
+    of a kept one; only kept points that close in the first coordinate can be.
+
+    The scan keeps points in sorted order and drops ``p`` when some kept ``q``
+    has ``p[0] - q[0]`` and ``|q[1] - p[1]|`` both within the resolution.  In
+    d=1 the last kept point is the only candidate.  In d=2 the kept points
+    are grouped into columns of equal first coordinate, and the y values of
+    a column are ascending, so only the two nearest to ``p[1]`` can match.
+    """
     points.sort()
-    kept: list[tuple[float, ...]] = []
-    for p in points:
-        for q in reversed(kept):
-            if p[0] - q[0] > DEDUP_RESOLUTION:
+    if not points:
+        return ()
+    if len(points[0]) == 1:
+        kept = [points[0]]
+        last = points[0][0]
+        for p in points:
+            if p[0] - last > DEDUP_RESOLUTION:
                 kept.append(p)
+                last = p[0]
+        return tuple(kept)
+    kept = []
+    xs: list[float] = []  # first coordinate of each column of kept points
+    cols: list[list[float]] = []  # ascending second coordinates per column
+    for p in points:
+        x, y = p
+        k = len(xs) - 1
+        while k >= 0 and x - xs[k] <= DEDUP_RESOLUTION:
+            ys = cols[k]
+            i = bisect_left(ys, y)
+            if (i < len(ys) and abs(ys[i] - y) <= DEDUP_RESOLUTION) or (
+                i and abs(ys[i - 1] - y) <= DEDUP_RESOLUTION
+            ):
                 break
-            if all(abs(a - b) <= DEDUP_RESOLUTION for a, b in zip(q, p)):
-                break
+            k -= 1
         else:
             kept.append(p)
+            if xs and xs[-1] == x:
+                cols[-1].append(y)
+            else:
+                xs.append(x)
+                cols.append([y])
     return tuple(kept)
 
 
@@ -56,6 +90,8 @@ class FinitePointSet:
         dims = {len(p) for p in pts}
         if len(dims) != 1:
             raise ValueError("points must share one dimension")
+        if not dims <= {1, 2}:
+            raise ValueError("points must have dimension 1 or 2")
         for p in pts:
             if any(not math.isfinite(c) for c in p):
                 raise ValueError("coordinates must be finite")
@@ -157,6 +193,25 @@ def convex_hull(a: FinitePointSet) -> ConvexPolytope:
     return ConvexPolytope(_canonical_polygon(hull))
 
 
+def _scaled(w: float, points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    if len(points[0]) == 1:
+        return [(w * x,) for (x,) in points]
+    return [(w * x, w * y) for x, y in points]
+
+
+def _sums(acc: Sequence[tuple[float, ...]], wq: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    if len(acc[0]) == 1:
+        return [(p + q,) for (p,) in acc for (q,) in wq]
+    return [(px + qx, py + qy) for px, py in acc for qx, qy in wq]
+
+
+def _self_sums(acc: list[tuple[float, ...]], wq: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    """``acc[i] + wq[j]`` for ``i <= j`` only, where ``acc[i]`` is ``0.0 + wq[i]``."""
+    if len(acc[0]) == 1:
+        return [(p + q,) for i, (p,) in enumerate(acc) for (q,) in wq[i:]]
+    return [(px + qx, py + qy) for i, (px, py) in enumerate(acc) for qx, qy in wq[i:]]
+
+
 def minkowski_combine(
     weights: Sequence[float], sets: Sequence[FinitePointSet], cap: int = ENUMERATION_CAP
 ) -> FinitePointSet:
@@ -164,6 +219,13 @@ def minkowski_combine(
 
     Enumerates selections incrementally with deduplication.  An intermediate
     set of more than ``cap`` points raises ``EnumerationCapError``.
+
+    A combination of a set with itself at equal weights, such as a midpoint
+    ``[1/2, (A, A)]``, enumerates each unordered pair once.  The pair (i, j)
+    gives ``(0.0 + w a_i) + w a_j``; IEEE addition is commutative and
+    ``0.0 + v`` changes only the sign of a zero, so (j, i) gives the same
+    bits.  That holds only while the first step keeps every point, since
+    the second step pairs the kept points with every point of the set.
     """
     if len(weights) != len(sets):
         raise ValueError("weights and sets must align")
@@ -172,13 +234,19 @@ def minkowski_combine(
     dim = sets[0].dim
     if any(s.dim != dim for s in sets):
         raise ValueError("sets must share one dimension")
-    acc: tuple[tuple[float, ...], ...] = ((0.0,) * dim,)
-    for w, s in zip(weights, sets):
-        acc = _dedup_sorted([
-            tuple(pc + w * qc for pc, qc in zip(p, q))
-            for p in acc
-            for q in s.points
-        ])
+    acc: Sequence[tuple[float, ...]] = ((0.0,) * dim,)
+    for k, (w, s) in enumerate(zip(weights, sets)):
+        wq = _scaled(w, s.points)
+        if k == 0:
+            first = _sums(acc, wq)  # 0.0 + w q, in the order of s.points
+            acc = _dedup_sorted(list(first))
+            symmetric = (
+                len(sets) == 2 and weights[1] == w and sets[1] == s and len(acc) == len(first)
+            )
+        elif symmetric:
+            acc = _dedup_sorted(_self_sums(first, wq))
+        else:
+            acc = _dedup_sorted(_sums(acc, wq))
         if len(acc) > cap:
             raise EnumerationCapError(f"{len(acc)} selection points exceed cap {cap}")
     return FinitePointSet(acc)
@@ -294,6 +362,18 @@ def _polygon_contains(poly: ConvexPolytope, p: Sequence[float]) -> bool:
     return True
 
 
+def _polygon_contains_all(poly: ConvexPolytope, pts: np.ndarray) -> np.ndarray:
+    """``_polygon_contains`` on each row of ``pts``: one half-plane test per
+    edge, with the cross product evaluated in ``_cross``'s operation order."""
+    verts = poly.vertices
+    n = len(verts)
+    inside = np.full(len(pts), n >= 3)
+    for i in range(n):
+        (ox, oy), (ax, ay) = verts[i], verts[(i + 1) % n]
+        inside &= ~((ax - ox) * (pts[:, 1] - oy) - (ay - oy) * (pts[:, 0] - ox) < 0.0)
+    return inside
+
+
 def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
     if poly.dim == 1:
         x = p[0]
@@ -350,9 +430,11 @@ def _bisector_edge_hits(
     sites: Sequence[Sequence[float]],
     edges: Sequence[tuple[tuple[float, float], tuple[float, float]]],
     pairs: Iterable[tuple[int, int, int]],
-) -> list[tuple[float, float]]:
-    """Where the bisector of sites ``i < j`` crosses edge ``e``, per ``(i, j, e)``."""
+) -> tuple[list[tuple[float, float]], list[int]]:
+    """Where the bisector of sites ``i < j`` crosses edge ``e``, per ``(i, j, e)``,
+    and the site ``i`` of each crossing."""
     hits: list[tuple[float, float]] = []
+    owners: list[int] = []
     for i, j, e in pairs:
         sx, sy = sites[i]
         tx, ty = sites[j]
@@ -366,13 +448,15 @@ def _bisector_edge_hits(
         t = ((mx - a[0]) * dx + (my - a[1]) * dy) / denom
         if 0.0 <= t <= 1.0:
             hits.append((a[0] + t * ex, a[1] + t * ey))
-    return hits
+            owners.append(i)
+    return hits, owners
 
 
-def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Circumcenters of the site triples in the rows of ``idx`` (collinear ones dropped)."""
+def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Circumcenters of the site triples in the rows of ``idx`` (collinear ones
+    dropped), and the first site of each kept triple."""
     if len(idx) == 0:
-        return np.empty((0, 2))
+        return np.empty((0, 2)), np.empty(0, dtype=int)
     a, b, c = sites[idx[:, 0]], sites[idx[:, 1]], sites[idx[:, 2]]
     d = 2.0 * (a[:, 0] * (b[:, 1] - c[:, 1]) + b[:, 0] * (c[:, 1] - a[:, 1]) + c[:, 0] * (a[:, 1] - b[:, 1]))
     mask = np.abs(d) > 1e-14
@@ -382,7 +466,97 @@ def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> np.ndarray:
     c2 = (c * c).sum(axis=1)
     ux = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1]) + c2 * (a[:, 1] - b[:, 1])) / d
     uy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0]) + c2 * (b[:, 0] - a[:, 0])) / d
-    return np.column_stack([ux, uy])
+    return np.column_stack([ux, uy]), idx[mask, 0]
+
+
+def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray, owners: np.ndarray | None = None) -> float:
+    """Largest distance from a row of ``cands`` to its nearest site.
+
+    The value is that of the full candidate-by-site distance matrix; since
+    sqrt is monotone, it is the root of the least squared distance.  With
+    ``owners``, candidate ``k`` is within ``rho = |c_k - s_owners[k]|`` of a
+    site, so only sites whose x lies within ``rho`` (padded for rounding) of
+    its x can be nearer; the sites are sorted by x and the candidates taken
+    in x order, so each block of candidates meets one slice of sites.
+    """
+    order = np.argsort(sites[:, 0], kind="stable")
+    sx, sy = sites[order, 0], sites[order, 1]
+    cx, cy = cands[:, 0], cands[:, 1]
+    if owners is None:
+        lo = np.zeros(len(cands), dtype=int)
+        hi = np.full(len(cands), len(sites))
+    else:
+        dx, dy = cx - sites[owners, 0], cy - sites[owners, 1]
+        rho = np.sqrt(dx * dx + dy * dy) * (1.0 + 1e-9) + 1e-12 * np.abs(cx)
+        lo = np.searchsorted(sx, cx - rho, "left")
+        hi = np.searchsorted(sx, cx + rho, "right")
+        # past the float range, a candidate meets every site, so NaN propagates
+        wide = ~(np.isfinite(cx) & np.isfinite(rho))
+        lo[wide], hi[wide] = 0, len(sites)
+    by_x = np.argsort(cx, kind="stable")
+    step = max(1, min(_NEAREST_ROWS, _NEAREST_BLOCK // len(sites)))
+    worst = []
+    for start in range(0, len(by_x), step):
+        rows = by_x[start:start + step]
+        first, last = int(lo[rows].min()), int(hi[rows].max())
+        dx = cx[rows, None] - sx[first:last]
+        dy = cy[rows, None] - sy[first:last]
+        worst.append(np.sqrt((dx * dx + dy * dy).min(axis=1)).max())
+    return float(np.max(worst))
+
+
+class _SiteGrid:
+    """Uniform square buckets over the sites, for nearest-first searches.
+
+    The bucket side ``h`` gives about one site per bucket.  A site ``r + 1``
+    or more rings of buckets away from site ``i``'s bucket is at least
+    ``r * h`` from it; ``bound2`` takes ``(r - 1/2) * h``, which leaves room
+    for the rounding of the bucket coordinates.
+    """
+
+    def __init__(self, pts: list[list[float]]):
+        xs = [x for x, _ in pts]
+        ys = [y for _, y in pts]
+        self.x0, self.y0 = min(xs), min(ys)
+        wx, wy = max(xs) - self.x0, max(ys) - self.y0
+        m = len(pts)
+        self.h = max(math.sqrt(wx * wy / m), max(wx, wy) / m)
+        if math.isfinite(self.h):
+            self.keys = [(int((x - self.x0) / self.h), int((y - self.y0) / self.h)) for x, y in pts]
+        else:  # a spread past the float range: one bucket
+            self.keys = [(0, 0)] * m
+        self.buckets: dict[tuple[int, int], list[int]] = {}
+        for j, key in enumerate(self.keys):
+            self.buckets.setdefault(key, []).append(j)
+        self.nx = max(bx for bx, _ in self.keys)
+        self.ny = max(by for _, by in self.keys)
+        self.rings = max(self.nx, self.ny)  # rings 0..rings cover every bucket
+
+    def ring(self, i: int, r: int) -> list[int]:
+        """Sites in the buckets exactly ``r`` rings from site ``i``'s bucket."""
+        bx, by = self.keys[i]
+        if r == 0:
+            return list(self.buckets.get((bx, by), ()))
+        get = self.buckets.get
+        out: list[int] = []
+        cols = range(max(bx - r, 0), min(bx + r, self.nx) + 1)
+        for row in (by - r, by + r):
+            if 0 <= row <= self.ny:
+                for col in cols:
+                    out.extend(get((col, row), ()))
+        rows = range(max(by - r + 1, 0), min(by + r - 1, self.ny) + 1)
+        for col in (bx - r, bx + r):
+            if 0 <= col <= self.nx:
+                for row in rows:
+                    out.extend(get((col, row), ()))
+        return out
+
+    def bound2(self, r: int) -> float:
+        """Squared distance within which every site is in rings 0..``r``."""
+        if r >= self.rings:
+            return math.inf
+        reach = max(r - 0.5, 0.0) * self.h
+        return reach * reach
 
 
 def _clipped_cell_labels(
@@ -394,22 +568,33 @@ def _clipped_cell_labels(
     Each cell edge carries the label of its supporting line: a site ``j >= 0``
     for the bisector with site ``j``, or ``~e < 0`` for polygon edge ``e``.  A
     cell vertex sits where its incoming and outgoing lines meet.  Site ``i``'s
-    cell is clipped by the other sites nearest first, and clipping stops once
-    the next site is more than twice the cell's reach from ``s_i``: its
-    bisector then lies beyond every point of the cell.
+    cell is clipped by the other sites nearest first (ties by index), and
+    clipping stops once the next site is more than twice the cell's reach
+    from ``s_i``: its bisector then lies beyond every point of the cell.  The
+    other sites are collected ring by ring from a ``_SiteGrid``, and a site
+    is clipped only once no uncollected site can come before it.
     """
     pts = sites.tolist()
-    diff = sites[:, None, :] - sites[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable").tolist()
-    d2 = d2.tolist()
+    grid = _SiteGrid(pts)
     pairs, triples = set(), set()
     for i, (sx, sy) in enumerate(pts):
         cell = [(x, y, ~(k % n_edges)) for k, (x, y) in enumerate(poly.vertices)]
-        for j in order[i][1:]:  # order[i][0] is i itself (or a coincident site)
-            reach2 = max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y, _ in cell)
-            if d2[i][j] > 4.0 * reach2:
+        heap: list[tuple[float, int]] = []
+        r, bound = -1, 0.0  # every site within sqrt(bound) of s_i is collected
+        while cell:
+            reach4 = 4.0 * max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y, _ in cell)
+            # collect rings until the nearest collected site is surely the
+            # next in order, or every uncollected one is past the stop
+            while r < grid.rings and bound <= reach4 and (not heap or heap[0][0] >= bound):
+                r += 1
+                bound = grid.bound2(r)
+                for j in grid.ring(i, r):
+                    if j != i:
+                        tx, ty = pts[j]
+                        heapq.heappush(heap, ((sx - tx) * (sx - tx) + (sy - ty) * (sy - ty), j))
+            if not heap or heap[0][0] > reach4:
                 break
+            j = heapq.heappop(heap)[1]
             tx, ty = pts[j]
             mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
             dx, dy = tx - sx, ty - sy
@@ -425,8 +610,6 @@ def _clipped_cell_labels(
                     clipped.append((x, y, label))
                 px, py, plabel, gp = x, y, label, g
             cell = clipped
-            if not cell:
-                break
         for (_, _, a), (_, _, b) in zip(cell[-1:] + cell[:-1], cell):
             if a >= 0 and b >= 0 and a != b:
                 triples.add(tuple(sorted((i, a, b))))
@@ -449,16 +632,17 @@ def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet)
         return _interval_to_sites_1d(poly.lo, poly.hi, [p[0] for p in sites_set.points])
     sites = sites_set.arr
     edges = _segment_boundary(poly)
-    cands: list[tuple[float, float]] = [tuple(v) for v in poly.vertices]
+    best = _farthest_nearest_site(np.asarray(poly.vertices, dtype=float), sites)
     if len(sites) >= 2 and len(poly.vertices) >= 2:
         pairs, triples = _clipped_cell_labels(poly, len(edges), sites)
-        cands.extend(_bisector_edge_hits(sites.tolist(), edges, pairs))
-        centers = _circumcenters(sites, np.array(sorted(triples), dtype=int).reshape(-1, 3))
-        cands.extend(tuple(c) for c in centers if _polygon_contains(poly, c))
-    carr = np.asarray(cands, dtype=float)
-    diff = carr[:, None, :] - sites[None, :, :]
-    nearest = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
-    return float(nearest.max())
+        hits, hit_owners = _bisector_edge_hits(sites.tolist(), edges, pairs)
+        centers, center_owners = _circumcenters(sites, np.array(sorted(triples), dtype=int).reshape(-1, 3))
+        inside = _polygon_contains_all(poly, centers)
+        cands = np.concatenate([np.asarray(hits, dtype=float).reshape(-1, 2), centers[inside]])
+        owners = np.concatenate([np.asarray(hit_owners, dtype=int), center_owners[inside]])
+        if len(cands):
+            best = float(np.max([best, _farthest_nearest_site(cands, sites, owners)]))
+    return best
 
 
 def _hausdorff_mixed(sites: FinitePointSet, poly: ConvexPolytope) -> float:

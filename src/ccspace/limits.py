@@ -44,8 +44,8 @@ DIRECT_CHECK_LENGTHS = frozenset(2 ** k for k in range(7))
 class ConvergenceTrace:
     """Distances d_n over an index list, with a pass verdict on the last one.
 
-    The verdict passes when the last distance is within ``tolerance`` and no
-    distance in the trace is NaN.  Traces built incrementally carry
+    The verdict passes when the last distance is within ``tolerance`` and
+    every distance in the trace is finite.  Traces built incrementally carry
     ``direct_check_gap``, the worst distance between a running value and its
     direct evaluation; beyond ``EXACT_TOL`` it fails the verdict.
     """
@@ -71,8 +71,8 @@ class ConvergenceTrace:
             raise ValueError("indices and distances must align and be nonempty")
         if any(d < 0.0 for d in distances):
             raise ValueError("distances must be nonnegative")
-        # a NaN distance anywhere, or a NaN gap, fails the verdict
-        passed = distances[-1] <= tolerance and not any(map(math.isnan, distances))
+        # a NaN or infinite distance anywhere, or a NaN gap, fails the verdict
+        passed = distances[-1] <= tolerance and all(map(math.isfinite, distances))
         if direct_check_gap is not None:
             direct_check_gap = float(direct_check_gap)
             passed = passed and direct_check_gap <= EXACT_TOL

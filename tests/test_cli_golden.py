@@ -83,6 +83,9 @@ CASES = [
                            "--n-max", "12", "--format", "csv"], 0),
     ("convexify-sets-d2", ["convexify-rate", "--space", "compact-sets", "--dim", "2",
                            "--n-max", "5"], 0),
+    # the default d=2 trace: n = 64 rows over the triangle, up to 2,145 sites
+    ("convexify-sets-d2-n64", ["convexify-rate", "--space", "compact-sets", "--dim", "2",
+                               "--fixture", "two-point"], 0),
     ("convexify-distributions", ["convexify-rate", "--space", "distributions", "--n-max", "8"], 0),
     ("convexify-euclidean-default", ["convexify-rate", "--space", "euclidean", "--dim", "2"], 0),
     ("counterexample", ["counterexample"], 0),

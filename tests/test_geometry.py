@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ccspace
@@ -25,10 +25,14 @@ from ccspace.core import self_combination
 from ccspace.fixtures import convexify_point
 from ccspace.geometry import (
     DEDUP_RESOLUTION,
+    _clipped_cell_labels,
     _dedup_sorted,
     _directed_polytope_to_sites,
+    _farthest_nearest_site,
     _minkowski_sum_pair,
     _polygon_contains,
+    _polygon_contains_all,
+    _segment_boundary,
     point_to_polytope,
 )
 from ccspace.instances import compact_sets_space
@@ -42,6 +46,35 @@ near_coord = st.builds(
     st.sampled_from((0.0, 1.0, -3.5)),
     st.floats(-3 * DEDUP_RESOLUTION, 3 * DEDUP_RESOLUTION),
 )
+# coordinates on ladders whose step is just under, at or just over DEDUP_RESOLUTION
+ladder_coord = st.builds(
+    lambda base, step, k: base + k * step * DEDUP_RESOLUTION,
+    st.sampled_from((0.0, 1.0, -3.5)),
+    st.sampled_from((0.4, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0)),
+    st.integers(0, 5),
+)
+dedup_coord = st.one_of(near_coord, ladder_coord, st.sampled_from((0.0, -0.0)))
+
+
+def bits(points):
+    """Points as hex strings, so that 0.0 and -0.0 differ."""
+    return [tuple(map(float.hex, p)) for p in points]
+
+
+def reference_dedup_sorted(points):
+    """Oracle: the dedup loop before it was split per dimension."""
+    points.sort()
+    kept = []
+    for p in points:
+        for q in reversed(kept):
+            if p[0] - q[0] > DEDUP_RESOLUTION:
+                kept.append(p)
+                break
+            if all(abs(a - b) <= DEDUP_RESOLUTION for a, b in zip(q, p)):
+                break
+        else:
+            kept.append(p)
+    return tuple(kept)
 
 
 def brute_minkowski(weights, sets):
@@ -92,11 +125,32 @@ def test_dedup_sorted_is_idempotent(pts):
     assert _dedup_sorted(list(once)) == once
 
 
+# exact columns of near-duplicate lattice points, as self-midpoints produce
+_rng = random.Random(12)
+LATTICE_COLUMNS = [(i / 7 + _rng.choice((0.0, 1e-16, -1e-16)), j / 9 + _rng.choice((0.0, 5e-13, 2e-12)))
+                   for i in range(8) for j in range(10) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda d: st.lists(st.tuples(*[dedup_coord] * d), min_size=0, max_size=40)
+))
+@example(pts=LATTICE_COLUMNS)
+def test_dedup_sorted_matches_reference_loop(pts):
+    assert bits(_dedup_sorted(list(pts))) == bits(reference_dedup_sorted(list(pts)))
+
+
 def test_point_set_rejects_empty_and_mixed_dims():
     with pytest.raises(ValueError):
         FinitePointSet.of([])
     with pytest.raises(ValueError):
         FinitePointSet.of([(0.0,), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize("pts", [[(0, 0, 0), (1, 2, 3)], [()], [(1.0, 2.0, 3.0, 4.0)]])
+def test_point_set_rejects_dims_other_than_one_or_two(pts):
+    with pytest.raises(ValueError, match="dimension 1 or 2"):
+        FinitePointSet.of(pts)
 
 
 def test_convex_hull_interval():
@@ -167,6 +221,39 @@ def test_minkowski_matches_brute_force(groups, rng):
     oracle = brute_minkowski(weights, sets)
     assert len(got.points) == len(oracle)
     assert all(abs(g[0] - o[0]) <= 1e-9 for g, o in zip(got.points, oracle))
+
+
+def reference_midpoint(w, a):
+    """Oracle: ``minkowski_combine([w, w], [a, a])`` enumerating every ordered pair."""
+    first = reference_dedup_sorted([tuple(0.0 + w * c for c in q) for q in a.points])
+    return reference_dedup_sorted(
+        [tuple(pc + w * qc for pc, qc in zip(p, q)) for p in first for q in a.points]
+    )
+
+
+signed_coord = st.one_of(coord, near_coord, st.sampled_from((0.0, -0.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2)).flatmap(
+        lambda d: st.lists(st.tuples(*[signed_coord] * d), min_size=1, max_size=12)
+    ),
+    # a negative weight reverses the order of the scaled points
+    st.one_of(st.just(0.5), st.floats(0.01, 1.0), st.floats(-1.0, -0.01)),
+)
+@example(pts=[(-0.0, 1.0), (0.0, -0.0), (1.0, -0.0), (-0.0, -1.0)], w=0.5)
+# halving brings the first two within DEDUP_RESOLUTION: every ordered pair is enumerated
+@example(pts=[(0.0,), (1.5 * DEDUP_RESOLUTION,), (1.0,)], w=0.5)
+def test_symmetric_midpoint_matches_full_enumeration(pts, w):
+    a = FinitePointSet.of(pts)
+    got = minkowski_combine([w, w], [a, a])
+    assert bits(got.points) == bits(reference_midpoint(w, a))
+    # an equal set built separately takes the same path
+    assert bits(minkowski_combine([w, w], [a, FinitePointSet.of(pts)]).points) == bits(got.points)
+    if len(_dedup_sorted([tuple(0.0 + w * c for c in q) for q in a.points])) == len(a):
+        # with no merge in the first step, the direct enumeration gives the same set
+        assert got.points == tuple(brute_minkowski([w, w], [a, a]))
 
 
 def test_minkowski_cap_raises():
@@ -259,18 +346,6 @@ def test_hausdorff_rejects_dim_mismatch():
         hausdorff_distance(FinitePointSet.of([(0.0,)]), FinitePointSet.of([(0.0, 0.0)]))
 
 
-def _contains_all(poly, pts):
-    """``_polygon_contains`` on each row of ``pts``: one half-plane test per
-    edge, with the cross product evaluated in ``_cross``'s operation order."""
-    verts = poly.vertices
-    n = len(verts)
-    inside = np.full(len(pts), n >= 3)
-    for i in range(n):
-        (ox, oy), (ax, ay) = verts[i], verts[(i + 1) % n]
-        inside &= ~((ax - ox) * (pts[:, 1] - oy) - (ay - oy) * (pts[:, 0] - ox) < 0.0)
-    return inside
-
-
 def test_contains_all_matches_polygon_contains():
     rng = random.Random(5)
     for _ in range(10):
@@ -284,9 +359,9 @@ def test_contains_all_matches_polygon_contains():
         pts = np.array(
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(300)] + list(verts) + on_edges
         )
-        assert _contains_all(poly, pts).tolist() == [_polygon_contains(poly, p) for p in pts]
+        assert _polygon_contains_all(poly, pts).tolist() == [_polygon_contains(poly, p) for p in pts]
     segment = ConvexPolytope(((0.0, 0.0), (1.0, 1.0)))
-    assert not _contains_all(segment, np.array([(0.5, 0.5)])).any()
+    assert not _polygon_contains_all(segment, np.array([(0.5, 0.5)])).any()
 
 
 def _grid_covering_radius(poly, sites, k=220):
@@ -294,7 +369,7 @@ def _grid_covering_radius(poly, sites, k=220):
     lo, hi = arr.min(0), arr.max(0)
     gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], k), np.linspace(lo[1], hi[1], k))
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    pts = pts[_contains_all(poly, pts)]
+    pts = pts[_polygon_contains_all(poly, pts)]
     dists = np.sqrt(((pts[:, None, :] - sites.arr[None, :, :]) ** 2).sum(2)).min(1)
     return float(dists.max()) if len(dists) else 0.0
 
@@ -314,11 +389,12 @@ def test_covering_radius_against_grid_oracle():
         assert exact <= grid + 0.2  # grid resolution slack
 
 
-def brute_covering_radius(poly, sites, chunk=4096):
+def brute_covering_radius(poly, sites, chunk=1 << 16):
     """Oracle: the nearest-site distance maximized over every polygon vertex,
     every crossing of a site-pair bisector with a polygon edge, and every
     circumcenter of a site triple that lies in the polygon.  O(m^3) in the
-    site count; the candidate formulas are those of ``ccspace.geometry``.
+    site count; the candidate formulas are those of ``ccspace.geometry``,
+    evaluated on arrays of all pairs and all triples at once.
     """
     verts = poly.vertices
     pts = sites.arr
@@ -326,20 +402,20 @@ def brute_covering_radius(poly, sites, chunk=4096):
     if len(pts) >= 2 and len(verts) >= 2:
         n = len(verts)
         edges = [(verts[0], verts[1])] if n == 2 else [(verts[k], verts[(k + 1) % n]) for k in range(n)]
-        hits = []
-        for (sx, sy), (tx, ty) in itertools.combinations(pts.tolist(), 2):
-            mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
-            dx, dy = tx - sx, ty - sy
-            for a, b in edges:
-                ex, ey = b[0] - a[0], b[1] - a[1]
-                denom = ex * dx + ey * dy
-                if denom == 0.0:
-                    continue
+        i, j = np.triu_indices(len(pts), 1)
+        (sx, sy), (tx, ty) = pts[i].T, pts[j].T
+        mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
+        dx, dy = tx - sx, ty - sy
+        for a, b in edges:
+            ex, ey = b[0] - a[0], b[1] - a[1]
+            denom = ex * dx + ey * dy
+            with np.errstate(divide="ignore", invalid="ignore"):
                 t = ((mx - a[0]) * dx + (my - a[1]) * dy) / denom
-                if 0.0 <= t <= 1.0:
-                    hits.append((a[0] + t * ex, a[1] + t * ey))
-        cands.append(np.asarray(hits, dtype=float).reshape(-1, 2))
-        triples = np.array(list(itertools.combinations(range(len(pts)), 3)), dtype=int).reshape(-1, 3)
+            hit = (denom != 0.0) & (0.0 <= t) & (t <= 1.0)
+            cands.append(np.column_stack([a[0] + t[hit] * ex, a[1] + t[hit] * ey]))
+        triples = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(len(pts)), 3)), dtype=int
+        ).reshape(-1, 3)
         for start in range(0, len(triples) if n >= 3 else 0, chunk):
             idx = triples[start:start + chunk]
             a, b, c = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
@@ -356,9 +432,12 @@ def brute_covering_radius(poly, sites, chunk=4096):
             cands.append(np.column_stack([ux[inside], uy[inside]]))
     carr = np.concatenate(cands)
     best = 0.0
-    for start in range(0, len(carr), chunk):
-        diff = carr[start:start + chunk, None, :] - pts[None, :, :]
-        best = max(best, float(np.sqrt((diff * diff).sum(axis=2)).min(axis=1).max()))
+    rows = max(1, chunk // len(pts))
+    for start in range(0, len(carr), rows):
+        block = carr[start:start + rows]
+        dx = block[:, 0:1] - pts[:, 0]
+        dy = block[:, 1:2] - pts[:, 1]
+        best = max(best, float(np.sqrt(dx * dx + dy * dy).min(axis=1).max()))
     return best
 
 
@@ -393,7 +472,123 @@ def test_covering_radius_matches_bruteforce_oracle(kind):
             assert got == pytest.approx(brute_covering_radius(poly, sites), abs=1e-12), (m, poly)
 
 
+def reference_clipped_cell_labels(poly, n_edges, sites):
+    """Oracle: the clipping loop before the bucket grid, which orders every
+    site's neighbours with an argsort of the full m x m distance matrix."""
+    pts = sites.tolist()
+    diff = sites[:, None, :] - sites[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable").tolist()
+    d2 = d2.tolist()
+    pairs, triples = set(), set()
+    for i, (sx, sy) in enumerate(pts):
+        cell = [(x, y, ~(k % n_edges)) for k, (x, y) in enumerate(poly.vertices)]
+        for j in order[i][1:]:
+            reach2 = max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y, _ in cell)
+            if d2[i][j] > 4.0 * reach2:
+                break
+            tx, ty = pts[j]
+            mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
+            dx, dy = tx - sx, ty - sy
+            clipped = []
+            px, py, plabel = cell[-1]
+            gp = (px - mx) * dx + (py - my) * dy
+            for x, y, label in cell:
+                g = (x - mx) * dx + (y - my) * dy
+                if (g <= 0.0) != (gp <= 0.0):
+                    t = gp / (gp - g)
+                    clipped.append((px + t * (x - px), py + t * (y - py), plabel if g <= 0.0 else j))
+                if g <= 0.0:
+                    clipped.append((x, y, label))
+                px, py, plabel, gp = x, y, label, g
+            cell = clipped
+            if not cell:
+                break
+        for (_, _, a), (_, _, b) in zip(cell[-1:] + cell[:-1], cell):
+            if a >= 0 and b >= 0 and a != b:
+                triples.add(tuple(sorted((i, a, b))))
+            elif (a >= 0) != (b >= 0):
+                j, e = (a, ~b) if a >= 0 else (b, ~a)
+                pairs.add((min(i, j), max(i, j), e))
+    return pairs, triples
+
+
+def assert_labels_match_reference(poly, sites):
+    n_edges = len(_segment_boundary(poly))
+    got = _clipped_cell_labels(poly, n_edges, sites.arr)
+    assert got == reference_clipped_cell_labels(poly, n_edges, sites.arr), (len(sites), poly)
+
+
+@pytest.mark.parametrize("kind", ["random", "collinear", "lattice"])
+def test_clipped_cell_labels_match_reference(kind):
+    rng = random.Random(kind)
+    for m in (2, 3, 4, 7, 12, 25, 60, 150):
+        sites = site_layout(kind, m, rng)
+        polygon, segment, _ = polytope_shapes(rng)
+        for poly in (polygon, segment, convex_hull(sites)):
+            if len(poly.vertices) >= 2:
+                assert_labels_match_reference(poly, sites)
+
+
+def test_clipped_cell_labels_match_reference_on_triangle_self_combinations():
+    space = compact_sets_space(dim=2)
+    triangle = convexify_point("compact-sets", "two-point", dim=2)
+    for n in (2, 5, 9, 16):
+        assert_labels_match_reference(convex_hull(triangle), self_combination(space, triangle, n))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_covering_radius_past_the_float_range():
+    # squared distances overflow: the neighbour search still ends, an infinite
+    # radius stays infinite and a NaN one stays NaN
+    poly = convex_hull(FinitePointSet.of([(-1e308, -1.0), (1.0, -1.0), (0.0, 1e308)]))
+    sites = FinitePointSet.of([(-1e308, -1e308), (1e308, 1e308), (0.0, 1.0), (1e308, -1e308)])
+    assert_labels_match_reference(poly, sites)
+    assert _directed_polytope_to_sites(poly, sites) == math.inf
+    poly = convex_hull(FinitePointSet.of([(2.67e154, 9.54e154), (3.73e154, -4.01e154), (7.2e154, -3.19e153)]))
+    sites = FinitePointSet.of([(6.8e-146, 7.8e154), (9.0e-146, -3.7e154)])
+    assert_labels_match_reference(poly, sites)
+    assert _directed_polytope_to_sites(poly, sites) == math.inf
+    poly = convex_hull(FinitePointSet.of([(2.9e149, 4.6e149), (-7.0e149, -2.6e149), (8.4e149, -9.2e148)]))
+    sites = FinitePointSet.of([(8.8e-151, 3.6e149), (-2.6e-151, -4.1e149), (3.5e-151, -7.9e149),
+                               (8.9e-151, 3.5e149), (7.2e148, 3.3e149), (1.7e148, 4.4e149)])
+    assert_labels_match_reference(poly, sites)
+    assert math.isnan(_directed_polytope_to_sites(poly, sites))
+
+
+@np.errstate(invalid="ignore")
+def test_farthest_nearest_site_propagates_non_finite_candidates():
+    sites = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    # more candidates than one block holds; the NaN one sorts last
+    cands = np.array([(k / 300, 0.5) for k in range(300)] + [(math.nan, 0.5)])
+    owners = np.zeros(len(cands), dtype=int)
+    assert math.isnan(_farthest_nearest_site(cands, sites, owners))
+    assert math.isnan(_farthest_nearest_site(cands, sites))
+    assert _farthest_nearest_site(cands[:-1], sites, owners[:-1]) == _farthest_nearest_site(cands[:-1], sites)
+    for bad, want in (((math.inf, 0.0), math.inf), ((0.0, -math.inf), math.inf), ((math.nan, 0.0), math.nan)):
+        got = _farthest_nearest_site(np.array([bad]), sites, np.array([0]))
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 lattice_coord = st.integers(-8, 8).map(lambda k: k / 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(point2, min_size=2, max_size=40),
+        st.lists(st.tuples(lattice_coord, lattice_coord), min_size=2, max_size=40),
+        st.tuples(coord, coord, st.floats(0.01, 1.0), st.integers(2, 40)).map(
+            lambda c: [(c[0] + k * c[2], c[1]) for k in range(c[3])]
+        ),
+    ),
+    st.lists(st.one_of(point2, st.tuples(lattice_coord, lattice_coord)), min_size=2, max_size=7),
+)
+def test_clipped_cell_labels_match_reference_hypothesis(site_pts, poly_pts):
+    sites = FinitePointSet.of(site_pts)
+    poly = convex_hull(FinitePointSet.of(poly_pts))
+    if len(sites) >= 2 and len(poly.vertices) >= 2:
+        assert_labels_match_reference(poly, sites)
 
 
 @settings(max_examples=150, deadline=None)

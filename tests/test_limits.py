@@ -56,6 +56,12 @@ def test_trace_with_nan_in_tail_fails(tail):
     assert not ConvergenceTrace.build([1, 2, 3], [0.5, *tail], "x", 0.05).verdict
 
 
+@pytest.mark.parametrize("tail", [[math.inf, 0.01], [0.01, math.inf]])
+def test_trace_with_infinite_distance_fails(tail):
+    # a metric distance is never infinite, so such a row comes from a broken instance
+    assert not ConvergenceTrace.build([1, 2, 3], [0.5, *tail], "x", 0.05).verdict
+
+
 # ---------------------------------------------------------------------------
 # strong law
 
