@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,9 +22,11 @@ import numpy as np
 DEDUP_RESOLUTION = 1e-12
 ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
 # the covering radius holds at most this many candidate-site distances, for
-# at most _NEAREST_ROWS candidates, at once
+# at most _NEAREST_ROWS candidates, at once; from _GRID_SITES sites on, it
+# finds Voronoi neighbours from a bucket grid instead of a full argsort
 _NEAREST_BLOCK = 1 << 18
 _NEAREST_ROWS = 256
+_GRID_SITES = 256
 
 
 class EnumerationCapError(RuntimeError):
@@ -363,15 +365,15 @@ def _polygon_contains(poly: ConvexPolytope, p: Sequence[float]) -> bool:
 
 
 def _polygon_contains_all(poly: ConvexPolytope, pts: np.ndarray) -> np.ndarray:
-    """``_polygon_contains`` on each row of ``pts``: one half-plane test per
-    edge, with the cross product evaluated in ``_cross``'s operation order."""
-    verts = poly.vertices
-    n = len(verts)
-    inside = np.full(len(pts), n >= 3)
-    for i in range(n):
-        (ox, oy), (ax, ay) = verts[i], verts[(i + 1) % n]
-        inside &= ~((ax - ox) * (pts[:, 1] - oy) - (ay - oy) * (pts[:, 0] - ox) < 0.0)
-    return inside
+    """``_polygon_contains`` on each row of ``pts``: every point against every
+    edge at once, with the cross product evaluated in ``_cross``'s operation
+    order."""
+    if len(poly.vertices) < 3 or len(pts) == 0:
+        return np.zeros(len(pts), dtype=bool)
+    o = poly.arr
+    a = np.concatenate((o[1:], o[:1]))
+    ox, oy, ax, ay = o[:, 0:1], o[:, 1:2], a[:, 0:1], a[:, 1:2]
+    return ~((ax - ox) * (pts[:, 1] - oy) - (ay - oy) * (pts[:, 0] - ox) < 0.0).any(axis=0)
 
 
 def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
@@ -469,30 +471,31 @@ def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.n
     return np.column_stack([ux, uy]), idx[mask, 0]
 
 
-def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray, owners: np.ndarray | None = None) -> float:
+def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray, owners: np.ndarray) -> float:
     """Largest distance from a row of ``cands`` to its nearest site.
 
     The value is that of the full candidate-by-site distance matrix; since
-    sqrt is monotone, it is the root of the least squared distance.  With
-    ``owners``, candidate ``k`` is within ``rho = |c_k - s_owners[k]|`` of a
-    site, so only sites whose x lies within ``rho`` (padded for rounding) of
-    its x can be nearer; the sites are sorted by x and the candidates taken
-    in x order, so each block of candidates meets one slice of sites.
+    sqrt is monotone, it is the root of the least squared distance.  Past
+    ``_NEAREST_BLOCK`` entries the matrix is not formed: candidate ``k`` is
+    within ``rho = |c_k - s_owners[k]|`` of a site, so only sites whose x
+    lies within ``rho`` (padded for rounding) of its x can be nearer.  The
+    sites are sorted by x and the candidates taken in x order, so each
+    block of candidates meets one slice of sites.
     """
+    cx, cy = cands[:, 0], cands[:, 1]
+    if len(cands) * len(sites) <= _NEAREST_BLOCK:
+        dx = cx[:, None] - sites[:, 0]
+        dy = cy[:, None] - sites[:, 1]
+        return float(np.sqrt((dx * dx + dy * dy).min(axis=1)).max())
     order = np.argsort(sites[:, 0], kind="stable")
     sx, sy = sites[order, 0], sites[order, 1]
-    cx, cy = cands[:, 0], cands[:, 1]
-    if owners is None:
-        lo = np.zeros(len(cands), dtype=int)
-        hi = np.full(len(cands), len(sites))
-    else:
-        dx, dy = cx - sites[owners, 0], cy - sites[owners, 1]
-        rho = np.sqrt(dx * dx + dy * dy) * (1.0 + 1e-9) + 1e-12 * np.abs(cx)
-        lo = np.searchsorted(sx, cx - rho, "left")
-        hi = np.searchsorted(sx, cx + rho, "right")
-        # past the float range, a candidate meets every site, so NaN propagates
-        wide = ~(np.isfinite(cx) & np.isfinite(rho))
-        lo[wide], hi[wide] = 0, len(sites)
+    dx, dy = cx - sites[owners, 0], cy - sites[owners, 1]
+    rho = np.sqrt(dx * dx + dy * dy) * (1.0 + 1e-9) + 1e-12 * np.abs(cx)
+    lo = np.searchsorted(sx, cx - rho, "left")
+    hi = np.searchsorted(sx, cx + rho, "right")
+    # past the float range, a candidate meets every site, so NaN propagates
+    wide = ~(np.isfinite(cx) & np.isfinite(rho))
+    lo[wide], hi[wide] = 0, len(sites)
     by_x = np.argsort(cx, kind="stable")
     step = max(1, min(_NEAREST_ROWS, _NEAREST_BLOCK // len(sites)))
     worst = []
@@ -510,19 +513,21 @@ class _SiteGrid:
 
     The bucket side ``h`` gives about one site per bucket.  A site ``r + 1``
     or more rings of buckets away from site ``i``'s bucket is at least
-    ``r * h`` from it; ``bound2`` takes ``(r - 1/2) * h``, which leaves room
-    for the rounding of the bucket coordinates.
+    ``r * h`` from it; ``nearest_first`` takes ``(r - 1/2) * h``, which
+    leaves room for the rounding of the bucket coordinates.
     """
 
     def __init__(self, pts: list[list[float]]):
+        self.pts = pts
         xs = [x for x, _ in pts]
         ys = [y for _, y in pts]
-        self.x0, self.y0 = min(xs), min(ys)
-        wx, wy = max(xs) - self.x0, max(ys) - self.y0
+        x0, y0 = min(xs), min(ys)
+        wx, wy = max(xs) - x0, max(ys) - y0
         m = len(pts)
-        self.h = max(math.sqrt(wx * wy / m), max(wx, wy) / m)
-        if math.isfinite(self.h):
-            self.keys = [(int((x - self.x0) / self.h), int((y - self.y0) / self.h)) for x, y in pts]
+        h = max(math.sqrt(wx * wy / m), max(wx, wy) / m)
+        self.h = h
+        if math.isfinite(h):
+            self.keys = [(int((x - x0) / h), int((y - y0) / h)) for x, y in pts]
         else:  # a spread past the float range: one bucket
             self.keys = [(0, 0)] * m
         self.buckets: dict[tuple[int, int], list[int]] = {}
@@ -536,7 +541,7 @@ class _SiteGrid:
         """Sites in the buckets exactly ``r`` rings from site ``i``'s bucket."""
         bx, by = self.keys[i]
         if r == 0:
-            return list(self.buckets.get((bx, by), ()))
+            return self.buckets[bx, by]
         get = self.buckets.get
         out: list[int] = []
         cols = range(max(bx - r, 0), min(bx + r, self.nx) + 1)
@@ -551,12 +556,43 @@ class _SiteGrid:
                     out.extend(get((col, row), ()))
         return out
 
-    def bound2(self, r: int) -> float:
-        """Squared distance within which every site is in rings 0..``r``."""
-        if r >= self.rings:
-            return math.inf
-        reach = max(r - 0.5, 0.0) * self.h
-        return reach * reach
+    def nearest_first(self, i: int) -> Iterator[tuple[float, int]]:
+        """(squared distance, index) of every other site, nearest first and
+        ties by index, collecting rings only as far as the next one needs."""
+        sx, sy = self.pts[i]
+        heap: list[tuple[float, int]] = []
+        for r in range(self.rings + 1):
+            for j in self.ring(i, r):
+                if j != i:
+                    tx, ty = self.pts[j]
+                    heapq.heappush(heap, ((sx - tx) * (sx - tx) + (sy - ty) * (sy - ty), j))
+            # every uncollected site is farther than (r - 1/2) h
+            reach = max(r - 0.5, 0.0) * self.h
+            while r < self.rings and heap and heap[0][0] < reach * reach:
+                yield heapq.heappop(heap)
+        while heap:
+            yield heapq.heappop(heap)
+
+
+def _nearest_first_orders(sites: np.ndarray) -> Callable[[int], Iterable[tuple[float, int]]]:
+    """For each site index, its ``(squared distance, index)`` pairs to the
+    other sites, nearest first and ties by index.
+
+    Below ``_GRID_SITES`` sites one stable argsort of the full distance
+    matrix is cheapest; above it a ``_SiteGrid`` avoids the m x m matrix.
+    """
+    if len(sites) < _GRID_SITES:
+        diff = sites[:, None, :] - sites[None, :, :]
+        d2 = (diff * diff).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable").tolist()
+        rows = d2.tolist()
+
+        def nearest_first(i: int) -> Iterable[tuple[float, int]]:
+            others = order[i][1:]  # order[i][0] is i: other sites are at positive distances
+            return zip(map(rows[i].__getitem__, others), others)
+
+        return nearest_first
+    return _SiteGrid(sites.tolist()).nearest_first
 
 
 def _clipped_cell_labels(
@@ -570,31 +606,17 @@ def _clipped_cell_labels(
     cell vertex sits where its incoming and outgoing lines meet.  Site ``i``'s
     cell is clipped by the other sites nearest first (ties by index), and
     clipping stops once the next site is more than twice the cell's reach
-    from ``s_i``: its bisector then lies beyond every point of the cell.  The
-    other sites are collected ring by ring from a ``_SiteGrid``, and a site
-    is clipped only once no uncollected site can come before it.
+    from ``s_i``: its bisector then lies beyond every point of the cell.
     """
     pts = sites.tolist()
-    grid = _SiteGrid(pts)
+    nearest_first = _nearest_first_orders(sites)
     pairs, triples = set(), set()
     for i, (sx, sy) in enumerate(pts):
         cell = [(x, y, ~(k % n_edges)) for k, (x, y) in enumerate(poly.vertices)]
-        heap: list[tuple[float, int]] = []
-        r, bound = -1, 0.0  # every site within sqrt(bound) of s_i is collected
-        while cell:
-            reach4 = 4.0 * max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y, _ in cell)
-            # collect rings until the nearest collected site is surely the
-            # next in order, or every uncollected one is past the stop
-            while r < grid.rings and bound <= reach4 and (not heap or heap[0][0] >= bound):
-                r += 1
-                bound = grid.bound2(r)
-                for j in grid.ring(i, r):
-                    if j != i:
-                        tx, ty = pts[j]
-                        heapq.heappush(heap, ((sx - tx) * (sx - tx) + (sy - ty) * (sy - ty), j))
-            if not heap or heap[0][0] > reach4:
+        for d2, j in nearest_first(i):
+            reach2 = max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y, _ in cell)
+            if d2 > 4.0 * reach2:
                 break
-            j = heapq.heappop(heap)[1]
             tx, ty = pts[j]
             mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
             dx, dy = tx - sx, ty - sy
@@ -610,6 +632,8 @@ def _clipped_cell_labels(
                     clipped.append((x, y, label))
                 px, py, plabel, gp = x, y, label, g
             cell = clipped
+            if not cell:
+                break
         for (_, _, a), (_, _, b) in zip(cell[-1:] + cell[:-1], cell):
             if a >= 0 and b >= 0 and a != b:
                 triples.add(tuple(sorted((i, a, b))))
@@ -632,17 +656,17 @@ def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet)
         return _interval_to_sites_1d(poly.lo, poly.hi, [p[0] for p in sites_set.points])
     sites = sites_set.arr
     edges = _segment_boundary(poly)
-    best = _farthest_nearest_site(np.asarray(poly.vertices, dtype=float), sites)
+    # a polygon vertex has no site of its own; any site bounds its distance
+    cands = [np.asarray(poly.vertices, dtype=float)]
+    owners = [np.zeros(len(poly.vertices), dtype=int)]
     if len(sites) >= 2 and len(poly.vertices) >= 2:
         pairs, triples = _clipped_cell_labels(poly, len(edges), sites)
         hits, hit_owners = _bisector_edge_hits(sites.tolist(), edges, pairs)
         centers, center_owners = _circumcenters(sites, np.array(sorted(triples), dtype=int).reshape(-1, 3))
         inside = _polygon_contains_all(poly, centers)
-        cands = np.concatenate([np.asarray(hits, dtype=float).reshape(-1, 2), centers[inside]])
-        owners = np.concatenate([np.asarray(hit_owners, dtype=int), center_owners[inside]])
-        if len(cands):
-            best = float(np.max([best, _farthest_nearest_site(cands, sites, owners)]))
-    return best
+        cands += [np.asarray(hits, dtype=float).reshape(-1, 2), centers[inside]]
+        owners += [np.asarray(hit_owners, dtype=int), center_owners[inside]]
+    return _farthest_nearest_site(np.concatenate(cands), sites, np.concatenate(owners))
 
 
 def _hausdorff_mixed(sites: FinitePointSet, poly: ConvexPolytope) -> float:

@@ -24,7 +24,9 @@ from ccspace import (
 from ccspace.core import self_combination
 from ccspace.fixtures import convexify_point
 from ccspace.geometry import (
+    _GRID_SITES,
     DEDUP_RESOLUTION,
+    _SiteGrid,
     _clipped_cell_labels,
     _dedup_sorted,
     _directed_polytope_to_sites,
@@ -519,10 +521,31 @@ def assert_labels_match_reference(poly, sites):
     assert got == reference_clipped_cell_labels(poly, n_edges, sites.arr), (len(sites), poly)
 
 
+def assert_grid_order_matches_argsort(sites):
+    """Every site's ``_SiteGrid`` neighbour order is that of a stable argsort
+    of its row of the full squared-distance matrix, with the same values."""
+    arr = sites.arr
+    diff = arr[:, None, :] - arr[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")
+    grid = _SiteGrid(arr.tolist())
+    for i in range(len(arr)):
+        assert list(grid.nearest_first(i)) == [(d2[i, j], j) for j in order[i, 1:].tolist()], i
+
+
+@pytest.mark.parametrize("kind", ["random", "collinear", "lattice"])
+def test_site_grid_orders_neighbours_like_a_stable_argsort(kind):
+    rng = random.Random(kind)
+    for m in (2, 3, 4, 7, 12, 25, 60, 150, 289):
+        assert_grid_order_matches_argsort(site_layout(kind, m, rng))
+
+
 @pytest.mark.parametrize("kind", ["random", "collinear", "lattice"])
 def test_clipped_cell_labels_match_reference(kind):
+    # sizes on both sides of _GRID_SITES, where the neighbour order switches
+    # from a full argsort to the bucket grid
     rng = random.Random(kind)
-    for m in (2, 3, 4, 7, 12, 25, 60, 150):
+    for m in (2, 3, 4, 7, 12, 25, 60, 150, _GRID_SITES, 289):
         sites = site_layout(kind, m, rng)
         polygon, segment, _ = polytope_shapes(rng)
         for poly in (polygon, segment, convex_hull(sites)):
@@ -533,8 +556,10 @@ def test_clipped_cell_labels_match_reference(kind):
 def test_clipped_cell_labels_match_reference_on_triangle_self_combinations():
     space = compact_sets_space(dim=2)
     triangle = convexify_point("compact-sets", "two-point", dim=2)
-    for n in (2, 5, 9, 16):
-        assert_labels_match_reference(convex_hull(triangle), self_combination(space, triangle, n))
+    for n in (2, 5, 9, 16, 24):  # 6 to 325 sites
+        sites = self_combination(space, triangle, n)
+        assert_labels_match_reference(convex_hull(triangle), sites)
+        assert_grid_order_matches_argsort(sites)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -544,6 +569,7 @@ def test_covering_radius_past_the_float_range():
     poly = convex_hull(FinitePointSet.of([(-1e308, -1.0), (1.0, -1.0), (0.0, 1e308)]))
     sites = FinitePointSet.of([(-1e308, -1e308), (1e308, 1e308), (0.0, 1.0), (1e308, -1e308)])
     assert_labels_match_reference(poly, sites)
+    assert_grid_order_matches_argsort(sites)
     assert _directed_polytope_to_sites(poly, sites) == math.inf
     poly = convex_hull(FinitePointSet.of([(2.67e154, 9.54e154), (3.73e154, -4.01e154), (7.2e154, -3.19e153)]))
     sites = FinitePointSet.of([(6.8e-146, 7.8e154), (9.0e-146, -3.7e154)])
@@ -557,16 +583,26 @@ def test_covering_radius_past_the_float_range():
 
 
 @np.errstate(invalid="ignore")
-def test_farthest_nearest_site_propagates_non_finite_candidates():
-    sites = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    # more candidates than one block holds; the NaN one sorts last
-    cands = np.array([(k / 300, 0.5) for k in range(300)] + [(math.nan, 0.5)])
-    owners = np.zeros(len(cands), dtype=int)
-    assert math.isnan(_farthest_nearest_site(cands, sites, owners))
-    assert math.isnan(_farthest_nearest_site(cands, sites))
-    assert _farthest_nearest_site(cands[:-1], sites, owners[:-1]) == _farthest_nearest_site(cands[:-1], sites)
+def test_farthest_nearest_site_in_strips_matches_full_matrix():
+    rng = np.random.default_rng(7)
+    # 512 x 1024 distances are more than _NEAREST_BLOCK: blocks of 256
+    # candidates each meet a strip of sites
+    sites = rng.uniform(-5, 5, size=(1024, 2))
+    cands = rng.uniform(-5, 5, size=(512, 2))
+    nearest = np.sqrt(((cands[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
+    full = nearest.min(axis=1).max()
+    # each candidate's own site is its nearest one, so the strips are as narrow as they get
+    owners = nearest.argmin(axis=1)
+    assert _farthest_nearest_site(cands, sites, owners) == full
+    assert _farthest_nearest_site(cands, sites, np.zeros(len(cands), dtype=int)) == full
+    # on a unit lattice, a candidate 0.3 right of its site needs the strip's full width
+    lattice = np.array([(x, y) for x in range(32) for y in range(32)], dtype=float)
+    shifted = lattice[:512] + (0.3, 0.0)
+    full = np.sqrt(((shifted[:, None, :] - lattice[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max()
+    assert _farthest_nearest_site(shifted, lattice, np.arange(512)) == full
+    # a candidate past the float range sorts last and fills a block alone
     for bad, want in (((math.inf, 0.0), math.inf), ((0.0, -math.inf), math.inf), ((math.nan, 0.0), math.nan)):
-        got = _farthest_nearest_site(np.array([bad]), sites, np.array([0]))
+        got = _farthest_nearest_site(np.vstack([cands, [bad]]), sites, np.append(owners, 0))
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
@@ -587,8 +623,10 @@ lattice_coord = st.integers(-8, 8).map(lambda k: k / 2)
 def test_clipped_cell_labels_match_reference_hypothesis(site_pts, poly_pts):
     sites = FinitePointSet.of(site_pts)
     poly = convex_hull(FinitePointSet.of(poly_pts))
-    if len(sites) >= 2 and len(poly.vertices) >= 2:
-        assert_labels_match_reference(poly, sites)
+    if len(sites) >= 2:
+        assert_grid_order_matches_argsort(sites)
+        if len(poly.vertices) >= 2:
+            assert_labels_match_reference(poly, sites)
 
 
 @settings(max_examples=150, deadline=None)
