@@ -411,7 +411,7 @@ def brute_covering_radius(poly, sites, chunk=1 << 16):
         for a, b in edges:
             ex, ey = b[0] - a[0], b[1] - a[1]
             denom = ex * dx + ey * dy
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 t = ((mx - a[0]) * dx + (my - a[1]) * dy) / denom
             hit = (denom != 0.0) & (0.0 <= t) & (t <= 1.0)
             cands.append(np.column_stack([a[0] + t[hit] * ex, a[1] + t[hit] * ey]))
@@ -574,11 +574,13 @@ def test_covering_radius_past_the_float_range():
     poly = convex_hull(FinitePointSet.of([(2.67e154, 9.54e154), (3.73e154, -4.01e154), (7.2e154, -3.19e153)]))
     sites = FinitePointSet.of([(6.8e-146, 7.8e154), (9.0e-146, -3.7e154)])
     assert_labels_match_reference(poly, sites)
+    assert_grid_order_matches_argsort(sites)
     assert _directed_polytope_to_sites(poly, sites) == math.inf
     poly = convex_hull(FinitePointSet.of([(2.9e149, 4.6e149), (-7.0e149, -2.6e149), (8.4e149, -9.2e148)]))
     sites = FinitePointSet.of([(8.8e-151, 3.6e149), (-2.6e-151, -4.1e149), (3.5e-151, -7.9e149),
                                (8.9e-151, 3.5e149), (7.2e148, 3.3e149), (1.7e148, 4.4e149)])
     assert_labels_match_reference(poly, sites)
+    assert_grid_order_matches_argsort(sites)
     assert math.isnan(_directed_polytope_to_sites(poly, sites))
 
 
