@@ -14,19 +14,15 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 # Points closer than this (per coordinate) are considered duplicates.
 DEDUP_RESOLUTION = 1e-12
 ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
-# the covering radius holds at most this many candidate-site distances, for
-# at most _NEAREST_ROWS candidates, at once; from _GRID_SITES sites on, it
-# finds Voronoi neighbours from a bucket grid instead of a full argsort
+# the covering radius holds at most this many candidate-site distances at once
 _NEAREST_BLOCK = 1 << 18
-_NEAREST_ROWS = 256
-_GRID_SITES = 256
 
 
 class EnumerationCapError(RuntimeError):
@@ -49,8 +45,9 @@ def _dedup_sorted(points: list[tuple[float, ...]]) -> tuple[tuple[float, ...], .
     if len(points[0]) == 1:
         kept = [points[0]]
         last = points[0][0]
-        for p in points:
-            if p[0] - last > DEDUP_RESOLUTION:
+        for p in points[1:]:
+            # written so that an infinite gap (inf - inf is NaN) keeps p
+            if not p[0] - last <= DEDUP_RESOLUTION:
                 kept.append(p)
                 last = p[0]
         return tuple(kept)
@@ -432,11 +429,9 @@ def _bisector_edge_hits(
     sites: Sequence[Sequence[float]],
     edges: Sequence[tuple[tuple[float, float], tuple[float, float]]],
     pairs: Iterable[tuple[int, int, int]],
-) -> tuple[list[tuple[float, float]], list[int]]:
-    """Where the bisector of sites ``i < j`` crosses edge ``e``, per ``(i, j, e)``,
-    and the site ``i`` of each crossing."""
+) -> list[tuple[float, float]]:
+    """Where the bisector of sites ``i < j`` crosses edge ``e``, per ``(i, j, e)``."""
     hits: list[tuple[float, float]] = []
-    owners: list[int] = []
     for i, j, e in pairs:
         sx, sy = sites[i]
         tx, ty = sites[j]
@@ -450,15 +445,13 @@ def _bisector_edge_hits(
         t = ((mx - a[0]) * dx + (my - a[1]) * dy) / denom
         if 0.0 <= t <= 1.0:
             hits.append((a[0] + t * ex, a[1] + t * ey))
-            owners.append(i)
-    return hits, owners
+    return hits
 
 
-def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Circumcenters of the site triples in the rows of ``idx`` (collinear ones
-    dropped), and the first site of each kept triple."""
+def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Circumcenters of the site triples in the rows of ``idx`` (collinear ones dropped)."""
     if len(idx) == 0:
-        return np.empty((0, 2)), np.empty(0, dtype=int)
+        return np.empty((0, 2))
     a, b, c = sites[idx[:, 0]], sites[idx[:, 1]], sites[idx[:, 2]]
     d = 2.0 * (a[:, 0] * (b[:, 1] - c[:, 1]) + b[:, 0] * (c[:, 1] - a[:, 1]) + c[:, 0] * (a[:, 1] - b[:, 1]))
     mask = np.abs(d) > 1e-14
@@ -468,44 +461,26 @@ def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.n
     c2 = (c * c).sum(axis=1)
     ux = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1]) + c2 * (a[:, 1] - b[:, 1])) / d
     uy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0]) + c2 * (b[:, 0] - a[:, 0])) / d
-    return np.column_stack([ux, uy]), idx[mask, 0]
+    return np.column_stack([ux, uy])
 
 
-def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray, owners: np.ndarray) -> float:
+def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray) -> float:
     """Largest distance from a row of ``cands`` to its nearest site.
 
-    The value is that of the full candidate-by-site distance matrix; since
-    sqrt is monotone, it is the root of the least squared distance.  Past
-    ``_NEAREST_BLOCK`` entries the matrix is not formed: candidate ``k`` is
-    within ``rho = |c_k - s_owners[k]|`` of a site, so only sites whose x
-    lies within ``rho`` (padded for rounding) of its x can be nearer.  The
-    sites are sorted by x and the candidates taken in x order, so each
-    block of candidates meets one slice of sites.
+    The candidates go in blocks of at most ``_NEAREST_BLOCK`` distances.
+    Since sqrt is monotone, the result is the root of the largest least
+    squared distance, the same value as from the matrix of distances.
     """
-    cx, cy = cands[:, 0], cands[:, 1]
-    if len(cands) * len(sites) <= _NEAREST_BLOCK:
-        dx = cx[:, None] - sites[:, 0]
-        dy = cy[:, None] - sites[:, 1]
-        return float(np.sqrt((dx * dx + dy * dy).min(axis=1)).max())
-    order = np.argsort(sites[:, 0], kind="stable")
-    sx, sy = sites[order, 0], sites[order, 1]
-    dx, dy = cx - sites[owners, 0], cy - sites[owners, 1]
-    rho = np.sqrt(dx * dx + dy * dy) * (1.0 + 1e-9) + 1e-12 * np.abs(cx)
-    lo = np.searchsorted(sx, cx - rho, "left")
-    hi = np.searchsorted(sx, cx + rho, "right")
-    # past the float range, a candidate meets every site, so NaN propagates
-    wide = ~(np.isfinite(cx) & np.isfinite(rho))
-    lo[wide], hi[wide] = 0, len(sites)
-    by_x = np.argsort(cx, kind="stable")
-    step = max(1, min(_NEAREST_ROWS, _NEAREST_BLOCK // len(sites)))
+    rows = max(1, _NEAREST_BLOCK // len(sites))
     worst = []
-    for start in range(0, len(by_x), step):
-        rows = by_x[start:start + step]
-        first, last = int(lo[rows].min()), int(hi[rows].max())
-        dx = cx[rows, None] - sx[first:last]
-        dy = cy[rows, None] - sy[first:last]
-        worst.append(np.sqrt((dx * dx + dy * dy).min(axis=1)).max())
-    return float(np.max(worst))
+    for start in range(0, len(cands), rows):
+        dx = cands[start:start + rows, 0:1] - sites[:, 0]
+        dy = cands[start:start + rows, 1:2] - sites[:, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        worst.append(dx.min(axis=1).max())
+    return float(np.sqrt(np.max(worst)))
 
 
 class _SiteGrid:
@@ -574,27 +549,6 @@ class _SiteGrid:
             yield heapq.heappop(heap)
 
 
-def _nearest_first_orders(sites: np.ndarray) -> Callable[[int], Iterable[tuple[float, int]]]:
-    """For each site index, its ``(squared distance, index)`` pairs to the
-    other sites, nearest first and ties by index.
-
-    Below ``_GRID_SITES`` sites one stable argsort of the full distance
-    matrix is cheapest; above it a ``_SiteGrid`` avoids the m x m matrix.
-    """
-    if len(sites) < _GRID_SITES:
-        diff = sites[:, None, :] - sites[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        order = np.argsort(d2, axis=1, kind="stable").tolist()
-        rows = d2.tolist()
-
-        def nearest_first(i: int) -> Iterable[tuple[float, int]]:
-            others = order[i][1:]  # order[i][0] is i: other sites are at positive distances
-            return zip(map(rows[i].__getitem__, others), others)
-
-        return nearest_first
-    return _SiteGrid(sites.tolist()).nearest_first
-
-
 def _clipped_cell_labels(
     poly: ConvexPolytope, n_edges: int, sites: np.ndarray
 ) -> tuple[set[tuple[int, int, int]], set[tuple[int, int, int]]]:
@@ -609,7 +563,7 @@ def _clipped_cell_labels(
     from ``s_i``: its bisector then lies beyond every point of the cell.
     """
     pts = sites.tolist()
-    nearest_first = _nearest_first_orders(sites)
+    nearest_first = _SiteGrid(pts).nearest_first
     pairs, triples = set(), set()
     for i, (sx, sy) in enumerate(pts):
         cell = [(x, y, ~(k % n_edges)) for k, (x, y) in enumerate(poly.vertices)]
@@ -656,17 +610,13 @@ def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet)
         return _interval_to_sites_1d(poly.lo, poly.hi, [p[0] for p in sites_set.points])
     sites = sites_set.arr
     edges = _segment_boundary(poly)
-    # a polygon vertex has no site of its own; any site bounds its distance
     cands = [np.asarray(poly.vertices, dtype=float)]
-    owners = [np.zeros(len(poly.vertices), dtype=int)]
     if len(sites) >= 2 and len(poly.vertices) >= 2:
         pairs, triples = _clipped_cell_labels(poly, len(edges), sites)
-        hits, hit_owners = _bisector_edge_hits(sites.tolist(), edges, pairs)
-        centers, center_owners = _circumcenters(sites, np.array(sorted(triples), dtype=int).reshape(-1, 3))
-        inside = _polygon_contains_all(poly, centers)
-        cands += [np.asarray(hits, dtype=float).reshape(-1, 2), centers[inside]]
-        owners += [np.asarray(hit_owners, dtype=int), center_owners[inside]]
-    return _farthest_nearest_site(np.concatenate(cands), sites, np.concatenate(owners))
+        hits = _bisector_edge_hits(sites.tolist(), edges, pairs)
+        centers = _circumcenters(sites, np.array(sorted(triples), dtype=int).reshape(-1, 3))
+        cands += [np.asarray(hits, dtype=float).reshape(-1, 2), centers[_polygon_contains_all(poly, centers)]]
+    return _farthest_nearest_site(np.concatenate(cands), sites)
 
 
 def _hausdorff_mixed(sites: FinitePointSet, poly: ConvexPolytope) -> float:

@@ -24,7 +24,6 @@ from ccspace import (
 from ccspace.core import self_combination
 from ccspace.fixtures import convexify_point
 from ccspace.geometry import (
-    _GRID_SITES,
     DEDUP_RESOLUTION,
     _SiteGrid,
     _clipped_cell_labels,
@@ -55,7 +54,7 @@ ladder_coord = st.builds(
     st.sampled_from((0.4, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0)),
     st.integers(0, 5),
 )
-dedup_coord = st.one_of(near_coord, ladder_coord, st.sampled_from((0.0, -0.0)))
+dedup_coord = st.one_of(near_coord, ladder_coord, st.sampled_from((0.0, -0.0, math.inf, -math.inf)))
 
 
 def bits(points):
@@ -138,6 +137,9 @@ LATTICE_COLUMNS = [(i / 7 + _rng.choice((0.0, 1e-16, -1e-16)), j / 9 + _rng.choi
     lambda d: st.lists(st.tuples(*[dedup_coord] * d), min_size=0, max_size=40)
 ))
 @example(pts=LATTICE_COLUMNS)
+# inf - inf is NaN, so the reference keeps every infinite twin
+@example(pts=[(math.inf,), (math.inf,), (-math.inf,), (-math.inf,), (0.0,)])
+@example(pts=[(math.inf, 0.0), (math.inf, 0.0), (0.0, math.inf), (0.0, math.inf), (0.0, 1.0)])
 def test_dedup_sorted_matches_reference_loop(pts):
     assert bits(_dedup_sorted(list(pts))) == bits(reference_dedup_sorted(list(pts)))
 
@@ -542,10 +544,8 @@ def test_site_grid_orders_neighbours_like_a_stable_argsort(kind):
 
 @pytest.mark.parametrize("kind", ["random", "collinear", "lattice"])
 def test_clipped_cell_labels_match_reference(kind):
-    # sizes on both sides of _GRID_SITES, where the neighbour order switches
-    # from a full argsort to the bucket grid
     rng = random.Random(kind)
-    for m in (2, 3, 4, 7, 12, 25, 60, 150, _GRID_SITES, 289):
+    for m in (2, 3, 4, 7, 12, 25, 60, 150, 289):
         sites = site_layout(kind, m, rng)
         polygon, segment, _ = polytope_shapes(rng)
         for poly in (polygon, segment, convex_hull(sites)):
@@ -585,27 +585,19 @@ def test_covering_radius_past_the_float_range():
 
 
 @np.errstate(invalid="ignore")
-def test_farthest_nearest_site_in_strips_matches_full_matrix():
+def test_farthest_nearest_site_in_blocks_matches_full_matrix():
     rng = np.random.default_rng(7)
-    # 512 x 1024 distances are more than _NEAREST_BLOCK: blocks of 256
-    # candidates each meet a strip of sites
+    # 513 x 1024 distances are more than _NEAREST_BLOCK: blocks of 256
+    # candidates, the last one holding a single candidate
     sites = rng.uniform(-5, 5, size=(1024, 2))
-    cands = rng.uniform(-5, 5, size=(512, 2))
-    nearest = np.sqrt(((cands[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
-    full = nearest.min(axis=1).max()
-    # each candidate's own site is its nearest one, so the strips are as narrow as they get
-    owners = nearest.argmin(axis=1)
-    assert _farthest_nearest_site(cands, sites, owners) == full
-    assert _farthest_nearest_site(cands, sites, np.zeros(len(cands), dtype=int)) == full
-    # on a unit lattice, a candidate 0.3 right of its site needs the strip's full width
-    lattice = np.array([(x, y) for x in range(32) for y in range(32)], dtype=float)
-    shifted = lattice[:512] + (0.3, 0.0)
-    full = np.sqrt(((shifted[:, None, :] - lattice[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max()
-    assert _farthest_nearest_site(shifted, lattice, np.arange(512)) == full
-    # a candidate past the float range sorts last and fills a block alone
-    for bad, want in (((math.inf, 0.0), math.inf), ((0.0, -math.inf), math.inf), ((math.nan, 0.0), math.nan)):
-        got = _farthest_nearest_site(np.vstack([cands, [bad]]), sites, np.append(owners, 0))
-        assert got == want or (math.isnan(got) and math.isnan(want))
+    cands = rng.uniform(-5, 5, size=(513, 2))
+    full = np.sqrt(((cands[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max()
+    assert _farthest_nearest_site(cands, sites) == full
+    # a candidate past the float range gives an infinite or NaN radius in any block
+    for row in (0, 300, 512):
+        for bad, want in (((math.inf, 0.0), math.inf), ((0.0, -math.inf), math.inf), ((math.nan, 0.0), math.nan)):
+            got = _farthest_nearest_site(np.vstack([cands[:row], [bad], cands[row + 1:]]), sites)
+            assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 lattice_coord = st.integers(-8, 8).map(lambda k: k / 2)
