@@ -7,6 +7,14 @@ distance, integrated exactly from the merged CDF breakpoints.  Large operands
 take numpy array kernels that make the same floating-point operations in the
 same order as the loops, so both paths give bit-identical laws and distances.
 
+A law keeps its atoms and probabilities as tuples; the kernels read them as
+read-only float64 arrays that the law converts once and caches
+(``atoms_array``, ``probs_array``, and ``cdf_array`` for the running sums of
+the probabilities).  A convolution keeps its running law as arrays from one
+array step to the next and builds the tuples once, when a loop step or the
+end of the combination needs them; the law it returns carries the arrays it
+was built from.
+
 Two shortcuts in the product kernel skip work that cannot change its result.
 When one operand has one atom, the step only scales and shifts the other law;
 if its atoms come out strictly increasing, more than ``ATOM_MERGE_RESOLUTION``
@@ -19,11 +27,11 @@ do not depend on which path ran.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,6 +94,43 @@ class DiscreteDistribution:
     def __len__(self) -> int:
         return len(self.atoms)
 
+    @cached_property
+    def atoms_array(self) -> np.ndarray:
+        """The atoms as a read-only float64 array, converted once."""
+        return _read_only(_as_array(self.atoms))
+
+    @cached_property
+    def probs_array(self) -> np.ndarray:
+        """The probabilities as a read-only float64 array, converted once."""
+        return _read_only(_as_array(self.probs))
+
+    @cached_property
+    def cdf_array(self) -> np.ndarray:
+        """``cdf_array[k]`` is the running sum of the first k probabilities,
+        added left to right (``np.cumsum`` is sequential); ``cdf_array[0]`` is 0."""
+        return _read_only(np.append(0.0, np.cumsum(self.probs_array)))
+
+    @staticmethod
+    def _from_arrays(atoms: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
+        """The law of a kernel's arrays, which it keeps as its cached arrays."""
+        law = DiscreteDistribution(tuple(atoms.tolist()), tuple(probs.tolist()))
+        law.__dict__["atoms_array"] = _read_only(atoms)
+        law.__dict__["probs_array"] = _read_only(probs)
+        return law
+
+
+def _as_array(values: Sequence[float]) -> np.ndarray:
+    # with a count, np.fromiter converts a tuple of floats faster than np.asarray
+    return np.fromiter(values, dtype=float, count=len(values))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+_ORIGIN = DiscreteDistribution.delta(0.0)
+
 
 def _check_mass(probs: Iterable[float]) -> None:
     """Reject probabilities whose exact sum is not within ``PROB_SUM_TOL`` of 1.
@@ -128,10 +173,12 @@ def quantile_resample(f: DiscreteDistribution, m: int) -> DiscreteDistribution:
     (max atom - min atom) / m.  Each atom is ``f.quantile((k + 0.5) / m)``,
     found by binary search in the cumulative probabilities: O(n + m log n).
     """
-    cum = list(itertools.accumulate(f.probs))  # the running sums of quantile()
-    last = len(cum) - 1
-    atoms = [f.atoms[min(bisect.bisect_left(cum, (k + 0.5) / m - 1e-15), last)] for k in range(m)]
-    return DiscreteDistribution.of(atoms, [1.0 / m] * m)
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m!r}")
+    cum = f.cdf_array[1:]  # the running sums of quantile()
+    keys = (np.arange(m) + 0.5) / m - 1e-15
+    picks = np.minimum(np.searchsorted(cum, keys, "left"), len(cum) - 1)
+    return DiscreteDistribution.of(f.atoms_array[picks].tolist(), [1.0 / m] * m)
 
 
 def scaled_convolution_combine(
@@ -144,29 +191,60 @@ def scaled_convolution_combine(
     Product atoms are enumerated incrementally with merging; whenever the atom
     count exceeds ``atom_cap`` the law is quantile-resampled down to
     ``atom_cap`` equal-probability atoms (``atom_cap=None`` never resamples).
+    Consecutive steps with at least ``ARRAY_KERNEL_ATOMS`` product atoms run
+    on the running law's arrays, which become tuples only after the last one.
     """
     if len(weights) != len(dists):
         raise ValueError("weights and distributions must align")
     if not dists:
         raise ValueError("need at least one distribution")
-    acc = DiscreteDistribution.delta(0.0)
-    for w, f in zip(weights, dists):
-        if len(acc) == 1 and len(f) == 1:
-            acc = _dirac_step(acc, w, f)
-        elif len(acc) * len(f) >= ARRAY_KERNEL_ATOMS:
-            acc = _product_step_array(acc, w, f)
+    if atom_cap is not None and atom_cap < 1:
+        raise ValueError(f"atom_cap must be at least 1 or None, got {atom_cap!r}")
+    acc = _ORIGIN
+    todo = steps = zip(weights, dists)
+    # Dirac and loop steps run here; an array step hands the fold to
+    # _array_steps, which returns the law and the steps it left
+    while True:
+        for w, f in todo:
+            if len(acc) == 1 and len(f) == 1:
+                acc = _dirac_step(acc, w, f)
+            elif len(acc) * len(f) >= ARRAY_KERNEL_ATOMS:
+                break
+            else:
+                atoms: list[float] = []
+                probs: list[float] = []
+                for a, pa in zip(acc.atoms, acc.probs):
+                    base = a
+                    for b, pb in zip(f.atoms, f.probs):
+                        atoms.append(base + w * b)
+                        probs.append(pa * pb)
+                acc = DiscreteDistribution.of(atoms, probs)
+            if atom_cap is not None and len(acc) > atom_cap:
+                acc = quantile_resample(acc, atom_cap)
         else:
-            atoms: list[float] = []
-            probs: list[float] = []
-            for a, pa in zip(acc.atoms, acc.probs):
-                base = a
-                for b, pb in zip(f.atoms, f.probs):
-                    atoms.append(base + w * b)
-                    probs.append(pa * pb)
-            acc = DiscreteDistribution.of(atoms, probs)
-        if atom_cap is not None and len(acc) > atom_cap:
-            acc = quantile_resample(acc, atom_cap)
-    return acc
+            return acc
+        acc, todo = _array_steps(acc, w, f, steps, atom_cap)
+
+
+def _array_steps(acc: DiscreteDistribution, w: float, f: DiscreteDistribution,
+                 steps: Iterator[tuple[float, DiscreteDistribution]],
+                 atom_cap: int | None) -> tuple[DiscreteDistribution, Iterable]:
+    """Run the array step ``(w, f)`` on ``acc`` and the array steps after it,
+    keeping the running law as arrays in between.  Returns the law and the
+    steps still to run: none, or the first one below ``ARRAY_KERNEL_ATOMS``
+    followed by the rest of ``steps``."""
+    atoms, probs = acc.atoms_array, acc.probs_array
+    while True:
+        atoms, probs = _product_step_array(atoms, probs, w, f)
+        if atom_cap is not None and len(atoms) > atom_cap:
+            law = quantile_resample(DiscreteDistribution._from_arrays(atoms, probs), atom_cap)
+            atoms, probs = law.atoms_array, law.probs_array
+        step = next(steps, None)
+        if step is None:
+            return DiscreteDistribution._from_arrays(atoms, probs), ()
+        w, f = step
+        if len(atoms) * len(f) < ARRAY_KERNEL_ATOMS:
+            return DiscreteDistribution._from_arrays(atoms, probs), itertools.chain((step,), steps)
 
 
 def _dirac_step(acc: DiscreteDistribution, w: float, f: DiscreteDistribution) -> DiscreteDistribution:
@@ -181,29 +259,36 @@ def _dirac_step(acc: DiscreteDistribution, w: float, f: DiscreteDistribution) ->
     return DiscreteDistribution((atom,), (prob,))
 
 
-def _as_array(values: Sequence[float]) -> np.ndarray:
-    # with a count, np.fromiter converts a tuple of floats faster than np.asarray
-    return np.fromiter(values, dtype=float, count=len(values))
-
-
-def _product_step_array(acc: DiscreteDistribution, w: float, f: DiscreteDistribution) -> DiscreteDistribution:
-    """The product step as array operations, bit for bit: the same ``a + w*b``
-    and ``pa*pb``, the same checks, the same stable (atom, prob) order and
-    the same merge into each group's first atom, with left-to-right sums.
+def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
+                        f: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The product step of the law ``(atoms, probs)`` with ``f`` as array
+    operations, bit for bit: the same ``a + w*b`` and ``pa*pb``, the same
+    checks, the same stable (atom, prob) order and the same merge into each
+    group's first atom, with left-to-right sums.  Returns the new law's atoms
+    and probabilities.
 
     A one-atom operand makes the product atoms a scaled and shifted copy of
     the other law.  When they are strictly increasing with every gap above
     ``ATOM_MERGE_RESOLUTION`` and every probability is positive, the sort is
     the identity and no atom merges or drops, so they are the law as they are.
     """
-    atoms = (_as_array(acc.atoms)[:, None] + float(w) * _as_array(f.atoms)).ravel()
-    probs = np.multiply.outer(_as_array(acc.probs), _as_array(f.probs)).ravel()
+    w = float(w)
+    one_atom = True
+    if len(f) == 1:
+        atoms = atoms + w * f.atoms[0]
+        probs = probs * f.probs[0]
+    elif len(atoms) == 1:
+        atoms = float(atoms[0]) + w * f.atoms_array
+        probs = float(probs[0]) * f.probs_array
+    else:
+        one_atom = False
+        atoms = (atoms[:, None] + w * f.atoms_array).ravel()
+        probs = np.multiply.outer(probs, f.probs_array).ravel()
     _check_mass_array(probs)
     if not (np.isfinite(atoms).all() and (probs >= 0.0).all()):
         raise ValueError(_BAD_ATOM)
-    if (min(len(acc), len(f)) == 1 and (atoms[1:] - atoms[:-1] > ATOM_MERGE_RESOLUTION).all()
-            and (probs > 0.0).all()):
-        return DiscreteDistribution(tuple(atoms.tolist()), tuple(probs.tolist()))
+    if one_atom and (atoms[1:] - atoms[:-1] > ATOM_MERGE_RESOLUTION).all() and (probs > 0.0).all():
+        return atoms, probs
     order = np.lexsort((probs, atoms))
     kept = order[probs[order] != 0.0]
     atoms = atoms[kept]
@@ -233,7 +318,7 @@ def _product_step_array(acc: DiscreteDistribution, w: float, f: DiscreteDistribu
     for j in range(1, int(sizes.max())):
         live = live[sizes[live] > j]
         merged[live] += probs[starts[live] + j]
-    return DiscreteDistribution(tuple(atoms[starts].tolist()), tuple(merged.tolist()))
+    return atoms[starts], merged
 
 
 def wasserstein1(f: DiscreteDistribution, g: DiscreteDistribution) -> float:
@@ -261,12 +346,12 @@ def _wasserstein1_array(f: DiscreteDistribution, g: DiscreteDistribution) -> flo
     """The loop of ``wasserstein1`` as array operations, bit for bit: the CDF
     at each breakpoint is the same running sum (``np.cumsum`` is sequential),
     and the terms are added left to right."""
-    fa = np.asarray(f.atoms, dtype=float)
-    ga = np.asarray(g.atoms, dtype=float)
+    fa = f.atoms_array
+    ga = g.atoms_array
     breaks = np.sort(np.concatenate((fa, ga)))
     breaks = breaks[np.append(True, breaks[1:] != breaks[:-1])]
     left = breaks[:-1]
-    cf = np.append(0.0, np.cumsum(f.probs))[np.searchsorted(fa, left, "right")]
-    cg = np.append(0.0, np.cumsum(g.probs))[np.searchsorted(ga, left, "right")]
+    cf = f.cdf_array[np.searchsorted(fa, left, "right")]
+    cg = g.cdf_array[np.searchsorted(ga, left, "right")]
     terms = np.abs(cf - cg) * (breaks[1:] - left)
     return float(np.cumsum(terms)[-1]) if len(terms) else 0.0

@@ -21,7 +21,8 @@ import numpy as np
 # Points closer than this (per coordinate) are considered duplicates.
 DEDUP_RESOLUTION = 1e-12
 ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
-# the covering radius holds at most this many candidate-site distances at once
+# the covering radius and the Hausdorff distance of two point sets hold at
+# most this many squared distances at once
 _NEAREST_BLOCK = 1 << 18
 
 
@@ -391,9 +392,34 @@ def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
 
 
 def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
-    diff = a.arr[:, None, :] - b.arr[None, :, :]
-    dmat = np.sqrt((diff * diff).sum(axis=2))
-    return float(max(dmat.min(axis=1).max(), dmat.min(axis=0).max()))
+    """Hausdorff distance between two point sets.
+
+    The squared distances ``dx*dx + dy*dy`` go in row blocks of at most
+    ``_NEAREST_BLOCK`` entries, with a running minimum per point of ``b``.
+    Since sqrt is monotone, the result is the same value as from the matrix
+    of distances.
+    """
+    pa, pb = a.arr, b.arr
+    rows = max(1, _NEAREST_BLOCK // len(pb))
+    d2 = _squared_distances(pa[:rows], pb)
+    worst = d2.min(axis=1).max()
+    nearest = d2.min(axis=0)
+    for start in range(rows, len(pa), rows):
+        d2 = _squared_distances(pa[start:start + rows], pb)
+        worst = np.maximum(worst, d2.min(axis=1).max())
+        np.minimum(nearest, d2.min(axis=0), out=nearest)
+    return math.sqrt(max(worst, nearest.max()))
+
+
+def _squared_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """``d2[i, j] = dx*dx + dy*dy`` (``dx*dx`` in d=1) from ``pa[i]`` to ``pb[j]``."""
+    d2 = pa[:, 0:1] - pb[:, 0]
+    d2 *= d2
+    if pb.shape[1] == 2:
+        dy = pa[:, 1:2] - pb[:, 1]
+        dy *= dy
+        d2 += dy
+    return d2
 
 
 def _hausdorff_polys(a: ConvexPolytope, b: ConvexPolytope) -> float:
@@ -474,12 +500,7 @@ def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray) -> float:
     rows = max(1, _NEAREST_BLOCK // len(sites))
     worst = []
     for start in range(0, len(cands), rows):
-        dx = cands[start:start + rows, 0:1] - sites[:, 0]
-        dy = cands[start:start + rows, 1:2] - sites[:, 1]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        worst.append(dx.min(axis=1).max())
+        worst.append(_squared_distances(cands[start:start + rows], sites).min(axis=1).max())
     return float(np.sqrt(np.max(worst)))
 
 

@@ -328,6 +328,12 @@ def loop_step(acc, w, f):
                                    [pa * pb for pa in acc.probs for pb in f.probs])
 
 
+def array_step(acc, w, f):
+    """One product step of the array kernel, as a law."""
+    atoms, probs = _product_step_array(acc.atoms_array, acc.probs_array, w, f)
+    return DiscreteDistribution._from_arrays(atoms, probs)
+
+
 # One-atom steps: weight 1e-13 pushes scaled gaps below the resolution (merges),
 # a negative weight reverses the atoms, and 0.0 sends every atom to one point.
 ONE_ATOM_WEIGHTS = (1.0, 0.5, 1e-13, -0.75, 0.0)
@@ -369,7 +375,7 @@ def test_one_atom_step_skips_the_sort_only_when_nothing_merges(monkeypatch, law_
     sorts = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
-    assert bits(_product_step_array(acc, w, f)) == bits(loop_step(acc, w, f))
+    assert bits(array_step(acc, w, f)) == bits(loop_step(acc, w, f))
     assert sorts == ([] if shortcut else [1])
 
 
@@ -380,7 +386,7 @@ def test_one_atom_step_drops_zero_probabilities():
     law = DiscreteDistribution(law.atoms, tuple(probs))
     dirac = DiscreteDistribution.delta(0.25)
     for acc, f in ((dirac, law), (law, dirac)):
-        got = _product_step_array(acc, 1.0, f)
+        got = array_step(acc, 1.0, f)
         assert bits(got) == bits(loop_step(acc, 1.0, f))
         assert len(got) == len(law) - 1
 
@@ -393,9 +399,9 @@ def test_slln_raw_track_takes_the_one_atom_step(monkeypatch):
     product_step = distributions._product_step_array
     lexsort = np.lexsort
 
-    def counted_step(acc, w, f):
-        steps["one-atom" if min(len(acc), len(f)) == 1 else "other"] += 1
-        return product_step(acc, w, f)
+    def counted_step(atoms, probs, w, f):
+        steps["one-atom" if min(len(atoms), len(f)) == 1 else "other"] += 1
+        return product_step(atoms, probs, w, f)
 
     monkeypatch.setattr(distributions, "_product_step_array", counted_step)
     monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
@@ -456,7 +462,7 @@ def test_mass_check_at_the_tolerance_boundary(atoms, other, where):
                                                                                 (0.5, 0.5))
     expected = outcome(lambda: loop_step(acc, 1.0, f))
     assert expected[0] == ("law" if where.startswith("inside") else "error")
-    assert outcome(lambda: _product_step_array(acc, 1.0, f)) == expected
+    assert outcome(lambda: array_step(acc, 1.0, f)) == expected
 
 
 @pytest.mark.parametrize("atoms", [128, 1024])
@@ -471,7 +477,7 @@ def test_mass_check_on_non_finite_and_negative_probabilities(atoms, head):
     f = DiscreteDistribution.delta(0.0)
     expected = outcome(lambda: loop_step(acc, 1.0, f))
     assert expected[0] == "error"
-    assert outcome(lambda: _product_step_array(acc, 1.0, f)) == expected
+    assert outcome(lambda: array_step(acc, 1.0, f)) == expected
 
 
 @pytest.mark.parametrize("atoms", [128, 1024])
@@ -484,7 +490,7 @@ def test_mass_check_when_negative_probabilities_cancel(atoms):
     f = DiscreteDistribution.delta(0.0)
     expected = outcome(lambda: loop_step(acc, 1.0, f))
     assert expected[1].startswith("probabilities sum to 1.25")
-    assert outcome(lambda: _product_step_array(acc, 1.0, f)) == expected
+    assert outcome(lambda: array_step(acc, 1.0, f)) == expected
 
 
 @pytest.mark.parametrize("n", [2, ARRAY_KERNEL_ATOMS])
@@ -556,3 +562,111 @@ def test_quantile_resample_on_a_running_sum_at_a_quantile(probs):
     f = DiscreteDistribution((-1.0, 0.0, 2.0), probs)
     expected = [f.quantile((k + 0.5) / 2) for k in range(2)]
     assert quantile_resample(f, 2).atoms == tuple(expected) == (-1.0, 0.0)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_resample_size_must_be_positive(m):
+    f = DiscreteDistribution.of([0.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^m must be at least 1"):
+        quantile_resample(f, m)
+    with pytest.raises(ValueError, match=r"^atom_cap must be at least 1"):
+        scaled_convolution_combine([0.5, 0.5], [f, f], atom_cap=m)
+
+
+def test_cached_arrays_equal_the_tuples_and_are_read_only():
+    rng = random.Random(3)
+    wide = law_from(rng, 300, "lattice")
+    built = scaled_convolution_combine([0.5, 0.5], [wide, DiscreteDistribution.of([0.0, 1.0], [0.5, 0.5])])
+    for law in (DiscreteDistribution.of([2.0, -1.0, 0.5], [0.25, 0.25, 0.5]), wide, built):
+        cdf = np.append(0.0, list(itertools.accumulate(law.probs)))
+        for got, expected in ((law.atoms_array, np.array(law.atoms)),
+                              (law.probs_array, np.array(law.probs)), (law.cdf_array, cdf)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert law.atoms_array is law.atoms_array
+
+
+def reference_resample(f, m):
+    return DiscreteDistribution.of([f.quantile((k + 0.5) / m) for k in range(m)], [1.0 / m] * m)
+
+
+def reference_fold(weights, dists, atom_cap):
+    """The convolution as one loop step per law, resampled after each step
+    above ``atom_cap``: the oracle of the array-resident fold."""
+    acc = DiscreteDistribution.delta(0.0)
+    for w, f in zip(weights, dists):
+        acc = loop_step(acc, w, f)
+        if atom_cap is not None and len(acc) > atom_cap:
+            acc = reference_resample(acc, atom_cap)
+    return acc
+
+
+def chain_law(rng, shape):
+    if shape == "dirac":
+        return DiscreteDistribution.delta(rng.choice((0.0, -0.0, 0.25, -1.5)))
+    if shape == "two":
+        return DiscreteDistribution.of(rng.sample((0.0, 0.125, 1.0, -0.5), 2), (0.375, 0.625))
+    kind = rng.choice(LAW_KINDS)
+    return law_from(rng, rng.randint(3, 9) if shape == "small" else rng.randint(128, 200), kind)
+
+
+# Each chain mixes one-atom, two-atom and wide laws.  Weight 0 collapses a wide
+# law to one atom, so the fold leaves the arrays for a Dirac or loop step and
+# comes back; the lattice steps merge product atoms between array steps.
+FOLD_CHAINS = [
+    # wide, then array steps with merges, crossing ATOM_CAP at the two-atom steps
+    (("wide", 1.0), ("two", 0.5), ("two", 0.5), ("dirac", 1.0), ("two", 1.0 / 3.0)),
+    # Dirac steps, a wide law, and back to one atom with weight 0
+    (("dirac", 1.0), ("dirac", 0.5), ("wide", -0.75), ("wide", 0.0), ("dirac", 1.0),
+     ("two", 0.5), ("small", 0.25), ("wide", 0.5), ("dirac", 1e-13)),
+    # two wide laws: 128 x 128 product atoms and more, resampled
+    (("two", 1.0), ("wide", 0.5), ("wide", 0.5), ("two", 1e-13), ("dirac", -1.0)),
+    # collapse right after the first array step, the loop path, then arrays again
+    (("wide", 0.0), ("small", 1.0), ("two", 0.5), ("wide", 1.0), ("small", 0.5)),
+]
+
+
+@pytest.mark.parametrize("chain", FOLD_CHAINS)
+@pytest.mark.parametrize("atom_cap", [distributions.ATOM_CAP, 130, None])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_array_resident_fold_matches_the_per_step_loop(monkeypatch, chain, atom_cap, seed):
+    rng = random.Random(seed)
+    dists = [chain_law(rng, shape) for shape, _ in chain]
+    weights = [w for _, w in chain]
+    if atom_cap is None and sum(shape == "wide" for shape, _ in chain) > 1:
+        dists = [f if len(f) < 128 else law_from(rng, 128, "spread") for f in dists]
+    calls = {"array": 0, "resample": 0}
+    product_step = distributions._product_step_array
+    resample = distributions.quantile_resample
+
+    def counted_step(*args):
+        calls["array"] += 1
+        return product_step(*args)
+
+    def counted_resample(*args):
+        calls["resample"] += 1
+        return resample(*args)
+
+    monkeypatch.setattr(distributions, "_product_step_array", counted_step)
+    monkeypatch.setattr(distributions, "quantile_resample", counted_resample)
+    expected = outcome(lambda: reference_fold(weights, dists, atom_cap))
+    assert outcome(lambda: scaled_convolution_combine(weights, dists, atom_cap=atom_cap)) == expected
+    assert calls["array"] >= 2
+    if atom_cap == 130:
+        assert calls["resample"] >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32),
+       st.lists(st.tuples(st.sampled_from(("dirac", "two", "small", "wide")),
+                          st.sampled_from((1.0, 0.5, 1.0 / 3.0, -0.75, 0.0, 1e-13))),
+                min_size=3, max_size=7),
+       st.sampled_from((130, 16)))
+def test_array_resident_fold_on_random_chains(seed, chain, atom_cap):
+    rng = random.Random(seed)
+    dists = [chain_law(rng, shape) for shape, _ in chain]
+    weights = [w for _, w in chain]
+    expected = outcome(lambda: reference_fold(weights, dists, atom_cap))
+    assert outcome(lambda: scaled_convolution_combine(weights, dists, atom_cap=atom_cap)) == expected

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ccspace
+from ccspace import geometry
 from ccspace import (
     ConvexPolytope,
     EnumerationCapError,
@@ -30,6 +31,7 @@ from ccspace.geometry import (
     _dedup_sorted,
     _directed_polytope_to_sites,
     _farthest_nearest_site,
+    _hausdorff_sets,
     _minkowski_sum_pair,
     _polygon_contains,
     _polygon_contains_all,
@@ -598,6 +600,45 @@ def test_farthest_nearest_site_in_blocks_matches_full_matrix():
         for bad, want in (((math.inf, 0.0), math.inf), ((0.0, -math.inf), math.inf), ((math.nan, 0.0), math.nan)):
             got = _farthest_nearest_site(np.vstack([cands[:row], [bad], cands[row + 1:]]), sites)
             assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def reference_hausdorff_sets(a, b):
+    """The full-matrix Hausdorff distance of two point sets, which
+    ``_hausdorff_sets`` computes in row blocks."""
+    diff = a.arr[:, None, :] - b.arr[None, :, :]
+    dmat = np.sqrt((diff * diff).sum(axis=2))
+    return float(max(dmat.min(axis=1).max(), dmat.min(axis=0).max()))
+
+
+@pytest.mark.parametrize("block", [1 << 18, 1, 7, 36])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hausdorff_sets_in_row_blocks_matches_full_matrix(monkeypatch, block, dim):
+    # blocks of 1 << 18 distances hold every row; a block of 1 (or fewer than
+    # len(b)) distances holds one row; 7 and 36 end a block inside and at the
+    # end of a set of 9 or 12 rows against 4 or 3 columns
+    monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+    rng = random.Random(dim * 100 + block)
+
+    def points(n):
+        return [tuple(rng.choice((rng.uniform(-5, 5), rng.randint(-3, 3) / 2)) for _ in range(dim))
+                for _ in range(n)]
+
+    one = FinitePointSet.of(points(1))
+    shared = points(6)
+    cases = [
+        (one, one),
+        (one, FinitePointSet.of(points(40))),
+        (FinitePointSet.of(points(9)), FinitePointSet.of(points(4))),
+        (FinitePointSet.of(points(12)), FinitePointSet.of(points(3))),
+        (FinitePointSet.of(shared + points(5)), FinitePointSet.of(shared)),
+        # repeated points, kept as given
+        (FinitePointSet(tuple(shared * 2)), FinitePointSet(tuple(shared[:2] * 3))),
+        (FinitePointSet.of(points(200)), FinitePointSet.of(points(150))),
+    ]
+    for a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            assert _hausdorff_sets(x, y) == reference_hausdorff_sets(x, y)
+            assert hausdorff_distance(x, y) == reference_hausdorff_sets(x, y)
 
 
 lattice_coord = st.integers(-8, 8).map(lambda k: k / 2)
