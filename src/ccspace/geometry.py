@@ -394,32 +394,47 @@ def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
 def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
     """Hausdorff distance between two point sets.
 
-    The squared distances ``dx*dx + dy*dy`` go in row blocks of at most
-    ``_NEAREST_BLOCK`` entries, with a running minimum per point of ``b``.
-    Since sqrt is monotone, the result is the same value as from the matrix
-    of distances.
+    The squared distances go in row blocks (``_squared_distance_blocks``),
+    with a running minimum per point of ``b``.  Since sqrt is monotone, the
+    result is the same value as from the matrix of distances.
     """
-    pa, pb = a.arr, b.arr
-    rows = max(1, _NEAREST_BLOCK // len(pb))
-    d2 = _squared_distances(pa[:rows], pb)
+    blocks = _squared_distance_blocks(a.arr, b.arr)
+    d2 = next(blocks)
     worst = d2.min(axis=1).max()
     nearest = d2.min(axis=0)
-    for start in range(rows, len(pa), rows):
-        d2 = _squared_distances(pa[start:start + rows], pb)
+    for d2 in blocks:
         worst = np.maximum(worst, d2.min(axis=1).max())
         np.minimum(nearest, d2.min(axis=0), out=nearest)
     return math.sqrt(max(worst, nearest.max()))
 
 
-def _squared_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """``d2[i, j] = dx*dx + dy*dy`` (``dx*dx`` in d=1) from ``pa[i]`` to ``pb[j]``."""
-    d2 = pa[:, 0:1] - pb[:, 0]
+def _squared_distance_blocks(pa: np.ndarray, pb: np.ndarray) -> Iterator[np.ndarray]:
+    """``d2[i, j] = dx*dx + dy*dy`` (``dx*dx`` in d=1) from ``pa[i]`` to
+    ``pb[j]``, in row blocks of at most ``_NEAREST_BLOCK`` entries.
+
+    Later blocks are written into the first block's arrays, so a block is
+    valid only until the next one is taken; fresh large arrays per block
+    would be fresh pages, each faulted in again.
+    """
+    rows = max(1, _NEAREST_BLOCK // len(pb))
+    d2, dy = _squared_distances(pa[:rows], pb)
+    yield d2
+    for start in range(rows, len(pa), rows):
+        block = pa[start:start + rows]
+        k = len(block)
+        yield _squared_distances(block, pb, d2[:k], None if dy is None else dy[:k])[0]
+
+
+def _squared_distances(pa: np.ndarray, pb: np.ndarray, d2: np.ndarray | None = None,
+                       dy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The block of ``pa`` against ``pb``, in ``d2`` (and ``dy`` in d=2) when given."""
+    d2 = np.subtract(pa[:, 0:1], pb[:, 0], out=d2)
     d2 *= d2
     if pb.shape[1] == 2:
-        dy = pa[:, 1:2] - pb[:, 1]
+        dy = np.subtract(pa[:, 1:2], pb[:, 1], out=dy)
         dy *= dy
         d2 += dy
-    return d2
+    return d2, dy
 
 
 def _hausdorff_polys(a: ConvexPolytope, b: ConvexPolytope) -> float:
@@ -497,10 +512,7 @@ def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray) -> float:
     Since sqrt is monotone, the result is the root of the largest least
     squared distance, the same value as from the matrix of distances.
     """
-    rows = max(1, _NEAREST_BLOCK // len(sites))
-    worst = []
-    for start in range(0, len(cands), rows):
-        worst.append(_squared_distances(cands[start:start + rows], sites).min(axis=1).max())
+    worst = [d2.min(axis=1).max() for d2 in _squared_distance_blocks(cands, sites)]
     return float(np.sqrt(np.max(worst)))
 
 
