@@ -21,8 +21,10 @@ if its atoms come out strictly increasing, more than ``ATOM_MERGE_RESOLUTION``
 apart and with positive probabilities, nothing is sorted or merged.  The mass
 check accepts a plain float sum when its error bound (Higham 1993) keeps the
 exact sum inside ``PROB_SUM_TOL``; every other mass, and every rejection,
-takes the exact ``math.fsum``.  Laws, distances, verdicts and error messages
-do not depend on which path ran.
+takes the exact ``math.fsum``.  The distance between two one-atom laws is
+the loop's one term, the lower law's mass times the gap, taken without the
+loop.  Laws, distances, verdicts and error messages do not depend on which
+path ran.
 """
 
 from __future__ import annotations
@@ -323,6 +325,13 @@ def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
 
 def wasserstein1(f: DiscreteDistribution, g: DiscreteDistribution) -> float:
     """Exact integral of |F(t) - G(t)| over the merged breakpoints."""
+    if len(f) == 1 and len(g) == 1:
+        # the loop's one term: the lower law's mass times the gap
+        a = f.atoms[0]
+        b = g.atoms[0]
+        if a == b:
+            return 0.0
+        return f.probs[0] * (b - a) if a < b else g.probs[0] * (a - b)
     if len(f) + len(g) >= ARRAY_KERNEL_ATOMS:
         return _wasserstein1_array(f, g)
     breaks = sorted(set(f.atoms) | set(g.atoms))

@@ -4,6 +4,14 @@ expectation, filtrations, martingales, and Jensen-type inequalities.
 Every sample space is finite, so each random element is simple and its
 expectation is the probability-weighted combination of the convexified
 values, evaluated in exact arithmetic.
+
+A random element's values are read-only.  It convexifies them once, on first
+use, with one ``convexify`` call per distinct value object, and expectation
+and conditional expectation read that per-atom map.  A conditional
+expectation is constant on each block, so along a martingale trace most
+atoms share a value object.  ``expected_distance``, ``delta_p`` and the
+martingale guard take ``space.distance`` once per distinct pair of value
+objects (``_pair_distances``) and sum the same per-atom terms as before.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Optional, Sequence
+from types import MappingProxyType
+from typing import Hashable, Mapping, Optional, Sequence
 
 from .axioms import AxiomReport, CheckResult, _sample_weights, nan_max, seeded_trials
 from .core import EXACT_TOL, Point, SpaceContract, combine, convexify
@@ -67,16 +76,35 @@ class FiniteSampleSpace:
 
 @dataclass(frozen=True)
 class RandomElement:
-    """A total map from sample-space atoms into a combination space."""
+    """A total map from sample-space atoms into a combination space.
+
+    ``values`` is stored as a read-only copy, so the cached ``convexified``
+    map cannot go stale.
+    """
 
     space: SpaceContract
     sample_space: FiniteSampleSpace
-    values: dict[Label, Point]
+    values: Mapping[Label, Point]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         missing = [a for a in self.sample_space.atoms if a not in self.values]
         if missing:
             raise ValueError(f"values missing for atoms {missing!r}")
+
+    @cached_property
+    def convexified(self) -> Mapping[Label, Point]:
+        """atom -> convexified value, one ``convexify`` call per distinct
+        value object."""
+        by_id: dict[int, Point] = {}
+        out = {}
+        for a in self.sample_space.atoms:
+            v = self.values[a]
+            c = by_id.get(id(v))
+            if c is None:
+                c = by_id[id(v)] = convexify(self.space, v)
+            out[a] = c
+        return MappingProxyType(out)
 
     def value_weight_pairs(self) -> list[tuple[float, Point]]:
         return [
@@ -175,18 +203,32 @@ def dyadic_filtration(omega: FiniteSampleSpace) -> Filtration:
 
 def expectation(x: RandomElement) -> Point:
     """Probability-weighted combination of the convexified values."""
-    space = x.space
-    return combine(
-        space,
-        [(p, convexify(space, v)) for p, v in x.value_weight_pairs()],
-    )
+    omega = x.sample_space
+    convexified = x.convexified
+    return combine(x.space, [(p, convexified[a]) for a, p in zip(omega.atoms, omega.probs)])
+
+
+def _pair_distances(x: RandomElement, y: RandomElement) -> list[float]:
+    """``d(x.values[a], y.values[a])`` for each atom in order, with one
+    ``space.distance`` call per distinct pair of value objects."""
+    distance = x.space.distance
+    seen: dict[tuple[int, int], float] = {}
+    out = []
+    for a in x.sample_space.atoms:
+        u = x.values[a]
+        v = y.values[a]
+        key = (id(u), id(v))
+        d = seen.get(key)
+        if d is None:
+            d = seen[key] = distance(u, v)
+        out.append(d)
+    return out
 
 
 def expected_distance(x: RandomElement, y: RandomElement) -> float:
     _check_same_base(x, y)
     return math.fsum(
-        p * x.space.distance(x.values[a], y.values[a])
-        for a, p in zip(x.sample_space.atoms, x.sample_space.probs)
+        prob * d for prob, d in zip(x.sample_space.probs, _pair_distances(x, y))
     )
 
 
@@ -196,8 +238,7 @@ def delta_p(x: RandomElement, y: RandomElement, p: int = 1) -> float:
         raise ValueError("p must be 1 or 2")
     _check_same_base(x, y)
     total = math.fsum(
-        prob * x.space.distance(x.values[a], y.values[a]) ** p
-        for a, prob in zip(x.sample_space.atoms, x.sample_space.probs)
+        prob * d ** p for prob, d in zip(x.sample_space.probs, _pair_distances(x, y))
     )
     return total ** (1.0 / p)
 
@@ -227,6 +268,7 @@ def conditional_expectation(x: RandomElement, g: FinitePartition) -> RandomEleme
     """
     space = x.space
     omega = x.sample_space
+    convexified = x.convexified
     values: dict[Label, Point] = {}
     for block in g.blocks:
         probs = [omega.prob(a) for a in block]
@@ -235,10 +277,7 @@ def conditional_expectation(x: RandomElement, g: FinitePartition) -> RandomEleme
             raise ValueError(f"zero-probability block {block!r}")
         mixed = combine(
             space,
-            [
-                (p / block_prob, convexify(space, x.values[a]))
-                for p, a in zip(probs, block)
-            ],
+            [(p / block_prob, convexified[a]) for p, a in zip(probs, block)],
         )
         for a in block:
             values[a] = mixed
@@ -325,7 +364,7 @@ def check_ce_properties(
     measurable = RandomElement(space, omega, rep_values)
     ce = conditional_expectation(measurable, g_fine)
     worst = nan_max(
-        space.distance(ce.values[a], convexify(space, measurable.values[a]))
+        space.distance(ce.values[a], measurable.convexified[a])
         for a in omega.atoms
     )
     report.check("measurable_to_convexification").record(worst, g_fine.blocks)
@@ -371,13 +410,9 @@ def martingale_sequence(x: RandomElement, filt: Filtration, tol: float = EXACT_T
     values pointwise.
     """
     seq = [conditional_expectation(x, g) for g in filt.partitions]
-    space = x.space
     for earlier_g, earlier, later in zip(filt.partitions, seq, seq[1:]):
         pulled = conditional_expectation(later, earlier_g)
-        worst = nan_max(
-            space.distance(pulled.values[a], earlier.values[a])
-            for a in x.sample_space.atoms
-        )
+        worst = nan_max(_pair_distances(pulled, earlier))
         if not worst <= tol:
             raise ValueError(f"martingale property violated by {worst!r}")
     return seq

@@ -546,6 +546,22 @@ def test_w1_kernel_on_shared_and_signed_zero_atoms():
     assert wasserstein1(f, g) == loop_wasserstein1(f, g) > 0.0
 
 
+def test_w1_of_one_atom_laws_gives_the_loops_bits():
+    rng = random.Random(14)
+    # a one-atom law merged from three atoms keeps a mass just below 1
+    merged = DiscreteDistribution.of([2.0, 2.0 + 1e-13, 2.0 + 2e-13], [0.7, 0.2, 0.1])
+    assert len(merged) == 1 and merged.probs[0] != 1.0
+    pairs = [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (3.5, 3.5), (-1e308, 1e308), (5e-324, 0.0)]
+    for _ in range(200):
+        a = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-300, 300)
+        pairs.append((a, rng.choice([a, -a, a + rng.uniform(-1.0, 1.0), rng.gauss(0.0, 1.0)])))
+    laws = [(DiscreteDistribution.delta(a), DiscreteDistribution.delta(b)) for a, b in pairs]
+    laws += [(merged, DiscreteDistribution.delta(b)) for b in (-3.0, 2.0, 7.25)]
+    for f, g in laws:
+        for left, right in ((f, g), (g, f)):
+            assert wasserstein1(left, right).hex() == loop_wasserstein1(left, right).hex()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 600), st.integers(1, 600), st.sampled_from(LAW_KINDS))
 def test_quantile_resample_matches_quantile(seed, n, m, kind):

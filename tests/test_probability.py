@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import math
@@ -34,7 +35,7 @@ from ccspace import (
     mix_elements,
     power_space,
 )
-from ccspace import cli, probability
+from ccspace import cli, fixtures, get_space, probability
 from ccspace.embedding import combine_support_vectors, direction_set_for, sup_norm_gap
 from ccspace.probability import (
     Filtration,
@@ -42,6 +43,7 @@ from ccspace.probability import (
     expectation_identity_suite,
     conditional_suite,
     expected_distance,
+    martingale_distances,
     sample_partition,
     sample_random_element,
     sample_sample_space,
@@ -497,6 +499,94 @@ def test_martingale_command_conditions_once_per_level(monkeypatch):
     assert code == 0
     levels = 7  # 64 atoms: blocks of 64, 32, ..., 1
     assert len(calls) == 2 * levels - 1
+
+
+def counted_space(space):
+    """``space`` with ``distance`` and ``convexify_exact`` counting their calls."""
+    counts = {"distance": 0, "convexify_exact": 0}
+
+    def counted(name):
+        original = getattr(space, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return call
+
+    wrapped = dataclasses.replace(
+        space, distance=counted("distance"), convexify_exact=counted("convexify_exact")
+    )
+    return wrapped, counts
+
+
+@pytest.mark.parametrize("space_name, fixture", [
+    ("euclidean", "seeded64-euclidean.fixture"),
+    ("compact-sets", "seeded64-sets.fixture"),
+    ("distributions", "seeded64-distributions.fixture"),
+])
+def test_martingale_trace_takes_each_distinct_value_once(space_name, fixture):
+    # 2^k atoms with distinct values and k + 1 levels.  Level i of the
+    # sequence has 2^i distinct values, so the guard convexifies
+    # 2 + 4 + ... + 2^k values after x's 2^k, and compares 1 + 2 + ... +
+    # 2^(k-1) distinct pairs
+    space, counts = counted_space(get_space(space_name))
+    x = fixtures.load_fixture_file(space, space_name, str(SEEDED64.parent / fixture))
+    k = 6
+    n = 2 ** k
+    assert len(x.sample_space) == n
+    seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
+    assert counts == {"convexify_exact": 3 * n - 2, "distance": n - 1}
+    martingale_distances(seq, p=1, direction="forward")  # targets the finest term
+    assert counts["distance"] == (n - 1) + (k + 1) * n
+    martingale_distances(seq, p=2, direction="reverse")  # targets the one-valued first term
+    assert counts["distance"] == (n - 1) + (k + 1) * n + (2 * n - 1) == (k + 4) * n - 2
+    assert counts["convexify_exact"] == 3 * n - 2
+
+
+def equal_copy(point):
+    """A new object equal to ``point``."""
+    return tuple(list(point)) if isinstance(point, tuple) else copy.copy(point)
+
+
+@pytest.mark.parametrize("space", [E1, CS1, distribution_space()], ids=lambda s: s.name)
+def test_shared_value_objects_give_the_same_bits_as_equal_copies(space):
+    rng = random.Random(14)
+    omega = sample_sample_space(rng, 6)
+    u, v, w = (space.sample(rng) for _ in range(3))
+    # atoms w0..w2 share u and w3, w4 share v in ``shared``
+    chosen = (u, u, u, v, v, w)
+    shared = RandomElement(space, omega, dict(zip(omega.atoms, chosen)))
+    copies = RandomElement(space, omega, {a: equal_copy(p) for a, p in zip(omega.atoms, chosen)})
+    other = RandomElement(space, omega, dict(zip(omega.atoms, (w, v, w, u, w, v))))
+    assert all(copies.values[a] is not shared.values[a] for a in omega.atoms)
+    assert copies.values == shared.values
+    g = FinitePartition.of([omega.atoms[:2], omega.atoms[2:5], omega.atoms[5:]], omega)
+    for fine in (g, FinitePartition.finest(omega), FinitePartition.trivial(omega)):
+        left = conditional_expectation(shared, fine).values
+        right = conditional_expectation(copies, fine).values
+        assert [repr(left[a]) for a in omega.atoms] == [repr(right[a]) for a in omega.atoms]
+    for y in (other, shared, copies):
+        for p in (1, 2):
+            assert delta_p(shared, y, p).hex() == delta_p(copies, y, p).hex()
+            assert delta_p(y, shared, p).hex() == delta_p(y, copies, p).hex()
+        assert expected_distance(shared, y).hex() == expected_distance(copies, y).hex()
+
+
+def test_random_element_values_are_read_only():
+    omega = FiniteSampleSpace.uniform(2)
+    given_values = {"w0": (0.0,), "w1": (4.0,)}
+    x = RandomElement(E1, omega, given_values)
+    with pytest.raises(TypeError):
+        x.values["w0"] = (1.0,)
+    with pytest.raises(TypeError):
+        x.convexified["w0"] = (1.0,)
+    assert x.values == given_values and given_values == x.values
+    assert x == RandomElement(E1, omega, dict(given_values))
+    # the element keeps its own copy, so its convexified map cannot go stale
+    given_values["w0"] = (2.0,)
+    assert x.values["w0"] == x.convexified["w0"] == (0.0,)
+    assert x.convexified is x.convexified
 
 
 def test_martingale_trace_rejects_bad_direction_and_p():
