@@ -11,7 +11,7 @@ and conditional expectation read that per-atom map.  A conditional
 expectation is constant on each block, so along a martingale trace most
 atoms share a value object.  ``expected_distance``, ``delta_p`` and the
 martingale guard take ``space.distance`` once per distinct pair of value
-objects (``_pair_distances``) and sum the same per-atom terms as before.
+objects (``_pair_distances``) and still sum one term per atom.
 """
 
 from __future__ import annotations
