@@ -168,7 +168,8 @@ def check_axioms(
         terms = list(zip(weights, points))
         permuted = terms[:]
         rng.shuffle(permuted)
-        gap = d(combine(space, terms), combine(space, permuted))
+        combined = combine(space, terms)
+        gap = d(combined, combine(space, permuted))
         report.check("commutativity").record(gap, terms)
 
         # flattening: nested two-level combination equals the product-weight form
@@ -243,7 +244,7 @@ def check_axioms(
 
         # linearity: K(combination) equals the combination of images
         gap = d(
-            space.convexify_exact(combine(space, terms)),
+            space.convexify_exact(combined),
             combine(space, [(w, space.convexify_exact(p)) for w, p in terms]),
         )
         report.check("convexifier_linear").record(gap, terms)
@@ -260,7 +261,7 @@ def check_axioms(
         try:
             lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
         except TypeError:
-            outer = space.convexify_exact(u)
+            outer = ku
             lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
         gap = d(lhs, combine(space, [(l1, outer), (l2 + l3, kv)]))
         report.check("repeated_convex_merge").record(gap, l1, l2, l3, outer, kv)
@@ -320,14 +321,14 @@ def check_cancellation(
         report.check("cancellation_equality").record(gap, lam, x, y, z)
 
         lam_in = rng.uniform(0.05, 0.95)
-        mixed = combine(space, [(lam_in, x), (1.0 - lam_in, y)])
+        u = combine(space, [(lam_in, x), (1.0 - lam_in, y)])
+        dxy = d(x, y)
         gap = nan_max(
-            abs(d(mixed, x) - (1.0 - lam_in) * d(x, y)),
-            abs(d(mixed, y) - lam_in * d(x, y)),
+            abs(d(u, x) - (1.0 - lam_in) * dxy),
+            abs(d(u, y) - lam_in * dxy),
         )
         report.check("endpoint_ratios").record(gap, lam_in, x, y)
 
-        u = combine(space, [(lam_in, x), (1.0 - lam_in, y)])
         v = combine(space, [(lam_in, x), (1.0 - lam_in, z)])
         w = combine(space, [(lam_in, y), (1.0 - lam_in, z)])
         gap = abs(d(u, v) - d(y, w))

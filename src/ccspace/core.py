@@ -72,6 +72,12 @@ class SpaceContract:
     convexification is the identity, and ``exact`` distinguishes exact
     arithmetic from resampling instances (which get the looser default check
     tolerance).
+
+    ``distance``, ``combine_terms`` and ``convexify_exact`` must be pure: the
+    same arguments give the same result, with no side effects.  The suites
+    and random elements compute each value once and reuse it (a combination,
+    a convexified value, an expectation, the distance of a pair of value
+    objects), so an impure field would be checked against stale results.
     """
 
     name: str

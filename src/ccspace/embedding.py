@@ -228,13 +228,14 @@ def embedding_suite(trials: int = 1000, seed: int = 0, tol: float | None = None)
         lam = rng.uniform(0.05, 0.95)
         mixed = polytope_combine([lam, 1.0 - lam], [p, q])
         dirs = direction_set_for(p, q, mixed)
+        embedded_p = embed(p, dirs)
         gap = sup_norm_gap(
             embed(mixed, dirs),
-            combine_support_vectors([lam, 1.0 - lam], [embed(p, dirs), embed(q, dirs)]),
+            combine_support_vectors([lam, 1.0 - lam], [embedded_p, embed(q, dirs)]),
         )
         affinity.record(gap, lam, p.vertices, q.vertices)
 
         reach = hausdorff_distance(p, origin)
-        worst = max(abs(v) for v in embed(p, dirs).values) - reach
+        worst = max(abs(v) for v in embedded_p.values) - reach
         report.check("linear_growth").record(worst, p.vertices)
     return report

@@ -24,6 +24,10 @@ ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
 # the covering radius and the Hausdorff distance of two point sets hold at
 # most this many squared distances at once
 _NEAREST_BLOCK = 1 << 18
+# below this many point pairs (len(a) * len(b)) the Hausdorff distance of two
+# point sets runs as a plain-float loop; above it, numpy's fixed cost per call
+# is the smaller one
+_HAUSDORFF_LOOP_PAIRS = 128
 
 
 class EnumerationCapError(RuntimeError):
@@ -394,10 +398,14 @@ def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
 def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
     """Hausdorff distance between two point sets.
 
-    The squared distances go in row blocks (``_squared_distance_blocks``),
-    with a running minimum per point of ``b``.  Since sqrt is monotone, the
-    result is the same value as from the matrix of distances.
+    Below ``_HAUSDORFF_LOOP_PAIRS`` point pairs a plain-float loop runs
+    (``_hausdorff_sets_loop``); above, the squared distances go in row blocks
+    (``_squared_distance_blocks``), with a running minimum per point of
+    ``b``.  Since sqrt is monotone, the result is the same value as from the
+    matrix of distances, and both paths give the same bits.
     """
+    if len(a) * len(b) < _HAUSDORFF_LOOP_PAIRS:
+        return _hausdorff_sets_loop(a.points, b.points)
     blocks = _squared_distance_blocks(a.arr, b.arr)
     d2 = next(blocks)
     worst = d2.min(axis=1).max()
@@ -406,6 +414,47 @@ def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
         worst = np.maximum(worst, d2.min(axis=1).max())
         np.minimum(nearest, d2.min(axis=0), out=nearest)
     return math.sqrt(max(worst, nearest.max()))
+
+
+def _hausdorff_sets_loop(pa: Sequence[tuple[float, ...]], pb: Sequence[tuple[float, ...]]) -> float:
+    """The blocked path's value on tuples: the same ``dx*dx + dy*dy``
+    (``dx*dx`` in d=1), minima, maximum and sqrt.  A NaN squared distance
+    makes numpy's minima and maximum NaN, so it returns NaN at once."""
+    nearest = [math.inf] * len(pb)
+    worst = 0.0
+    cols = range(len(pb))
+    if len(pb[0]) == 1:
+        xs = [q[0] for q in pb]
+        for (x,) in pa:
+            row = math.inf
+            for j in cols:
+                dx = x - xs[j]
+                d2 = dx * dx
+                if d2 < row:
+                    row = d2
+                if d2 < nearest[j]:
+                    nearest[j] = d2
+                elif d2 != d2:
+                    return math.nan
+            if row > worst:
+                worst = row
+    else:
+        for x, y in pa:
+            row = math.inf
+            for j in cols:
+                qx, qy = pb[j]
+                dx = x - qx
+                dy = y - qy
+                d2 = dx * dx + dy * dy
+                if d2 < row:
+                    row = d2
+                if d2 < nearest[j]:
+                    nearest[j] = d2
+                elif d2 != d2:
+                    return math.nan
+            if row > worst:
+                worst = row
+    return math.sqrt(max(worst, max(nearest)))
 
 
 def _squared_distance_blocks(pa: np.ndarray, pb: np.ndarray) -> Iterator[np.ndarray]:

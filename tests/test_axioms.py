@@ -16,6 +16,7 @@ from ccspace import (
 from ccspace.axioms import AxiomReport, nan_max
 from ccspace.core import SpaceContract, trial_rng
 from ccspace.limits import rational_jensen_suite, weight_perturbation_suite
+from ccspace import embedding, probability
 from ccspace.probability import conditional_suite, expectation_identity_suite
 
 SPACES = [
@@ -221,3 +222,67 @@ def test_cancellation_raw_power_space_matches_closed_form():
     assert abs(lhs - (1 - lam) * abs(y[0] - z[0])) == pytest.approx(
         lam * (1 - lam) * abs(y[0] - z[0]), abs=1e-12
     )
+
+
+COUNTED_FIELDS = ("combine_terms", "distance", "convexify_exact")
+# (combine_terms, distance, convexify_exact) calls of each suite at 10
+# trials, seed 4.  Each suite computes each value once per trial, so a
+# duplicate put back raises a count
+SUITE_CALLS = {
+    "euclidean": {
+        check_axioms: (320, 320, 88),
+        check_cancellation: (46, 70, 30),
+        expectation_identity_suite: (68, 48, 84),
+        conditional_suite: (42, 154, 106),
+        weight_perturbation_suite: (20, 38, 28),
+        rational_jensen_suite: (20, 43, 33),
+    },
+    "compact-sets": {
+        check_axioms: (300, 290, 88),
+        check_cancellation: (50, 70, 30),
+        expectation_identity_suite: (68, 48, 84),
+        conditional_suite: (42, 154, 106),
+        weight_perturbation_suite: (20, 38, 28),
+        rational_jensen_suite: (20, 43, 33),
+    },
+}
+
+
+def counted_contract(space):
+    """``space`` with ``combine_terms``, ``distance`` and ``convexify_exact``
+    counting their calls."""
+    counts = dict.fromkeys(COUNTED_FIELDS, 0)
+
+    def counted(name):
+        original = getattr(space, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return call
+
+    return dataclasses.replace(space, **{name: counted(name) for name in COUNTED_FIELDS}), counts
+
+
+@pytest.mark.parametrize("name, make", [("euclidean", euclidean_space), ("compact-sets", compact_sets_space)])
+def test_each_suite_computes_each_value_once(name, make, monkeypatch):
+    expectations = []
+    expectation = probability.expectation
+    monkeypatch.setattr(probability, "expectation", lambda x: expectations.append(x) or expectation(x))
+    for suite, want in SUITE_CALLS[name].items():
+        space, counts = counted_contract(make(2))
+        expectations.clear()
+        suite(space, trials=10, seed=4)
+        assert tuple(counts[name] for name in COUNTED_FIELDS) == want, suite.__name__
+        # E x and E y once each, and E of their mixture; E x once for Jensen
+        calls = {expectation_identity_suite: 30, conditional_suite: 10}.get(suite, 0)
+        assert len(expectations) == calls, suite.__name__
+
+
+def test_embedding_suite_embeds_each_polygon_once(monkeypatch):
+    calls = []
+    embed = embedding.embed
+    monkeypatch.setattr(embedding, "embed", lambda *args: calls.append(args) or embed(*args))
+    embedding_suite(trials=10, seed=4)
+    assert len(calls) == 30  # the mixture, p and q per trial

@@ -58,6 +58,15 @@ def test_reports_are_byte_identical_for_same_seed(tmp_path, monkeypatch):
     assert read(a) != read(c)
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["battery", "--seed", "5", "--trials", "3"])
+    second = parser.parse_args(["battery"])
+    assert (first.seed, first.trials) == (5, 3)
+    assert all(getattr(second, key) is None for key in cli._FLAGS)
+
+
 def _stdout_report(args, monkeypatch, capsys):
     assert run_cli(args, monkeypatch=monkeypatch) == 0
     return capsys.readouterr().out

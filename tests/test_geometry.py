@@ -615,8 +615,10 @@ def reference_hausdorff_sets(a, b):
 def test_hausdorff_sets_in_row_blocks_matches_full_matrix(monkeypatch, block, dim):
     # blocks of 1 << 18 distances hold every row; a block of 1 (or fewer than
     # len(b)) distances holds one row; 7 and 36 end a block inside and at the
-    # end of a set of 9 or 12 rows against 4 or 3 columns
+    # end of a set of 9 or 12 rows against 4 or 3 columns.  Every case takes
+    # the blocked path, small sets included
     monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+    monkeypatch.setattr(geometry, "_HAUSDORFF_LOOP_PAIRS", 0)
     rng = random.Random(dim * 100 + block)
 
     def points(n):
@@ -639,6 +641,62 @@ def test_hausdorff_sets_in_row_blocks_matches_full_matrix(monkeypatch, block, di
         for x, y in ((a, b), (b, a)):
             assert _hausdorff_sets(x, y) == reference_hausdorff_sets(x, y)
             assert hausdorff_distance(x, y) == reference_hausdorff_sets(x, y)
+
+
+def hausdorff_loop_cases():
+    """Point-set pairs for the small-set loop: seeded random sets on both
+    sides of the crossover, one-point sets, near-duplicate self-midpoint
+    lattices, and sets with infinite (or NaN) coordinates."""
+    rng = random.Random(16)
+    cases = []
+    for dim in (1, 2):
+        def points(n):
+            return [tuple(rng.uniform(-5, 5) for _ in range(dim)) for _ in range(n)]
+
+        for n, m in ((1, 1), (1, 9), (2, 2), (3, 5), (9, 9), (8, 15), (11, 12), (16, 16), (40, 5)):
+            cases.append((FinitePointSet.of(points(n)), FinitePointSet.of(points(m))))
+        shared = points(5)
+        cases.append((FinitePointSet.of(shared), FinitePointSet.of(shared[:3] + points(2))))
+    for dim, base in ((1, [(0.0,), (1 / 3,), (1.0,)]), (2, [(0.0, 0.0), (1 / 3, 0.1), (0.7, 1 / 7)])):
+        space = compact_sets_space(dim)
+        iterates = [FinitePointSet.of(base)]
+        for _ in range(3):
+            iterates.append(self_combination(space, iterates[-1], 2))
+        nudged = [FinitePointSet(tuple(tuple(c + 1e-15 for c in p) for p in s.points)) for s in iterates]
+        cases += list(zip(iterates, iterates[1:])) + list(zip(iterates, nudged))
+    columns = FinitePointSet(tuple(LATTICE_COLUMNS))
+    cases += [(columns, FinitePointSet(tuple(LATTICE_COLUMNS[:7]))),
+              (FinitePointSet(tuple(LATTICE_COLUMNS[:9])), FinitePointSet(tuple(LATTICE_COLUMNS[3:12])))]
+    inf, nan = math.inf, math.nan
+    odd = [
+        # inf - inf is NaN: the pair that makes it sits first, inside or last
+        ((0.0,), (1.0,), (inf,)), ((inf,), (2.0,)), ((2.0,), (inf,), (3.0,)), ((-inf,), (0.0,)),
+        ((inf, 0.0), (0.0, 0.0)), ((inf, 1.0),), ((0.0, -inf),), ((1.0, 2.0), (0.0, -inf), (3.0, 3.0)),
+        ((inf, -inf),), ((-inf, inf), (0.0, 0.0)), ((1e200, 0.0),), ((-1e200, 0.0), (0.0, 0.0)),
+        ((nan, 0.0), (1.0, 1.0)),
+    ]
+    for pts in odd:
+        for other in odd:
+            if len(pts[0]) == len(other[0]):
+                cases.append((FinitePointSet(pts), FinitePointSet(other)))
+    wide = tuple((float(i), float(-i)) for i in range(12))
+    cases += [(FinitePointSet(wide + ((inf, 0.0),)), FinitePointSet(((inf, 5.0),) + wide)),
+              (FinitePointSet(wide[:6] + ((0.0, -inf),) + wide[6:]), FinitePointSet(wide))]
+    return cases
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_hausdorff_sets_loop_matches_array_path(monkeypatch):
+    cases = hausdorff_loop_cases()
+    below = [len(a) * len(b) < geometry._HAUSDORFF_LOOP_PAIRS for a, b in cases]
+    assert True in below and False in below
+    pairs = [(x, y) for a, b in cases for x, y in ((a, b), (b, a))]
+    dispatched = [_hausdorff_sets(x, y) for x, y in pairs]
+    monkeypatch.setattr(geometry, "_HAUSDORFF_LOOP_PAIRS", 0)  # the blocked array path
+    for (x, y), got in zip(pairs, dispatched):
+        want = _hausdorff_sets(x, y).hex()
+        assert geometry._hausdorff_sets_loop(x.points, y.points).hex() == want, (x, y)
+        assert got.hex() == want
 
 
 lattice_coord = st.integers(-8, 8).map(lambda k: k / 2)

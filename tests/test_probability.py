@@ -37,6 +37,7 @@ from ccspace import (
 )
 from ccspace import cli, fixtures, get_space, probability
 from ccspace.embedding import combine_support_vectors, direction_set_for, sup_norm_gap
+from ccspace.axioms import AxiomReport, CheckResult, nan_max, seeded_trials
 from ccspace.probability import (
     Filtration,
     FinitePartition,
@@ -587,6 +588,100 @@ def test_random_element_values_are_read_only():
     given_values["w0"] = (2.0,)
     assert x.values["w0"] == x.convexified["w0"] == (0.0,)
     assert x.convexified is x.convexified
+
+
+def test_forward_trace_on_512_atoms_takes_one_distance_per_atom(tmp_path):
+    # the finest term has distinct value objects, so each forward delta_p
+    # takes the plain per-atom loop; the guard and the reverse trace still
+    # measure each distinct pair once
+    n, k = 512, 9
+    rng = random.Random(512)
+    path = tmp_path / "fixture-euclidean-512.txt"
+    path.write_text("".join(f"w{i} ; {1.0 / n!r} ; {rng.uniform(-5.0, 5.0)!r}\n" for i in range(n)))
+    space, counts = counted_space(get_space("euclidean"))
+    x = fixtures.load_fixture_file(space, "euclidean", str(path))
+    seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
+    assert [term.distinct_values for term in seq] == [False] * k + [True]
+    assert counts["distance"] == n - 1
+    martingale_distances(seq, p=1, direction="forward")
+    assert counts["distance"] == (n - 1) + (k + 1) * n
+    martingale_distances(seq, p=2, direction="reverse")
+    assert counts["distance"] == (k + 4) * n - 2
+
+
+def test_distinct_values_and_mean_are_cached_per_element():
+    omega = FiniteSampleSpace.uniform(3)
+    u = tuple([1.0])
+    shared = RandomElement(E1, omega, {"w0": u, "w1": u, "w2": tuple([2.0])})
+    equal = RandomElement(E1, omega, {"w0": u, "w1": tuple([1.0]), "w2": tuple([2.0])})
+    assert not shared.distinct_values and equal.distinct_values
+    assert shared.mean is shared.mean
+    assert repr(shared.mean) == repr(expectation(shared)) == repr((4.0 / 3.0,))
+
+
+def test_jensen_check_evaluates_phi_once_per_atom():
+    space, counts = counted_space(CS1)
+    rng = random.Random(8)
+    omega = sample_sample_space(rng, 6)
+    x = sample_random_element(space, omega, rng)
+    g = sample_partition(rng, omega, 3)
+    phi = DistanceTo(space, convexify(space, space.sample(rng)))
+    before = counts["distance"]
+    report = jensen_check(x, phi, conditional=g)
+    # phi at each of the 6 atoms, at the mean and at each block's value
+    assert counts["distance"] - before == 6 + 1 + 3
+    assert [(name, c.trials) for name, c in report.checks.items()] == [
+        ("jensen", 1), ("conditional_jensen", 3)]
+    assert list(jensen_check(x, phi).checks) == ["jensen"]
+
+
+def reference_conditional_suite(space, trials, seed):
+    """``conditional_suite`` with every value computed where it is used, from
+    ``conditional_expectation``, ``expectation`` and phi."""
+    report = AxiomReport.for_space(space, None, seed)
+    for t, rng in seeded_trials(trials, seed):
+        omega = sample_sample_space(rng, rng.randint(4, 6))
+        g = sample_partition(rng, omega, rng.randint(2, 3))
+        x = sample_random_element(space, omega, rng)
+        y = sample_random_element(space, omega, rng)
+        worst = 0.0
+        for block in g.blocks:
+            block_prob = math.fsum(omega.prob(a) for a in block)
+            cond_dist = math.fsum(
+                omega.prob(a) * space.distance(x.values[a], y.values[a]) for a in block
+            ) / block_prob
+            a0 = block[0]
+            gap = space.distance(conditional_expectation(x, g).values[a0],
+                                 conditional_expectation(y, g).values[a0]) - cond_dist
+            worst = nan_max(worst, gap)
+        report.check("conditional_contraction").record(worst, t, g.blocks)
+
+        phi = DistanceTo(space, convexify(space, space.sample(rng)))
+        fold = CheckResult("conditional_jensen")
+        for block in g.blocks:
+            block_prob = math.fsum(omega.prob(a) for a in block)
+            lhs = phi(conditional_expectation(x, g).values[block[0]])
+            rhs = math.fsum(omega.prob(a) * phi(x.values[a]) for a in block) / block_prob
+            fold.record(lhs - rhs)
+        report.check("conditional_jensen").record(fold.worst_violation, t)
+        fold = CheckResult("jensen")
+        lhs = phi(expectation(x))
+        fold.record(lhs - math.fsum(p * phi(x.values[a]) for a, p in zip(omega.atoms, omega.probs)))
+        report.check("jensen").record(fold.worst_violation, t)
+    return report
+
+
+@pytest.mark.parametrize("label", list(cli.BATTERY))
+def test_conditional_suite_rows_match_values_rebuilt_where_used(label):
+    name, dim, _ = cli.BATTERY[label]
+    space = get_space(name, dim=dim)
+    for seed in range(5):
+        got = conditional_suite(space, trials=4, seed=seed)
+        want = reference_conditional_suite(space, 4, seed)
+        assert [(n, repr(w), k, v) for n, w, k, v in got.rows()] == [
+            (n, repr(w), k, v) for n, w, k, v in want.rows()]
+        assert {n: c.witness for n, c in got.checks.items()} == {
+            n: c.witness for n, c in want.checks.items()}
 
 
 def test_martingale_trace_rejects_bad_direction_and_p():
