@@ -24,9 +24,9 @@ ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
 # the covering radius and the Hausdorff distance of two point sets hold at
 # most this many squared distances at once
 _NEAREST_BLOCK = 1 << 18
-# below this many point pairs (len(a) * len(b)) the Hausdorff distance of two
-# point sets runs as a plain-float loop; above it, numpy's fixed cost per call
-# is the smaller one
+# below this many point pairs (len(a) * len(b)) a plain-float loop is faster
+# than numpy's fixed cost per call, so the Hausdorff distance of two point
+# sets runs as one; above it, in row blocks
 _HAUSDORFF_LOOP_PAIRS = 128
 
 
