@@ -192,8 +192,8 @@ def _validate(cfg: RunConfig) -> None:
         for key in ("space", "dim", "r"):
             if getattr(cfg, key) != _DEFAULTS[key]:
                 raise UsageError(f"{cfg.command} takes no {_FLAGS[key][0]}")
-    if cfg.space == "power" and not cfg.r > 1.0:
-        raise UsageError("power space needs --r greater than 1")
+    if cfg.space == "power" and not 1.0 < cfg.r < math.inf:
+        raise UsageError("power space needs a finite --r greater than 1")
     if cfg.space != "power" and cfg.r != _DEFAULTS["r"]:
         raise UsageError("--r applies to the power space only")
     if cfg.space == "compact-sets" and cfg.dim not in (1, 2):
@@ -206,6 +206,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("--n-max must be positive")
     if cfg.tolerance is not None and not cfg.tolerance >= 0.0:
         raise UsageError("--tolerance must be a non-negative number")
+    if cfg.tolerance == math.inf:  # it would pass every check, an infinite violation included
+        raise UsageError("--tolerance must be finite")
     if not math.isfinite(cfg.scale):
         raise UsageError("--scale must be finite")
 
@@ -302,13 +304,16 @@ def _martingale(cfg: RunConfig) -> Outcome:
     forward = martingale_distances(seq, p=cfg.p, direction="forward")
     reverse = martingale_distances(seq, p=cfg.p, direction="reverse")
     tol = _or(cfg.tolerance, 1e-12)
+    levels = range(1, len(forward) + 1)
     trace = ConvergenceTrace.build(
-        range(1, len(forward) + 1), forward, "conditional expectation at the finest level", tol
+        levels, forward, "conditional expectation at the finest level", tol
     )
+    # the reverse trace is judged by the same rule: a NaN anywhere fails it
+    reverse_trace = ConvergenceTrace.build(levels, reverse, "expectation", tol)
     outcome = _trace(trace, {"p": cfg.p, "atoms": len(x.sample_space), "tolerance": tol})
-    outcome.details["reverse_distances"] = [repr(d) for d in reverse]
-    outcome.details["reverse_final"] = repr(reverse[-1])
-    return outcome._replace(passed=trace.verdict and reverse[-1] <= tol)
+    outcome.details["reverse_distances"] = [repr(d) for d in reverse_trace.distances]
+    outcome.details["reverse_final"] = repr(reverse_trace.final_distance)
+    return outcome._replace(passed=trace.verdict and reverse_trace.verdict)
 
 
 def _jensen(cfg: RunConfig) -> Outcome:

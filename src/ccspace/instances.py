@@ -68,8 +68,8 @@ def euclidean_space(dim: int = 2) -> SpaceContract:
 
 
 def power_space(r: float = 2.0, dim: int = 1) -> SpaceContract:
-    if not r > 1.0:
-        raise ValueError("power exponent must exceed 1")
+    if not 1.0 < r < math.inf:
+        raise ValueError("power exponent must be finite and exceed 1")
     if dim not in (1, 2, 3):
         raise ValueError("power dimension must be 1, 2, or 3")
 

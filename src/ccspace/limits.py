@@ -2,16 +2,21 @@
 
 Almost-sure statements are rendered as deterministic seeded traces plus
 exact finite identities where the theory provides one (full-orbit ergodic
-averages, fixed points of self-combination, closed-form rates).
+averages, fixed points of self-combination, closed-form rates).  The four
+averaging traces (``slln_run``, ``ergodic_run``, ``convexification_rate`` and
+``raw_vs_convex_average_run``) share one running-mean loop, which advances
+each mean by one binary combination and checks it against its direct
+evaluation at ``DIRECT_CHECK_LENGTHS``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .axioms import AxiomReport, _sample_weights, nan_max, seeded_trials
 from .core import (
@@ -20,7 +25,6 @@ from .core import (
     SpaceContract,
     combine,
     convexify,
-    self_combination,
     uniform_mix,
 )
 from .instances import power_space
@@ -28,6 +32,7 @@ from .probability import (
     CERTIFIED_FUNCTIONALS,
     DistanceTo,
     RandomElement,
+    expectation,
 )
 
 # Default tail tolerances of the seeded traces (shared with the CLI).
@@ -38,6 +43,7 @@ RAW_VS_CONVEX_TOL = 0.5
 # Trace lengths at which a running equal-weight combination is compared with
 # the same combination evaluated directly from all of its terms.
 DIRECT_CHECK_LENGTHS = frozenset(2 ** k for k in range(7))
+_KEPT_TERMS = max(DIRECT_CHECK_LENGTHS)
 
 
 @dataclass(frozen=True)
@@ -45,9 +51,11 @@ class ConvergenceTrace:
     """Distances d_n over an index list, with a pass verdict on the last one.
 
     The verdict passes when the last distance is within ``tolerance`` and
-    every distance in the trace is finite.  Traces built incrementally carry
-    ``direct_check_gap``, the worst distance between a running value and its
-    direct evaluation; beyond ``EXACT_TOL`` it fails the verdict.
+    every distance in the trace is finite; the martingale command judges its
+    reverse trace by the same rule.  The four averaging traces come from one
+    running-mean loop and carry ``direct_check_gap``, the worst distance
+    between a running mean and its direct evaluation; beyond ``EXACT_TOL`` it
+    fails the verdict.
     """
 
     indices: tuple[int, ...]
@@ -129,13 +137,35 @@ class CounterexampleResult(NamedTuple):
     verdict: str
 
 
-def _advance(space: SpaceContract, running: Point, n: int, point: Point) -> Point:
-    """[n^-1, x_1 .. x_n] from running = [(n-1)^-1, x_1 .. x_(n-1)] and point = x_n.
+def _running_means(
+    space: SpaceContract,
+    terms: Iterable[Point],
+    gaps: list[float],
+    resets: Container[int] = (),
+    reset_to: Optional[Point] = None,
+) -> Iterator[Point]:
+    """Yield [n^-1, x_1 .. x_n] for each prefix x_1 .. x_n of ``terms``.
 
-    One binary combination, by associativity:
-    [n^-1, x]^n = [(n-1)/n, [(n-1)^-1, x]^(n-1) ; 1/n, x_n].
+    Each mean is advanced from the previous one by one binary combination,
+    by associativity: [n^-1, x]^n = [(n-1)/n, [(n-1)^-1, x]^(n-1) ; 1/n, x_n].
+    At a length in ``resets`` the mean is ``reset_to`` instead.  The first
+    64 terms are kept: at ``DIRECT_CHECK_LENGTHS`` the mean is also evaluated
+    directly with ``uniform_mix``, and the distance between the two is
+    appended to ``gaps``.
     """
-    return combine(space, [((n - 1) / n, running), (1.0 / n, point)])
+    kept = []
+    for n, x in enumerate(terms, 1):
+        if n <= _KEPT_TERMS:
+            kept.append(x)
+        if n in resets:
+            running = reset_to
+        elif n == 1:
+            running = x
+        else:
+            running = combine(space, [((n - 1) / n, running), (1.0 / n, x)])
+        if n in DIRECT_CHECK_LENGTHS:
+            gaps.append(space.distance(uniform_mix(space, kept), running))
+        yield running
 
 
 def slln_run(
@@ -152,7 +182,9 @@ def slln_run(
     incrementally as [n/(n+1), S_n ; 1/(n+1), X_{n+1}].  ``convex_track``
     replaces each draw by its convexification (exact and fast, with the same
     limit); ``raw_track`` keeps raw draws and is bounded by the instance's
-    enumeration cap.
+    enumeration cap.  At powers of two up to 64 the running combination is
+    also evaluated directly, and the worst gap is the trace's
+    ``direct_check_gap``.
     """
     if mode not in ("convex_track", "raw_track"):
         raise ValueError("mode must be 'convex_track' or 'raw_track'")
@@ -162,20 +194,19 @@ def slln_run(
     rng = random.Random(seed)
     record_every = max(1, n_max // 1000)
 
-    def draw() -> Point:
-        value = rng.choices(points, weights=probs, k=1)[0]
-        return convexify(space, value) if mode == "convex_track" else value
-
-    running = draw()
+    draws = (rng.choices(points, weights=probs, k=1)[0] for _ in range(n_max))
+    if mode == "convex_track":
+        draws = (convexify(space, value) for value in draws)
     indices = []
     distances = []
-    for n in range(1, n_max + 1):
-        if n > 1:
-            running = _advance(space, running, n, draw())
+    gaps = []
+    for n, running in enumerate(_running_means(space, draws, gaps), 1):
         if n % record_every == 0 or n == n_max:
             indices.append(n)
             distances.append(space.distance(running, target))
-    return ConvergenceTrace.build(indices, distances, "expectation of the law", tolerance)
+    return ConvergenceTrace.build(
+        indices, distances, "expectation of the law", tolerance, direct_check_gap=nan_max(gaps)
+    )
 
 
 def ergodic_run(
@@ -203,31 +234,18 @@ def ergodic_run(
         raise ValueError("sample space size must equal the rotation modulus")
     if any(abs(p - 1.0 / n) > 1e-12 for p in omega.probs):
         raise ValueError("ergodic averages need the uniform measure")
-    from .probability import expectation
-
     space = x.space
     target = expectation(x)
-    orbit_values = [
-        x.values[omega.atoms[i]] for i in tau.orbit(start % n)
-    ]
+    orbit_values = [x.values[omega.atoms[i]] for i in tau.orbit(start % n)]
     period_average = uniform_mix(space, orbit_values)
     period_is_convex = space.distance(convexify(space, period_average), period_average) == 0.0
-    running = orbit_values[0]
-    indices = []
-    distances = []
+    periods = range(n, n_max + 1, n) if period_is_convex else (n,)
     gaps = []
-    for length in range(1, n_max + 1):
-        if length % n == 0 and (length == n or period_is_convex):
-            running = period_average
-        elif length > 1:
-            running = _advance(space, running, length, orbit_values[(length - 1) % n])
-        if length in DIRECT_CHECK_LENGTHS:
-            direct = uniform_mix(space, [orbit_values[i % n] for i in range(length)])
-            gaps.append(space.distance(direct, running))
-        indices.append(length)
-        distances.append(space.distance(running, target))
+    orbit = itertools.islice(itertools.cycle(orbit_values), n_max)
+    means = _running_means(space, orbit, gaps, periods, period_average)
+    distances = [space.distance(mean, target) for mean in means]
     return ConvergenceTrace.build(
-        indices, distances, "expectation", tolerance, direct_check_gap=nan_max(gaps)
+        range(1, n_max + 1), distances, "expectation", tolerance, direct_check_gap=nan_max(gaps)
     )
 
 
@@ -241,23 +259,16 @@ def convexification_rate(
 
     [n^-1, x]^n is advanced from [(n-1)^-1, x]^(n-1) by a single binary
     combination for every n up to the last of ``n_list``.  At powers of two
-    up to 64 it is also evaluated directly (``self_combination``), and the
-    worst gap is the trace's ``direct_check_gap``.
+    up to 64 it is also evaluated directly, and the worst gap is the trace's
+    ``direct_check_gap``.
     """
     if not n_list or list(n_list) != sorted(set(int(n) for n in n_list)) or n_list[0] < 1:
         raise ValueError("n_list must be increasing, positive and nonempty")
     kx = convexify(space, x)
     recorded = set(n_list)
-    running = x
-    distances = []
     gaps = []
-    for n in range(1, n_list[-1] + 1):
-        if n > 1:
-            running = _advance(space, running, n, x)
-        if n in DIRECT_CHECK_LENGTHS:
-            gaps.append(space.distance(self_combination(space, x, n), running))
-        if n in recorded:
-            distances.append(space.distance(running, kx))
+    means = _running_means(space, itertools.repeat(x, n_list[-1]), gaps)
+    distances = [space.distance(mean, kx) for n, mean in enumerate(means, 1) if n in recorded]
     return ConvergenceTrace.build(
         n_list, distances, "convexification of x", tolerance, direct_check_gap=nan_max(gaps)
     )
@@ -281,25 +292,14 @@ def raw_vs_convex_average_run(
     if not family:
         raise ValueError("family must be nonempty")
     cooked_family = [convexify(space, p) for p in family]
-    raw, cooked = family[0], cooked_family[0]
-    indices = []
-    distances = []
     gaps = []
-    for n in range(1, n_max + 1):
-        if n > 1:
-            i = (n - 1) % len(family)
-            raw = _advance(space, raw, n, family[i])
-            cooked = _advance(space, cooked, n, cooked_family[i])
-        if n in DIRECT_CHECK_LENGTHS:
-            cycle = [i % len(family) for i in range(n)]
-            gaps.append(space.distance(uniform_mix(space, [family[i] for i in cycle]), raw))
-            gaps.append(
-                space.distance(uniform_mix(space, [cooked_family[i] for i in cycle]), cooked)
-            )
-        indices.append(n)
-        distances.append(space.distance(raw, cooked))
+    raw, cooked = (
+        _running_means(space, itertools.islice(itertools.cycle(f), n_max), gaps)
+        for f in (family, cooked_family)
+    )
+    distances = [space.distance(r, c) for r, c in zip(raw, cooked)]
     return ConvergenceTrace.build(
-        indices, distances, "convexified running average", tolerance,
+        range(1, n_max + 1), distances, "convexified running average", tolerance,
         direct_check_gap=nan_max(gaps),
     )
 

@@ -456,7 +456,12 @@ def martingale_convergence_trace(
     direction: str = "forward",
 ) -> list[float]:
     """Delta_p distances of E(X | F_n), from ``martingale_sequence`` and its
-    guard, to the limiting conditional expectation; see ``martingale_distances``."""
+    guard, to the limiting conditional expectation; see ``martingale_distances``.
+
+    The CLI calls the two halves itself, so that one sequence serves both
+    directions.  This wrapper stays as the one-call form of the trace: the
+    traced benchmark run wraps it by name, and its tests check that every
+    wrapped name still resolves."""
     return martingale_distances(martingale_sequence(x, filt), p=p, direction=direction)
 
 

@@ -14,10 +14,11 @@ from ccspace import (
     power_space,
 )
 from ccspace.axioms import AxiomReport, nan_max
-from ccspace.core import SpaceContract, trial_rng
+from ccspace.core import trial_rng
 from ccspace.limits import rational_jensen_suite, weight_perturbation_suite
 from ccspace import embedding, probability
 from ccspace.probability import conditional_suite, expectation_identity_suite
+from mutants import MUTANTS, _offset_mutant
 
 SPACES = [
     euclidean_space(2),
@@ -47,22 +48,6 @@ def test_trial_streams_are_independent_of_order():
     assert a == list(reversed(b))
 
 
-def _offset_mutant():
-    base = euclidean_space(1)
-
-    def bad_combine(terms):
-        return tuple(math.fsum(w * p[c] for w, p in terms) + 0.1 for c in range(1))
-
-    return SpaceContract(
-        name="euclid-plus-offset",
-        distance=base.distance,
-        combine_terms=bad_combine,
-        convexify_exact=lambda x: x,
-        sampler=base.sampler,
-        unbiased=True,
-    )
-
-
 def test_mutant_instance_fails_identity_checks():
     report = check_axioms(_offset_mutant(), trials=40, seed=1)
     assert not report.passed
@@ -73,22 +58,6 @@ def test_mutant_instance_fails_identity_checks():
     assert fixed_point.worst_violation == pytest.approx(0.1, abs=1e-12)
     # the offset also breaks two-level flattening
     assert not report.checks["flattening"].passed
-
-
-def _nan_distance_mutant():
-    return dataclasses.replace(
-        euclidean_space(1), name="euclid-nan-distance", distance=lambda a, b: math.nan
-    )
-
-
-# broken instances, each with the named checks that must catch it
-MUTANTS = [
-    (_offset_mutant, ("convexification_fixed_point",)),
-    # NaN must survive every fold of several distances within a trial
-    (_nan_distance_mutant, ("commutativity", "continuity", "convexification_cauchy",
-                            "convexification_fixed_point", "convexifier_idempotent",
-                            "unbiased_identity")),
-]
 
 
 @pytest.mark.parametrize("make,checks", MUTANTS, ids=[m[0].__name__ for m in MUTANTS])

@@ -13,7 +13,7 @@ from ccspace.cli import main
 from ccspace.fixtures import load_fixture_file, parse_fixture_lines
 from ccspace.geometry import ConvexPolytope, EnumerationCapError
 from ccspace.instances import parse_point
-from test_axioms import MUTANTS
+from mutants import MUTANTS, _nan_off_the_mean_mutant
 
 
 def run_cli(args, env_seed=None, monkeypatch=None):
@@ -248,6 +248,14 @@ def test_unexpected_exception_in_the_report_writer_exits_two(tmp_path, monkeypat
     (["check-axioms", "--trials", "0"], "trials must be at least 1"),
     (["battery", "--trials=-1"], "trials must be at least 1"),
     (["slln", "--n-max", "0"], "--n-max must be positive"),
+    # an infinite tolerance passes every check, an infinite violation included
+    (["check-axioms", "--tolerance", "inf"], "--tolerance must be finite"),
+    (["martingale", "--tolerance", "inf"], "--tolerance must be finite"),
+    # w ** inf is 0 for every weight below 1, so every combination would be the origin
+    (["check-axioms", "--space", "power", "--r", "inf", "--trials", "20"],
+     "power space needs a finite --r greater than 1"),
+    (["check-axioms", "--space", "power", "--r", "nan"],
+     "power space needs a finite --r greater than 1"),
 ])
 def test_meaningless_numeric_flags_are_usage_errors(args, message, monkeypatch, capsys):
     assert run_cli(args, monkeypatch=monkeypatch) == 2
@@ -413,6 +421,21 @@ def test_battery_fails_on_a_broken_space(make, checks, monkeypatch, capsys):
         assert rows[f"power-d1/{check}"][1] == "fail", check
     assert all(verdict == "pass" for label, (_, verdict) in rows.items()
                if not label.startswith("power-d1/"))
+
+
+def test_martingale_fails_on_a_nan_in_its_reverse_trace(tmp_path, monkeypatch):
+    real = cli.get_space
+    monkeypatch.setattr(cli, "get_space", lambda name, dim, r: (
+        _nan_off_the_mean_mutant() if name == "euclidean" else real(name, dim=dim, r=r)))
+    out = tmp_path / "m.json"
+    args = ["martingale", "--space", "euclidean", "--out", str(out)]
+    assert run_cli(args, monkeypatch=monkeypatch) == 1
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail"
+    # the forward trace alone passes; its target, the finest level, is integer-valued
+    assert payload["details"]["verdict"] == "pass"
+    reverse = payload["details"]["reverse_distances"]
+    assert "nan" in reverse and payload["details"]["reverse_final"] == "0.0"
 
 
 def test_battery_with_one_trial(monkeypatch, capsys):

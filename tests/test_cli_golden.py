@@ -6,7 +6,7 @@ fixture and config paths echo as written) and compares stdout with
 deliberate output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``
 and record the change in CHANGES.md.  ``golden/battery-mutant-<name>.json``
 pins the failing witnesses of a ``battery`` run with each broken space of
-``test_axioms.MUTANTS`` standing in for ``power-d1``.
+``mutants.MUTANTS`` standing in for ``power-d1``.
 ``golden/scripts/run_all_checks.txt``
 holds the lines of the former ``run_all_checks.py`` script, the oracle for the
 ``battery`` rows; nothing rewrites it.
@@ -23,7 +23,7 @@ import pytest
 from ccspace import cli
 from ccspace.cli import BATTERY, SEED_ENV_VAR, main
 from ccspace.instances import get_space
-from test_axioms import MUTANTS
+from mutants import MUTANTS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -61,6 +61,14 @@ def test_power_combination_matches_closed_form():
     assert got[0] == pytest.approx(0.62, abs=1e-15)
 
 
+@pytest.mark.parametrize("r", [1.0, 0.5, math.inf, math.nan])
+def test_power_space_rejects_an_exponent_that_is_not_finite_above_one(r):
+    # with r = inf, w ** r is 0 for every weight below 1, so every
+    # combination of two or more terms would be the origin
+    with pytest.raises(ValueError, match="power exponent must be finite and exceed 1"):
+        power_space(r, 1)
+
+
 @pytest.mark.parametrize("space", [euclidean_space(1), euclidean_space(3), power_space(2.0, 1),
                                    power_space(3.0, 2)], ids=lambda space: space.name)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

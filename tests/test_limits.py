@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -34,7 +33,8 @@ from ccspace.limits import (
     rational_jensen_suite,
     weight_perturbation_suite,
 )
-from ccspace.fixtures import convexify_point, ergodic_element
+from ccspace.fixtures import convexify_point, ergodic_element, slln_law
+from mutants import _mass_to_first_mutant
 
 E1 = euclidean_space(1)
 CS1 = compact_sets_space(1)
@@ -268,34 +268,27 @@ def test_raw_vs_convex_single_point_matches_rate():
 # direct checks of the incrementally built traces
 
 
-def _mass_to_first_mutant():
-    """Distributions whose combination of three or more terms moves the last
-    term's weight onto the first; binary combinations are untouched."""
-    base = distribution_space()
-
-    def combine_terms(terms):
-        if len(terms) >= 3:
-            (w_first, first), *middle, (w_last, _) = terms
-            terms = [(w_first + w_last, first), *middle]
-        return base.combine_terms(terms)
-
-    return dataclasses.replace(base, name="mass-to-first", combine_terms=combine_terms)
-
-
 def _mutant_traces():
     space = _mass_to_first_mutant()
     unit = DiscreteDistribution.of([0.0, 1.0], [0.5, 0.5])
     family = [unit, DiscreteDistribution.delta(2.0)]
     x = ergodic_element(space, "distributions", 11)
+    law = slln_law("distributions", "bernoulli")
     # tail tolerances loose enough that only the direct check can fail
     return {
         "convexify-rate": convexification_rate(space, unit, list(range(1, 9)), tolerance=1.0),
         "prop55": raw_vs_convex_average_run(space, family, n_max=8, tolerance=1.0),
         "ergodic": ergodic_run(CyclicTransformation(11, 7), x, 11, tolerance=1.0),
+        **{
+            f"slln {mode}": slln_run(space, law, n_max=64, mode=mode, tolerance=1.0)
+            for mode in ("convex_track", "raw_track")
+        },
     }
 
 
-@pytest.mark.parametrize("name", ["convexify-rate", "prop55", "ergodic"])
+@pytest.mark.parametrize(
+    "name", ["convexify-rate", "prop55", "ergodic", "slln convex_track", "slln raw_track"]
+)
 def test_direct_check_catches_non_associative_combination(name):
     trace = _mutant_traces()[name]
     assert trace.direct_check_gap > EXACT_TOL
@@ -324,6 +317,10 @@ DEFAULT_TRACES = [
     ["ergodic", "--space", "power"],
     ["ergodic", "--space", "compact-sets"],
     ["ergodic", "--space", "distributions"],
+    ["slln", "--space", "euclidean"],
+    ["slln", "--space", "compact-sets"],
+    ["slln", "--space", "distributions"],
+    ["slln", "--space", "distributions", "--mode", "raw_track"],
 ]
 
 
