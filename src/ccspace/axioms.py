@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .core import (
     Point,
     SpaceContract,
     combine,
     midpoint,
+    nan_max,
     self_combination,
     trial_rng,
 )
@@ -98,27 +99,6 @@ class AxiomReport:
             (c.name, c.worst_violation, c.trials, "pass" if c.passed else "fail")
             for c in sorted(self.checks.values(), key=lambda c: c.name)
         ]
-
-
-def nan_max(*values, default: Optional[float] = None) -> float:
-    """``max`` over one iterable or several arguments, NaN if any value is NaN.
-
-    The builtin keeps a NaN only when it comes first, so folding distances
-    with it can turn a NaN into a passing violation.  Finite values give the
-    builtin's result, ties included.
-    """
-    items: Iterable[float] = values[0] if len(values) == 1 else values
-    worst = None
-    for v in items:
-        if math.isnan(v):
-            return v
-        if worst is None or v > worst:
-            worst = v
-    if worst is None:
-        if default is None:
-            raise ValueError("nan_max() of no values needs a default")
-        return default
-    return worst
 
 
 def _sample_weights(rng: random.Random, k: int) -> list[float]:

@@ -138,3 +138,24 @@ def self_combination(space: SpaceContract, x: Point, n: int) -> Point:
 def trial_rng(seed: int, index: int) -> random.Random:
     """Independent per-trial stream so aggregation is order independent."""
     return random.Random((int(seed) * 1_000_003 + 1) ^ (index * 2_147_483_659))
+
+
+def nan_max(*values, default: float | None = None) -> float:
+    """``max`` over one iterable or several arguments, NaN if any value is NaN.
+
+    The builtin keeps a NaN only when it comes first, so folding distances
+    with it can turn a NaN into a passing violation.  Finite values give the
+    builtin's result, ties included.
+    """
+    items: Iterable[float] = values[0] if len(values) == 1 else values
+    worst = None
+    for v in items:
+        if math.isnan(v):
+            return v
+        if worst is None or v > worst:
+            worst = v
+    if worst is None:
+        if default is None:
+            raise ValueError("nan_max() of no values needs a default")
+        return default
+    return worst

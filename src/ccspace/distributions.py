@@ -10,10 +10,11 @@ same order as the loops, so both paths give bit-identical laws and distances.
 A law keeps its atoms and probabilities as tuples; the kernels read them as
 read-only float64 arrays that the law converts once and caches
 (``atoms_array``, ``probs_array``, and ``cdf_array`` for the running sums of
-the probabilities).  A convolution keeps its running law as arrays from one
-array step to the next and builds the tuples once, when a loop step or the
-end of the combination needs them; the law it returns carries the arrays it
-was built from.
+the probabilities).  A convolution is one loop over its product steps.  While
+array steps follow one another it holds the running law as arrays, and builds
+the tuples once, when a Dirac or loop step, a resample or the end of the
+combination needs them; the law it returns carries the arrays it was built
+from.
 
 Two shortcuts in the product kernel skip work that cannot change its result.
 When one operand has one atom, the step only scales and shifts the other law;
@@ -29,11 +30,10 @@ path ran.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -193,8 +193,9 @@ def scaled_convolution_combine(
     Product atoms are enumerated incrementally with merging; whenever the atom
     count exceeds ``atom_cap`` the law is quantile-resampled down to
     ``atom_cap`` equal-probability atoms (``atom_cap=None`` never resamples).
-    Consecutive steps with at least ``ARRAY_KERNEL_ATOMS`` product atoms run
-    on the running law's arrays, which become tuples only after the last one.
+    A step with at least ``ARRAY_KERNEL_ATOMS`` product atoms runs on the
+    running law's arrays; otherwise two one-atom laws take the Dirac step and
+    the rest the loop step.
     """
     if len(weights) != len(dists):
         raise ValueError("weights and distributions must align")
@@ -203,50 +204,31 @@ def scaled_convolution_combine(
     if atom_cap is not None and atom_cap < 1:
         raise ValueError(f"atom_cap must be at least 1 or None, got {atom_cap!r}")
     acc = _ORIGIN
-    todo = steps = zip(weights, dists)
-    # Dirac and loop steps run here; an array step hands the fold to
-    # _array_steps, which returns the law and the steps it left
-    while True:
-        for w, f in todo:
-            if len(acc) == 1 and len(f) == 1:
-                acc = _dirac_step(acc, w, f)
-            elif len(acc) * len(f) >= ARRAY_KERNEL_ATOMS:
-                break
-            else:
-                atoms: list[float] = []
-                probs: list[float] = []
-                for a, pa in zip(acc.atoms, acc.probs):
-                    base = a
-                    for b, pb in zip(f.atoms, f.probs):
-                        atoms.append(base + w * b)
-                        probs.append(pa * pb)
-                acc = DiscreteDistribution.of(atoms, probs)
-            if atom_cap is not None and len(acc) > atom_cap:
-                acc = quantile_resample(acc, atom_cap)
+    # acc's atoms and probabilities, held in its place while array steps
+    # follow one another
+    arrays: tuple[np.ndarray, np.ndarray] | None = None
+    for w, f in zip(weights, dists):
+        if arrays is not None and len(arrays[0]) * len(f) < ARRAY_KERNEL_ATOMS:
+            acc, arrays = DiscreteDistribution._from_arrays(*arrays), None
+        if arrays is not None or len(acc) * len(f) >= ARRAY_KERNEL_ATOMS:
+            arrays = _product_step_array(*(arrays or (acc.atoms_array, acc.probs_array)), w, f)
+            if atom_cap is None or len(arrays[0]) <= atom_cap:
+                continue
+            acc, arrays = DiscreteDistribution._from_arrays(*arrays), None
+        elif len(acc) == 1 and len(f) == 1:
+            acc = _dirac_step(acc, w, f)
         else:
-            return acc
-        acc, todo = _array_steps(acc, w, f, steps, atom_cap)
-
-
-def _array_steps(acc: DiscreteDistribution, w: float, f: DiscreteDistribution,
-                 steps: Iterator[tuple[float, DiscreteDistribution]],
-                 atom_cap: int | None) -> tuple[DiscreteDistribution, Iterable]:
-    """Run the array step ``(w, f)`` on ``acc`` and the array steps after it,
-    keeping the running law as arrays in between.  Returns the law and the
-    steps still to run: none, or the first one below ``ARRAY_KERNEL_ATOMS``
-    followed by the rest of ``steps``."""
-    atoms, probs = acc.atoms_array, acc.probs_array
-    while True:
-        atoms, probs = _product_step_array(atoms, probs, w, f)
-        if atom_cap is not None and len(atoms) > atom_cap:
-            law = quantile_resample(DiscreteDistribution._from_arrays(atoms, probs), atom_cap)
-            atoms, probs = law.atoms_array, law.probs_array
-        step = next(steps, None)
-        if step is None:
-            return DiscreteDistribution._from_arrays(atoms, probs), ()
-        w, f = step
-        if len(atoms) * len(f) < ARRAY_KERNEL_ATOMS:
-            return DiscreteDistribution._from_arrays(atoms, probs), itertools.chain((step,), steps)
+            atoms: list[float] = []
+            probs: list[float] = []
+            for a, pa in zip(acc.atoms, acc.probs):
+                base = a
+                for b, pb in zip(f.atoms, f.probs):
+                    atoms.append(base + w * b)
+                    probs.append(pa * pb)
+            acc = DiscreteDistribution.of(atoms, probs)
+        if atom_cap is not None and len(acc) > atom_cap:
+            acc = quantile_resample(acc, atom_cap)
+    return acc if arrays is None else DiscreteDistribution._from_arrays(*arrays)
 
 
 def _dirac_step(acc: DiscreteDistribution, w: float, f: DiscreteDistribution) -> DiscreteDistribution:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .axioms import AxiomReport, CheckResult, seeded_trials
+from .core import nan_max
 from .geometry import ConvexPolytope, FinitePointSet, convex_hull, hausdorff_distance, polytope_combine
 from .instances import _vector_sampler, compact_sets_space
 
@@ -133,7 +134,7 @@ def combine_support_vectors(weights: Sequence[float], svs: Sequence[SupportVecto
 def sup_norm_gap(a: SupportVector, b: SupportVector) -> float:
     if a.directions != b.directions:
         raise ValueError("support vectors must share one direction set")
-    return max(abs(x - y) for x, y in zip(a.values, b.values))
+    return nan_max(abs(x - y) for x, y in zip(a.values, b.values))
 
 
 def _support_argmax(p: ConvexPolytope, theta: float) -> tuple[float, float]:

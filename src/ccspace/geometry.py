@@ -18,6 +18,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .core import nan_max
+
 # Points closer than this (per coordinate) are considered duplicates.
 DEDUP_RESOLUTION = 1e-12
 ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
@@ -702,9 +704,9 @@ def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet)
 
 
 def _hausdorff_mixed(sites: FinitePointSet, poly: ConvexPolytope) -> float:
-    d_sp = max(point_to_polytope(p, poly) for p in sites.points)
+    d_sp = nan_max(point_to_polytope(p, poly) for p in sites.points)
     d_ps = _directed_polytope_to_sites(poly, sites)
-    return max(d_sp, d_ps)
+    return nan_max(d_sp, d_ps)
 
 
 def hausdorff_distance(

@@ -205,7 +205,8 @@ def slln_run(
             indices.append(n)
             distances.append(space.distance(running, target))
     return ConvergenceTrace.build(
-        indices, distances, "expectation of the law", tolerance, direct_check_gap=nan_max(gaps)
+        indices, distances, "expectation of the law", tolerance,
+        direct_check_gap=nan_max(gaps, default=math.nan),
     )
 
 
@@ -245,7 +246,8 @@ def ergodic_run(
     means = _running_means(space, orbit, gaps, periods, period_average)
     distances = [space.distance(mean, target) for mean in means]
     return ConvergenceTrace.build(
-        range(1, n_max + 1), distances, "expectation", tolerance, direct_check_gap=nan_max(gaps)
+        range(1, n_max + 1), distances, "expectation", tolerance,
+        direct_check_gap=nan_max(gaps, default=math.nan),
     )
 
 
@@ -270,7 +272,8 @@ def convexification_rate(
     means = _running_means(space, itertools.repeat(x, n_list[-1]), gaps)
     distances = [space.distance(mean, kx) for n, mean in enumerate(means, 1) if n in recorded]
     return ConvergenceTrace.build(
-        n_list, distances, "convexification of x", tolerance, direct_check_gap=nan_max(gaps)
+        n_list, distances, "convexification of x", tolerance,
+        direct_check_gap=nan_max(gaps, default=math.nan),
     )
 
 
@@ -300,7 +303,7 @@ def raw_vs_convex_average_run(
     distances = [space.distance(r, c) for r, c in zip(raw, cooked)]
     return ConvergenceTrace.build(
         range(1, n_max + 1), distances, "convexified running average", tolerance,
-        direct_check_gap=nan_max(gaps),
+        direct_check_gap=nan_max(gaps, default=math.nan),
     )
 
 

@@ -488,6 +488,10 @@ class SupportMax:
     functionals: tuple[AffineFunctional, ...]
     offsets: tuple[float, ...]
 
+    def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.offsets):
+            raise ValueError(f"offsets must be finite, got {self.offsets!r}")
+
     @staticmethod
     def of(directions: Sequence[Sequence[float]], offsets: Sequence[float]) -> "SupportMax":
         return SupportMax(

@@ -23,6 +23,7 @@ from ccspace.embedding import (
     combine_support_vectors,
     direction_set_for,
     edge_normals,
+    SupportVector,
     random_polygon,
     sup_norm_gap,
 )
@@ -81,6 +82,16 @@ def test_embedding_affinity_is_exact():
             combine_support_vectors([lam, 1 - lam], [embed(p, dirs), embed(q, dirs)]),
         )
         assert gap <= 1e-12
+
+
+def test_sup_norm_gap_keeps_a_nan_in_either_position():
+    d = ((1.0,), (-1.0,))
+    nan = SupportVector(d, (0.0, math.nan))
+    zero = SupportVector(d, (0.0, 0.0))
+    assert math.isnan(sup_norm_gap(nan, zero))
+    assert math.isnan(sup_norm_gap(zero, nan))
+    assert math.isnan(sup_norm_gap(SupportVector(d, (math.nan, 0.0)), zero))
+    assert sup_norm_gap(SupportVector(d, (0.5, -2.0)), zero) == 2.0
 
 
 def test_embedded_distance_translate_example():

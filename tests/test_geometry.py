@@ -584,6 +584,9 @@ def test_covering_radius_past_the_float_range():
     assert_labels_match_reference(poly, sites)
     assert_grid_order_matches_argsort(sites)
     assert math.isnan(_directed_polytope_to_sites(poly, sites))
+    # the mixed Hausdorff distance keeps that NaN in both argument orders
+    assert math.isnan(hausdorff_distance(sites, poly))
+    assert math.isnan(hausdorff_distance(poly, sites))
 
 
 @np.errstate(invalid="ignore")

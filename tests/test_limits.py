@@ -51,6 +51,21 @@ def test_trace_build_validation():
     assert trace.verdict and trace.final_distance == 0.01
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: slln_run(E1, slln_law("euclidean", "bernoulli"), 0),
+        lambda: ergodic_run(CyclicTransformation(5, 2), ergodic_element(E1, "euclidean", 5), 0),
+        lambda: raw_vs_convex_average_run(CS1, [FinitePointSet.of([(0.0,), (1.0,)])], 0),
+    ],
+    ids=["slln", "ergodic", "prop55"],
+)
+def test_empty_averaging_trace_is_rejected_by_the_trace_itself(run):
+    # no step means no direct-check gap; the empty trace is the error
+    with pytest.raises(ValueError, match="indices and distances must align and be nonempty"):
+        run()
+
+
 @pytest.mark.parametrize("tail", [[math.nan, 0.01], [0.01, math.nan]])
 def test_trace_with_nan_in_tail_fails(tail):
     assert not ConvergenceTrace.build([1, 2, 3], [0.5, *tail], "x", 0.05).verdict

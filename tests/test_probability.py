@@ -752,6 +752,15 @@ def test_support_max_functional_is_convex_certified():
     assert phi((-2.0,)) == 2.5 and phi((3.0,)) == 3.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_support_max_rejects_offsets_that_are_not_finite(bad, position):
+    offsets = [0.0, 0.0]
+    offsets[position] = bad
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        SupportMax.of([(1.0,), (-1.0,)], offsets)
+
+
 def test_conditional_jensen_suite_zero_violations():
     for space in (E1, CS1):
         report = conditional_suite(space, trials=150, seed=9, tol=1e-9)
