@@ -12,20 +12,26 @@ read-only float64 arrays that the law converts once and caches
 (``atoms_array``, ``probs_array``, and ``cdf_array`` for the running sums of
 the probabilities).  A convolution is one loop over its product steps.  While
 array steps follow one another it holds the running law as arrays, and builds
-the tuples once, when a Dirac or loop step, a resample or the end of the
-combination needs them; the law it returns carries the arrays it was built
-from.
+the law when a Dirac or loop step, a resample or the end of the combination
+needs it.  A law built from a kernel's arrays keeps them, and builds its
+tuples only when something reads them, once; it is a private subclass, whose
+equality, hashing, ``repr`` and ``len`` are those of the law built from the
+tuples.  Laws built from tuples keep the dataclass's plain attributes.
 
-Two shortcuts in the product kernel skip work that cannot change its result.
-When one operand has one atom, the step only scales and shifts the other law;
-if its atoms come out strictly increasing, more than ``ATOM_MERGE_RESOLUTION``
-apart and with positive probabilities, nothing is sorted or merged.  The mass
-check accepts a plain float sum when its error bound (Higham 1993) keeps the
-exact sum inside ``PROB_SUM_TOL``; every other mass, and every rejection,
-takes the exact ``math.fsum``.  The distance between two one-atom laws is
-the loop's one term, the lower law's mass times the gap, taken without the
-loop.  Laws, distances, verdicts and error messages do not depend on which
-path ran.
+The product kernel sorts the product atoms with a stable sort of the atoms
+alone, and by (atom, prob) only where a run of equal atoms could change the
+bits.  Three shortcuts skip work that cannot change its result.  When no
+atoms come within ``ATOM_MERGE_RESOLUTION`` of each other and no probability
+is zero, nothing is merged; when one operand has one atom, the step only
+scales and shifts the other law, and if its atoms come out strictly
+increasing as well, nothing is sorted either.  The mass check accepts a plain
+float sum when its error bound (Higham 1993) keeps the exact sum inside
+``PROB_SUM_TOL``; every other mass, and every rejection, takes the exact
+``math.fsum``.  The distance to a one-atom law places that atom among the
+other law's atoms with one binary search instead of sorting the breakpoints,
+and the distance between two one-atom laws is the loop's one term, the lower
+law's mass times the gap.  Laws, distances, verdicts and error messages do
+not depend on which path ran.
 """
 
 from __future__ import annotations
@@ -41,10 +47,19 @@ ATOM_MERGE_RESOLUTION = 1e-12
 PROB_SUM_TOL = 1e-12
 # Scaled convolution quantile-resamples any law with more atoms than this.
 ATOM_CAP = 512
-# A product step with at least this many product atoms (len(acc) * len(f)),
-# and a Wasserstein-1 distance between laws with at least this many atoms
-# together, run as array kernels; below it the loops are faster.
-ARRAY_KERNEL_ATOMS = 128
+# A product step with at least this many product atoms (len(acc) * len(f))
+# runs as an array kernel; below it the loop step is faster.  Measured on the
+# steps of the slln raw_track fold (binomial running laws, best of 9 x 200
+# calls, 2-vCPU host, numpy 2): at 64 product atoms the array step took 14-26 us
+# against the loop's 42-52 us, on the scaling, shift and two-atom steps alike;
+# at 32 they were level on the scaling step (23 against 26 us).
+PRODUCT_ARRAY_ATOMS = 64
+# A Wasserstein-1 distance between laws with at least this many atoms
+# together runs as an array kernel; below it the loop is faster.  Measured on
+# laws fresh from the constructor, whose arrays are not yet cached (best of 7
+# x 400 calls, same host): 63 + 64 atoms took 104 us in the loop and 101 us
+# in the array kernel, 48 + 48 atoms 83 and 100 us.
+W1_ARRAY_ATOMS = 128
 _BAD_ATOM = "atoms must be finite with nonnegative probabilities"
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -96,6 +111,17 @@ class DiscreteDistribution:
     def __len__(self) -> int:
         return len(self.atoms)
 
+    def __eq__(self, other: object) -> bool:
+        # by value, so that a law from a kernel's arrays (a subclass) equals
+        # the law built from the same tuples
+        if not isinstance(other, DiscreteDistribution):
+            return NotImplemented
+        return (self.atoms, self.probs) == (other.atoms, other.probs)
+
+    def __repr__(self) -> str:
+        # the dataclass's repr, under this class's name for the subclass too
+        return f"DiscreteDistribution(atoms={self.atoms!r}, probs={self.probs!r})"
+
     @cached_property
     def atoms_array(self) -> np.ndarray:
         """The atoms as a read-only float64 array, converted once."""
@@ -110,15 +136,35 @@ class DiscreteDistribution:
     def cdf_array(self) -> np.ndarray:
         """``cdf_array[k]`` is the running sum of the first k probabilities,
         added left to right (``np.cumsum`` is sequential); ``cdf_array[0]`` is 0."""
-        return _read_only(np.append(0.0, np.cumsum(self.probs_array)))
+        cdf = np.empty(len(self) + 1)
+        cdf[0] = 0.0
+        np.cumsum(self.probs_array, out=cdf[1:])
+        return _read_only(cdf)
 
     @staticmethod
     def _from_arrays(atoms: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
-        """The law of a kernel's arrays, which it keeps as its cached arrays."""
-        law = DiscreteDistribution(tuple(atoms.tolist()), tuple(probs.tolist()))
-        law.__dict__["atoms_array"] = _read_only(atoms)
-        law.__dict__["probs_array"] = _read_only(probs)
+        """The law of a kernel's arrays, which it keeps as its cached arrays;
+        its ``atoms`` and ``probs`` tuples are built when first read."""
+        law = object.__new__(_ArrayLaw)
+        law.__dict__.update(atoms_array=_read_only(atoms), probs_array=_read_only(probs))
         return law
+
+
+class _ArrayLaw(DiscreteDistribution):
+    """A law from a kernel's arrays, which builds each tuple on first read and
+    keeps it.  A subclass, so that laws built from tuples pay nothing for the
+    laziness: their ``atoms`` and ``probs`` stay plain instance attributes."""
+
+    @cached_property
+    def atoms(self) -> tuple[float, ...]:
+        return tuple(self.atoms_array.tolist())
+
+    @cached_property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(self.probs_array.tolist())
+
+    def __len__(self) -> int:
+        return len(self.atoms_array)
 
 
 def _as_array(values: Sequence[float]) -> np.ndarray:
@@ -148,8 +194,9 @@ def _check_mass(probs: Iterable[float]) -> None:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
 
-def _check_mass_array(probs: np.ndarray) -> None:
-    """``_check_mass(probs)`` that skips the exact sum when it cannot matter.
+def _check_mass_array(probs: np.ndarray, low: float) -> None:
+    """``_check_mass(probs)`` that skips the exact sum when it cannot matter;
+    ``low`` is ``probs.min()``.
 
     Adding n nonnegative terms in any order gives a float sum t within
     gamma_(n-1)·s of the exact sum s, where gamma_k = k·u / (1 - k·u) and
@@ -160,7 +207,7 @@ def _check_mass_array(probs: np.ndarray) -> None:
     terms included, is judged by ``_check_mass`` alone, so verdicts and
     messages are the exact ones.
     """
-    if probs.min() >= 0.0:  # false for NaN
+    if low >= 0.0:  # false for NaN
         total = float(probs.sum())
         slack = 2.0 * (len(probs) - 1) * _UNIT_ROUNDOFF * total + 2.0 ** -52
         if abs(total - 1.0) + slack <= PROB_SUM_TOL:
@@ -193,7 +240,7 @@ def scaled_convolution_combine(
     Product atoms are enumerated incrementally with merging; whenever the atom
     count exceeds ``atom_cap`` the law is quantile-resampled down to
     ``atom_cap`` equal-probability atoms (``atom_cap=None`` never resamples).
-    A step with at least ``ARRAY_KERNEL_ATOMS`` product atoms runs on the
+    A step with at least ``PRODUCT_ARRAY_ATOMS`` product atoms runs on the
     running law's arrays; otherwise two one-atom laws take the Dirac step and
     the rest the loop step.
     """
@@ -208,9 +255,9 @@ def scaled_convolution_combine(
     # follow one another
     arrays: tuple[np.ndarray, np.ndarray] | None = None
     for w, f in zip(weights, dists):
-        if arrays is not None and len(arrays[0]) * len(f) < ARRAY_KERNEL_ATOMS:
+        if arrays is not None and len(arrays[0]) * len(f) < PRODUCT_ARRAY_ATOMS:
             acc, arrays = DiscreteDistribution._from_arrays(*arrays), None
-        if arrays is not None or len(acc) * len(f) >= ARRAY_KERNEL_ATOMS:
+        if arrays is not None or len(acc) * len(f) >= PRODUCT_ARRAY_ATOMS:
             arrays = _product_step_array(*(arrays or (acc.atoms_array, acc.probs_array)), w, f)
             if atom_cap is None or len(arrays[0]) <= atom_cap:
                 continue
@@ -251,13 +298,23 @@ def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
     group's first atom, with left-to-right sums.  Returns the new law's atoms
     and probabilities.
 
+    The product atoms are ordered by a stable sort of the atoms alone.  That
+    is the (atom, prob) order except inside a run of equal atoms, and there
+    the order can change the bits only when the run is of zeros (the group
+    keeps its first atom's sign) or lies in a group of three or more (whose
+    sum depends on the order of its members); then the step sorts by
+    (atom, prob) instead.  When no probability is zero and every gap exceeds
+    ``ATOM_MERGE_RESOLUTION``, nothing merges or drops and the sorted arrays
+    are the law.  A group of two is merged with one addition.
+
     A one-atom operand makes the product atoms a scaled and shifted copy of
-    the other law.  When they are strictly increasing with every gap above
-    ``ATOM_MERGE_RESOLUTION`` and every probability is positive, the sort is
-    the identity and no atom merges or drops, so they are the law as they are.
+    the other law, in monotone order, so a run of equal atoms shows before
+    any sort and picks the (atom, prob) sort at once.  When the atoms are
+    strictly increasing, more than the resolution apart, with positive
+    probabilities, they are the law as they are, unsorted.
     """
     w = float(w)
-    one_atom = True
+    one_atom = len(f) == 1 or len(atoms) == 1
     if len(f) == 1:
         atoms = atoms + w * f.atoms[0]
         probs = probs * f.probs[0]
@@ -265,43 +322,70 @@ def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
         atoms = float(atoms[0]) + w * f.atoms_array
         probs = float(probs[0]) * f.probs_array
     else:
-        one_atom = False
         atoms = (atoms[:, None] + w * f.atoms_array).ravel()
         probs = np.multiply.outer(probs, f.probs_array).ravel()
-    _check_mass_array(probs)
-    if not (np.isfinite(atoms).all() and (probs >= 0.0).all()):
+    low = probs.min()
+    _check_mass_array(probs, low)
+    if not (low >= 0.0 and np.isfinite(atoms).all()):
         raise ValueError(_BAD_ATOM)
-    if one_atom and (atoms[1:] - atoms[:-1] > ATOM_MERGE_RESOLUTION).all() and (probs > 0.0).all():
-        return atoms, probs
-    order = np.lexsort((probs, atoms))
-    kept = order[probs[order] != 0.0]
-    atoms = atoms[kept]
-    probs = probs[kept]
+    raw_atoms, raw_probs = atoms, probs
+    if one_atom:
+        gaps = atoms[1:] - atoms[:-1]
+        if low > 0.0 and gaps.min(initial=math.inf) > ATOM_MERGE_RESOLUTION:
+            return atoms, probs
+        # monotone atoms: equal ones are neighbours
+        order = np.argsort(atoms, kind="stable") if gaps.all() else np.lexsort((probs, atoms))
+    else:
+        order = np.argsort(atoms, kind="stable")
+    if low == 0.0:  # products that underflowed to 0 drop out
+        order = order[probs[order] != 0.0]
+    atoms = raw_atoms[order]
+    probs = raw_probs[order]
     n = len(atoms)
+    gaps = atoms[1:] - atoms[:-1]
+    if gaps.min(initial=math.inf) > ATOM_MERGE_RESOLUTION:
+        return atoms, probs
     # a gap above the resolution always starts a group; inside a run of
     # smaller gaps whose span exceeds the resolution, the loop's rule
     # (distance to the group's first atom) decides atom by atom
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.greater(np.diff(atoms), ATOM_MERGE_RESOLUTION, out=first[1:])
-    runs = np.flatnonzero(first)
-    ends = np.append(runs[1:], n)
-    wide = atoms[ends - 1] - atoms[runs] > ATOM_MERGE_RESOLUTION
-    for lo, hi in zip(runs[wide].tolist(), ends[wide].tolist()):
-        head = atoms[lo]
-        for i in range(lo + 1, hi):
-            if atoms[i] - head > ATOM_MERGE_RESOLUTION:
-                first[i] = True
-                head = atoms[i]
-    starts = np.flatnonzero(first)
-    sizes = np.diff(starts, append=n)
-    # group g's sum is probs[starts[g]] + probs[starts[g] + 1] + ..., added
-    # one member at a time across all groups still that long
+    first = np.empty(n + 1, dtype=bool)
+    first[0] = first[n] = True
+    np.greater(gaps, ATOM_MERGE_RESOLUTION, out=first[1:n])
+    bounds = np.flatnonzero(first)
+    sizes = bounds[1:] - bounds[:-1]
+    longest = int(sizes.max())
+    if longest > 2:  # a run of two spans one gap, which is within the resolution
+        runs = bounds[:-1]
+        wide = atoms[bounds[1:] - 1] - atoms[runs] > ATOM_MERGE_RESOLUTION
+        for lo, hi in zip(runs[wide].tolist(), bounds[1:][wide].tolist()):
+            head = atoms[lo]
+            for i in range(lo + 1, hi):
+                if atoms[i] - head > ATOM_MERGE_RESOLUTION:
+                    first[i] = True
+                    head = atoms[i]
+        bounds = np.flatnonzero(first)
+        sizes = bounds[1:] - bounds[:-1]
+        longest = int(sizes.max())
+    starts = bounds[:-1]
+    if not one_atom and not gaps.all():
+        # equal atoms, in the order of the stable sort
+        zero = int(atoms.searchsorted(0.0))
+        if longest > 2 or (zero + 1 < n and atoms[zero + 1] == 0.0):
+            order = np.lexsort((raw_probs, raw_atoms))
+            order = order[raw_probs[order] != 0.0]
+            atoms = raw_atoms[order]
+            probs = raw_probs[order]
     merged = probs[starts]
-    live = np.arange(len(starts))
-    for j in range(1, int(sizes.max())):
-        live = live[sizes[live] > j]
-        merged[live] += probs[starts[live] + j]
+    if longest == 2:
+        pairs = sizes == 2
+        merged[pairs] += probs[starts[pairs] + 1]
+    else:
+        # group g's sum is probs[starts[g]] + probs[starts[g] + 1] + ..., added
+        # one member at a time across all groups still that long
+        live = np.arange(len(starts))
+        for j in range(1, longest):
+            live = live[sizes[live] > j]
+            merged[live] += probs[starts[live] + j]
     return atoms[starts], merged
 
 
@@ -314,20 +398,25 @@ def wasserstein1(f: DiscreteDistribution, g: DiscreteDistribution) -> float:
         if a == b:
             return 0.0
         return f.probs[0] * (b - a) if a < b else g.probs[0] * (a - b)
-    if len(f) + len(g) >= ARRAY_KERNEL_ATOMS:
+    if len(f) + len(g) >= W1_ARRAY_ATOMS:
+        if len(g) == 1:
+            return _wasserstein1_to_atom(f, g)
+        if len(f) == 1:
+            return _wasserstein1_to_atom(g, f)
         return _wasserstein1_array(f, g)
-    breaks = sorted(set(f.atoms) | set(g.atoms))
+    fa, fp, ga, gp = f.atoms, f.probs, g.atoms, g.probs
+    breaks = sorted(set(fa) | set(ga))
     total = 0.0
     cf = 0.0
     cg = 0.0
     fi = 0
     gi = 0
     for left, right in zip(breaks, breaks[1:]):
-        while fi < len(f.atoms) and f.atoms[fi] <= left:
-            cf += f.probs[fi]
+        while fi < len(fa) and fa[fi] <= left:
+            cf += fp[fi]
             fi += 1
-        while gi < len(g.atoms) and g.atoms[gi] <= left:
-            cg += g.probs[gi]
+        while gi < len(ga) and ga[gi] <= left:
+            cg += gp[gi]
             gi += 1
         total += abs(cf - cg) * (right - left)
     return total
@@ -346,3 +435,20 @@ def _wasserstein1_array(f: DiscreteDistribution, g: DiscreteDistribution) -> flo
     cg = g.cdf_array[np.searchsorted(ga, left, "right")]
     terms = np.abs(cf - cg) * (breaks[1:] - left)
     return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+
+
+def _wasserstein1_to_atom(f: DiscreteDistribution, g: DiscreteDistribution) -> float:
+    """``_wasserstein1_array(f, g)`` for a one-atom ``g``, bit for bit.  One
+    search places g's atom t among f's increasing atoms, so the breakpoints
+    need no sort: G is 0 left of t, where |F - G| is F, and g's mass q from t
+    on.  When t is one of f's atoms it is kept as a second breakpoint, whose
+    interval adds a zero term.  A NaN atom makes a NaN width, so the distance
+    is NaN."""
+    atoms = f.atoms_array
+    cdf = f.cdf_array
+    k = int(atoms.searchsorted(g.atoms[0]))
+    breaks = np.concatenate((atoms[:k], g.atoms, atoms[k:]))
+    diff = np.concatenate((cdf[1:k + 1], cdf[k:-1]))  # F at each left breakpoint
+    diff[k:] -= g.probs[0]
+    terms = np.abs(diff, out=diff) * (breaks[1:] - breaks[:-1])
+    return float(np.cumsum(terms)[-1])

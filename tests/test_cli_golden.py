@@ -53,6 +53,10 @@ CASES = [
     # the running law first passes ATOM_CAP and is resampled at n = 1030 (513 atoms)
     ("slln-distributions-raw-1100", ["slln", "--space", "distributions", "--fixture",
                                      "bernoulli", "--mode", "raw_track", "--n-max", "1100"], 0),
+    # the benchmark's slln op: 970 steps on resampled laws, with a second resample
+    # near n = 1907
+    ("slln-distributions-raw-2000", ["slln", "--space", "distributions", "--fixture",
+                                     "bernoulli", "--mode", "raw_track", "--n-max", "2000"], 0),
     ("ergodic-sets", ["ergodic", "--space", "compact-sets", "--modulus", "40", "--step", "7"], 0),
     ("ergodic-distributions", ["ergodic", "--space", "distributions", "--modulus", "30",
                                "--step", "11", "--format", "csv"], 0),

@@ -17,22 +17,29 @@ from ccspace import (
 )
 from ccspace import distribution_space, distributions, slln_run
 from ccspace.distributions import (
-    ARRAY_KERNEL_ATOMS,
     ATOM_MERGE_RESOLUTION,
+    PRODUCT_ARRAY_ATOMS,
     PROB_SUM_TOL,
+    W1_ARRAY_ATOMS,
     _product_step_array,
 )
 from ccspace.fixtures import slln_law
 
 
 def brute_convolution(weights, dists):
-    """Oracle: full product enumeration of sum_i w_i X_i."""
-    atoms = {}
-    for combo in itertools.product(*[list(zip(d.atoms, d.probs)) for d in dists]):
-        value = math.fsum(w * a for w, (a, _) in zip(weights, combo))
-        prob = math.prod(p for _, p in combo)
-        atoms[round(value, 12)] = atoms.get(round(value, 12), 0.0) + prob
-    return sorted(atoms.items())
+    """Oracle: full product enumeration of sum_i w_i X_i, each atom taken
+    exactly, merged into the first atom of each run within the resolution."""
+    pairs = sorted(
+        (math.fsum(w * a for w, (a, _) in zip(weights, combo)), math.prod(p for _, p in combo))
+        for combo in itertools.product(*[list(zip(d.atoms, d.probs)) for d in dists])
+    )
+    merged = []
+    for value, prob in pairs:
+        if merged and value - merged[-1][0] <= ATOM_MERGE_RESOLUTION:
+            merged[-1][1] += prob
+        else:
+            merged.append([value, prob])
+    return [tuple(atom) for atom in merged]
 
 
 def brute_w1(f, g, lo=-20.0, hi=20.0, steps=200_000):
@@ -269,7 +276,7 @@ def law_from(rng, n, kind):
 )
 def test_product_step_kernels_match_the_loop_bit_for_bit(seed, shapes):
     # operands from a few atoms to several hundred: steps on both sides of
-    # ARRAY_KERNEL_ATOMS, against the loop-only oracle
+    # PRODUCT_ARRAY_ATOMS, against the loop-only oracle
     rng = random.Random(seed)
     dists = [law_from(rng, n if i == 0 else 1 + n % 4, kind) for i, (n, kind) in enumerate(shapes)]
     weights = [rng.choice((0.5, 1.0 / 3.0, rng.uniform(-2.0, 2.0))) for _ in dists]
@@ -290,7 +297,7 @@ def test_product_step_kernels_at_the_threshold(n, kind):
 def test_chain_merges_relative_to_the_first_atom():
     # 0.6e-12 gaps: each atom is within the resolution of its neighbour, but
     # the third is past the resolution from the first, so it starts a group
-    n = ARRAY_KERNEL_ATOMS
+    n = PRODUCT_ARRAY_ATOMS
     f = DiscreteDistribution(tuple(i * 0.6e-12 for i in range(n)), (1.0 / n,) * n)
     got = scaled_convolution_combine([1.0, 1.0], [f, DiscreteDistribution.delta(0.0)],
                                      atom_cap=None)
@@ -299,12 +306,13 @@ def test_chain_merges_relative_to_the_first_atom():
     assert all(b - a > ATOM_MERGE_RESOLUTION for a, b in zip(got.atoms, got.atoms[1:]))
 
 
-@pytest.mark.parametrize("n", [4, ARRAY_KERNEL_ATOMS])
+@pytest.mark.parametrize("n", [4, PRODUCT_ARRAY_ATOMS, 2 * PRODUCT_ARRAY_ATOMS])
 @pytest.mark.parametrize("f,message", [
     # both addends near the largest float: the product atom overflows to inf
     (DiscreteDistribution((1e308,), (1.0,)), "atoms must be finite"),
     (DiscreteDistribution((0.0, 1.0), (0.25, 0.25)), "probabilities sum to 0.5"),
 ])
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 def test_product_step_kernels_make_the_constructor_checks(n, f, message):
     big = DiscreteDistribution(tuple(1e308 - i * 1e292 for i in range(n)), (1.0 / n,) * n)
     with pytest.raises(ValueError, match=message) as expected:
@@ -354,6 +362,16 @@ def test_one_atom_steps_match_the_loop_bit_for_bit(seed, n, kind, w1, w2, x, px,
     assert outcome(lambda: scaled_convolution_combine([w1, w2], dists, atom_cap=None)) == expected
 
 
+def count_sorts(monkeypatch):
+    """Record each ``np.lexsort`` and ``np.argsort`` call by name."""
+    sorts = []
+    for name in ("lexsort", "argsort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *args, real=real, name=name, **kwargs:
+                            sorts.append(name) or real(*args, **kwargs))
+    return sorts
+
+
 @pytest.mark.parametrize("law_first,kind,w,shortcut", [
     # delta (x) law scales the law by w
     (False, "spread", 1.0, True),
@@ -372,11 +390,9 @@ def test_one_atom_step_skips_the_sort_only_when_nothing_merges(monkeypatch, law_
     law = law_from(random.Random(7), 300, kind)
     dirac = DiscreteDistribution.delta(0.25)
     acc, f = (law, dirac) if law_first else (dirac, law)
-    sorts = []
-    lexsort = np.lexsort
-    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    sorts = count_sorts(monkeypatch)
     assert bits(array_step(acc, w, f)) == bits(loop_step(acc, w, f))
-    assert sorts == ([] if shortcut else [1])
+    assert len(sorts) == (0 if shortcut else 1)
 
 
 def test_one_atom_step_drops_zero_probabilities():
@@ -395,20 +411,167 @@ def test_slln_raw_track_takes_the_one_atom_step(monkeypatch):
     # each step [(n-1)/n, S ; 1/n, X] scales S by delta(0) (x) S, and shifts
     # it when X is a Dirac law: every such array step must skip the sort
     steps = {"one-atom": 0, "other": 0}
-    sorts = []
     product_step = distributions._product_step_array
-    lexsort = np.lexsort
 
     def counted_step(atoms, probs, w, f):
         steps["one-atom" if min(len(atoms), len(f)) == 1 else "other"] += 1
         return product_step(atoms, probs, w, f)
 
     monkeypatch.setattr(distributions, "_product_step_array", counted_step)
-    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    sorts = count_sorts(monkeypatch)
     slln_run(distribution_space(), slln_law("distributions", "bernoulli"), n_max=400, seed=5,
              mode="raw_track")
     assert steps["one-atom"] > steps["other"] > 0
-    assert len(sorts) == steps["other"]
+    # the two-atom steps tie exactly, but only in groups of two
+    assert sorts == ["argsort"] * steps["other"]
+
+
+def dense_lattice_law(rng, n):
+    """n atoms among the 2n multiples of 1/8 nearest 0 (a zero, when drawn,
+    of either sign), with probabilities in the ratios 1:2:3, so many are equal."""
+    ks = sorted(rng.sample(range(-n, n), n))
+    atoms = [rng.choice((-0.0, 0.0)) if k == 0 else k / 8 for k in ks]
+    raw = [rng.choice((1, 2, 3)) for _ in ks]
+    probs = [r / sum(raw) for r in raw]
+    probs[-1] = 1.0 - math.fsum(probs[:-1])
+    return DiscreteDistribution(tuple(atoms), tuple(probs))
+
+
+def zero_tie_law():
+    """A law whose product with ``ZERO_TIE_OPERAND`` (weight 1) puts
+    -0.0 + -0.0 = -0.0, then 0.125 + -0.125 = 0.0 with half its probability,
+    in one group of two."""
+    atoms = (-1.0, -0.0, 0.125, 0.5, 2.0) + tuple(3.0 + k for k in range(40))
+    weights = [2 if a == 0 else 1 for a in atoms]
+    return DiscreteDistribution(atoms, tuple(w / sum(weights) for w in weights))
+
+
+ZERO_TIE_OPERAND = DiscreteDistribution((-0.125, -0.0), (0.5, 0.5))
+
+
+# Operands of a general product step with a law; each sorts once, or twice
+# when a run of equal atoms can change the bits (zeros of either sign, or a
+# group of three or more), since only then is the stable sort of the atoms
+# not the (atom, prob) order bit for bit.
+@pytest.mark.parametrize("acc,f,sorts", [
+    # distinct product atoms: no tie, no merge
+    (law_from(random.Random(1), 100, "spread"), DiscreteDistribution((0.0, 0.3), (0.5, 0.5)), 1),
+    # lattice products: ties in groups of two, with equal and with unequal probabilities
+    (dense_lattice_law(random.Random(2), 100), DiscreteDistribution((0.0, 0.125), (0.5, 0.5)), 1),
+    (dense_lattice_law(random.Random(3), 100),
+     DiscreteDistribution((0.0, 0.125), (0.375, 0.625)), 1),
+    # ties in groups of three
+    (dense_lattice_law(random.Random(4), 100),
+     DiscreteDistribution((0.0, 0.125, 0.25), (0.25, 0.375, 0.375)), 2),
+    # -0.0 against 0.0 in a group of two
+    (zero_tie_law(), ZERO_TIE_OPERAND, 2),
+])
+def test_general_step_sorts_by_prob_only_when_a_tie_can_change_the_bits(monkeypatch, acc, f, sorts):
+    counted = count_sorts(monkeypatch)
+    assert bits(array_step(acc, 1.0, f)) == bits(loop_step(acc, 1.0, f))
+    assert counted == ["argsort", "lexsort"][:sorts]
+
+
+def test_zero_tie_keeps_the_sign_of_the_loops_first_atom():
+    # the stable sort of the atoms puts -0.0 first; (atom, prob) order puts
+    # 0.0, the smaller probability, first, and the group keeps its sign
+    got = array_step(zero_tie_law(), 1.0, ZERO_TIE_OPERAND)
+    assert bits(got) == bits(loop_step(zero_tie_law(), 1.0, ZERO_TIE_OPERAND))
+    zero = got.atoms.index(0.0)
+    assert math.copysign(1.0, got.atoms[zero]) == 1.0
+    assert got.atoms[zero - 1] != 0.0 != got.atoms[zero + 1]
+
+
+# Operands whose products with lattice laws tie exactly: equal and unequal
+# probabilities, -0.0 against 0.0, and groups of two or of three and more.
+TIE_OPERANDS = (
+    DiscreteDistribution((0.0, 0.125), (0.5, 0.5)),
+    DiscreteDistribution((0.0, 0.125), (0.375, 0.625)),
+    DiscreteDistribution((-0.0, 0.125), (0.625, 0.375)),
+    DiscreteDistribution((-0.125, -0.0), (0.5, 0.5)),
+    DiscreteDistribution((0.0, 0.125, 0.25), (0.25, 0.375, 0.375)),
+    DiscreteDistribution((-0.25, 0.0, 0.5, 0.625), (0.25, 0.25, 0.25, 0.25)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(32, 300), st.sampled_from(TIE_OPERANDS),
+       st.sampled_from((1.0, 0.5, -1.0, 2.0)))
+def test_stable_sort_gives_the_lexsort_bits_on_exact_ties(seed, n, f, w):
+    # products of a lattice law (with a signed zero) and a lattice operand,
+    # weights that keep them on the lattice: many exact ties
+    acc = dense_lattice_law(random.Random(seed), n)
+    assert outcome(lambda: array_step(acc, w, f)) == outcome(lambda: loop_step(acc, w, f))
+
+
+def loop_group_sizes(acc, w, f):
+    """The sizes of the merge groups of the loop's product step."""
+    pairs = sorted((a + w * b, pa * pb) for a, pa in zip(acc.atoms, acc.probs)
+                   for b, pb in zip(f.atoms, f.probs))
+    sizes = []
+    head = None
+    for a, p in pairs:
+        if p == 0.0:
+            continue
+        if head is not None and a - head <= ATOM_MERGE_RESOLUTION:
+            sizes[-1] += 1
+        else:
+            head = a
+            sizes.append(1)
+    return sizes
+
+
+@pytest.mark.parametrize("longest", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_two_member_merge_matches_the_general_merge(longest, seed):
+    # groups of at most two take the one-addition merge, longer ones the
+    # member-by-member merge; the loop's sequential merge is the oracle of both
+    rng = random.Random(seed)
+    acc = dense_lattice_law(rng, rng.randint(40, 300))
+    f = DiscreteDistribution(tuple(k / 8 for k in range(longest)), (1.0 / longest,) * longest)
+    assert max(loop_group_sizes(acc, 1.0, f)) == longest
+    assert bits(array_step(acc, 1.0, f)) == bits(loop_step(acc, 1.0, f))
+
+
+def with_entry(law, i, atom=None, prob=None, shift=0.0):
+    """``law`` with atom i or probability i replaced; ``shift`` moves mass
+    from probability i + 1 to probability i, keeping the sum."""
+    atoms, probs = list(law.atoms), list(law.probs)
+    if atom is not None:
+        atoms[i] = atom
+    if prob is not None:
+        probs[i] = prob
+    if shift:
+        probs[i] -= shift
+        probs[i + 1] += shift
+    return DiscreteDistribution(tuple(atoms), tuple(probs))
+
+
+BAD_LAWS = {
+    "nan atom": lambda law: with_entry(law, 50, atom=math.nan),
+    "inf atom": lambda law: with_entry(law, len(law) - 1, atom=math.inf),
+    "negative probability": lambda law: with_entry(law, 3, shift=0.25),
+    "nan probability": lambda law: with_entry(law, 3, prob=math.nan),
+    "mass off by 2e-12": lambda law: with_entry(law, 3, prob=law.probs[3] + 2e-12),
+}
+# (acc, w, f) of each new path, with the law to be broken in it
+STEP_PATHS = {
+    "scaling": lambda law: (DiscreteDistribution.delta(0.0), 0.5, law),
+    "shift": lambda law: (law, 1.0, DiscreteDistribution.delta(0.25)),
+    "stable sort": lambda law: (law, 1.0, DiscreteDistribution((0.0, 0.3), (0.5, 0.5))),
+    "two-member merge": lambda law: (law, 1.0, DiscreteDistribution((0.0, 0.125), (0.5, 0.5))),
+}
+
+
+@pytest.mark.parametrize("path", sorted(STEP_PATHS))
+@pytest.mark.parametrize("bad", sorted(BAD_LAWS))
+def test_new_step_paths_make_the_constructor_checks(path, bad):
+    law = DiscreteDistribution(tuple(k / 8 for k in range(100)), (0.01,) * 100)
+    acc, w, f = STEP_PATHS[path](BAD_LAWS[bad](law))
+    expected = outcome(lambda: loop_step(acc, w, f))
+    assert expected[0] == "error"
+    assert outcome(lambda: array_step(acc, w, f)) == expected
+    assert outcome(lambda: scaled_convolution_combine([1.0, w], [acc, f])) == expected
 
 
 def boundary_masses():
@@ -493,7 +656,7 @@ def test_mass_check_when_negative_probabilities_cancel(atoms):
     assert outcome(lambda: array_step(acc, 1.0, f)) == expected
 
 
-@pytest.mark.parametrize("n", [2, ARRAY_KERNEL_ATOMS])
+@pytest.mark.parametrize("n", [2, PRODUCT_ARRAY_ATOMS, 2 * PRODUCT_ARRAY_ATOMS])
 @pytest.mark.parametrize("head", [(math.inf, -math.inf), (1e308, 1e308)])
 @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
 def test_a_mass_that_cannot_be_summed_reads_as_nan(n, head):
@@ -507,7 +670,7 @@ def test_a_mass_that_cannot_be_summed_reads_as_nan(n, head):
 
 
 def loop_wasserstein1(f, g):
-    """The loop ``wasserstein1`` runs below ARRAY_KERNEL_ATOMS, kept as the
+    """The loop ``wasserstein1`` runs below W1_ARRAY_ATOMS, kept as the
     array kernel's reference."""
     breaks = sorted(set(f.atoms) | set(g.atoms))
     total = 0.0
@@ -537,7 +700,7 @@ def test_w1_kernel_matches_the_loop_exactly(seed, n, m, kind_f, kind_g):
 
 
 def test_w1_kernel_on_shared_and_signed_zero_atoms():
-    n = ARRAY_KERNEL_ATOMS
+    n = W1_ARRAY_ATOMS
     atoms = tuple(i / 4 - 8 for i in range(n))
     f = DiscreteDistribution(atoms, (1.0 / n,) * n)
     g = DiscreteDistribution(tuple(-0.0 if a == 0 else a + 0.125 * (i % 2)
@@ -560,6 +723,66 @@ def test_w1_of_one_atom_laws_gives_the_loops_bits():
     for f, g in laws:
         for left, right in ((f, g), (g, f)):
             assert wasserstein1(left, right).hex() == loop_wasserstein1(left, right).hex()
+
+
+def target_atom(rng, atoms, where):
+    """An atom for the one-atom law: on, between, below or above ``atoms``,
+    or a zero of either sign."""
+    i = rng.randrange(len(atoms) - 1)
+    return {
+        "on": atoms[i],
+        "between": atoms[i] + (atoms[i + 1] - atoms[i]) / 2,
+        "below": atoms[0] - rng.choice((1e-13, 0.5, 3.0)),
+        "above": atoms[-1] + rng.choice((1e-13, 0.5, 3.0)),
+        "zero": 0.0,
+        "negative zero": -0.0,
+    }[where]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 400), st.sampled_from(LAW_KINDS),
+       st.sampled_from(("on", "between", "below", "above", "zero", "negative zero")),
+       st.sampled_from((1.0, 0.9999999999999999)))
+def test_w1_to_a_one_atom_law_matches_both_kernels_bit_for_bit(seed, n, kind, where, mass):
+    # lattice laws hold 0.0 or -0.0 as an atom, so the zero targets also
+    # land on an atom of the other sign; wasserstein1 takes the one-atom
+    # kernel from W1_ARRAY_ATOMS - 1 atoms on
+    rng = random.Random(seed)
+    law = law_from(rng, n, kind)
+    target = DiscreteDistribution((target_atom(rng, law.atoms, where),), (mass,))
+    expected = loop_wasserstein1(law, target).hex()
+    assert distributions._wasserstein1_to_atom(law, target).hex() == expected
+    assert distributions._wasserstein1_array(law, target).hex() == expected
+    assert wasserstein1(law, target).hex() == wasserstein1(target, law).hex() == expected
+
+
+@pytest.mark.parametrize("zero,atom", [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)])
+def test_w1_to_a_zero_atom_of_either_sign(zero, atom):
+    atoms = tuple(k / 4 - 16 for k in range(W1_ARRAY_ATOMS))
+    law = DiscreteDistribution(tuple(atom if a == 0 else a for a in atoms),
+                               (1.0 / len(atoms),) * len(atoms))
+    target = DiscreteDistribution((zero,), (0.9999999999999999,))
+    expected = loop_wasserstein1(law, target).hex()
+    assert distributions._wasserstein1_to_atom(law, target).hex() == expected
+    assert distributions._wasserstein1_array(law, target).hex() == expected
+    assert wasserstein1(law, target).hex() == wasserstein1(target, law).hex() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, W1_ARRAY_ATOMS - 2, W1_ARRAY_ATOMS - 1, 300])
+@pytest.mark.parametrize("where", ["target", "first atom", "middle atom", "last atom"])
+def test_w1_with_a_nan_atom_is_nan(n, where):
+    # one-atom laws, the loop, the one-atom kernel and the array kernel
+    law = DiscreteDistribution(tuple(map(float, range(n))), (1.0 / n,) * n)
+    target = DiscreteDistribution.delta(0.5)
+    if where == "target":
+        target = DiscreteDistribution.delta(math.nan)
+    else:
+        law = with_entry(law, {"first atom": 0, "middle atom": n // 2,
+                               "last atom": n - 1}[where], atom=math.nan)
+    assert math.isnan(wasserstein1(law, target))
+    assert math.isnan(wasserstein1(target, law))
+    other = DiscreteDistribution((0.25, 0.75), (0.5, 0.5))
+    assert math.isnan(wasserstein1(law if where != "target" else target, other))
 
 
 @settings(max_examples=80, deadline=None)
@@ -604,6 +827,53 @@ def test_cached_arrays_equal_the_tuples_and_are_read_only():
         assert law.atoms_array is law.atoms_array
 
 
+def test_law_from_arrays_equals_hashes_and_prints_as_the_tuple_law():
+    for law in (law_from(random.Random(5), 200, "lattice"), DiscreteDistribution.delta(-0.0)):
+        built = DiscreteDistribution._from_arrays(law.atoms_array.copy(), law.probs_array.copy())
+        assert len(built) == len(law)
+        assert "atoms" not in built.__dict__  # len reads the arrays
+        assert built == law and law == built
+        assert hash(built) == hash(law)
+        assert repr(built) == repr(law)
+        assert bits(built) == bits(law)
+        assert built != DiscreteDistribution.delta(1.0)
+        assert getattr(built, "dim", None) is None
+
+
+def test_law_from_arrays_builds_each_tuple_at_most_once(monkeypatch):
+    builds = []
+    for name in ("atoms", "probs"):
+        built = vars(distributions._ArrayLaw)[name]  # a cached_property
+        monkeypatch.setattr(built, "func", lambda law, build=built.func, name=name:
+                            builds.append(name) or build(law))
+    law = DiscreteDistribution._from_arrays(np.array([-1.0, 0.5]), np.array([0.25, 0.75]))
+    assert len(law) == 2 and builds == []
+    assert law.atoms is law.atoms and law.probs is law.probs
+    assert (law.atoms, law.probs) == ((-1.0, 0.5), (0.25, 0.75))
+    assert law == DiscreteDistribution((-1.0, 0.5), (0.25, 0.75))
+    hash(law), repr(law), law.mean(), law.quantile(0.5)
+    assert sorted(builds) == ["atoms", "probs"]
+
+
+def test_slln_raw_track_builds_no_tuples_for_laws_only_array_kernels_read(monkeypatch):
+    # a running law of at least W1_ARRAY_ATOMS - 1 atoms is read only by array
+    # product steps and by the one-atom W1 kernel; smaller ones meet the loops
+    laws = []
+    from_arrays = DiscreteDistribution._from_arrays
+    monkeypatch.setattr(DiscreteDistribution, "_from_arrays",
+                        staticmethod(lambda *arrays: laws.append(from_arrays(*arrays)) or laws[-1]))
+    slln_run(distribution_space(), slln_law("distributions", "bernoulli"), n_max=300, seed=5,
+             mode="raw_track")
+
+    def built(law):
+        return "atoms" in law.__dict__ or "probs" in law.__dict__
+
+    wide = [law for law in laws if len(law) >= W1_ARRAY_ATOMS - 1]
+    assert len(wide) > 50
+    assert sum(map(built, wide)) == 0
+    assert sum(map(built, laws)) > 0
+
+
 def reference_resample(f, m):
     return DiscreteDistribution.of([f.quantile((k + 0.5) / m) for k in range(m)], [1.0 / m] * m)
 
@@ -624,8 +894,16 @@ def chain_law(rng, shape):
         return DiscreteDistribution.delta(rng.choice((0.0, -0.0, 0.25, -1.5)))
     if shape == "two":
         return DiscreteDistribution.of(rng.sample((0.0, 0.125, 1.0, -0.5), 2), (0.375, 0.625))
+    if shape in EDGE_SIZES:
+        return law_from(rng, EDGE_SIZES[shape], "spread")
     kind = rng.choice(LAW_KINDS)
     return law_from(rng, rng.randint(3, 9) if shape == "small" else rng.randint(128, 200), kind)
+
+
+# laws whose product with a one-atom law ("edge", "edge-") or with a two-atom
+# law ("half", "half-") has PRODUCT_ARRAY_ATOMS atoms, or one fewer
+EDGE_SIZES = {"edge": PRODUCT_ARRAY_ATOMS, "edge-": PRODUCT_ARRAY_ATOMS - 1,
+              "half": PRODUCT_ARRAY_ATOMS // 2, "half-": PRODUCT_ARRAY_ATOMS // 2 - 1}
 
 
 # Each chain mixes one-atom, two-atom and wide laws.  Weight 0 collapses a wide
@@ -641,6 +919,11 @@ FOLD_CHAINS = [
     (("two", 1.0), ("wide", 0.5), ("wide", 0.5), ("two", 1e-13), ("dirac", -1.0)),
     # collapse right after the first array step, the loop path, then arrays again
     (("wide", 0.0), ("small", 1.0), ("two", 0.5), ("wide", 1.0), ("small", 0.5)),
+    # loop steps one atom below the product crossover, then array steps
+    (("edge-", 1.0), ("dirac", 0.5), ("half-", 0.0), ("two", 1.0 / 3.0), ("dirac", 1.0),
+     ("half", 0.5)),
+    # array steps at the crossover; weight 0 merges groups of 31 equal atoms
+    (("edge", 1.0), ("half-", 0.0), ("half", 0.5), ("two", 0.5), ("dirac", 0.25)),
 ]
 
 
@@ -677,7 +960,8 @@ def test_array_resident_fold_matches_the_per_step_loop(monkeypatch, chain, atom_
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32),
-       st.lists(st.tuples(st.sampled_from(("dirac", "two", "small", "wide")),
+       st.lists(st.tuples(st.sampled_from(("dirac", "two", "small", "wide", "edge", "edge-",
+                                            "half", "half-")),
                           st.sampled_from((1.0, 0.5, 1.0 / 3.0, -0.75, 0.0, 1e-13))),
                 min_size=3, max_size=7),
        st.sampled_from((130, 16)))
