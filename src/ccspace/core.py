@@ -42,14 +42,15 @@ class WeightedCombination:
     @staticmethod
     def of(pairs: Iterable[tuple[float, Point]]) -> "WeightedCombination":
         kept = []
+        keep = kept.append
         total = 0.0
         for weight, point in pairs:
             w = float(weight)
-            if math.isnan(w) or w < 0.0:
-                raise CombinationError(f"weight must be nonnegative, got {w!r}")
-            total += w
             if w > 0.0:
-                kept.append((w, point))
+                total += w
+                keep((w, point))
+            elif w != 0.0:  # negative or NaN
+                raise CombinationError(f"weight must be nonnegative, got {w!r}")
         if not kept:
             raise CombinationError("combination needs at least one positive-weight term")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:

@@ -13,10 +13,15 @@ read-only float64 arrays that the law converts once and caches
 the probabilities).  A convolution is one loop over its product steps.  While
 array steps follow one another it holds the running law as arrays, and builds
 the law when a Dirac or loop step, a resample or the end of the combination
-needs it.  A law built from a kernel's arrays keeps them, and builds its
-tuples only when something reads them, once; it is a private subclass, whose
-equality, hashing, ``repr`` and ``len`` are those of the law built from the
-tuples.  Laws built from tuples keep the dataclass's plain attributes.
+needs it.  A Dirac step (two one-atom laws) makes the loop's ``a + w*b`` and
+``pa*pb`` and the constructor's checks, with its messages; while Dirac steps
+follow one another, as when a conditional expectation mixes the Dirac laws
+that convexification gives, the running law is held as two floats, its atom
+and its mass, and one law is built at the end of the run.  A law built from
+a kernel's arrays keeps them, and builds its tuples only when something reads
+them, once; it is a private subclass, whose equality, hashing, ``repr`` and
+``len`` are those of the law built from the tuples.  Laws built from tuples
+keep the dataclass's plain attributes.
 
 The product kernel sorts the product atoms with a stable sort of the atoms
 alone, and by (atom, prob) only where a run of equal atoms could change the
@@ -73,7 +78,7 @@ class DiscreteDistribution:
 
     @staticmethod
     def of(atoms: Iterable[float], probs: Iterable[float]) -> "DiscreteDistribution":
-        pairs = sorted(zip((float(a) for a in atoms), (float(p) for p in probs)))
+        pairs = sorted(zip(map(float, atoms), map(float, probs)))
         if not pairs:
             raise ValueError("distribution needs at least one atom")
         _check_mass(p for _, p in pairs)
@@ -254,7 +259,16 @@ def scaled_convolution_combine(
     # acc's atoms and probabilities, held in its place while array steps
     # follow one another
     arrays: tuple[np.ndarray, np.ndarray] | None = None
+    # while Dirac steps follow one another, acc's one atom and its mass are
+    # held in its place as two floats
+    dirac = False
+    atom = prob = 0.0
     for w, f in zip(weights, dists):
+        if dirac:
+            if len(f) == 1:
+                atom, prob = _dirac_step(atom, prob, w, f)
+                continue
+            acc, dirac = DiscreteDistribution((atom,), (prob,)), False
         if arrays is not None and len(arrays[0]) * len(f) < PRODUCT_ARRAY_ATOMS:
             acc, arrays = DiscreteDistribution._from_arrays(*arrays), None
         if arrays is not None or len(acc) * len(f) >= PRODUCT_ARRAY_ATOMS:
@@ -263,7 +277,9 @@ def scaled_convolution_combine(
                 continue
             acc, arrays = DiscreteDistribution._from_arrays(*arrays), None
         elif len(acc) == 1 and len(f) == 1:
-            acc = _dirac_step(acc, w, f)
+            atom, prob = _dirac_step(acc.atoms[0], acc.probs[0], w, f)
+            dirac = True
+            continue
         else:
             atoms: list[float] = []
             probs: list[float] = []
@@ -275,19 +291,25 @@ def scaled_convolution_combine(
             acc = DiscreteDistribution.of(atoms, probs)
         if atom_cap is not None and len(acc) > atom_cap:
             acc = quantile_resample(acc, atom_cap)
+    if dirac:
+        return DiscreteDistribution((atom,), (prob,))
     return acc if arrays is None else DiscreteDistribution._from_arrays(*arrays)
 
 
-def _dirac_step(acc: DiscreteDistribution, w: float, f: DiscreteDistribution) -> DiscreteDistribution:
-    """``DiscreteDistribution.of([a + w*b], [pa*pb])`` for one-atom ``acc`` and
-    ``f``: the same checks, without the sort and merge.  A mass within
-    ``PROB_SUM_TOL`` of 1 is positive, so no zero-mass check is needed."""
-    atom = float(acc.atoms[0] + w * f.atoms[0])
-    prob = float(acc.probs[0] * f.probs[0])
-    _check_mass((prob,))
+def _dirac_step(atom: float, prob: float, w: float,
+                f: DiscreteDistribution) -> tuple[float, float]:
+    """The atom and mass of ``DiscreteDistribution.of([atom + w*b], [prob*pb])``
+    for a one-atom ``f``: the same checks, without the sort and merge.  The
+    mass of one atom is its exact sum, so ``_check_mass`` is called only to
+    reject it; a mass within ``PROB_SUM_TOL`` of 1 is positive, so no
+    zero-mass check is needed."""
+    atom = float(atom + w * f.atoms[0])
+    prob = float(prob * f.probs[0])
+    if not abs(prob - 1.0) <= PROB_SUM_TOL:
+        _check_mass((prob,))
     if not math.isfinite(atom):
         raise ValueError(_BAD_ATOM)
-    return DiscreteDistribution((atom,), (prob,))
+    return atom, prob
 
 
 def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,

@@ -10,6 +10,7 @@ for every pairing of the two, including point-set versus polytope.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -90,17 +91,16 @@ class FinitePointSet:
 
     @staticmethod
     def of(points: Iterable[Sequence[float]]) -> "FinitePointSet":
-        pts = [tuple(float(c) for c in p) for p in points]
+        pts = [tuple(map(float, p)) for p in points]
         if not pts:
             raise ValueError("point set must be nonempty")
-        dims = {len(p) for p in pts}
+        dims = set(map(len, pts))
         if len(dims) != 1:
             raise ValueError("points must share one dimension")
         if not dims <= {1, 2}:
             raise ValueError("points must have dimension 1 or 2")
-        for p in pts:
-            if any(not math.isfinite(c) for c in p):
-                raise ValueError("coordinates must be finite")
+        if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
+            raise ValueError("coordinates must be finite")
         return FinitePointSet(_dedup_sorted(pts))
 
     @property
@@ -258,9 +258,12 @@ def minkowski_combine(
     return FinitePointSet(acc)
 
 
-def _interval_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) -> ConvexPolytope:
-    lo = math.fsum(w * p.lo for w, p in zip(weights, polys))
-    hi = math.fsum(w * p.hi for w, p in zip(weights, polys))
+def _interval_combine(
+    weights: Sequence[float], verts: Sequence[tuple[tuple[float], ...]]
+) -> ConvexPolytope:
+    """The interval of ``sum_i w_i [lo_i, hi_i]``, from each interval's vertices."""
+    lo = math.fsum([w * v[0][0] for w, v in zip(weights, verts)])
+    hi = math.fsum([w * v[-1][0] for w, v in zip(weights, verts)])
     return ConvexPolytope.interval(lo, hi)
 
 
@@ -325,11 +328,12 @@ def polytope_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) 
         raise ValueError("weights and polytopes must align")
     if not polys:
         raise ValueError("need at least one polytope")
-    dim = polys[0].dim
-    if any(p.dim != dim for p in polys):
+    verts = [p.vertices for p in polys]
+    dim = len(verts[0][0])
+    if any(len(v[0]) != dim for v in verts):
         raise ValueError("polytopes must share one dimension")
     if dim == 1:
-        return _interval_combine(weights, polys)
+        return _interval_combine(weights, verts)
     acc = _scale_polytope(weights[0], polys[0])
     for w, p in zip(weights[1:], polys[1:]):
         acc = _minkowski_sum_pair(acc, _scale_polytope(w, p))
@@ -340,8 +344,8 @@ def polytope_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) 
 # distances
 
 
-def _point_dist(a: Sequence[float], b: Sequence[float]) -> float:
-    return math.hypot(*(x - y for x, y in zip(a, b)))
+# the Euclidean distance of two points; ValueError when their dimensions differ
+_point_dist = math.dist
 
 
 def _point_segment_distance(p: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:
@@ -489,8 +493,12 @@ def _squared_distances(pa: np.ndarray, pb: np.ndarray, d2: np.ndarray | None = N
 
 
 def _hausdorff_polys(a: ConvexPolytope, b: ConvexPolytope) -> float:
-    if a.dim == 1:
-        return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+    va, vb = a.vertices, b.vertices
+    dim = len(va[0])
+    if dim != len(vb[0]):
+        raise ValueError("operands must share one dimension")
+    if dim == 1:  # intervals: the larger endpoint gap
+        return max(abs(va[0][0] - vb[0][0]), abs(va[-1][0] - vb[-1][0]))
     # distance to a convex set is convex, so directed sups sit at vertices
     d_ab = max(point_to_polytope(v, b) for v in a.vertices)
     d_ba = max(point_to_polytope(v, a) for v in b.vertices)
@@ -715,12 +723,12 @@ def hausdorff_distance(
     """Exact Hausdorff distance between compact sets in either representation."""
     a_poly = isinstance(a, ConvexPolytope)
     b_poly = isinstance(b, ConvexPolytope)
+    if a_poly and b_poly:
+        return _hausdorff_polys(a, b)
     if a.dim != b.dim:
         raise ValueError("operands must share one dimension")
     if not a_poly and not b_poly:
         return _hausdorff_sets(a, b)
-    if a_poly and b_poly:
-        return _hausdorff_polys(a, b)
     if a_poly:
         return _hausdorff_mixed(b, a)
     return _hausdorff_mixed(a, b)

@@ -180,7 +180,7 @@ def get_space(name: str, dim: int = 1, r: float = 2.0) -> SpaceContract:
 
 
 def parse_vector(text: str) -> tuple[float, ...]:
-    return _finite_vector(tuple(float(c) for c in text.split(",")))
+    return _finite_vector(tuple(map(float, text.split(","))))
 
 
 def parse_point_set(text: str) -> FinitePointSet:

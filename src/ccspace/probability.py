@@ -5,13 +5,19 @@ Every sample space is finite, so each random element is simple and its
 expectation is the probability-weighted combination of the convexified
 values, evaluated in exact arithmetic.
 
-A random element's values are read-only.  It convexifies them once, on first
-use, with one ``convexify`` call per distinct value object, and expectation
-and conditional expectation read that per-atom map.  A conditional
-expectation is constant on each block, so along a martingale trace most
-atoms share a value object.  ``expected_distance``, ``delta_p`` and the
-martingale guard take ``space.distance`` once per distinct pair of value
-objects (``_pair_distances``) and still sum one term per atom; when either
+A random element's values are read-only.  It keeps them as a tuple in the
+order of the sample space's atoms (``ordered``), and convexifies them once,
+on first use, with one ``convexify`` call per distinct value object, into a
+second tuple in that order (``ordered_convexified``).  Expectation and
+conditional expectation iterate by position: a block's labels become
+indices into the sample space (``FiniteSampleSpace.positions``, which
+rejects a label that is no atom with ``prob``'s error), and the
+probabilities and convexified values are read at those indices.  A
+conditional expectation is built from its values in atom order.  It is
+constant on each block, so along a martingale trace most atoms share a
+value object.  ``expected_distance``, ``delta_p`` and the martingale guard
+take ``space.distance`` once per distinct pair of value objects
+(``_pair_distances``) and still sum one term per atom; when either
 element's value objects are all distinct (``distinct_values``, cached), no
 pair can repeat and the distances go atom by atom.  An element caches its
 expectation too (``mean``), and the seeded suites read it there.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,18 +78,31 @@ class FiniteSampleSpace:
         try:
             return self.probs[self._position[atom]]
         except KeyError:
-            raise ValueError(f"{atom!r} is not an atom of the sample space") from None
+            raise _not_an_atom(atom) from None
+
+    def positions(self, atoms: Sequence[Label]) -> list[int]:
+        """The index into ``atoms`` and ``probs`` of each label, in order;
+        ``prob``'s ``ValueError`` for the first label that is no atom."""
+        try:
+            return [*map(self._position.__getitem__, atoms)]
+        except KeyError as exc:
+            raise _not_an_atom(exc.args[0]) from None
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+
+def _not_an_atom(atom: Label) -> ValueError:
+    return ValueError(f"{atom!r} is not an atom of the sample space")
 
 
 @dataclass(frozen=True)
 class RandomElement:
     """A total map from sample-space atoms into a combination space.
 
-    ``values`` is stored as a read-only copy, so the cached ``convexified``
-    map cannot go stale.
+    ``values`` is stored as a read-only copy, so the cached tuples below
+    cannot go stale.  ``ordered`` holds the values in the order of the sample
+    space's atoms, and ``ordered_convexified`` their convexifications.
     """
 
     space: SpaceContract
@@ -95,19 +115,39 @@ class RandomElement:
         if missing:
             raise ValueError(f"values missing for atoms {missing!r}")
 
+    @staticmethod
+    def _of_ordered(
+        space: SpaceContract, omega: FiniteSampleSpace, ordered: tuple[Point, ...]
+    ) -> "RandomElement":
+        """The element whose value at ``omega.atoms[i]`` is ``ordered[i]``."""
+        x = object.__new__(RandomElement)
+        x.__dict__.update(space=space, sample_space=omega, ordered=ordered,
+                          values=MappingProxyType(dict(zip(omega.atoms, ordered))))
+        return x
+
+    @cached_property
+    def ordered(self) -> tuple[Point, ...]:
+        """The values in atom order."""
+        return tuple(map(self.values.__getitem__, self.sample_space.atoms))
+
+    @cached_property
+    def _distinct(self) -> dict[int, Point]:
+        """id -> value object, one entry per distinct value object, in order
+        of first appearance."""
+        return dict(zip(map(id, self.ordered), self.ordered))
+
+    @cached_property
+    def ordered_convexified(self) -> tuple[Point, ...]:
+        """The convexified values in atom order, one ``convexify`` call per
+        distinct value object."""
+        space = self.space
+        by_id = {key: convexify(space, v) for key, v in self._distinct.items()}
+        return tuple(map(by_id.__getitem__, map(id, self.ordered)))
+
     @cached_property
     def convexified(self) -> Mapping[Label, Point]:
-        """atom -> convexified value, one ``convexify`` call per distinct
-        value object."""
-        by_id: dict[int, Point] = {}
-        out = {}
-        for a in self.sample_space.atoms:
-            v = self.values[a]
-            c = by_id.get(id(v))
-            if c is None:
-                c = by_id[id(v)] = convexify(self.space, v)
-            out[a] = c
-        return MappingProxyType(out)
+        """atom -> convexified value, read-only."""
+        return MappingProxyType(dict(zip(self.sample_space.atoms, self.ordered_convexified)))
 
     @cached_property
     def mean(self) -> Point:
@@ -117,8 +157,7 @@ class RandomElement:
     @cached_property
     def distinct_values(self) -> bool:
         """Whether no two atoms share a value object."""
-        atoms = self.sample_space.atoms
-        return len({id(self.values[a]) for a in atoms}) == len(atoms)
+        return len(self._distinct) == len(self.ordered)
 
 
 @dataclass(frozen=True)
@@ -133,14 +172,18 @@ class FinitePartition:
         norm = []
         seen: set[Label] = set()
         for block in blocks:
-            block = tuple(sorted(block, key=order.__getitem__))
+            try:
+                block = tuple(sorted(block, key=order.__getitem__))
+            except KeyError as exc:
+                raise _not_an_atom(exc.args[0]) from None
             if not block:
                 raise ValueError("partition blocks must be nonempty")
-            if seen & set(block):
+            if not seen.isdisjoint(block):
                 raise ValueError("partition blocks must be disjoint")
             seen.update(block)
             norm.append(block)
-        if seen != set(omega.atoms):
+        # every label is an atom, so the blocks cover omega when they hold as many
+        if len(seen) != len(omega):
             raise ValueError("partition must cover the sample space")
         norm.sort(key=lambda b: order[b[0]])
         return FinitePartition(tuple(norm))
@@ -165,8 +208,8 @@ class FinitePartition:
         """Every block lies inside one block of ``coarser``."""
         owner = coarser._block_index
         for block in self.blocks:
-            home = owner.get(block[0])
-            if home is None or any(owner.get(a) != home for a in block):
+            homes = set(map(owner.get, block))
+            if len(homes) != 1 or None in homes:
                 return False
         return True
 
@@ -192,17 +235,22 @@ class Filtration:
 
 
 def dyadic_filtration(omega: FiniteSampleSpace) -> Filtration:
-    """Trivial partition down to singletons by repeated halving."""
+    """Trivial partition down to singletons by repeated halving.
+
+    Each block is a run of consecutive atoms, in atom order, and each level
+    halves the blocks of the one before, so the partitions are built in the
+    normal form ``FinitePartition.of`` gives and refine one another without
+    being checked again."""
     n = len(omega)
     if n & (n - 1):
         raise ValueError("dyadic filtration needs a power-of-two atom count")
+    atoms = omega.atoms
     parts = []
     size = n
     while size >= 1:
-        blocks = [omega.atoms[i : i + size] for i in range(0, n, size)]
-        parts.append(FinitePartition.of(blocks, omega))
+        parts.append(FinitePartition(tuple(atoms[i : i + size] for i in range(0, n, size))))
         size //= 2
-    return Filtration.of(parts)
+    return Filtration(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -211,41 +259,30 @@ def dyadic_filtration(omega: FiniteSampleSpace) -> Filtration:
 
 def expectation(x: RandomElement) -> Point:
     """Probability-weighted combination of the convexified values."""
-    omega = x.sample_space
-    convexified = x.convexified
-    return combine(x.space, [(p, convexified[a]) for a, p in zip(omega.atoms, omega.probs)])
+    return combine(x.space, [*zip(x.sample_space.probs, x.ordered_convexified)])
 
 
 def _pair_distances(x: RandomElement, y: RandomElement) -> list[float]:
     """``d(x.values[a], y.values[a])`` for each atom in order, with one
-    ``space.distance`` call per distinct pair of value objects.
+    ``space.distance`` call per distinct pair of value objects, in order of
+    first appearance.
 
     When either element's value objects are distinct, no pair repeats, and
-    the plain per-atom loop runs.
+    the distances go atom by atom.
     """
     distance = x.space.distance
-    atoms = x.sample_space.atoms
-    xs, ys = x.values, y.values
+    xs, ys = x.ordered, y.ordered
     if x.distinct_values or y.distinct_values:
-        return [distance(xs[a], ys[a]) for a in atoms]
-    seen: dict[tuple[int, int], float] = {}
-    out = []
-    for a in atoms:
-        u = xs[a]
-        v = ys[a]
-        key = (id(u), id(v))
-        d = seen.get(key)
-        if d is None:
-            d = seen[key] = distance(u, v)
-        out.append(d)
-    return out
+        return [*map(distance, xs, ys)]
+    keys = [*zip(map(id, xs), map(id, ys))]
+    pairs = dict(zip(keys, zip(xs, ys)))
+    measured = {key: distance(u, v) for key, (u, v) in pairs.items()}
+    return [*map(measured.__getitem__, keys)]
 
 
 def expected_distance(x: RandomElement, y: RandomElement) -> float:
     _check_same_base(x, y)
-    return math.fsum(
-        prob * d for prob, d in zip(x.sample_space.probs, _pair_distances(x, y))
-    )
+    return math.fsum(map(operator.mul, x.sample_space.probs, _pair_distances(x, y)))
 
 
 def delta_p(x: RandomElement, y: RandomElement, p: int = 1) -> float:
@@ -253,9 +290,10 @@ def delta_p(x: RandomElement, y: RandomElement, p: int = 1) -> float:
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     _check_same_base(x, y)
-    total = math.fsum(
-        prob * d ** p for prob, d in zip(x.sample_space.probs, _pair_distances(x, y))
-    )
+    distances = _pair_distances(x, y)
+    if p == 2:
+        distances = [d ** 2 for d in distances]
+    total = math.fsum(map(operator.mul, x.sample_space.probs, distances))
     return total ** (1.0 / p)
 
 
@@ -284,20 +322,27 @@ def conditional_expectation(x: RandomElement, g: FinitePartition) -> RandomEleme
     """
     space = x.space
     omega = x.sample_space
-    convexified = x.convexified
-    values: dict[Label, Point] = {}
+    probs = omega.probs
+    convexified = x.ordered_convexified
+    values: list[Point] = [None] * len(omega)
     for block in g.blocks:
-        probs = [omega.prob(a) for a in block]
-        block_prob = math.fsum(probs)
+        where = omega.positions(block)
+        block_probs = [probs[i] for i in where]
+        block_prob = math.fsum(block_probs)
         if block_prob <= 0.0:
             raise ValueError(f"zero-probability block {block!r}")
         mixed = combine(
             space,
-            [(p / block_prob, convexified[a]) for p, a in zip(probs, block)],
+            [(p / block_prob, convexified[i]) for p, i in zip(block_probs, where)],
         )
-        for a in block:
-            values[a] = mixed
-    return RandomElement(space, omega, values)
+        for i in where:
+            values[i] = mixed
+    # every label is an atom, so the blocks cover omega when they hold as many
+    if len(g._block_index) != len(omega):
+        covered = g._block_index
+        missing = [a for a in omega.atoms if a not in covered]
+        raise ValueError(f"values missing for atoms {missing!r}")
+    return RandomElement._of_ordered(space, omega, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -379,10 +424,7 @@ def check_ce_properties(
     }
     measurable = RandomElement(space, omega, rep_values)
     ce = conditional_expectation(measurable, g_fine)
-    worst = nan_max(
-        space.distance(ce.values[a], measurable.convexified[a])
-        for a in omega.atoms
-    )
+    worst = nan_max(map(space.distance, ce.ordered, measurable.ordered_convexified))
     report.check("measurable_to_convexification").record(worst, g_fine.blocks)
 
     # mixing commutes with conditioning
@@ -534,17 +576,19 @@ def _jensen_rows(
     """The ``jensen`` row, and the ``conditional_jensen`` row when ``ce`` is
     ``conditional_expectation(x, g)``; phi is evaluated once per atom."""
     omega = x.sample_space
+    probs = omega.probs
     report = AxiomReport.for_space(x.space, tol)
-    phis = {a: phi(x.values[a]) for a in omega.atoms}
+    phis = [*map(phi, x.ordered)]
     lhs = phi(x.mean)
-    rhs = math.fsum(p * phis[a] for a, p in zip(omega.atoms, omega.probs))
+    rhs = math.fsum(p * v for p, v in zip(probs, phis))
     report.check("jensen").record(lhs - rhs, lhs, rhs)
     if g is None:
         return report
     for block in g.blocks:
-        block_prob = math.fsum(omega.prob(a) for a in block)
-        lhs = phi(ce.values[block[0]])
-        rhs = math.fsum(omega.prob(a) * phis[a] for a in block) / block_prob
+        where = omega.positions(block)
+        block_prob = math.fsum(probs[i] for i in where)
+        lhs = phi(ce.ordered[where[0]])
+        rhs = math.fsum(probs[i] * phis[i] for i in where) / block_prob
         report.check("conditional_jensen").record(lhs - rhs, block, lhs, rhs)
     return report
 

@@ -3,16 +3,19 @@
 Each factory returns a ``SpaceContract`` with one behaviour broken.
 ``MUTANTS`` pairs the axiom-level mutants with the ``check_axioms`` rows
 that must fail on them; ``golden/battery-mutant-<name>.json`` pins a
-``battery`` run with each standing in for ``power-d1``.  The other mutants
-break what only a trace sees: associativity of long combinations, and a
-distance that is NaN away from the trace's target.
+``battery`` run with each standing in for ``power-d1``.  The other space
+mutants break what only a trace sees: associativity of long combinations,
+and a distance that is NaN away from the trace's target.  ``CE_MUTANTS``
+are broken stand-ins for ``probability.conditional_expectation``; their kill
+matrix is in ``test_cli.py``.
 """
 
 import dataclasses
 import math
 
 from ccspace import distribution_space, euclidean_space
-from ccspace.core import SpaceContract
+from ccspace.core import SpaceContract, combine, convexify
+from ccspace.probability import RandomElement
 
 
 def _offset_mutant():
@@ -80,3 +83,41 @@ def _nan_off_the_mean_mutant():
         return base.distance(a, b)
 
     return dataclasses.replace(base, name="euclid-nan-off-the-mean", distance=distance)
+
+
+# ---------------------------------------------------------------------------
+# conditional-expectation mutants, each a stand-in for
+# ``probability.conditional_expectation``, which every caller goes through
+
+
+def _unconditional_ce(x, g):
+    """E X on every atom, whatever the partition."""
+    mean = x.mean
+    return RandomElement(x.space, x.sample_space, {a: mean for a in x.sample_space.atoms})
+
+
+def _equal_weights_ce(x, g):
+    """Each block's convexified values mixed with equal weights, ignoring the
+    atom probabilities."""
+    values = {}
+    for block in g.blocks:
+        w = 1.0 / len(block)
+        mixed = combine(x.space, [(w, convexify(x.space, x.values[a])) for a in block])
+        values.update(dict.fromkeys(block, mixed))
+    return RandomElement(x.space, x.sample_space, values)
+
+
+def _raw_values_ce(x, g):
+    """Each block's raw values mixed with the conditional probabilities:
+    the convexification is left out."""
+    omega = x.sample_space
+    values = {}
+    for block in g.blocks:
+        probs = [omega.prob(a) for a in block]
+        total = math.fsum(probs)
+        mixed = combine(x.space, [(p / total, x.values[a]) for p, a in zip(probs, block)])
+        values.update(dict.fromkeys(block, mixed))
+    return RandomElement(x.space, x.sample_space, values)
+
+
+CE_MUTANTS = (_unconditional_ce, _equal_weights_ce, _raw_values_ce)

@@ -8,12 +8,12 @@ import threading
 
 import pytest
 
-from ccspace import cli, compact_sets_space
+from ccspace import cli, compact_sets_space, probability
 from ccspace.cli import main
 from ccspace.fixtures import load_fixture_file, parse_fixture_lines
 from ccspace.geometry import ConvexPolytope, EnumerationCapError
 from ccspace.instances import parse_point
-from mutants import MUTANTS, _nan_off_the_mean_mutant
+from mutants import CE_MUTANTS, MUTANTS, _nan_off_the_mean_mutant
 
 
 def run_cli(args, env_seed=None, monkeypatch=None):
@@ -421,6 +421,59 @@ def test_battery_fails_on_a_broken_space(make, checks, monkeypatch, capsys):
         assert rows[f"power-d1/{check}"][1] == "fail", check
     assert all(verdict == "pass" for label, (_, verdict) in rows.items()
                if not label.startswith("power-d1/"))
+
+
+CE_COMMANDS = {
+    "battery": ["battery", "--trials", "40", "--seed", "1", "--format", "csv"],
+    **{f"martingale/seeded64-{name}": ["martingale", "--space", space,
+                                       "--fixture-file", f"seeded64-{name}.fixture"]
+       for name, space in (("euclidean", "euclidean"), ("sets", "compact-sets"),
+                           ("distributions", "distributions"))},
+}
+# (mutant, command) pairs that exit 0 with the mutant in place of
+# conditional_expectation.  A martingale trace measures against its own finest
+# level, so a mutant that is consistent across levels passes it.  The
+# raw-value mutant passes battery: no row there checks that E(X | G) takes
+# convex values.  On euclidean the convexifier is the identity, so there that
+# mutant is the true conditional expectation.
+CE_ESCAPES = {
+    ("_unconditional_ce", "martingale/seeded64-euclidean"),
+    ("_unconditional_ce", "martingale/seeded64-sets"),
+    ("_unconditional_ce", "martingale/seeded64-distributions"),
+    ("_equal_weights_ce", "martingale/seeded64-euclidean"),
+    ("_equal_weights_ce", "martingale/seeded64-sets"),
+    ("_equal_weights_ce", "martingale/seeded64-distributions"),
+    ("_raw_values_ce", "battery"),
+    ("_raw_values_ce", "martingale/seeded64-euclidean"),
+}
+# the exit code of every other pair.  battery fails conditional_contraction
+# and conditional_jensen on every configuration but power-d1, whose
+# convexifier is constant.  Raw compact-sets values mix point sets with
+# polytopes in one combination (a TypeError), and raw laws break the
+# martingale guard.
+CE_KILLS = {
+    ("_unconditional_ce", "battery"): 1,
+    ("_equal_weights_ce", "battery"): 1,
+    ("_raw_values_ce", "martingale/seeded64-sets"): 2,
+    ("_raw_values_ce", "martingale/seeded64-distributions"): 2,
+}
+
+
+@pytest.mark.parametrize("mutant", CE_MUTANTS, ids=[m.__name__ for m in CE_MUTANTS])
+def test_conditional_expectation_mutants_meet_their_kill_matrix(mutant, monkeypatch, capsys):
+    """Every caller reaches the one ``probability.conditional_expectation``,
+    so a mutant put in its place is what battery and martingale run."""
+    monkeypatch.setattr(probability, "conditional_expectation", mutant)
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
+    codes = {}
+    for command, args in CE_COMMANDS.items():
+        codes[command] = run_cli(args, monkeypatch=monkeypatch)
+        capsys.readouterr()
+    name = mutant.__name__
+    escapes = {(name, command) for command, code in codes.items() if code == 0}
+    assert escapes == {pair for pair in CE_ESCAPES if pair[0] == name}
+    assert {(name, c): code for c, code in codes.items() if code} == {
+        pair: code for pair, code in CE_KILLS.items() if pair[0] == name}
 
 
 def test_martingale_fails_on_a_nan_in_its_reverse_trace(tmp_path, monkeypatch):

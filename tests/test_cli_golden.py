@@ -70,6 +70,13 @@ CASES = [
                                 "--fixture-file", "seeded64-sets.fixture"], 0),
     ("martingale-distributions-file64", ["martingale", "--space", "distributions",
                                          "--fixture-file", "seeded64-distributions.fixture"], 0),
+    # the benchmark's largest martingale size: 512 atoms, ten levels
+    ("martingale-euclidean-file512", ["martingale", "--space", "euclidean", "--p", "2",
+                                      "--fixture-file", "seeded512-euclidean.fixture"], 0),
+    ("martingale-sets-file512", ["martingale", "--space", "compact-sets",
+                                 "--fixture-file", "seeded512-sets.fixture"], 0),
+    ("martingale-distributions-file512", ["martingale", "--space", "distributions",
+                                          "--fixture-file", "seeded512-distributions.fixture"], 0),
     ("jensen-sets", ["jensen", "--space", "compact-sets", "--trials", "20", "--seed", "5"], 0),
     ("jensen-distributions", ["jensen", "--space", "distributions", "--trials", "10",
                               "--format", "csv"], 0),

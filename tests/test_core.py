@@ -36,6 +36,10 @@ def test_weighted_combination_rejects_bad_sums():
 def test_weighted_combination_rejects_negative_and_empty():
     with pytest.raises(CombinationError):
         WeightedCombination.of([(-0.1, "a"), (1.1, "b")])
+    # a NaN weight is neither positive nor zero: rejected, not dropped
+    with pytest.raises(CombinationError, match="^weight must be nonnegative, got nan$"):
+        WeightedCombination.of([(1.0, "a"), (math.nan, "b")])
+    assert WeightedCombination.of([(-0.0, "a"), (1.0, "b")]).terms == ((1.0, "b"),)
     with pytest.raises(CombinationError):
         WeightedCombination.of([])
     with pytest.raises(CombinationError):

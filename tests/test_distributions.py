@@ -21,6 +21,7 @@ from ccspace.distributions import (
     PRODUCT_ARRAY_ATOMS,
     PROB_SUM_TOL,
     W1_ARRAY_ATOMS,
+    _dirac_step,
     _product_step_array,
 )
 from ccspace.fixtures import slln_law
@@ -122,6 +123,54 @@ def test_dirac_step_makes_the_constructor_checks(dist, message):
         general_convolution([1.0, 1.0], [DiscreteDistribution.delta(1e308), dist])
     with pytest.raises(ValueError, match=message):
         scaled_convolution_combine([1.0, 1.0], [DiscreteDistribution.delta(1e308), dist])
+
+
+dirac_runs = st.lists(
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-5, 5),
+              st.sampled_from((1.0, 1.0 - 4e-13, 1.0 + 4e-13))),
+    min_size=1,
+    max_size=40,
+)
+
+
+def chained_dirac_steps(weights, dists):
+    atom, prob = 0.0, 1.0
+    for w, f in zip(weights, dists):
+        atom, prob = _dirac_step(atom, prob, w, f)
+    return DiscreteDistribution((atom,), (prob,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dirac_runs)
+def test_a_run_of_dirac_steps_gives_the_chained_steps_law(steps):
+    # every operand has one atom, so the whole fold is one run held as floats;
+    # each step must still make the loop's a + w*b and pa*pb and its checks,
+    # in order: masses 1 +- 4e-13 leave the tolerance after a few steps
+    weights = [w for w, _, _ in steps]
+    dists = [DiscreteDistribution((atom,), (mass,)) for _, atom, mass in steps]
+    expected = outcome(lambda: general_convolution(weights, dists))
+    assert outcome(lambda: scaled_convolution_combine(weights, dists, atom_cap=None)) == expected
+    assert outcome(lambda: chained_dirac_steps(weights, dists)) == expected
+
+
+@pytest.mark.parametrize("bad", [
+    DiscreteDistribution((math.nan,), (1.0,)),
+    DiscreteDistribution((math.inf,), (1.0,)),
+    DiscreteDistribution((1e308,), (1.0,)),  # finite, but the running atom overflows
+    DiscreteDistribution((0.0,), (1.0 + 2e-12,)),
+    DiscreteDistribution((0.0,), (1.0 - 2e-12,)),
+], ids=["nan-atom", "inf-atom", "overflow", "mass-high", "mass-low"])
+@pytest.mark.parametrize("at", [1, 3])
+def test_a_dirac_run_rejects_what_the_chained_steps_reject(bad, at):
+    # the bad operand comes at step ``at`` of a run of five, after a start of
+    # 1e308; the run raises the text the chained product steps raise
+    dists = [DiscreteDistribution.delta(1e308)] + [DiscreteDistribution.delta(0.5)] * 4
+    dists[at] = bad
+    weights = [1.0] * 5
+    expected = outcome(lambda: general_convolution(weights, dists))
+    assert outcome(lambda: scaled_convolution_combine(weights, dists)) == expected
+    assert expected[0] == "error"
+    assert expected[1].startswith(("atoms must be finite", "probabilities sum to"))
 
 
 def test_degenerate_convolution():

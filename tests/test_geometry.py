@@ -33,6 +33,7 @@ from ccspace.geometry import (
     _farthest_nearest_site,
     _hausdorff_sets,
     _minkowski_sum_pair,
+    _point_dist,
     _polygon_contains,
     _polygon_contains_all,
     _segment_boundary,
@@ -275,6 +276,64 @@ def test_minkowski_cap_raises():
 def test_interval_combine_matches_interval_arithmetic():
     got = polytope_combine([0.5, 0.5], [ConvexPolytope.interval(0, 2), ConvexPolytope.interval(4, 4)])
     assert (got.lo, got.hi) == (2.0, 3.0)
+
+
+# intervals with one vertex (equal endpoints, or closer than DEDUP_RESOLUTION)
+# as well as two
+intervals = st.builds(
+    lambda lo, width: ConvexPolytope.interval(lo, lo + width),
+    coord,
+    st.sampled_from((0.0, DEDUP_RESOLUTION / 2, 1e-9, 0.5, 7.25)) | st.floats(0, 20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.01, 1.0), intervals), min_size=1, max_size=6))
+def test_interval_distance_and_combination_match_the_endpoint_formulas(terms):
+    # the d=1 paths read the vertices once; they must give the bits of the
+    # formulas on ``lo`` and ``hi``
+    raw = [w for w, _ in terms]
+    weights = [w / math.fsum(raw) for w in raw]
+    polys = [p for _, p in terms]
+    got = polytope_combine(weights, polys)
+    assert got == ConvexPolytope.interval(
+        math.fsum(w * p.lo for w, p in zip(weights, polys)),
+        math.fsum(w * p.hi for w, p in zip(weights, polys)),
+    )
+    for a in polys:
+        for b in (got, *polys):
+            want = max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+            assert hausdorff_distance(a, b).hex() == want.hex()
+
+
+def test_hausdorff_distance_rejects_operands_of_different_dimensions():
+    interval = ConvexPolytope.interval(0.0, 1.0)
+    triangle = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
+    points = FinitePointSet.of([(0.0,), (1.0,)])
+    for a, b in ((interval, triangle), (triangle, interval), (points, triangle),
+                 (triangle, points)):
+        with pytest.raises(ValueError, match="operands must share one dimension"):
+            hausdorff_distance(a, b)
+
+
+def test_point_distance_rejects_points_of_different_dimensions():
+    assert _point_dist((0.0, 0.0), (3.0, 4.0)) == 5.0
+    # zip would truncate to the shorter point and call these 0.0 apart
+    with pytest.raises(ValueError):
+        _point_dist((1.0, 2.0), (1.0,))
+    with pytest.raises(ValueError):
+        _point_dist((1.0,), (1.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(point1, point1),
+    st.tuples(point2, point2),
+    st.tuples(st.tuples(coord, coord, coord), st.tuples(coord, coord, coord)),
+))
+def test_point_distance_gives_the_bits_of_hypot(pair):
+    a, b = pair
+    assert _point_dist(a, b).hex() == math.hypot(*(x - y for x, y in zip(a, b))).hex()
 
 
 def test_combining_identical_intervals_is_identity():

@@ -342,6 +342,38 @@ def test_ce_characterization_constant_element():
     assert check_ce_characterization(x, x, g, c)
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_dyadic_filtration_is_the_checked_halving(n):
+    # the partitions are built without FinitePartition.of and Filtration.of;
+    # they must be what those give, for labels in any order
+    labels = [f"a{i}" for i in range(n)]
+    random.Random(n).shuffle(labels)
+    omega = FiniteSampleSpace.of(labels, [1.0 / n] * n)
+    expected = []
+    size = n
+    while size >= 1:
+        blocks = [labels[i:i + size] for i in range(0, n, size)]
+        expected.append(FinitePartition.of(blocks, omega))
+        size //= 2
+    assert dyadic_filtration(omega) == Filtration.of(expected)
+
+
+def test_conditional_expectation_matches_a_built_element():
+    # the element conditional_expectation builds from its values in atom order
+    # equals the one the constructor builds from the atom -> value map
+    rng = random.Random(19)
+    omega = sample_sample_space(rng, 6)
+    x = sample_random_element(CS1, omega, rng)
+    g = sample_partition(rng, omega, 3)
+    ce = conditional_expectation(x, g)
+    rebuilt = RandomElement(CS1, omega, dict(ce.values))
+    assert ce == rebuilt and ce.ordered == rebuilt.ordered
+    assert list(ce.values) == list(omega.atoms)
+    assert ce.convexified == rebuilt.convexified
+    with pytest.raises(TypeError):
+        ce.values["w0"] = ce.values["w1"]
+
+
 def test_ce_properties_euclidean_dyadic():
     omega = FiniteSampleSpace.uniform(8)
     x = RandomElement(E1, omega, {a: (float(2 ** i % 11),) for i, a in enumerate(omega.atoms)})
@@ -370,6 +402,28 @@ def test_ce_properties_rejects_non_nested_partitions():
     g2 = FinitePartition.of([("w0", "w2"), ("w1", "w3")], omega)
     with pytest.raises(ValueError):
         check_ce_properties(x, g1, g2)
+
+
+def test_partition_of_rejects_a_label_outside_the_sample_space():
+    omega = FiniteSampleSpace.uniform(3)
+    with pytest.raises(ValueError) as caught:
+        FinitePartition.of([("w0", "zz"), ("w1", "w2")], omega)
+    assert str(caught.value) == "'zz' is not an atom of the sample space"
+    with pytest.raises(ValueError) as prob_error:
+        omega.prob("zz")
+    assert str(prob_error.value) == str(caught.value)
+
+
+def test_conditional_expectation_rejects_labels_of_another_sample_space():
+    omega = FiniteSampleSpace.uniform(4)
+    x = RandomElement(E1, omega, {a: (float(i),) for i, a in enumerate(omega.atoms)})
+    other = FiniteSampleSpace.of(["w0", "w1", "zz", "w3"], [0.25] * 4)
+    with pytest.raises(ValueError, match="^'zz' is not an atom of the sample space$"):
+        conditional_expectation(x, FinitePartition.finest(other))
+    # a partition of fewer atoms leaves values missing, as the constructor says
+    part = FiniteSampleSpace.of(["w0", "w2"], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^values missing for atoms \['w1', 'w3'\]$"):
+        conditional_expectation(x, FinitePartition.finest(part))
 
 
 def test_conditional_expectation_zero_probability_guard():
@@ -525,6 +579,9 @@ def counted_space(space):
     ("euclidean", "seeded64-euclidean.fixture"),
     ("compact-sets", "seeded64-sets.fixture"),
     ("distributions", "seeded64-distributions.fixture"),
+    ("euclidean", "seeded512-euclidean.fixture"),
+    ("compact-sets", "seeded512-sets.fixture"),
+    ("distributions", "seeded512-distributions.fixture"),
 ])
 def test_martingale_trace_takes_each_distinct_value_once(space_name, fixture):
     # 2^k atoms with distinct values and k + 1 levels.  Level i of the
@@ -533,9 +590,9 @@ def test_martingale_trace_takes_each_distinct_value_once(space_name, fixture):
     # 2^(k-1) distinct pairs
     space, counts = counted_space(get_space(space_name))
     x = fixtures.load_fixture_file(space, space_name, str(SEEDED64.parent / fixture))
-    k = 6
-    n = 2 ** k
-    assert len(x.sample_space) == n
+    n = len(x.sample_space)
+    k = n.bit_length() - 1
+    assert (n, k) in ((64, 6), (512, 9))
     seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
     assert counts == {"convexify_exact": 3 * n - 2, "distance": n - 1}
     martingale_distances(seq, p=1, direction="forward")  # targets the finest term
@@ -543,6 +600,8 @@ def test_martingale_trace_takes_each_distinct_value_once(space_name, fixture):
     martingale_distances(seq, p=2, direction="reverse")  # targets the one-valued first term
     assert counts["distance"] == (n - 1) + (k + 1) * n + (2 * n - 1) == (k + 4) * n - 2
     assert counts["convexify_exact"] == 3 * n - 2
+    if n == 512:  # the figures README gives
+        assert counts == {"distance": 6654, "convexify_exact": 1534}
 
 
 def equal_copy(point):
