@@ -301,8 +301,8 @@ def _martingale(cfg: RunConfig) -> Outcome:
     else:
         x = fixtures.martingale_element(space, cfg.space, dim=cfg.dim)
     seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
-    forward = martingale_distances(seq, p=cfg.p, direction="forward")
-    reverse = martingale_distances(seq, p=cfg.p, direction="reverse")
+    forward = martingale_distances(x, seq, p=cfg.p, direction="forward")
+    reverse = martingale_distances(x, seq, p=cfg.p, direction="reverse")
     tol = _or(cfg.tolerance, 1e-12)
     levels = range(1, len(forward) + 1)
     trace = ConvergenceTrace.build(
@@ -322,7 +322,7 @@ def _jensen(cfg: RunConfig) -> Outcome:
         report = conditional_suite(space, trials=cfg.trials, tol=cfg.tolerance, seed=cfg.seed)
         return _suite(report, {"trials": cfg.trials, "dim": cfg.dim, "tolerance": report.tolerance})
     x = fixtures.load_fixture_file(space, cfg.space, cfg.fixture_file, dim=cfg.dim)
-    phi = DistanceTo(space, convexify(space, next(iter(x.values.values()))))
+    phi = DistanceTo(space, convexify(space, x.ordered[0]))
     atoms = x.sample_space.atoms
     half = len(atoms) // 2
     halves = FinitePartition.of([atoms[:half], atoms[half:]] if half else [atoms], x.sample_space)

@@ -192,10 +192,7 @@ def affine_expectation_check(f: AffineFunctional, x) -> tuple[float, float]:
     from .probability import expectation
 
     lhs = f(expectation(x))
-    rhs = math.fsum(
-        prob * f(x.values[atom])
-        for atom, prob in zip(x.sample_space.atoms, x.sample_space.probs)
-    )
+    rhs = math.fsum(prob * f(v) for prob, v in zip(x.sample_space.probs, x.ordered))
     return lhs, rhs
 
 

@@ -145,13 +145,13 @@ def parse_fixture_lines(
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(";")]
+        parts = line.split(";")
         if len(parts) != 3:
             raise ValueError(f"fixture line needs 'label ; prob ; value', got {raw!r}")
         label, prob, value = parts
-        atoms.append(label)
-        probs.append(float(prob))
-        values[label] = parse_point(space_name, value)
+        atoms.append(label.strip())
+        probs.append(float(prob.strip()))
+        values[atoms[-1]] = parse_point(space_name, value)  # parse_point strips the value
     _require_dim(values.values(), dim)
     omega = FiniteSampleSpace.of(atoms, probs)
     return RandomElement(space, omega, values)

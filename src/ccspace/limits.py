@@ -237,7 +237,7 @@ def ergodic_run(
         raise ValueError("ergodic averages need the uniform measure")
     space = x.space
     target = expectation(x)
-    orbit_values = [x.values[omega.atoms[i]] for i in tau.orbit(start % n)]
+    orbit_values = [x.ordered[i] for i in tau.orbit(start % n)]
     period_average = uniform_mix(space, orbit_values)
     period_is_convex = space.distance(convexify(space, period_average), period_average) == 0.0
     periods = range(n, n_max + 1, n) if period_is_convex else (n,)

@@ -5,18 +5,18 @@ Every sample space is finite, so each random element is simple and its
 expectation is the probability-weighted combination of the convexified
 values, evaluated in exact arithmetic.
 
-A random element's values are read-only.  It keeps them as a tuple in the
-order of the sample space's atoms (``ordered``), and convexifies them once,
-on first use, with one ``convexify`` call per distinct value object, into a
-second tuple in that order (``ordered_convexified``).  Expectation and
-conditional expectation iterate by position: a block's labels become
-indices into the sample space (``FiniteSampleSpace.positions``, which
-rejects a label that is no atom with ``prob``'s error), and the
-probabilities and convexified values are read at those indices.  A
-conditional expectation is built from its values in atom order.  It is
-constant on each block, so along a martingale trace most atoms share a
-value object.  ``expected_distance``, ``delta_p`` and the martingale guard
-take ``space.distance`` once per distinct pair of value objects
+A random element stores its values once, as a tuple in the order of the
+sample space's atoms (``ordered``); ``values`` is a read-only label view of
+it, built on first read.  It convexifies them once, on first use, with one
+``convexify`` call per distinct value object, into a second tuple in that
+order (``ordered_convexified``).  Everything here reads by position: a
+block's labels become indices into the sample space
+(``FiniteSampleSpace.positions``, which rejects a label that is no atom with
+``prob``'s error), and derived elements are built in atom order.  A
+conditional expectation is constant on each block, so along a martingale
+trace most atoms share a value object.  The forward trace's target is K X,
+the convexified values, which the finest level must equal.
+``expected_distance``, ``delta_p`` and the martingale guard take ``space.distance`` once per distinct pair of value objects
 (``_pair_distances``) and still sum one term per atom; when either
 element's value objects are all distinct (``distinct_values``, cached), no
 pair can repeat and the distances go atom by atom.  An element caches its
@@ -96,24 +96,32 @@ def _not_an_atom(atom: Label) -> ValueError:
     return ValueError(f"{atom!r} is not an atom of the sample space")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RandomElement:
     """A total map from sample-space atoms into a combination space.
 
-    ``values`` is stored as a read-only copy, so the cached tuples below
-    cannot go stale.  ``ordered`` holds the values in the order of the sample
-    space's atoms, and ``ordered_convexified`` their convexifications.
+    The values are stored once, as a tuple in atom order (``ordered``), so
+    nothing cached from them can go stale; ``values`` is a read-only label
+    view of it, built on first read.
     """
 
     space: SpaceContract
     sample_space: FiniteSampleSpace
-    values: Mapping[Label, Point]
+    ordered: tuple[Point, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
-        missing = [a for a in self.sample_space.atoms if a not in self.values]
+    def __init__(
+        self, space: SpaceContract, sample_space: FiniteSampleSpace, values: Mapping[Label, Point]
+    ):
+        """The element with value ``values[a]`` at each atom ``a``; every atom
+        needs a value, and every label must be an atom."""
+        atoms = sample_space.atoms
+        missing = [a for a in atoms if a not in values]
         if missing:
             raise ValueError(f"values missing for atoms {missing!r}")
+        if len(values) != len(atoms):
+            raise _not_an_atom(next(a for a in values if a not in sample_space._position))
+        self.__dict__.update(space=space, sample_space=sample_space,
+                             ordered=tuple(map(values.__getitem__, atoms)))
 
     @staticmethod
     def _of_ordered(
@@ -121,14 +129,13 @@ class RandomElement:
     ) -> "RandomElement":
         """The element whose value at ``omega.atoms[i]`` is ``ordered[i]``."""
         x = object.__new__(RandomElement)
-        x.__dict__.update(space=space, sample_space=omega, ordered=ordered,
-                          values=MappingProxyType(dict(zip(omega.atoms, ordered))))
+        x.__dict__.update(space=space, sample_space=omega, ordered=ordered)
         return x
 
     @cached_property
-    def ordered(self) -> tuple[Point, ...]:
-        """The values in atom order."""
-        return tuple(map(self.values.__getitem__, self.sample_space.atoms))
+    def values(self) -> Mapping[Label, Point]:
+        """atom -> value, read-only."""
+        return MappingProxyType(dict(zip(self.sample_space.atoms, self.ordered)))
 
     @cached_property
     def _distinct(self) -> dict[int, Point]:
@@ -143,11 +150,6 @@ class RandomElement:
         space = self.space
         by_id = {key: convexify(space, v) for key, v in self._distinct.items()}
         return tuple(map(by_id.__getitem__, map(id, self.ordered)))
-
-    @cached_property
-    def convexified(self) -> Mapping[Label, Point]:
-        """atom -> convexified value, read-only."""
-        return MappingProxyType(dict(zip(self.sample_space.atoms, self.ordered_convexified)))
 
     @cached_property
     def mean(self) -> Point:
@@ -263,7 +265,7 @@ def expectation(x: RandomElement) -> Point:
 
 
 def _pair_distances(x: RandomElement, y: RandomElement) -> list[float]:
-    """``d(x.values[a], y.values[a])`` for each atom in order, with one
+    """``d(x.ordered[i], y.ordered[i])`` for each atom index in order, with one
     ``space.distance`` call per distinct pair of value objects, in order of
     first appearance.
 
@@ -281,8 +283,8 @@ def _pair_distances(x: RandomElement, y: RandomElement) -> list[float]:
 
 
 def expected_distance(x: RandomElement, y: RandomElement) -> float:
-    _check_same_base(x, y)
-    return math.fsum(map(operator.mul, x.sample_space.probs, _pair_distances(x, y)))
+    """E d(X, Y), which is ``delta_p`` with p = 1."""
+    return delta_p(x, y, 1)
 
 
 def delta_p(x: RandomElement, y: RandomElement, p: int = 1) -> float:
@@ -299,14 +301,11 @@ def delta_p(x: RandomElement, y: RandomElement, p: int = 1) -> float:
 
 def mix_elements(lam: float, x: RandomElement, y: RandomElement) -> RandomElement:
     _check_same_base(x, y)
-    return RandomElement(
-        x.space,
-        x.sample_space,
-        {
-            a: combine(x.space, [(lam, x.values[a]), (1.0 - lam, y.values[a])])
-            for a in x.sample_space.atoms
-        },
+    space = x.space
+    mixed = tuple(
+        combine(space, [(lam, u), (1.0 - lam, v)]) for u, v in zip(x.ordered, y.ordered)
     )
+    return RandomElement._of_ordered(space, x.sample_space, mixed)
 
 
 def _check_same_base(x: RandomElement, y: RandomElement) -> None:
@@ -372,25 +371,17 @@ def check_ce_characterization(
     """
     _check_same_base(x, y)
     space = x.space
+    omega = x.sample_space
     fold = CheckResult("characterization", tolerance=tol)
     for k in range(len(g.blocks) + 1):
         for chosen in itertools.combinations(g.blocks, k):
-            covered = {a for block in chosen for a in block}
-
-            def clipped(values):
-                return RandomElement(
-                    space,
-                    x.sample_space,
-                    {
-                        a: values[a] if a in covered else anchor
-                        for a in x.sample_space.atoms
-                    },
-                )
-
-            gap = space.distance(
-                expectation(clipped(x.values)), expectation(clipped(y.values))
+            kept = set(omega.positions([a for block in chosen for a in block]))
+            x_on, y_on = (
+                RandomElement._of_ordered(space, omega, tuple(
+                    v if i in kept else anchor for i, v in enumerate(z.ordered)))
+                for z in (x, y)
             )
-            fold.record(gap, chosen)
+            fold.record(space.distance(expectation(x_on), expectation(y_on)), chosen)
     return CharacterizationResult(fold.passed, fold.worst_violation, fold.witness)
 
 
@@ -418,27 +409,27 @@ def check_ce_properties(
         gap = space.distance(expectation(ce), x.mean)
         report.check("iterated_expectation").record(gap, g.blocks)
 
-    # a measurable element conditions to its convexified values
-    rep_values = {
-        a: x.values[g_fine.block_of(a)[0]] for a in omega.atoms
-    }
-    measurable = RandomElement(space, omega, rep_values)
+    # a measurable element conditions to its convexified values: each
+    # block takes the value at its first atom
+    rep_values = [None] * len(omega)
+    for block in g_fine.blocks:
+        where = omega.positions(block)
+        first = x.ordered[where[0]]
+        for i in where:
+            rep_values[i] = first
+    measurable = RandomElement._of_ordered(space, omega, tuple(rep_values))
     ce = conditional_expectation(measurable, g_fine)
     worst = nan_max(map(space.distance, ce.ordered, measurable.ordered_convexified))
     report.check("measurable_to_convexification").record(worst, g_fine.blocks)
 
     # mixing commutes with conditioning
-    rotated = {
-        a: x.values[omega.atoms[(i + 1) % len(omega)]]
-        for i, a in enumerate(omega.atoms)
-    }
-    y = RandomElement(space, omega, rotated)
+    y = RandomElement._of_ordered(space, omega, x.ordered[1:] + x.ordered[:1])
     lam = 0.375
     lhs = conditional_expectation(mix_elements(lam, x, y), g_fine)
     rhs = mix_elements(
         lam, conditional_expectation(x, g_fine), conditional_expectation(y, g_fine)
     )
-    worst = nan_max(space.distance(lhs.values[a], rhs.values[a]) for a in omega.atoms)
+    worst = nan_max(map(space.distance, lhs.ordered, rhs.ordered))
     report.check("mixing").record(worst, lam, g_fine.blocks)
 
     # tower property in both orders
@@ -446,11 +437,8 @@ def check_ce_properties(
     towered = conditional_expectation(inner, g_fine)
     other = conditional_expectation(conditional_expectation(x, g_fine), g_coarse)
     worst = nan_max(
-        nan_max(
-            space.distance(towered.values[a], inner.values[a]),
-            space.distance(other.values[a], inner.values[a]),
-        )
-        for a in omega.atoms
+        nan_max(space.distance(t, v), space.distance(o, v))
+        for t, o, v in zip(towered.ordered, other.ordered, inner.ordered)
     )
     report.check("tower").record(worst, g_coarse.blocks, g_fine.blocks)
     return report
@@ -477,18 +465,24 @@ def martingale_sequence(x: RandomElement, filt: Filtration, tol: float = EXACT_T
 
 
 def martingale_distances(
-    seq: Sequence[RandomElement], p: int = 1, direction: str = "forward"
+    x: RandomElement, seq: Sequence[RandomElement], p: int = 1, direction: str = "forward"
 ) -> list[float]:
-    """Delta_p distances along (E(X | F_n))_n to the sequence's limit.
+    """Delta_p distances along ``seq`` = (E(X | F_n))_n to its limit.
 
-    ``seq`` follows the filtration.  ``forward`` keeps its order (target: the
-    last, finest term); ``reverse`` runs from finest back to coarsest
-    (target: the first term, the expectation when F_0 is trivial).
+    ``forward`` keeps the filtration's order, with target K X (the
+    convexified values of ``x``, which the finest level must equal);
+    ``reverse`` runs from finest back to coarsest (target: the first term,
+    the expectation when F_0 is trivial).
     """
-    if direction not in ("forward", "reverse"):
+    if direction == "forward":
+        terms = seq
+        target = RandomElement._of_ordered(x.space, x.sample_space, x.ordered_convexified)
+    elif direction == "reverse":
+        terms = seq[::-1]
+        target = seq[0]
+    else:
         raise ValueError("direction must be 'forward' or 'reverse'")
-    terms = list(seq) if direction == "forward" else list(reversed(seq))
-    return [delta_p(term, terms[-1], p=p) for term in terms]
+    return [delta_p(term, target, p=p) for term in terms]
 
 
 def martingale_convergence_trace(
@@ -504,7 +498,7 @@ def martingale_convergence_trace(
     directions.  This wrapper stays as the one-call form of the trace: the
     traced benchmark run wraps it by name, and its tests check that every
     wrapped name still resolves."""
-    return martingale_distances(martingale_sequence(x, filt), p=p, direction=direction)
+    return martingale_distances(x, martingale_sequence(x, filt), p=p, direction=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -575,22 +569,28 @@ def _jensen_rows(
 ) -> AxiomReport:
     """The ``jensen`` row, and the ``conditional_jensen`` row when ``ce`` is
     ``conditional_expectation(x, g)``; phi is evaluated once per atom."""
-    omega = x.sample_space
-    probs = omega.probs
     report = AxiomReport.for_space(x.space, tol)
     phis = [*map(phi, x.ordered)]
     lhs = phi(x.mean)
-    rhs = math.fsum(p * v for p, v in zip(probs, phis))
+    rhs = math.fsum(p * v for p, v in zip(x.sample_space.probs, phis))
     report.check("jensen").record(lhs - rhs, lhs, rhs)
     if g is None:
         return report
+    for block, first, rhs in _block_means(x.sample_space, g, phis.__getitem__):
+        lhs = phi(ce.ordered[first])
+        report.check("conditional_jensen").record(lhs - rhs, block, lhs, rhs)
+    return report
+
+
+def _block_means(omega: FiniteSampleSpace, g: FinitePartition, at):
+    """For each block of ``g`` in turn: the block, the index of its first
+    atom, and the conditional mean of ``at(i)`` over the block's atom
+    indices ``i``.  A generator, so ``at`` runs block by block."""
+    probs = omega.probs
     for block in g.blocks:
         where = omega.positions(block)
         block_prob = math.fsum(probs[i] for i in where)
-        lhs = phi(ce.ordered[where[0]])
-        rhs = math.fsum(probs[i] * phis[i] for i in where) / block_prob
-        report.check("conditional_jensen").record(lhs - rhs, block, lhs, rhs)
-    return report
+        yield block, where[0], math.fsum(probs[i] * at(i) for i in where) / block_prob
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +605,7 @@ def sample_sample_space(rng: random.Random, n_atoms: int) -> FiniteSampleSpace:
 def sample_random_element(
     space: SpaceContract, omega: FiniteSampleSpace, rng: random.Random
 ) -> RandomElement:
-    return RandomElement(space, omega, {a: space.sample(rng) for a in omega.atoms})
+    return RandomElement._of_ordered(space, omega, tuple(space.sample(rng) for _ in omega.atoms))
 
 
 def sample_partition(rng: random.Random, omega: FiniteSampleSpace, n_blocks: int) -> FinitePartition:
@@ -650,18 +650,12 @@ def conditional_suite(
 
         ce_x = conditional_expectation(x, g)
         ce_y = conditional_expectation(y, g)
+        xs, ys, cx, cy = x.ordered, y.ordered, ce_x.ordered, ce_y.ordered
         worst = 0.0
-        for block in g.blocks:
-            block_prob = math.fsum(omega.prob(a) for a in block)
-            cond_dist = (
-                math.fsum(
-                    omega.prob(a) * space.distance(x.values[a], y.values[a])
-                    for a in block
-                )
-                / block_prob
-            )
-            gap = space.distance(ce_x.values[block[0]], ce_y.values[block[0]]) - cond_dist
-            worst = nan_max(worst, gap)
+        for _, first, cond_dist in _block_means(
+            omega, g, lambda i: space.distance(xs[i], ys[i])
+        ):
+            worst = nan_max(worst, space.distance(cx[first], cy[first]) - cond_dist)
         report.check("conditional_contraction").record(worst, t, g.blocks)
 
         phi = DistanceTo(space, convexify(space, space.sample(rng)))

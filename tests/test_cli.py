@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from ccspace import cli, compact_sets_space, probability
+from ccspace import cli, compact_sets_space, get_space, probability
 from ccspace.cli import main
 from ccspace.fixtures import load_fixture_file, parse_fixture_lines
 from ccspace.geometry import ConvexPolytope, EnumerationCapError
@@ -431,15 +431,13 @@ CE_COMMANDS = {
                            ("distributions", "distributions"))},
 }
 # (mutant, command) pairs that exit 0 with the mutant in place of
-# conditional_expectation.  A martingale trace measures against its own finest
-# level, so a mutant that is consistent across levels passes it.  The
-# raw-value mutant passes battery: no row there checks that E(X | G) takes
-# convex values.  On euclidean the convexifier is the identity, so there that
-# mutant is the true conditional expectation.
+# conditional_expectation.  Each martingale escape is a mutant that equals the
+# true conditional expectation on that input: the seeded64 fixtures are
+# uniform, so equal weights are the atom probabilities, and on euclidean the
+# convexifier is the identity, so raw values are the convexified ones.  The
+# one real escape is the raw-value mutant on battery: no row there checks
+# that E(X | G) takes convex values (ROADMAP item 4).
 CE_ESCAPES = {
-    ("_unconditional_ce", "martingale/seeded64-euclidean"),
-    ("_unconditional_ce", "martingale/seeded64-sets"),
-    ("_unconditional_ce", "martingale/seeded64-distributions"),
     ("_equal_weights_ce", "martingale/seeded64-euclidean"),
     ("_equal_weights_ce", "martingale/seeded64-sets"),
     ("_equal_weights_ce", "martingale/seeded64-distributions"),
@@ -448,11 +446,14 @@ CE_ESCAPES = {
 }
 # the exit code of every other pair.  battery fails conditional_contraction
 # and conditional_jensen on every configuration but power-d1, whose
-# convexifier is constant.  Raw compact-sets values mix point sets with
-# polytopes in one combination (a TypeError), and raw laws break the
-# martingale guard.
+# convexifier is constant.  The forward martingale trace ends at K X, which E X
+# on every atom is not.  Raw compact-sets values mix point sets with polytopes
+# in one combination (a TypeError), and raw laws break the martingale guard.
 CE_KILLS = {
     ("_unconditional_ce", "battery"): 1,
+    ("_unconditional_ce", "martingale/seeded64-euclidean"): 1,
+    ("_unconditional_ce", "martingale/seeded64-sets"): 1,
+    ("_unconditional_ce", "martingale/seeded64-distributions"): 1,
     ("_equal_weights_ce", "battery"): 1,
     ("_raw_values_ce", "martingale/seeded64-sets"): 2,
     ("_raw_values_ce", "martingale/seeded64-distributions"): 2,
@@ -540,6 +541,14 @@ def test_fixture_file_loading(tmp_path):
     assert x.values["w1"].points == ((2.0,),)
     with pytest.raises(ValueError):
         parse_fixture_lines(space, "compact-sets", ["w0 ; 0.5"])
+    # each field is read without its padding, and an error names the bare text
+    padded = parse_fixture_lines(space, "compact-sets", ["  w0 ;\t0.5 ;  hull: 0 1  ", "w1;0.5;2"])
+    assert padded.sample_space.atoms == ("w0", "w1")
+    assert padded.values["w0"] == ConvexPolytope.interval(0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^could not convert string to float: '0\.5 x'$"):
+        parse_fixture_lines(space, "compact-sets", ["w0 ;  0.5 x ; 0 1"])
+    with pytest.raises(ValueError, match=r"^could not convert string to float: '1 x'$"):
+        parse_fixture_lines(get_space("euclidean"), "euclidean", ["w0 ; 1.0 ;  1 x "])
 
 
 def test_commands_consume_fixture_files(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import itertools
 import math
 import pathlib
 import random
@@ -20,6 +21,7 @@ from ccspace import (
     SupportMax,
     check_ce_characterization,
     check_ce_properties,
+    combine,
     compact_sets_space,
     conditional_expectation,
     convexify,
@@ -178,6 +180,15 @@ def test_random_element_requires_total_map():
     omega = FiniteSampleSpace.uniform(2)
     with pytest.raises(ValueError):
         RandomElement(E1, omega, {"w0": (0.0,)})
+
+
+def test_random_element_rejects_a_label_that_is_no_atom():
+    omega = FiniteSampleSpace.uniform(2)
+    with pytest.raises(ValueError, match=r"^'zz' is not an atom of the sample space$"):
+        RandomElement(E1, omega, {"w0": (0.0,), "zz": (2.0,), "w1": (1.0,)})
+    # a missing atom is named first, as before
+    with pytest.raises(ValueError, match=r"^values missing for atoms \['w1'\]$"):
+        RandomElement(E1, omega, {"w0": (0.0,), "zz": (2.0,)})
 
 
 def test_partition_validation():
@@ -369,9 +380,28 @@ def test_conditional_expectation_matches_a_built_element():
     rebuilt = RandomElement(CS1, omega, dict(ce.values))
     assert ce == rebuilt and ce.ordered == rebuilt.ordered
     assert list(ce.values) == list(omega.atoms)
-    assert ce.convexified == rebuilt.convexified
+    assert ce.ordered_convexified == rebuilt.ordered_convexified
     with pytest.raises(TypeError):
         ce.values["w0"] = ce.values["w1"]
+
+
+@pytest.mark.parametrize("build", ["conditional_expectation", "mix_elements"])
+def test_built_elements_have_a_read_only_label_view_of_their_values(build):
+    rng = random.Random(20)
+    omega = sample_sample_space(rng, 5)
+    x = sample_random_element(CS1, omega, rng)
+    y = sample_random_element(CS1, omega, rng)
+    if build == "conditional_expectation":
+        z = conditional_expectation(x, sample_partition(rng, omega, 2))
+    else:
+        z = mix_elements(0.25, x, y)
+    assert z.values == dict(zip(omega.atoms, z.ordered))
+    assert list(z.values) == list(omega.atoms)
+    assert z.values is z.values
+    with pytest.raises(TypeError):
+        z.values["w0"] = z.ordered[1]
+    with pytest.raises(TypeError):
+        del z.values["w0"]
 
 
 def test_ce_properties_euclidean_dyadic():
@@ -530,7 +560,7 @@ def test_martingale_distances_follow_one_sequence():
     seq = martingale_sequence(x, filt)
     for p in (1, 2):
         for direction in ("forward", "reverse"):
-            assert probability.martingale_distances(seq, p, direction) == \
+            assert probability.martingale_distances(x, seq, p, direction) == \
                 martingale_convergence_trace(x, filt, p, direction)
 
 
@@ -595,9 +625,9 @@ def test_martingale_trace_takes_each_distinct_value_once(space_name, fixture):
     assert (n, k) in ((64, 6), (512, 9))
     seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
     assert counts == {"convexify_exact": 3 * n - 2, "distance": n - 1}
-    martingale_distances(seq, p=1, direction="forward")  # targets the finest term
+    martingale_distances(x, seq, p=1, direction="forward")  # targets K X, the finest term
     assert counts["distance"] == (n - 1) + (k + 1) * n
-    martingale_distances(seq, p=2, direction="reverse")  # targets the one-valued first term
+    martingale_distances(x, seq, p=2, direction="reverse")  # targets the one-valued first term
     assert counts["distance"] == (n - 1) + (k + 1) * n + (2 * n - 1) == (k + 4) * n - 2
     assert counts["convexify_exact"] == 3 * n - 2
     if n == 512:  # the figures README gives
@@ -631,6 +661,7 @@ def test_shared_value_objects_give_the_same_bits_as_equal_copies(space):
             assert delta_p(shared, y, p).hex() == delta_p(copies, y, p).hex()
             assert delta_p(y, shared, p).hex() == delta_p(y, copies, p).hex()
         assert expected_distance(shared, y).hex() == expected_distance(copies, y).hex()
+        assert expected_distance(shared, y).hex() == delta_p(shared, y, 1).hex()
 
 
 def test_random_element_values_are_read_only():
@@ -640,13 +671,13 @@ def test_random_element_values_are_read_only():
     with pytest.raises(TypeError):
         x.values["w0"] = (1.0,)
     with pytest.raises(TypeError):
-        x.convexified["w0"] = (1.0,)
+        x.ordered_convexified[0] = (1.0,)
     assert x.values == given_values and given_values == x.values
     assert x == RandomElement(E1, omega, dict(given_values))
-    # the element keeps its own copy, so its convexified map cannot go stale
+    # the element keeps its own snapshot, so its convexified values cannot go stale
     given_values["w0"] = (2.0,)
-    assert x.values["w0"] == x.convexified["w0"] == (0.0,)
-    assert x.convexified is x.convexified
+    assert x.values["w0"] == x.ordered[0] == x.ordered_convexified[0] == (0.0,)
+    assert x.ordered_convexified is x.ordered_convexified
 
 
 def test_forward_trace_on_512_atoms_takes_one_distance_per_atom(tmp_path):
@@ -662,9 +693,9 @@ def test_forward_trace_on_512_atoms_takes_one_distance_per_atom(tmp_path):
     seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
     assert [term.distinct_values for term in seq] == [False] * k + [True]
     assert counts["distance"] == n - 1
-    martingale_distances(seq, p=1, direction="forward")
+    martingale_distances(x, seq, p=1, direction="forward")
     assert counts["distance"] == (n - 1) + (k + 1) * n
-    martingale_distances(seq, p=2, direction="reverse")
+    martingale_distances(x, seq, p=2, direction="reverse")
     assert counts["distance"] == (k + 4) * n - 2
 
 
@@ -741,6 +772,82 @@ def test_conditional_suite_rows_match_values_rebuilt_where_used(label):
             (n, repr(w), k, v) for n, w, k, v in want.rows()]
         assert {n: c.witness for n, c in got.checks.items()} == {
             n: c.witness for n, c in want.checks.items()}
+
+
+def reference_mix(lam, x, y):
+    """``mix_elements`` by label."""
+    return RandomElement(x.space, x.sample_space, {
+        a: combine(x.space, [(lam, x.values[a]), (1.0 - lam, y.values[a])])
+        for a in x.sample_space.atoms})
+
+
+def reference_ce_properties(x, g_coarse, g_fine, tol):
+    """``check_ce_properties`` with every element read and built by label."""
+    space, omega = x.space, x.sample_space
+    report = AxiomReport.for_space(space, tol)
+    for g in (g_coarse, g_fine):
+        gap = space.distance(expectation(conditional_expectation(x, g)), expectation(x))
+        report.check("iterated_expectation").record(gap, g.blocks)
+    measurable = RandomElement(
+        space, omega, {a: x.values[g_fine.block_of(a)[0]] for a in omega.atoms})
+    ce = conditional_expectation(measurable, g_fine)
+    worst = nan_max(space.distance(ce.values[a], convexify(space, measurable.values[a]))
+                    for a in omega.atoms)
+    report.check("measurable_to_convexification").record(worst, g_fine.blocks)
+    n = len(omega)
+    y = RandomElement(space, omega, {
+        a: x.values[omega.atoms[(i + 1) % n]] for i, a in enumerate(omega.atoms)})
+    lhs = conditional_expectation(reference_mix(0.375, x, y), g_fine)
+    rhs = reference_mix(
+        0.375, conditional_expectation(x, g_fine), conditional_expectation(y, g_fine))
+    worst = nan_max(space.distance(lhs.values[a], rhs.values[a]) for a in omega.atoms)
+    report.check("mixing").record(worst, 0.375, g_fine.blocks)
+    inner = conditional_expectation(x, g_coarse)
+    towered = conditional_expectation(inner, g_fine).values
+    other = conditional_expectation(conditional_expectation(x, g_fine), g_coarse).values
+    worst = nan_max(nan_max(space.distance(towered[a], inner.values[a]),
+                            space.distance(other[a], inner.values[a])) for a in omega.atoms)
+    report.check("tower").record(worst, g_coarse.blocks, g_fine.blocks)
+    return report
+
+
+def reference_ce_characterization(x, y, g, anchor, tol):
+    """``check_ce_characterization`` with the clipped elements built by label."""
+    fold = CheckResult("characterization", tolerance=tol)
+    for k in range(len(g.blocks) + 1):
+        for chosen in itertools.combinations(g.blocks, k):
+            covered = {a for block in chosen for a in block}
+            means = [expectation(RandomElement(x.space, x.sample_space, {
+                a: z.values[a] if a in covered else anchor for a in x.sample_space.atoms}))
+                for z in (x, y)]
+            fold.record(x.space.distance(*means), chosen)
+    return fold.passed, repr(fold.worst_violation), fold.witness
+
+
+@pytest.mark.parametrize("label", list(cli.BATTERY))
+def test_ce_checks_match_their_label_walks(label):
+    # tolerance 0 records a witness at every positive violation; the wrong
+    # element is E X on every atom, which has the expectation of E(X | G)
+    name, dim, _ = cli.BATTERY[label]
+    space = get_space(name, dim=dim)
+    for seed in range(4):
+        rng = random.Random(seed)
+        omega = sample_sample_space(rng, 6)
+        x = sample_random_element(space, omega, rng)
+        fine = sample_partition(rng, omega, 3)
+        coarse = FinitePartition.of([fine.blocks[0] + fine.blocks[1], fine.blocks[2]], omega)
+        got = check_ce_properties(x, coarse, fine, tol=0.0)
+        want = reference_ce_properties(x, coarse, fine, 0.0)
+        assert [(n, repr(w), k, v) for n, w, k, v in got.rows()] == [
+            (n, repr(w), k, v) for n, w, k, v in want.rows()]
+        assert {n: c.witness for n, c in got.checks.items()} == {
+            n: c.witness for n, c in want.checks.items()}
+        anchor = convexify(space, space.sample(rng))
+        wrong = RandomElement(space, omega, dict.fromkeys(omega.atoms, x.mean))
+        for y in (conditional_expectation(x, fine), wrong):
+            result = check_ce_characterization(x, y, fine, anchor, tol=0.0)
+            assert (result.equal, repr(result.worst_gap), result.witness_union) == \
+                reference_ce_characterization(x, y, fine, anchor, 0.0)
 
 
 def test_martingale_trace_rejects_bad_direction_and_p():
