@@ -23,13 +23,15 @@ them, once; it is a private subclass, whose equality, hashing, ``repr`` and
 ``len`` are those of the law built from the tuples.  Laws built from tuples
 keep the dataclass's plain attributes.
 
-The product kernel sorts the product atoms with a stable sort of the atoms
-alone, and by (atom, prob) only where a run of equal atoms could change the
-bits.  Three shortcuts skip work that cannot change its result.  When no
-atoms come within ``ATOM_MERGE_RESOLUTION`` of each other and no probability
-is zero, nothing is merged; when one operand has one atom, the step only
-scales and shifts the other law, and if its atoms come out strictly
-increasing as well, nothing is sorted either.  The mass check accepts a plain
+A law's order is a stable sort of its atoms alone: equal atoms keep their
+input order, and a merge group keeps its first atom (and that atom's sign).
+The loop step lists its product atoms in the order that the product kernel's
+stable sort sees, so both give the same law.  Three shortcuts skip work that
+cannot change its result.  When no atoms come within
+``ATOM_MERGE_RESOLUTION`` of each other and no probability is zero, nothing
+is merged; when one operand has one atom, the step only scales and shifts
+the other law, and if its atoms come out strictly increasing as well,
+nothing is sorted either.  The mass check accepts a plain
 float sum when its error bound (Higham 1993) keeps the exact sum inside
 ``PROB_SUM_TOL``; every other mass, and every rejection, takes the exact
 ``math.fsum``.  The distance to a one-atom law places that atom among the
@@ -44,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,7 +81,7 @@ class DiscreteDistribution:
 
     @staticmethod
     def of(atoms: Iterable[float], probs: Iterable[float]) -> "DiscreteDistribution":
-        pairs = sorted(zip(map(float, atoms), map(float, probs)))
+        pairs = sorted(zip(map(float, atoms), map(float, probs)), key=itemgetter(0))
         if not pairs:
             raise ValueError("distribution needs at least one atom")
         _check_mass(p for _, p in pairs)
@@ -316,24 +319,16 @@ def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
                         f: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     """The product step of the law ``(atoms, probs)`` with ``f`` as array
     operations, bit for bit: the same ``a + w*b`` and ``pa*pb``, the same
-    checks, the same stable (atom, prob) order and the same merge into each
+    checks, the same stable sort of the atoms and the same merge into each
     group's first atom, with left-to-right sums.  Returns the new law's atoms
     and probabilities.
 
-    The product atoms are ordered by a stable sort of the atoms alone.  That
-    is the (atom, prob) order except inside a run of equal atoms, and there
-    the order can change the bits only when the run is of zeros (the group
-    keeps its first atom's sign) or lies in a group of three or more (whose
-    sum depends on the order of its members); then the step sorts by
-    (atom, prob) instead.  When no probability is zero and every gap exceeds
+    When no probability is zero and every gap exceeds
     ``ATOM_MERGE_RESOLUTION``, nothing merges or drops and the sorted arrays
-    are the law.  A group of two is merged with one addition.
-
-    A one-atom operand makes the product atoms a scaled and shifted copy of
-    the other law, in monotone order, so a run of equal atoms shows before
-    any sort and picks the (atom, prob) sort at once.  When the atoms are
-    strictly increasing, more than the resolution apart, with positive
-    probabilities, they are the law as they are, unsorted.
+    are the law.  A one-atom operand makes the product atoms a scaled and
+    shifted copy of the other law, in monotone order; when they are strictly
+    increasing, more than the resolution apart, with positive probabilities,
+    they are the law as they are, unsorted.
     """
     w = float(w)
     one_atom = len(f) == 1 or len(atoms) == 1
@@ -350,19 +345,15 @@ def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
     _check_mass_array(probs, low)
     if not (low >= 0.0 and np.isfinite(atoms).all()):
         raise ValueError(_BAD_ATOM)
-    raw_atoms, raw_probs = atoms, probs
-    if one_atom:
+    if one_atom and low > 0.0:
         gaps = atoms[1:] - atoms[:-1]
-        if low > 0.0 and gaps.min(initial=math.inf) > ATOM_MERGE_RESOLUTION:
+        if gaps.min(initial=math.inf) > ATOM_MERGE_RESOLUTION:
             return atoms, probs
-        # monotone atoms: equal ones are neighbours
-        order = np.argsort(atoms, kind="stable") if gaps.all() else np.lexsort((probs, atoms))
-    else:
-        order = np.argsort(atoms, kind="stable")
+    order = np.argsort(atoms, kind="stable")
     if low == 0.0:  # products that underflowed to 0 drop out
         order = order[probs[order] != 0.0]
-    atoms = raw_atoms[order]
-    probs = raw_probs[order]
+    atoms = atoms[order]
+    probs = probs[order]
     n = len(atoms)
     gaps = atoms[1:] - atoms[:-1]
     if gaps.min(initial=math.inf) > ATOM_MERGE_RESOLUTION:
@@ -389,25 +380,13 @@ def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
         sizes = bounds[1:] - bounds[:-1]
         longest = int(sizes.max())
     starts = bounds[:-1]
-    if not one_atom and not gaps.all():
-        # equal atoms, in the order of the stable sort
-        zero = int(atoms.searchsorted(0.0))
-        if longest > 2 or (zero + 1 < n and atoms[zero + 1] == 0.0):
-            order = np.lexsort((raw_probs, raw_atoms))
-            order = order[raw_probs[order] != 0.0]
-            atoms = raw_atoms[order]
-            probs = raw_probs[order]
     merged = probs[starts]
-    if longest == 2:
-        pairs = sizes == 2
-        merged[pairs] += probs[starts[pairs] + 1]
-    else:
-        # group g's sum is probs[starts[g]] + probs[starts[g] + 1] + ..., added
-        # one member at a time across all groups still that long
-        live = np.arange(len(starts))
-        for j in range(1, longest):
-            live = live[sizes[live] > j]
-            merged[live] += probs[starts[live] + j]
+    # group g's sum is probs[starts[g]] + probs[starts[g] + 1] + ..., added
+    # one member at a time across all groups still that long
+    live = np.arange(len(starts))
+    for j in range(1, longest):
+        live = live[sizes[live] > j]
+        merged[live] += probs[starts[live] + j]
     return atoms[starts], merged
 
 

@@ -15,7 +15,8 @@ block's labels become indices into the sample space
 ``prob``'s error), and derived elements are built in atom order.  A
 conditional expectation is constant on each block, so along a martingale
 trace most atoms share a value object.  The forward trace's target is K X,
-the convexified values, which the finest level must equal.
+the convexified values, which the finest level must equal; the reverse
+trace's target is E X, which the coarsest level must equal.
 ``expected_distance``, ``delta_p`` and the martingale guard take ``space.distance`` once per distinct pair of value objects
 (``_pair_distances``) and still sum one term per atom; when either
 element's value objects are all distinct (``distinct_values``, cached), no
@@ -471,15 +472,17 @@ def martingale_distances(
 
     ``forward`` keeps the filtration's order, with target K X (the
     convexified values of ``x``, which the finest level must equal);
-    ``reverse`` runs from finest back to coarsest (target: the first term,
-    the expectation when F_0 is trivial).
+    ``reverse`` runs from finest back to coarsest, with target the constant
+    element E X (``x.mean``, which the coarsest level must equal when F_0 is
+    trivial).
     """
     if direction == "forward":
         terms = seq
         target = RandomElement._of_ordered(x.space, x.sample_space, x.ordered_convexified)
     elif direction == "reverse":
         terms = seq[::-1]
-        target = seq[0]
+        target = RandomElement._of_ordered(x.space, x.sample_space,
+                                           (x.mean,) * len(x.sample_space))
     else:
         raise ValueError("direction must be 'forward' or 'reverse'")
     return [delta_p(term, target, p=p) for term in terms]

@@ -13,7 +13,7 @@ from ccspace.cli import main
 from ccspace.fixtures import load_fixture_file, parse_fixture_lines
 from ccspace.geometry import ConvexPolytope, EnumerationCapError
 from ccspace.instances import parse_point
-from mutants import CE_MUTANTS, MUTANTS, _nan_off_the_mean_mutant
+from mutants import CE_MUTANTS, MUTANTS, _equal_weights_ce, _nan_off_the_mean_mutant
 
 
 def run_cli(args, env_seed=None, monkeypatch=None):
@@ -431,30 +431,33 @@ CE_COMMANDS = {
                            ("distributions", "distributions"))},
 }
 # (mutant, command) pairs that exit 0 with the mutant in place of
-# conditional_expectation.  Each martingale escape is a mutant that equals the
-# true conditional expectation on that input: the seeded64 fixtures are
-# uniform, so equal weights are the atom probabilities, and on euclidean the
-# convexifier is the identity, so raw values are the convexified ones.  The
-# one real escape is the raw-value mutant on battery: no row there checks
-# that E(X | G) takes convex values (ROADMAP item 4).
+# conditional_expectation.  The martingale escape is a mutant that equals the
+# true conditional expectation on its input: on euclidean the convexifier is
+# the identity, so raw values are the convexified ones.  Equal weights do not
+# escape, since the seeded64 fixtures have uneven probabilities: their
+# coarsest level is not E X, the reverse trace's target.  The one real escape
+# is the raw-value mutant on battery: no row there checks that E(X | G) takes
+# convex values (ROADMAP item 4).
 CE_ESCAPES = {
-    ("_equal_weights_ce", "martingale/seeded64-euclidean"),
-    ("_equal_weights_ce", "martingale/seeded64-sets"),
-    ("_equal_weights_ce", "martingale/seeded64-distributions"),
     ("_raw_values_ce", "battery"),
     ("_raw_values_ce", "martingale/seeded64-euclidean"),
 }
 # the exit code of every other pair.  battery fails conditional_contraction
 # and conditional_jensen on every configuration but power-d1, whose
 # convexifier is constant.  The forward martingale trace ends at K X, which E X
-# on every atom is not.  Raw compact-sets values mix point sets with polytopes
-# in one combination (a TypeError), and raw laws break the martingale guard.
+# on every atom is not, and the reverse trace at E X, which an equal-weight
+# mix of all atoms is not.  Raw compact-sets values mix point sets with
+# polytopes in one combination (a TypeError), and raw laws break the
+# martingale guard.
 CE_KILLS = {
     ("_unconditional_ce", "battery"): 1,
     ("_unconditional_ce", "martingale/seeded64-euclidean"): 1,
     ("_unconditional_ce", "martingale/seeded64-sets"): 1,
     ("_unconditional_ce", "martingale/seeded64-distributions"): 1,
     ("_equal_weights_ce", "battery"): 1,
+    ("_equal_weights_ce", "martingale/seeded64-euclidean"): 1,
+    ("_equal_weights_ce", "martingale/seeded64-sets"): 1,
+    ("_equal_weights_ce", "martingale/seeded64-distributions"): 1,
     ("_raw_values_ce", "martingale/seeded64-sets"): 2,
     ("_raw_values_ce", "martingale/seeded64-distributions"): 2,
 }
@@ -475,6 +478,20 @@ def test_conditional_expectation_mutants_meet_their_kill_matrix(mutant, monkeypa
     assert escapes == {pair for pair in CE_ESCAPES if pair[0] == name}
     assert {(name, c): code for c, code in codes.items() if code} == {
         pair: code for pair, code in CE_KILLS.items() if pair[0] == name}
+
+
+@pytest.mark.parametrize("name,space", [("euclidean", "euclidean"), ("sets", "compact-sets"),
+                                        ("distributions", "distributions")])
+def test_martingale_fails_equal_weights_on_the_512_atom_fixtures(name, space, monkeypatch,
+                                                                  capsys):
+    # the coarsest level of the equal-weight mutant is not E X.  These runs
+    # stay out of the kill matrix: the raw-value mutant on the distributions
+    # fixture runs for about 25 s (2-vCPU host) before its guard fails it.
+    monkeypatch.setattr(probability, "conditional_expectation", _equal_weights_ce)
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
+    args = ["martingale", "--space", space, "--fixture-file", f"seeded512-{name}.fixture"]
+    assert run_cli(args, monkeypatch=monkeypatch) == 1
+    assert json.loads(capsys.readouterr().out)["details"]["reverse_final"] != "0.0"
 
 
 def test_martingale_fails_on_a_nan_in_its_reverse_trace(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -471,7 +472,7 @@ def test_slln_raw_track_takes_the_one_atom_step(monkeypatch):
     slln_run(distribution_space(), slln_law("distributions", "bernoulli"), n_max=400, seed=5,
              mode="raw_track")
     assert steps["one-atom"] > steps["other"] > 0
-    # the two-atom steps tie exactly, but only in groups of two
+    # the two-atom steps tie exactly, and each sorts once, by atom
     assert sorts == ["argsort"] * steps["other"]
 
 
@@ -498,37 +499,44 @@ def zero_tie_law():
 ZERO_TIE_OPERAND = DiscreteDistribution((-0.125, -0.0), (0.5, 0.5))
 
 
-# Operands of a general product step with a law; each sorts once, or twice
-# when a run of equal atoms can change the bits (zeros of either sign, or a
-# group of three or more), since only then is the stable sort of the atoms
-# not the (atom, prob) order bit for bit.
-@pytest.mark.parametrize("acc,f,sorts", [
-    # distinct product atoms: no tie, no merge
-    (law_from(random.Random(1), 100, "spread"), DiscreteDistribution((0.0, 0.3), (0.5, 0.5)), 1),
-    # lattice products: ties in groups of two, with equal and with unequal probabilities
-    (dense_lattice_law(random.Random(2), 100), DiscreteDistribution((0.0, 0.125), (0.5, 0.5)), 1),
+# Operands of a general product step with a law: distinct products, lattice
+# ties in groups of two (equal and unequal probabilities) and of three, and
+# -0.0 against 0.0 in a group of two.  Each step sorts once, by atom.
+@pytest.mark.parametrize("acc,f", [
+    (law_from(random.Random(1), 100, "spread"), DiscreteDistribution((0.0, 0.3), (0.5, 0.5))),
+    (dense_lattice_law(random.Random(2), 100), DiscreteDistribution((0.0, 0.125), (0.5, 0.5))),
     (dense_lattice_law(random.Random(3), 100),
-     DiscreteDistribution((0.0, 0.125), (0.375, 0.625)), 1),
-    # ties in groups of three
+     DiscreteDistribution((0.0, 0.125), (0.375, 0.625))),
     (dense_lattice_law(random.Random(4), 100),
-     DiscreteDistribution((0.0, 0.125, 0.25), (0.25, 0.375, 0.375)), 2),
-    # -0.0 against 0.0 in a group of two
-    (zero_tie_law(), ZERO_TIE_OPERAND, 2),
+     DiscreteDistribution((0.0, 0.125, 0.25), (0.25, 0.375, 0.375))),
+    (zero_tie_law(), ZERO_TIE_OPERAND),
 ])
-def test_general_step_sorts_by_prob_only_when_a_tie_can_change_the_bits(monkeypatch, acc, f, sorts):
+def test_general_step_sorts_by_prob_only_when_a_tie_can_change_the_bits(monkeypatch, acc, f):
+    # the stable sort of the atoms is the loop's order, so no tie needs a
+    # second sort
     counted = count_sorts(monkeypatch)
     assert bits(array_step(acc, 1.0, f)) == bits(loop_step(acc, 1.0, f))
-    assert counted == ["argsort", "lexsort"][:sorts]
+    assert counted == ["argsort"]
 
 
 def test_zero_tie_keeps_the_sign_of_the_loops_first_atom():
-    # the stable sort of the atoms puts -0.0 first; (atom, prob) order puts
-    # 0.0, the smaller probability, first, and the group keeps its sign
+    # in product order -0.0 + -0.0 = -0.0 comes before 0.125 + -0.125 = 0.0,
+    # and the group keeps the sign of its first atom
     got = array_step(zero_tie_law(), 1.0, ZERO_TIE_OPERAND)
     assert bits(got) == bits(loop_step(zero_tie_law(), 1.0, ZERO_TIE_OPERAND))
     zero = got.atoms.index(0.0)
-    assert math.copysign(1.0, got.atoms[zero]) == 1.0
+    assert math.copysign(1.0, got.atoms[zero]) == -1.0
     assert got.atoms[zero - 1] != 0.0 != got.atoms[zero + 1]
+
+
+def test_equal_atoms_keep_their_input_order():
+    # the group of 0.0 and -0.0 keeps the first one given, whatever the
+    # probabilities
+    for atoms, sign in (((0.0, -0.0), 1.0), ((-0.0, 0.0), -1.0)):
+        for probs in ((0.75, 0.25), (0.25, 0.75)):
+            law = DiscreteDistribution.of(atoms, probs)
+            assert law.atoms == (0.0,) and law.probs == (1.0,)
+            assert math.copysign(1.0, law.atoms[0]) == sign
 
 
 # Operands whose products with lattice laws tie exactly: equal and unequal
@@ -546,7 +554,7 @@ TIE_OPERANDS = (
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32), st.integers(32, 300), st.sampled_from(TIE_OPERANDS),
        st.sampled_from((1.0, 0.5, -1.0, 2.0)))
-def test_stable_sort_gives_the_lexsort_bits_on_exact_ties(seed, n, f, w):
+def test_stable_sort_gives_the_loop_bits_on_exact_ties(seed, n, f, w):
     # products of a lattice law (with a signed zero) and a lattice operand,
     # weights that keep them on the lattice: many exact ties
     acc = dense_lattice_law(random.Random(seed), n)
@@ -555,8 +563,8 @@ def test_stable_sort_gives_the_lexsort_bits_on_exact_ties(seed, n, f, w):
 
 def loop_group_sizes(acc, w, f):
     """The sizes of the merge groups of the loop's product step."""
-    pairs = sorted((a + w * b, pa * pb) for a, pa in zip(acc.atoms, acc.probs)
-                   for b, pb in zip(f.atoms, f.probs))
+    pairs = sorted(((a + w * b, pa * pb) for a, pa in zip(acc.atoms, acc.probs)
+                    for b, pb in zip(f.atoms, f.probs)), key=itemgetter(0))
     sizes = []
     head = None
     for a, p in pairs:
@@ -573,8 +581,8 @@ def loop_group_sizes(acc, w, f):
 @pytest.mark.parametrize("longest", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(4))
 def test_two_member_merge_matches_the_general_merge(longest, seed):
-    # groups of at most two take the one-addition merge, longer ones the
-    # member-by-member merge; the loop's sequential merge is the oracle of both
+    # groups of two, three and four take the member-by-member merge; the
+    # loop's sequential merge is its oracle
     rng = random.Random(seed)
     acc = dense_lattice_law(rng, rng.randint(40, 300))
     f = DiscreteDistribution(tuple(k / 8 for k in range(longest)), (1.0 / longest,) * longest)
