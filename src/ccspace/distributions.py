@@ -315,6 +315,7 @@ def _dirac_step(atom: float, prob: float, w: float,
     return atom, prob
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
                         f: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     """The product step of the law ``(atoms, probs)`` with ``f`` as array

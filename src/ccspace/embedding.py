@@ -71,23 +71,17 @@ def angle_grid(k: int) -> tuple[tuple[float, float], ...]:
 
 
 def edge_normals(p: ConvexPolytope) -> tuple[tuple[float, float], ...]:
-    """Outward unit normals of a polygon's edges (segments give both sides)."""
-    verts = p.vertices
-    if p.dim != 2 or len(verts) == 1:
+    """Outward unit normals of a polygon's edges, one per edge in edge order
+    (a segment gives both sides, a point none)."""
+    if p.dim != 2:
         return ()
-    if len(verts) == 2:
-        (ax, ay), (bx, by) = verts
-        ex, ey = bx - ax, by - ay
-        norm = math.hypot(ex, ey)
-        return ((ey / norm, -ex / norm), (-ey / norm, ex / norm))
     out = []
-    n = len(verts)
-    for i in range(n):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % n]
+    for (ax, ay), (bx, by) in p.edges:
         ex, ey = bx - ax, by - ay
         norm = math.hypot(ex, ey)
         out.append((ey / norm, -ex / norm))
+    if len(out) == 1:
+        out.append((-out[0][0], -out[0][1]))
     return tuple(out)
 
 

@@ -158,6 +158,15 @@ class ConvexPolytope:
     def arr(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
+        """Boundary segments ``(a, b)`` in vertex order: none for a point, one
+        for a segment, and n for an n-gon, the last one closing the loop."""
+        verts = self.vertices
+        if len(verts) < 3:
+            return tuple(zip(verts, verts[1:]))
+        return tuple(zip(verts, verts[1:] + verts[:1]))
+
 
 def _cross(o: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -267,44 +276,36 @@ def _interval_combine(
     return ConvexPolytope.interval(lo, hi)
 
 
-def _bottom_rotate(verts: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    start = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
-    return list(verts[start:]) + list(verts[:start])
+def _lowest(verts: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """The bottom-most, then left-most vertex: where a walk along the edges
+    in increasing angle from 0 starts."""
+    return min(verts, key=lambda v: (v[1], v[0]))
 
 
-def _edge_vectors(verts: Sequence[tuple[float, float]]) -> list[tuple[float, float, float]]:
-    """(angle, dx, dy) of boundary edges in increasing angular order.
+def _edge_vectors(p: ConvexPolytope) -> list[tuple[float, float, float]]:
+    """(angle, dx, dy) of the boundary edges, angle on [0, 2pi), in edge order.
 
     A point contributes no edges; a segment contributes its two opposite
-    traversal directions.  Starting at the bottom-most (then left-most)
-    vertex of a CCW polygon puts the angles in increasing order on [0, 2pi).
+    traversal directions.
     """
-    if len(verts) == 1:
-        return []
-    ordered = _bottom_rotate(verts)
-    if len(ordered) == 2:
-        a, b = ordered
-        pairs = [(b[0] - a[0], b[1] - a[1]), (a[0] - b[0], a[1] - b[1])]
-    else:
-        pairs = [
-            (ordered[(i + 1) % len(ordered)][0] - ordered[i][0],
-             ordered[(i + 1) % len(ordered)][1] - ordered[i][1])
-            for i in range(len(ordered))
-        ]
+    walk = p.edges
+    if len(walk) == 1:
+        (a, b), = walk
+        walk = ((a, b), (b, a))
     out = []
-    for dx, dy in pairs:
-        ang = math.atan2(dy, dx) % (2.0 * math.pi)
-        out.append((ang, dx, dy))
+    for a, b in walk:
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        out.append((math.atan2(dy, dx) % (2.0 * math.pi), dx, dy))
     return out
 
 
 def _minkowski_sum_pair(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
     """Edge-merge Minkowski sum of two convex polygons (degenerate allowed)."""
-    pv = _bottom_rotate(p.vertices)
-    qv = _bottom_rotate(q.vertices)
-    edges = sorted(_edge_vectors(p.vertices) + _edge_vectors(q.vertices))
-    x = pv[0][0] + qv[0][0]
-    y = pv[0][1] + qv[0][1]
+    pv = _lowest(p.vertices)
+    qv = _lowest(q.vertices)
+    edges = sorted(_edge_vectors(p) + _edge_vectors(q))
+    x = pv[0] + qv[0]
+    y = pv[1] + qv[1]
     pts = [(x, y)]
     for _, dx, dy in edges[:-1] if edges else []:
         x += dx
@@ -362,14 +363,9 @@ def _point_segment_distance(p: Sequence[float], a: Sequence[float], b: Sequence[
 
 
 def _polygon_contains(poly: ConvexPolytope, p: Sequence[float]) -> bool:
-    verts = poly.vertices
-    if len(verts) < 3:
-        return False
-    n = len(verts)
-    for i in range(n):
-        if _cross(verts[i], verts[(i + 1) % n], p) < 0.0:
-            return False
-    return True
+    """Whether ``p`` is in the polygon: on no edge's right.  Below three
+    vertices nothing is inside, and a NaN cross product reads as inside."""
+    return len(poly.vertices) >= 3 and not any(_cross(a, b, p) < 0.0 for a, b in poly.edges)
 
 
 def _polygon_contains_all(poly: ConvexPolytope, pts: np.ndarray) -> np.ndarray:
@@ -388,17 +384,11 @@ def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
     if poly.dim == 1:
         x = p[0]
         return max(poly.lo - x, x - poly.hi, 0.0)
-    verts = poly.vertices
-    if len(verts) == 1:
-        return _point_dist(p, verts[0])
-    if len(verts) == 2:
-        return _point_segment_distance(p, verts[0], verts[1])
+    if len(poly.vertices) == 1:
+        return _point_dist(p, poly.vertices[0])
     if _polygon_contains(poly, p):
         return 0.0
-    n = len(verts)
-    return min(
-        _point_segment_distance(p, verts[i], verts[(i + 1) % n]) for i in range(n)
-    )
+    return min(_point_segment_distance(p, a, b) for a, b in poly.edges)
 
 
 def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
@@ -513,16 +503,6 @@ def _interval_to_sites_1d(lo: float, hi: float, sites: Sequence[float]) -> float
         if lo <= mid <= hi:
             best = max(best, min(mid - left, right - mid))
     return best
-
-
-def _segment_boundary(poly: ConvexPolytope) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    verts = poly.vertices
-    if len(verts) == 1:
-        return []
-    if len(verts) == 2:
-        return [(verts[0], verts[1])]
-    n = len(verts)
-    return [(verts[i], verts[(i + 1) % n]) for i in range(n)]
 
 
 def _bisector_edge_hits(
@@ -642,7 +622,7 @@ class _SiteGrid:
 
 
 def _clipped_cell_labels(
-    poly: ConvexPolytope, n_edges: int, sites: np.ndarray
+    poly: ConvexPolytope, sites: np.ndarray
 ) -> tuple[set[tuple[int, int, int]], set[tuple[int, int, int]]]:
     """Bisector-edge pairs and bisector triples that meet at a vertex of some
     site's Voronoi cell clipped to ``poly`` (Sutherland-Hodgman).
@@ -656,9 +636,12 @@ def _clipped_cell_labels(
     """
     pts = sites.tolist()
     nearest_first = _SiteGrid(pts).nearest_first
+    n_edges = len(poly.edges)
+    # vertex k starts edge k; a segment's second vertex starts its one edge, walked back
+    boundary = [(x, y, ~(k % n_edges)) for k, (x, y) in enumerate(poly.vertices)]
     pairs, triples = set(), set()
     for i, (sx, sy) in enumerate(pts):
-        cell = [(x, y, ~(k % n_edges)) for k, (x, y) in enumerate(poly.vertices)]
+        cell = boundary
         for d2, j in nearest_first(i):
             reach2 = max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y, _ in cell)
             if d2 > 4.0 * reach2:
@@ -701,11 +684,10 @@ def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet)
     if poly.dim == 1:
         return _interval_to_sites_1d(poly.lo, poly.hi, [p[0] for p in sites_set.points])
     sites = sites_set.arr
-    edges = _segment_boundary(poly)
     cands = [np.asarray(poly.vertices, dtype=float)]
     if len(sites) >= 2 and len(poly.vertices) >= 2:
-        pairs, triples = _clipped_cell_labels(poly, len(edges), sites)
-        hits = _bisector_edge_hits(sites.tolist(), edges, pairs)
+        pairs, triples = _clipped_cell_labels(poly, sites)
+        hits = _bisector_edge_hits(sites.tolist(), poly.edges, pairs)
         centers = _circumcenters(sites, np.array(sorted(triples), dtype=int).reshape(-1, 3))
         cands += [np.asarray(hits, dtype=float).reshape(-1, 2), centers[_polygon_contains_all(poly, centers)]]
     return _farthest_nearest_site(np.concatenate(cands), sites)

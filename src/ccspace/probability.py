@@ -450,19 +450,25 @@ def check_ce_properties(
 
 
 def martingale_sequence(x: RandomElement, filt: Filtration, tol: float = EXACT_TOL) -> list[RandomElement]:
-    """(E(X | F_n))_n along the filtration, verified to be a martingale.
+    """(E(X | F_n))_n along the filtration, coarsest first, verified to be a
+    martingale.
 
-    The martingale property is rechecked blockwise as a sanity guard; when the
-    final partition is the finest one, the last term equals the convexified
-    values pointwise.
+    The levels are built from the finest back.  As soon as a coarser level
+    exists, the guard checks it blockwise against the conditional expectation
+    of the next finer level on its partition, and the first violation raises,
+    before any coarser level is built.  When the final partition is the
+    finest one, the last term equals the convexified values pointwise.
     """
-    seq = [conditional_expectation(x, g) for g in filt.partitions]
-    for earlier_g, earlier, later in zip(filt.partitions, seq, seq[1:]):
-        pulled = conditional_expectation(later, earlier_g)
-        worst = nan_max(_pair_distances(pulled, earlier))
+    *coarser, finest = filt.partitions
+    seq = [conditional_expectation(x, finest)]
+    for g in reversed(coarser):
+        term = conditional_expectation(x, g)
+        pulled = conditional_expectation(seq[-1], g)
+        worst = nan_max(_pair_distances(pulled, term))
         if not worst <= tol:
             raise ValueError(f"martingale property violated by {worst!r}")
-    return seq
+        seq.append(term)
+    return seq[::-1]
 
 
 def martingale_distances(

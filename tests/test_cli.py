@@ -425,22 +425,24 @@ def test_battery_fails_on_a_broken_space(make, checks, monkeypatch, capsys):
 
 CE_COMMANDS = {
     "battery": ["battery", "--trials", "40", "--seed", "1", "--format", "csv"],
-    **{f"martingale/seeded64-{name}": ["martingale", "--space", space,
-                                       "--fixture-file", f"seeded64-{name}.fixture"]
+    **{f"martingale/seeded{atoms}-{name}": ["martingale", "--space", space,
+                                            "--fixture-file", f"seeded{atoms}-{name}.fixture"]
+       for atoms in (64, 512)
        for name, space in (("euclidean", "euclidean"), ("sets", "compact-sets"),
                            ("distributions", "distributions"))},
 }
 # (mutant, command) pairs that exit 0 with the mutant in place of
-# conditional_expectation.  The martingale escape is a mutant that equals the
-# true conditional expectation on its input: on euclidean the convexifier is
-# the identity, so raw values are the convexified ones.  Equal weights do not
-# escape, since the seeded64 fixtures have uneven probabilities: their
+# conditional_expectation.  Each martingale escape is a mutant that equals
+# the true conditional expectation on its input: on euclidean the convexifier
+# is the identity, so raw values are the convexified ones.  Equal weights do
+# not escape, since the seeded fixtures have uneven probabilities: their
 # coarsest level is not E X, the reverse trace's target.  The one real escape
 # is the raw-value mutant on battery: no row there checks that E(X | G) takes
 # convex values (ROADMAP item 4).
 CE_ESCAPES = {
     ("_raw_values_ce", "battery"),
     ("_raw_values_ce", "martingale/seeded64-euclidean"),
+    ("_raw_values_ce", "martingale/seeded512-euclidean"),
 }
 # the exit code of every other pair.  battery fails conditional_contraction
 # and conditional_jensen on every configuration but power-d1, whose
@@ -454,12 +456,20 @@ CE_KILLS = {
     ("_unconditional_ce", "martingale/seeded64-euclidean"): 1,
     ("_unconditional_ce", "martingale/seeded64-sets"): 1,
     ("_unconditional_ce", "martingale/seeded64-distributions"): 1,
+    ("_unconditional_ce", "martingale/seeded512-euclidean"): 1,
+    ("_unconditional_ce", "martingale/seeded512-sets"): 1,
+    ("_unconditional_ce", "martingale/seeded512-distributions"): 1,
     ("_equal_weights_ce", "battery"): 1,
     ("_equal_weights_ce", "martingale/seeded64-euclidean"): 1,
     ("_equal_weights_ce", "martingale/seeded64-sets"): 1,
     ("_equal_weights_ce", "martingale/seeded64-distributions"): 1,
+    ("_equal_weights_ce", "martingale/seeded512-euclidean"): 1,
+    ("_equal_weights_ce", "martingale/seeded512-sets"): 1,
+    ("_equal_weights_ce", "martingale/seeded512-distributions"): 1,
     ("_raw_values_ce", "martingale/seeded64-sets"): 2,
     ("_raw_values_ce", "martingale/seeded64-distributions"): 2,
+    ("_raw_values_ce", "martingale/seeded512-sets"): 2,
+    ("_raw_values_ce", "martingale/seeded512-distributions"): 2,
 }
 
 
@@ -484,9 +494,8 @@ def test_conditional_expectation_mutants_meet_their_kill_matrix(mutant, monkeypa
                                         ("distributions", "distributions")])
 def test_martingale_fails_equal_weights_on_the_512_atom_fixtures(name, space, monkeypatch,
                                                                   capsys):
-    # the coarsest level of the equal-weight mutant is not E X.  These runs
-    # stay out of the kill matrix: the raw-value mutant on the distributions
-    # fixture runs for about 25 s (2-vCPU host) before its guard fails it.
+    # the coarsest level of the equal-weight mutant is not E X, so the
+    # reverse trace does not end at 0
     monkeypatch.setattr(probability, "conditional_expectation", _equal_weights_ce)
     monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
     args = ["martingale", "--space", space, "--fixture-file", f"seeded512-{name}.fixture"]

@@ -126,9 +126,14 @@ def test_isometry_with_hausdorff():
 
 
 def test_edge_normals_unit_and_outward():
-    for nx, ny in edge_normals(SQUARE):
-        assert math.hypot(nx, ny) == pytest.approx(1.0, abs=1e-15)
+    segment = convex_hull(FinitePointSet.of([(2.0, 0.0), (0.0, 0.0)]))
+    for body in (SQUARE, segment):
+        for nx, ny in edge_normals(body):
+            assert math.hypot(nx, ny) == pytest.approx(1.0, abs=1e-15)
     assert set(edge_normals(SQUARE)) == {(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)}
+    # a segment has one edge and both of its sides; a point has no edge
+    assert edge_normals(segment) == ((0.0, -1.0), (0.0, 1.0))
+    assert edge_normals(ConvexPolytope(((1.0, 2.0),))) == ()
 
 
 def test_affine_expectation_identity():

@@ -23,20 +23,23 @@ from ccspace import (
     polytope_combine,
 )
 from ccspace.core import self_combination
+from ccspace.embedding import edge_normals
 from ccspace.fixtures import convexify_point
 from ccspace.geometry import (
     DEDUP_RESOLUTION,
     _SiteGrid,
     _clipped_cell_labels,
+    _cross,
     _dedup_sorted,
     _directed_polytope_to_sites,
+    _edge_vectors,
     _farthest_nearest_site,
     _hausdorff_sets,
     _minkowski_sum_pair,
     _point_dist,
+    _point_segment_distance,
     _polygon_contains,
     _polygon_contains_all,
-    _segment_boundary,
     point_to_polytope,
 )
 from ccspace.instances import compact_sets_space
@@ -429,6 +432,96 @@ def test_contains_all_matches_polygon_contains():
     assert not _polygon_contains_all(segment, np.array([(0.5, 0.5)])).any()
 
 
+def test_edges_walk_the_boundary_in_vertex_order():
+    a, b, c = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)
+    assert convex_hull(FinitePointSet.of([a])).edges == ()
+    assert convex_hull(FinitePointSet.of([b, a])).edges == ((a, b),)
+    triangle = convex_hull(FinitePointSet.of([c, b, a]))
+    assert triangle.vertices == (a, b, c)
+    assert triangle.edges == ((a, b), (b, c), (c, a))
+
+
+def reference_point_to_polytope(p, poly):
+    """Oracle: ``point_to_polytope`` before it read ``ConvexPolytope.edges``,
+    with its own segment case and index walk."""
+    if poly.dim == 1:
+        x = p[0]
+        return max(poly.lo - x, x - poly.hi, 0.0)
+    verts = poly.vertices
+    if len(verts) == 1:
+        return _point_dist(p, verts[0])
+    if len(verts) == 2:
+        return _point_segment_distance(p, verts[0], verts[1])
+    n = len(verts)
+    if not any(_cross(verts[i], verts[(i + 1) % n], p) < 0.0 for i in range(n)):
+        return 0.0
+    return min(_point_segment_distance(p, verts[i], verts[(i + 1) % n]) for i in range(n))
+
+
+def reference_edge_vectors(verts):
+    """Oracle: ``_edge_vectors`` before it read ``ConvexPolytope.edges``,
+    walking from the bottom-most vertex with its own segment case."""
+    if len(verts) == 1:
+        return []
+    start = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
+    ordered = verts[start:] + verts[:start]
+    if len(ordered) == 2:
+        a, b = ordered
+        pairs = [(b[0] - a[0], b[1] - a[1]), (a[0] - b[0], a[1] - b[1])]
+    else:
+        n = len(ordered)
+        pairs = [(ordered[(i + 1) % n][0] - ordered[i][0], ordered[(i + 1) % n][1] - ordered[i][1])
+                 for i in range(n)]
+    return [(math.atan2(dy, dx) % (2.0 * math.pi), dx, dy) for dx, dy in pairs]
+
+
+def reference_edge_normals(p):
+    """Oracle: ``embedding.edge_normals`` before it read ``ConvexPolytope.edges``."""
+    verts = p.vertices
+    if len(verts) == 1:
+        return ()
+    if len(verts) == 2:
+        (ax, ay), (bx, by) = verts
+        ex, ey = bx - ax, by - ay
+        norm = math.hypot(ex, ey)
+        return ((ey / norm, -ex / norm), (-ey / norm, ex / norm))
+    out = []
+    n = len(verts)
+    for i in range(n):
+        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        norm = math.hypot(ex, ey)
+        out.append((ey / norm, -ex / norm))
+    return tuple(out)
+
+
+# lattice coordinates with both signed zeros, so that edges and normals carry -0.0
+signed_zero_coord = st.one_of(st.integers(-4, 4).map(lambda k: k / 2), st.sampled_from((0.0, -0.0)))
+boundary_point = st.one_of(point2, st.tuples(signed_zero_coord, signed_zero_coord))
+# a polygon, a segment or a point
+boundary_shape = st.one_of(
+    st.lists(boundary_point, min_size=1, max_size=8),
+    st.lists(boundary_point, min_size=1, max_size=2),
+    st.lists(st.tuples(signed_zero_coord, signed_zero_coord), min_size=1, max_size=3),
+).map(lambda pts: convex_hull(FinitePointSet.of(pts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_shape, boundary_shape,
+       st.lists(st.one_of(boundary_point, st.just((math.nan, 0.0))), min_size=1, max_size=6))
+@example(ConvexPolytope(((-0.0, 0.0), (0.0, 1.0))), ConvexPolytope(((0.0, -0.0),)), [(-0.0, 0.5)])
+def test_boundary_walks_match_their_index_walks(p, q, queries):
+    for query in queries + list(q.vertices):
+        got = point_to_polytope(query, p)
+        assert got.hex() == reference_point_to_polytope(query, p).hex(), (query, p)
+    assert bits(edge_normals(p)) == bits(reference_edge_normals(p))
+    # _minkowski_sum_pair sorts the edges of both operands together, so the
+    # start vertex of each walk does not reach the sum
+    got = sorted(_edge_vectors(p) + _edge_vectors(q))
+    assert bits(got) == bits(sorted(reference_edge_vectors(p.vertices)
+                                    + reference_edge_vectors(q.vertices)))
+
+
 def _grid_covering_radius(poly, sites, k=220):
     arr = np.array(poly.vertices)
     lo, hi = arr.min(0), arr.max(0)
@@ -579,8 +672,8 @@ def reference_clipped_cell_labels(poly, n_edges, sites):
 
 
 def assert_labels_match_reference(poly, sites):
-    n_edges = len(_segment_boundary(poly))
-    got = _clipped_cell_labels(poly, n_edges, sites.arr)
+    n_edges = len(poly.edges)
+    got = _clipped_cell_labels(poly, sites.arr)
     assert got == reference_clipped_cell_labels(poly, n_edges, sites.arr), (len(sites), poly)
 
 

@@ -586,6 +586,32 @@ def test_martingale_command_conditions_once_per_level(monkeypatch):
     assert len(calls) == 2 * levels - 1
 
 
+def test_martingale_guard_runs_from_the_finest_level_back(monkeypatch):
+    # the levels are built finest first; each coarser one is checked against
+    # the pull of the next finer one as soon as both exist
+    x = ramp_element(E1, 8)
+    filt = dyadic_filtration(x.sample_space)
+    expected = [conditional_expectation(x, g) for g in filt.partitions]
+    calls = []
+    original = probability.conditional_expectation
+
+    def counted(y, g):
+        calls.append((y is x, len(g.blocks)))
+        return original(y, g)
+
+    monkeypatch.setattr(probability, "conditional_expectation", counted)
+    seq = martingale_sequence(x, filt)
+    assert [z.ordered for z in seq] == [z.ordered for z in expected]
+    assert calls == [(True, 8), (True, 4), (False, 4), (True, 2), (False, 2), (True, 1), (False, 1)]
+    # the first violation, here at the finest pair, stops the build: the
+    # coarser levels are never built
+    calls.clear()
+    x = ramp_element(nan_distance_space(), 8)
+    with pytest.raises(ValueError, match="martingale property violated by nan"):
+        martingale_sequence(x, dyadic_filtration(x.sample_space))
+    assert calls == [(True, 8), (True, 4), (False, 4)]
+
+
 def counted_space(space):
     """``space`` with ``distance`` and ``convexify_exact`` counting their calls."""
     counts = {"distance": 0, "convexify_exact": 0}
