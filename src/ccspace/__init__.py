@@ -27,7 +27,6 @@ from .distributions import (
 from .embedding import (
     AffineFunctional,
     SupportVector,
-    affine_expectation_check,
     embed,
     embedded_distance,
     embedding_suite,

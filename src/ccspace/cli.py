@@ -29,7 +29,9 @@ from .embedding import embedding_suite
 from .geometry import EnumerationCapError
 from .instances import SPACE_NAMES, get_space
 from .limits import (
+    CONVEXIFY_RATE_TOL,
     ERGODIC_TOL,
+    MARTINGALE_TOL,
     RAW_VS_CONVEX_TOL,
     SLLN_TOL,
     ConvergenceTrace,
@@ -49,8 +51,7 @@ from .probability import (
     dyadic_filtration,
     expectation_identity_suite,
     jensen_check,
-    martingale_distances,
-    martingale_sequence,
+    martingale_convergence_trace,
 )
 
 SEED_ENV_VAR = "CCSPACE_SEED"
@@ -300,10 +301,8 @@ def _martingale(cfg: RunConfig) -> Outcome:
         x = fixtures.load_fixture_file(space, cfg.space, cfg.fixture_file, dim=cfg.dim)
     else:
         x = fixtures.martingale_element(space, cfg.space, dim=cfg.dim)
-    seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
-    forward = martingale_distances(x, seq, p=cfg.p, direction="forward")
-    reverse = martingale_distances(x, seq, p=cfg.p, direction="reverse")
-    tol = _or(cfg.tolerance, 1e-12)
+    forward, reverse = martingale_convergence_trace(x, dyadic_filtration(x.sample_space), p=cfg.p)
+    tol = _or(cfg.tolerance, MARTINGALE_TOL)
     levels = range(1, len(forward) + 1)
     trace = ConvergenceTrace.build(
         levels, forward, "conditional expectation at the finest level", tol
@@ -339,7 +338,7 @@ def _convexify_rate(cfg: RunConfig) -> Outcome:
     fixture = cfg.fixture or ("two-point" if cfg.space == "compact-sets" else "unit")
     point = fixtures.convexify_point(cfg.space, fixture, dim=cfg.dim)
     n_max = _or(cfg.n_max, 64)
-    tol = _or(cfg.tolerance, 1.0)
+    tol = _or(cfg.tolerance, CONVEXIFY_RATE_TOL)
     trace = convexification_rate(space, point, list(range(1, n_max + 1)), tolerance=tol)
     return _trace(trace, {"fixture": fixture, "n_max": n_max, "tolerance": tol})
 

@@ -177,19 +177,6 @@ def embedded_distance(p: ConvexPolytope, q: ConvexPolytope) -> float:
     return best
 
 
-def affine_expectation_check(f: AffineFunctional, x) -> tuple[float, float]:
-    """(f of the expectation, probability-weighted mean of f of the values).
-
-    ``x`` is a simple random element with convex polytope values; the two
-    numbers agree because the support functional is affine and continuous.
-    """
-    from .probability import expectation
-
-    lhs = f(expectation(x))
-    rhs = math.fsum(prob * f(v) for prob, v in zip(x.sample_space.probs, x.ordered))
-    return lhs, rhs
-
-
 def random_polygon(rng: random.Random, max_vertices: int = 8) -> ConvexPolytope:
     n = rng.randint(3, max_vertices)
     draw = _vector_sampler(2)

@@ -39,6 +39,10 @@ from .probability import (
 SLLN_TOL = 0.05
 ERGODIC_TOL = 1e-12
 RAW_VS_CONVEX_TOL = 0.5
+# The CLI's defaults for the traces whose library functions default to
+# ``EXACT_TOL`` or take no tolerance.
+MARTINGALE_TOL = 1e-12
+CONVEXIFY_RATE_TOL = 1.0
 
 # Trace lengths at which a running equal-weight combination is compared with
 # the same combination evaluated directly from all of its terms.

@@ -14,10 +14,12 @@ block's labels become indices into the sample space
 (``FiniteSampleSpace.positions``, which rejects a label that is no atom with
 ``prob``'s error), and derived elements are built in atom order.  A
 conditional expectation is constant on each block, so along a martingale
-trace most atoms share a value object.  The forward trace's target is K X,
-the convexified values, which the finest level must equal; the reverse
-trace's target is E X, which the coarsest level must equal.
-``expected_distance``, ``delta_p`` and the martingale guard take ``space.distance`` once per distinct pair of value objects
+trace most atoms share a value object.  ``martingale_convergence_trace``
+builds the sequence once and returns both traces: the forward one against
+K X, the convexified values, which the finest level must equal; the reverse
+one against E X, which the coarsest level must equal.
+``expected_distance``, ``delta_p`` and the martingale guard take
+``space.distance`` once per distinct pair of value objects
 (``_pair_distances``) and still sum one term per atom; when either
 element's value objects are all distinct (``distinct_values``, cached), no
 pair can repeat and the distances go atom by atom.  An element caches its
@@ -37,7 +39,7 @@ from typing import Hashable, Mapping, Optional, Sequence
 
 from .axioms import AxiomReport, CheckResult, _sample_weights, nan_max, seeded_trials
 from .core import EXACT_TOL, Point, SpaceContract, combine, convexify
-from .distributions import PROB_SUM_TOL
+from .distributions import _check_mass
 from .embedding import AffineFunctional
 
 Label = Hashable
@@ -60,9 +62,7 @@ class FiniteSampleSpace:
             raise ValueError("atom labels must be distinct")
         if not all(0.0 < p < math.inf for p in probs):
             raise ValueError("atom probabilities must be finite and strictly positive")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        _check_mass(probs)
         return FiniteSampleSpace(atoms, probs)
 
     @staticmethod
@@ -368,21 +368,24 @@ def check_ce_characterization(
     on A and is ``anchor`` off A must have the same expectation whether the
     values come from ``x`` or from ``y``; this holds for all A exactly when
     ``y`` is the conditional expectation of ``x`` given ``g``.  Values off A
-    are replaced pointwise (``anchor`` must be a convex point).
+    are replaced pointwise (``anchor`` must be a convex point).  Each
+    expectation is one ``combine`` of the cached convexified values, with
+    ``anchor`` convexified once.
     """
     _check_same_base(x, y)
     space = x.space
     omega = x.sample_space
+    k_anchor = convexify(space, anchor)
     fold = CheckResult("characterization", tolerance=tol)
     for k in range(len(g.blocks) + 1):
         for chosen in itertools.combinations(g.blocks, k):
             kept = set(omega.positions([a for block in chosen for a in block]))
-            x_on, y_on = (
-                RandomElement._of_ordered(space, omega, tuple(
-                    v if i in kept else anchor for i, v in enumerate(z.ordered)))
+            ex_on, ey_on = (
+                combine(space, [(prob, v if i in kept else k_anchor) for i, (prob, v)
+                                in enumerate(zip(omega.probs, z.ordered_convexified))])
                 for z in (x, y)
             )
-            fold.record(space.distance(expectation(x_on), expectation(y_on)), chosen)
+            fold.record(space.distance(ex_on, ey_on), chosen)
     return CharacterizationResult(fold.passed, fold.worst_violation, fold.witness)
 
 
@@ -471,10 +474,11 @@ def martingale_sequence(x: RandomElement, filt: Filtration, tol: float = EXACT_T
     return seq[::-1]
 
 
-def martingale_distances(
-    x: RandomElement, seq: Sequence[RandomElement], p: int = 1, direction: str = "forward"
-) -> list[float]:
-    """Delta_p distances along ``seq`` = (E(X | F_n))_n to its limit.
+def martingale_convergence_trace(
+    x: RandomElement, filt: Filtration, p: int = 1
+) -> tuple[list[float], list[float]]:
+    """Delta_p distances along (E(X | F_n))_n, built once by
+    ``martingale_sequence`` and its guard, as ``(forward, reverse)``.
 
     ``forward`` keeps the filtration's order, with target K X (the
     convexified values of ``x``, which the finest level must equal);
@@ -482,32 +486,12 @@ def martingale_distances(
     element E X (``x.mean``, which the coarsest level must equal when F_0 is
     trivial).
     """
-    if direction == "forward":
-        terms = seq
-        target = RandomElement._of_ordered(x.space, x.sample_space, x.ordered_convexified)
-    elif direction == "reverse":
-        terms = seq[::-1]
-        target = RandomElement._of_ordered(x.space, x.sample_space,
-                                           (x.mean,) * len(x.sample_space))
-    else:
-        raise ValueError("direction must be 'forward' or 'reverse'")
-    return [delta_p(term, target, p=p) for term in terms]
-
-
-def martingale_convergence_trace(
-    x: RandomElement,
-    filt: Filtration,
-    p: int = 1,
-    direction: str = "forward",
-) -> list[float]:
-    """Delta_p distances of E(X | F_n), from ``martingale_sequence`` and its
-    guard, to the limiting conditional expectation; see ``martingale_distances``.
-
-    The CLI calls the two halves itself, so that one sequence serves both
-    directions.  This wrapper stays as the one-call form of the trace: the
-    traced benchmark run wraps it by name, and its tests check that every
-    wrapped name still resolves."""
-    return martingale_distances(x, martingale_sequence(x, filt), p=p, direction=direction)
+    seq = martingale_sequence(x, filt)
+    omega = x.sample_space
+    limit = RandomElement._of_ordered(x.space, omega, x.ordered_convexified)
+    forward = [delta_p(term, limit, p=p) for term in seq]
+    mean = RandomElement._of_ordered(x.space, omega, (x.mean,) * len(omega))
+    return forward, [delta_p(term, mean, p=p) for term in reversed(seq)]
 
 
 # ---------------------------------------------------------------------------

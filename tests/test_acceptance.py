@@ -226,10 +226,9 @@ def test_criterion_08_martingale_16_atoms():
         assert CS1.distance(seq[-1].values[a], convexify(CS1, x.values[a])) <= 1e-12
 
     for p in (1, 2):
-        forward = martingale_convergence_trace(x, filt, p=p)
+        forward, reverse = martingale_convergence_trace(x, filt, p=p)
         assert all(a > b for a, b in zip(forward, forward[1:])), forward
         assert forward[-1] <= 1e-12
-        reverse = martingale_convergence_trace(x, filt, p=p, direction="reverse")
         assert reverse[-1] <= 1e-12
     announce(8, "martingale traces on the 16-atom dyadic filtration")
 

@@ -605,6 +605,16 @@ def test_commands_consume_fixture_files(tmp_path, monkeypatch):
     assert set(payload["details"]["checks"]) == {"jensen", "conditional_jensen"}
 
 
+def test_a_fixture_mass_that_overflows_is_bad_input(tmp_path, monkeypatch, capsys):
+    # the exact sum of 1e308 + 1e308 cannot be taken: that is the file's
+    # fault, so the run exits 2 with the mass message and no traceback
+    fixture = tmp_path / "overflow.fixture"
+    fixture.write_text("a ; 1e308 ; 1\nb ; 1e308 ; 2\n")
+    args = ["jensen", "--space", "euclidean", "--fixture-file", str(fixture)]
+    assert run_cli(args, monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr() == ("", "error: probabilities sum to nan, expected 1\n")
+
+
 def trace_length(args, monkeypatch, tmp_path):
     out = tmp_path / "trace.json"
     code = run_cli(args + ["--out", str(out)], monkeypatch=monkeypatch)

@@ -7,10 +7,6 @@ from ccspace import (
     AffineFunctional,
     ConvexPolytope,
     FinitePointSet,
-    FiniteSampleSpace,
-    RandomElement,
-    affine_expectation_check,
-    compact_sets_space,
     convex_hull,
     embed,
     embedded_distance,
@@ -134,34 +130,6 @@ def test_edge_normals_unit_and_outward():
     # a segment has one edge and both of its sides; a point has no edge
     assert edge_normals(segment) == ((0.0, -1.0), (0.0, 1.0))
     assert edge_normals(ConvexPolytope(((1.0, 2.0),))) == ()
-
-
-def test_affine_expectation_identity():
-    space = compact_sets_space(1)
-    omega = FiniteSampleSpace.of(("a", "b"), (0.5, 0.5))
-    x = RandomElement(
-        space,
-        omega,
-        {"a": ConvexPolytope.interval(0.0, 1.0), "b": ConvexPolytope.interval(2.0, 4.0)},
-    )
-    up = AffineFunctional((1.0,))
-    lhs, rhs = affine_expectation_check(up, x)
-    assert lhs == pytest.approx(2.5, abs=1e-12)
-    assert rhs == pytest.approx(2.5, abs=1e-12)
-    down = AffineFunctional((-1.0,))
-    lhs, rhs = affine_expectation_check(down, x)
-    assert lhs == pytest.approx(-1.0, abs=1e-12)
-    assert rhs == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_affine_expectation_constant_element():
-    space = compact_sets_space(2)
-    omega = FiniteSampleSpace.uniform(3)
-    x = RandomElement(space, omega, {a: SQUARE for a in omega.atoms})
-    f = AffineFunctional((0.0, 1.0))
-    lhs, rhs = affine_expectation_check(f, x)
-    assert lhs == pytest.approx(f(SQUARE), abs=1e-12)
-    assert rhs == pytest.approx(f(SQUARE), abs=1e-12)
 
 
 def test_linear_growth_bound():

@@ -46,7 +46,6 @@ from ccspace.probability import (
     expectation_identity_suite,
     conditional_suite,
     expected_distance,
-    martingale_distances,
     sample_partition,
     sample_random_element,
     sample_sample_space,
@@ -511,18 +510,18 @@ def test_martingale_trace_16_atoms_strictly_decreasing():
     x = ramp_element(E1, 16)
     filt = dyadic_filtration(x.sample_space)
     for p in (1, 2):
-        trace = martingale_convergence_trace(x, filt, p=p)
+        trace, _ = martingale_convergence_trace(x, filt, p=p)
         assert all(a > b for a, b in zip(trace, trace[1:])), trace
         assert trace[-1] <= 1e-12
     # oracle for p = 1: mean absolute deviation within dyadic blocks
-    trace1 = martingale_convergence_trace(x, filt, p=1)
+    trace1, _ = martingale_convergence_trace(x, filt, p=1)
     assert trace1 == pytest.approx([4.0, 2.0, 1.0, 0.5, 0.0], abs=1e-12)
 
 
 def test_martingale_reverse_trace_reaches_expectation():
     x = ramp_element(E1, 16)
     filt = dyadic_filtration(x.sample_space)
-    reverse = martingale_convergence_trace(x, filt, p=2, direction="reverse")
+    _, reverse = martingale_convergence_trace(x, filt, p=2)
     assert reverse[-1] <= 1e-12
     ex = expectation(x)
     ce_trivial = conditional_expectation(x, filt.partitions[0])
@@ -552,16 +551,6 @@ def test_conditional_checks_fail_on_nan_distance():
     assert not result and math.isnan(result.worst_gap) and result.witness_union is not None
     props = check_ce_properties(x, FinitePartition.trivial(x.sample_space), g)
     assert all(not c.passed for c in props.checks.values())
-
-
-def test_martingale_distances_follow_one_sequence():
-    x = ramp_element(E1, 16)
-    filt = dyadic_filtration(x.sample_space)
-    seq = martingale_sequence(x, filt)
-    for p in (1, 2):
-        for direction in ("forward", "reverse"):
-            assert probability.martingale_distances(x, seq, p, direction) == \
-                martingale_convergence_trace(x, filt, p, direction)
 
 
 SEEDED64 = pathlib.Path(__file__).parent / "golden" / "seeded64-euclidean.fixture"
@@ -612,6 +601,21 @@ def test_martingale_guard_runs_from_the_finest_level_back(monkeypatch):
     assert calls == [(True, 8), (True, 4), (False, 4)]
 
 
+def distances_per_delta_p(monkeypatch, counts):
+    """The ``counts["distance"]`` each later ``probability.delta_p`` call adds."""
+    steps = []
+    original = probability.delta_p
+
+    def counted(x, y, p=1):
+        before = counts["distance"]
+        result = original(x, y, p=p)
+        steps.append(counts["distance"] - before)
+        return result
+
+    monkeypatch.setattr(probability, "delta_p", counted)
+    return steps
+
+
 def counted_space(space):
     """``space`` with ``distance`` and ``convexify_exact`` counting their calls."""
     counts = {"distance": 0, "convexify_exact": 0}
@@ -639,23 +643,23 @@ def counted_space(space):
     ("compact-sets", "seeded512-sets.fixture"),
     ("distributions", "seeded512-distributions.fixture"),
 ])
-def test_martingale_trace_takes_each_distinct_value_once(space_name, fixture):
+def test_martingale_trace_takes_each_distinct_value_once(space_name, fixture, monkeypatch):
     # 2^k atoms with distinct values and k + 1 levels.  Level i of the
     # sequence has 2^i distinct values, so the guard convexifies
     # 2 + 4 + ... + 2^k values after x's 2^k, and compares 1 + 2 + ... +
-    # 2^(k-1) distinct pairs
+    # 2^(k-1) distinct pairs.  The forward trace then takes one distance per
+    # atom at each level against K X, and the reverse trace, from the finest
+    # level back, one per distinct value against the one-valued E X
     space, counts = counted_space(get_space(space_name))
     x = fixtures.load_fixture_file(space, space_name, str(SEEDED64.parent / fixture))
     n = len(x.sample_space)
     k = n.bit_length() - 1
     assert (n, k) in ((64, 6), (512, 9))
-    seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
-    assert counts == {"convexify_exact": 3 * n - 2, "distance": n - 1}
-    martingale_distances(x, seq, p=1, direction="forward")  # targets K X, the finest term
-    assert counts["distance"] == (n - 1) + (k + 1) * n
-    martingale_distances(x, seq, p=2, direction="reverse")  # targets the one-valued first term
-    assert counts["distance"] == (n - 1) + (k + 1) * n + (2 * n - 1) == (k + 4) * n - 2
-    assert counts["convexify_exact"] == 3 * n - 2
+    steps = distances_per_delta_p(monkeypatch, counts)
+    martingale_convergence_trace(x, dyadic_filtration(x.sample_space), p=2)
+    assert steps == [n] * (k + 1) + [2 ** i for i in range(k, -1, -1)]
+    assert counts["distance"] - sum(steps) == n - 1
+    assert counts == {"distance": (k + 4) * n - 2, "convexify_exact": 3 * n - 2}
     if n == 512:  # the figures README gives
         assert counts == {"distance": 6654, "convexify_exact": 1534}
 
@@ -706,7 +710,7 @@ def test_random_element_values_are_read_only():
     assert x.ordered_convexified is x.ordered_convexified
 
 
-def test_forward_trace_on_512_atoms_takes_one_distance_per_atom(tmp_path):
+def test_forward_trace_on_512_atoms_takes_one_distance_per_atom(tmp_path, monkeypatch):
     # the finest term has distinct value objects, so each forward delta_p
     # takes the plain per-atom loop; the guard and the reverse trace still
     # measure each distinct pair once
@@ -719,10 +723,11 @@ def test_forward_trace_on_512_atoms_takes_one_distance_per_atom(tmp_path):
     seq = martingale_sequence(x, dyadic_filtration(x.sample_space))
     assert [term.distinct_values for term in seq] == [False] * k + [True]
     assert counts["distance"] == n - 1
-    martingale_distances(x, seq, p=1, direction="forward")
-    assert counts["distance"] == (n - 1) + (k + 1) * n
-    martingale_distances(x, seq, p=2, direction="reverse")
-    assert counts["distance"] == (k + 4) * n - 2
+    steps = distances_per_delta_p(monkeypatch, counts)
+    martingale_convergence_trace(x, dyadic_filtration(x.sample_space), p=1)
+    assert steps == [n] * (k + 1) + [2 ** i for i in range(k, -1, -1)]
+    # the trace's own guard, then both traces
+    assert counts["distance"] == (n - 1) + (k + 4) * n - 2
 
 
 def test_distinct_values_and_mean_are_cached_per_element():
@@ -876,13 +881,10 @@ def test_ce_checks_match_their_label_walks(label):
                 reference_ce_characterization(x, y, fine, anchor, 0.0)
 
 
-def test_martingale_trace_rejects_bad_direction_and_p():
+def test_martingale_trace_rejects_bad_p():
     x = ramp_element(E1, 4)
-    filt = dyadic_filtration(x.sample_space)
-    with pytest.raises(ValueError):
-        martingale_convergence_trace(x, filt, p=3)
-    with pytest.raises(ValueError):
-        martingale_convergence_trace(x, filt, direction="sideways")
+    with pytest.raises(ValueError, match="p must be 1 or 2"):
+        martingale_convergence_trace(x, dyadic_filtration(x.sample_space), p=3)
 
 
 # ---------------------------------------------------------------------------
