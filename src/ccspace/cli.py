@@ -27,7 +27,7 @@ from .axioms import AxiomReport, check_axioms, check_cancellation
 from .core import convexify
 from .embedding import embedding_suite
 from .geometry import EnumerationCapError
-from .instances import SPACE_NAMES, get_space
+from .instances import POWER_EXPONENT, SPACE_NAMES, get_space
 from .limits import (
     CONVEXIFY_RATE_TOL,
     ERGODIC_TOL,
@@ -68,7 +68,7 @@ class RunConfig:
     command: str
     space: str = "euclidean"
     dim: int = 1
-    r: float = 2.0
+    r: float = POWER_EXPONENT
     seed: int = 0
     trials: int = 1000
     n_max: Optional[int] = None  # None: the command's own trace length
@@ -193,16 +193,6 @@ def _validate(cfg: RunConfig) -> None:
         for key in ("space", "dim", "r"):
             if getattr(cfg, key) != _DEFAULTS[key]:
                 raise UsageError(f"{cfg.command} takes no {_FLAGS[key][0]}")
-    if cfg.space == "power" and not 1.0 < cfg.r < math.inf:
-        raise UsageError("power space needs a finite --r greater than 1")
-    if cfg.space != "power" and cfg.r != _DEFAULTS["r"]:
-        raise UsageError("--r applies to the power space only")
-    if cfg.space == "compact-sets" and cfg.dim not in (1, 2):
-        raise UsageError("compact-sets supports --dim 1 or 2")
-    if cfg.space == "euclidean" and cfg.dim not in (1, 2, 3):
-        raise UsageError("euclidean supports --dim 1, 2, or 3")
-    if cfg.space == "distributions" and cfg.dim != 1:
-        raise UsageError("distributions supports --dim 1 only")
     if cfg.n_max is not None and cfg.n_max < 1:  # the suites reject --trials below 1
         raise UsageError("--n-max must be positive")
     if cfg.tolerance is not None and not cfg.tolerance >= 0.0:

@@ -21,8 +21,6 @@ Terms = Sequence[tuple[float, Point]]
 WEIGHT_SUM_TOL = 1e-12
 # Default check tolerance for instances with exact arithmetic.
 EXACT_TOL = 1e-9
-# Default check tolerance for instances that resample.
-INEXACT_TOL = 1e-6
 
 
 class CombinationError(ValueError):
@@ -70,9 +68,9 @@ class SpaceContract:
     ``convexify_exact`` maps a point to its convexification in closed form;
     ``sampler`` draws a random point from a bounded region for property
     testing.  Both are required.  ``unbiased`` marks instances whose
-    convexification is the identity, and ``exact`` distinguishes exact
-    arithmetic from resampling instances (which get the looser default check
-    tolerance).
+    convexification is the identity.  ``default_tolerance`` is the check
+    tolerance when a suite is given none: ``EXACT_TOL`` for exact arithmetic;
+    an instance that rounds or resamples states its own.
 
     ``distance``, ``combine_terms`` and ``convexify_exact`` must be pure: the
     same arguments give the same result, with no side effects.  The suites
@@ -87,11 +85,7 @@ class SpaceContract:
     convexify_exact: Callable[[Point], Point]
     sampler: Callable[[random.Random], Point]
     unbiased: bool = False
-    exact: bool = True
-
-    @property
-    def default_tolerance(self) -> float:
-        return EXACT_TOL if self.exact else INEXACT_TOL
+    default_tolerance: float = EXACT_TOL
 
     def sample(self, rng: random.Random) -> Point:
         return self.sampler(rng)

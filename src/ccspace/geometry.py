@@ -317,8 +317,7 @@ def _minkowski_sum_pair(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
 
 
 def _scale_polytope(w: float, p: ConvexPolytope) -> ConvexPolytope:
-    if p.dim == 1:
-        return ConvexPolytope.interval(w * p.lo, w * p.hi)
+    """``w * p`` for a polygon; ``polytope_combine`` handles intervals itself."""
     verts = [(w * v[0], w * v[1]) for v in p.vertices]
     return ConvexPolytope(_canonical_polygon(_monotone_chain(verts)))
 

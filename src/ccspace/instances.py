@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 
+from .axioms import _sample_weights
 from .core import SpaceContract, Terms
 from .distributions import DiscreteDistribution, scaled_convolution_combine, wasserstein1
 from .geometry import (
@@ -30,6 +31,7 @@ from .geometry import (
 )
 
 SPACE_NAMES = ("euclidean", "power", "compact-sets", "distributions")
+POWER_EXPONENT = 2.0  # the power space's default r
 
 _SAMPLE_RANGE = 5.0
 _SAMPLE_SIZE = 3  # most points (compact-sets) or atoms (distributions) in a sample
@@ -67,7 +69,7 @@ def euclidean_space(dim: int = 2) -> SpaceContract:
     )
 
 
-def power_space(r: float = 2.0, dim: int = 1) -> SpaceContract:
+def power_space(r: float = POWER_EXPONENT, dim: int = 1) -> SpaceContract:
     if not 1.0 < r < math.inf:
         raise ValueError("power exponent must be finite and exceed 1")
     if dim not in (1, 2, 3):
@@ -139,11 +141,7 @@ def _sample_distribution(rng: random.Random) -> DiscreteDistribution:
         a = rng.uniform(-_SAMPLE_RANGE, _SAMPLE_RANGE)
         if all(abs(a - b) > 1e-6 for b in atoms):
             atoms.append(a)
-    raw = [rng.uniform(0.1, 1.0) for _ in range(n)]
-    total = sum(raw)
-    probs = [w / total for w in raw]
-    probs[-1] = 1.0 - math.fsum(probs[:-1])
-    return DiscreteDistribution.of(atoms, probs)
+    return DiscreteDistribution.of(atoms, _sample_weights(rng, n))
 
 
 def distribution_space() -> SpaceContract:
@@ -159,20 +157,26 @@ def distribution_space() -> SpaceContract:
         convexify_exact=lambda f: DiscreteDistribution.delta(f.mean()),
         sampler=_sample_distribution,
         unbiased=False,
-        exact=False,  # laws past ATOM_CAP atoms are quantile-resampled
+        default_tolerance=1e-6,  # laws past ATOM_CAP atoms are quantile-resampled
     )
 
 
-def get_space(name: str, dim: int = 1, r: float = 2.0) -> SpaceContract:
-    if name == "euclidean":
-        return euclidean_space(dim)
+def get_space(name: str, dim: int = 1, r: float = POWER_EXPONENT) -> SpaceContract:
+    """The named instance.  Each constructor checks the ``dim`` and exponent it
+    takes; a setting the instance has no use for is rejected here."""
     if name == "power":
         return power_space(r=r, dim=dim)
+    if name not in SPACE_NAMES:
+        raise ValueError(f"unknown space {name!r}; expected one of {SPACE_NAMES}")
+    if r != POWER_EXPONENT:
+        raise ValueError(f"{name} space takes no exponent r")
+    if name == "euclidean":
+        return euclidean_space(dim)
     if name == "compact-sets":
         return compact_sets_space(dim)
-    if name == "distributions":
-        return distribution_space()
-    raise ValueError(f"unknown space {name!r}; expected one of {SPACE_NAMES}")
+    if dim != 1:
+        raise ValueError("distributions dimension must be 1")
+    return distribution_space()
 
 
 # ---------------------------------------------------------------------------

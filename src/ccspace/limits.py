@@ -21,6 +21,7 @@ from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .axioms import AxiomReport, _sample_weights, nan_max, seeded_trials
 from .core import (
     EXACT_TOL,
+    WEIGHT_SUM_TOL,
     Point,
     SpaceContract,
     combine,
@@ -338,7 +339,7 @@ def weight_perturbation_check(
     for ws in (a_weights, b_weights):
         if any(w < 0.0 or w > 1.0 for w in ws):
             raise ValueError("weights must lie in [0, 1]")
-        if abs(math.fsum(ws) - 1.0) > 1e-12:
+        if abs(math.fsum(ws) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights must sum to 1")
     return _weight_perturbation_gap(space, a_weights, b_weights, xs, u) <= tol
 

@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .axioms import AxiomReport, CheckResult, _sample_weights, nan_max, seeded_trials
 from .core import EXACT_TOL, Point, SpaceContract, combine, convexify
@@ -345,23 +345,13 @@ def conditional_expectation(x: RandomElement, g: FinitePartition) -> RandomEleme
     return RandomElement._of_ordered(space, omega, tuple(values))
 
 
-@dataclass(frozen=True)
-class CharacterizationResult:
-    equal: bool
-    worst_gap: float
-    witness_union: Optional[str]  # repr of the worst union's blocks
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
 def check_ce_characterization(
     x: RandomElement,
     y: RandomElement,
     g: FinitePartition,
     anchor: Point,
     tol: float = EXACT_TOL,
-) -> CharacterizationResult:
+) -> CheckResult:
     """Conditional expectation characterized by block-union replacements.
 
     For every union A of blocks of ``g``, the element that keeps the values
@@ -386,7 +376,7 @@ def check_ce_characterization(
                 for z in (x, y)
             )
             fold.record(space.distance(ex_on, ey_on), chosen)
-    return CharacterizationResult(fold.passed, fold.worst_violation, fold.witness)
+    return fold
 
 
 def check_ce_properties(

@@ -77,8 +77,7 @@ def all_partitions(items):
 def test_criterion_01_axiom_suite_four_instances():
     started = time.monotonic()
     for space in FOUR_INSTANCES:
-        tol = 1e-9 if space.exact else 1e-6
-        report = check_axioms(space, trials=1000, tol=tol, seed=7)
+        report = check_axioms(space, trials=1000, tol=space.default_tolerance, seed=7)
         assert report.passed, (space.name, report.failures())
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"axiom suites took {elapsed:.1f}s"
@@ -197,14 +196,14 @@ def test_criterion_07_conditional_expectation_exhaustive():
         assert all(E1.distance(pulled.values[a], ce.values[a]) <= 1e-9 for a in omega.atoms)
 
         # block-union characterization accepts the conditional expectation
-        assert check_ce_characterization(x, ce, g, anchor, tol=1e-9)
+        assert check_ce_characterization(x, ce, g, anchor, tol=1e-9).passed
         count += 1
     assert count == 4140  # Bell(8)
 
     # and rejects a wrong candidate
     wrong = RandomElement(E1, omega, {a: anchor for a in omega.atoms})
     g2 = FinitePartition.of([omega.atoms[:4], omega.atoms[4:]], omega)
-    assert not check_ce_characterization(x, wrong, g2, anchor, tol=1e-9)
+    assert not check_ce_characterization(x, wrong, g2, anchor, tol=1e-9).passed
 
     # conditional Jensen, certified functionals, zero violations
     for space in (E1, CS1):

@@ -206,11 +206,11 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
 def test_distributions_take_only_dim_one(tmp_path, monkeypatch, capsys):
     args = ["check-axioms", "--space", "distributions", "--trials", "2"]
     assert run_cli(args + ["--dim", "7"], monkeypatch=monkeypatch) == 2
-    assert capsys.readouterr() == ("", "error: distributions supports --dim 1 only\n")
+    assert capsys.readouterr() == ("", "error: distributions dimension must be 1\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("space = distributions\ndim = 2\n")
     assert run_cli(["slln", "--config", str(cfg), "--n-max", "5"], monkeypatch=monkeypatch) == 2
-    assert capsys.readouterr() == ("", "error: distributions supports --dim 1 only\n")
+    assert capsys.readouterr() == ("", "error: distributions dimension must be 1\n")
     assert run_cli(args + ["--dim", "1"], monkeypatch=monkeypatch) == 0
 
 
@@ -253,9 +253,16 @@ def test_unexpected_exception_in_the_report_writer_exits_two(tmp_path, monkeypat
     (["martingale", "--tolerance", "inf"], "--tolerance must be finite"),
     # w ** inf is 0 for every weight below 1, so every combination would be the origin
     (["check-axioms", "--space", "power", "--r", "inf", "--trials", "20"],
-     "power space needs a finite --r greater than 1"),
+     "power exponent must be finite and exceed 1"),
     (["check-axioms", "--space", "power", "--r", "nan"],
-     "power space needs a finite --r greater than 1"),
+     "power exponent must be finite and exceed 1"),
+    # each instance states its own settings; the CLI prints the library's message
+    (["check-axioms", "--space", "euclidean", "--dim", "7"], "euclidean dimension must be 1, 2, or 3"),
+    (["slln", "--space", "compact-sets", "--dim", "3"], "compact-sets dimension must be 1 or 2"),
+    (["prop55", "--space", "power", "--dim", "4"], "power dimension must be 1, 2, or 3"),
+    (["martingale", "--space", "power", "--r", "1"], "power exponent must be finite and exceed 1"),
+    (["jensen", "--space", "euclidean", "--r", "3.0"], "euclidean space takes no exponent r"),
+    (["ergodic", "--space", "distributions", "--r=-inf"], "distributions space takes no exponent r"),
 ])
 def test_meaningless_numeric_flags_are_usage_errors(args, message, monkeypatch, capsys):
     assert run_cli(args, monkeypatch=monkeypatch) == 2

@@ -48,6 +48,9 @@ CASES = [
                               "--trials", "10", "--format", "csv"], 0),
     ("slln-euclidean", ["slln", "--space", "euclidean", "--n-max", "300", "--seed", "4"], 0),
     ("slln-sets", ["slln", "--space", "compact-sets", "--n-max", "60", "--format", "csv"], 1),
+    # the default 1000 steps end 0.016 from the expectation, within SLLN_TOL
+    ("slln-sets-two-point-raw", ["slln", "--space", "compact-sets", "--fixture", "two-point-set",
+                                 "--mode", "raw_track", "--format", "csv"], 0),
     ("slln-distributions-raw", ["slln", "--space", "distributions", "--fixture", "bernoulli",
                                 "--mode", "raw_track", "--n-max", "40", "--tolerance", "0.5"], 0),
     # the running law first passes ATOM_CAP and is resampled at n = 1030 (513 atoms)

@@ -13,6 +13,7 @@ from ccspace import (
     compact_sets_space,
     convexify,
     euclidean_space,
+    get_space,
     midpoint,
     power_space,
     self_combination,
@@ -71,6 +72,23 @@ def test_power_space_rejects_an_exponent_that_is_not_finite_above_one(r):
     # combination of two or more terms would be the origin
     with pytest.raises(ValueError, match="power exponent must be finite and exceed 1"):
         power_space(r, 1)
+
+
+@pytest.mark.parametrize("name,setting,message", [
+    ("distributions", {"dim": 2}, "distributions dimension must be 1"),
+    ("distributions", {"dim": 0}, "distributions dimension must be 1"),
+    ("euclidean", {"r": 3.0}, "euclidean space takes no exponent r"),
+    ("compact-sets", {"r": math.nan}, "compact-sets space takes no exponent r"),
+    ("distributions", {"r": math.inf}, "distributions space takes no exponent r"),
+    ("euclidean", {"dim": 7}, "euclidean dimension must be 1, 2, or 3"),
+    ("compact-sets", {"dim": 3}, "compact-sets dimension must be 1 or 2"),
+    ("power", {"dim": 4}, "power dimension must be 1, 2, or 3"),
+    ("power", {"r": 0.5}, "power exponent must be finite and exceed 1"),
+    ("hilbert", {}, "unknown space 'hilbert'"),
+])
+def test_get_space_rejects_a_setting_its_instance_does_not_take(name, setting, message):
+    with pytest.raises(ValueError, match=message):
+        get_space(name, **setting)
 
 
 @pytest.mark.parametrize("space", [euclidean_space(1), euclidean_space(3), power_space(2.0, 1),

@@ -331,7 +331,7 @@ def test_ce_characterization_accepts_conditional_expectation():
     x = RandomElement(E1, omega, {a: (float(i * i),) for i, a in enumerate(omega.atoms)})
     g = FinitePartition.of([omega.atoms[:2], omega.atoms[2:]], omega)
     ce = conditional_expectation(x, g)
-    assert check_ce_characterization(x, ce, g, (0.0,))
+    assert check_ce_characterization(x, ce, g, (0.0,)).passed
 
 
 def test_ce_characterization_rejects_wrong_candidate():
@@ -340,8 +340,8 @@ def test_ce_characterization_rejects_wrong_candidate():
     g = FinitePartition.of([omega.atoms[:2], omega.atoms[2:]], omega)
     wrong = RandomElement(E1, omega, {a: (0.0,) for a in omega.atoms})
     result = check_ce_characterization(x, wrong, g, (0.0,))
-    assert not result
-    assert result.witness_union is not None
+    assert not result.passed
+    assert result.witness is not None
 
 
 def test_ce_characterization_constant_element():
@@ -349,7 +349,7 @@ def test_ce_characterization_constant_element():
     c = (2.5,)
     x = RandomElement(E1, omega, {a: c for a in omega.atoms})
     g = FinitePartition.trivial(omega)
-    assert check_ce_characterization(x, x, g, c)
+    assert check_ce_characterization(x, x, g, c).passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64])
@@ -548,7 +548,7 @@ def test_conditional_checks_fail_on_nan_distance():
     x = ramp_element(space, 4)
     g = FinitePartition.of([("w0", "w1"), ("w2", "w3")], x.sample_space)
     result = check_ce_characterization(x, conditional_expectation(x, g), g, (0.0,))
-    assert not result and math.isnan(result.worst_gap) and result.witness_union is not None
+    assert not result.passed and math.isnan(result.worst_violation) and result.witness is not None
     props = check_ce_properties(x, FinitePartition.trivial(x.sample_space), g)
     assert all(not c.passed for c in props.checks.values())
 
@@ -877,7 +877,7 @@ def test_ce_checks_match_their_label_walks(label):
         wrong = RandomElement(space, omega, dict.fromkeys(omega.atoms, x.mean))
         for y in (conditional_expectation(x, fine), wrong):
             result = check_ce_characterization(x, y, fine, anchor, tol=0.0)
-            assert (result.equal, repr(result.worst_gap), result.witness_union) == \
+            assert (result.passed, repr(result.worst_violation), result.witness) == \
                 reference_ce_characterization(x, y, fine, anchor, 0.0)
 
 
