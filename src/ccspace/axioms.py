@@ -1,20 +1,22 @@
 """Randomized checkers for the combination axioms and their derived laws.
 
-Each check verifies an exact identity or inequality on sampled inputs and
-records the worst violation; a check passes when its worst violation stays
-within the tolerance.  Failures are report entries with witnesses, never
-exceptions.
-"""
+A seeded suite is a draw and a table of ``Check`` rows, run by ``run_trials``:
+per trial, ``draw`` makes the trial's random choices and shared values (its
+case), and each row's ``measure`` returns the case's violation of an exact
+identity or inequality, then its witness parts.  A check passes when its
+worst violation stays within its tolerance.  Failures are report entries
+with witnesses, never exceptions."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, Optional
 
 from .core import (
-    Point,
     SpaceContract,
     combine,
     midpoint,
@@ -44,22 +46,26 @@ class CheckResult:
     worst_violation: float = 0.0
     witness: Optional[str] = None
     tolerance: float = 0.0
+    case: Any = field(default=None, repr=False, compare=False)
+    trial: Optional[int] = None
 
     @property
     def passed(self) -> bool:
         return self.worst_violation <= self.tolerance
 
-    def record(self, violation: float, *parts) -> None:
+    def record(self, violation: float, *parts, case: Any = None, trial: Optional[int] = None) -> None:
         """Count a trial; NaN is the worst violation and keeps its first witness.
 
         The witness is the reprs of ``parts`` joined by `` | ``, formatted only
-        when this trial becomes the failing witness.
+        when this trial becomes the failing witness.  ``case`` and ``trial``
+        are kept whenever the trial becomes the worst one.
         """
         self.trials += 1
         if math.isnan(self.worst_violation):
             return
         if violation > self.worst_violation or math.isnan(violation):
             self.worst_violation = violation
+            self.case, self.trial = case, trial
             if not violation <= self.tolerance:
                 self.witness = " | ".join(map(repr, parts))
 
@@ -109,19 +115,135 @@ def _sample_weights(rng: random.Random, k: int) -> list[float]:
     return ws
 
 
-def _sample_distinct(space: SpaceContract, rng: random.Random, other: Point) -> Point:
-    for _ in range(32):
-        candidate = space.sample(rng)
-        if space.distance(candidate, other) > _MIN_GAP:
-            return candidate
-    return candidate
+class Check(NamedTuple):
+    """A named check: ``measure(space, case)`` returns the violation on one
+    drawn case, then the witness parts; ``tolerance`` overrides the report's."""
+
+    name: str
+    measure: Callable[[SpaceContract, Any], tuple]
+    tolerance: Optional[float] = None
 
 
-def seeded_trials(trials: int, seed: int) -> Iterator[tuple[int, random.Random]]:
-    """``(t, rng)`` for each trial, each with its own stream."""
+def run_trials(space: SpaceContract, draw: Callable, table: tuple[Check, ...],
+               trials: int, tol: float | None, seed: int) -> AxiomReport:
+    """Every check of ``table`` on each trial's case, drawn from the trial's own stream."""
     if trials < 1:  # a suite with no trials would pass vacuously
         raise ValueError("trials must be at least 1")
-    return ((t, trial_rng(seed, t)) for t in range(trials))
+    report = AxiomReport.for_space(space, tol, seed)
+    for c in table:
+        tolerance = report.tolerance if c.tolerance is None else c.tolerance
+        report.checks[c.name] = CheckResult(c.name, tolerance=tolerance)
+    for t in range(trials):
+        case = draw(space, trial_rng(seed, t), t)
+        for c in table:
+            report.checks[c.name].record(*c.measure(space, case), case=case, trial=t)
+    return report
+
+
+def _draw_axioms(space: SpaceContract, rng: random.Random, trial: int) -> SimpleNamespace:
+    """The trial's random choices, in the stream order every report depends on."""
+    c = SimpleNamespace()
+    weights = _sample_weights(rng, rng.randint(2, _MAX_ARITY))
+    c.terms = [(w, space.sample(rng)) for w in weights]
+    c.permuted = c.terms[:]
+    rng.shuffle(c.permuted)
+    c.combined = combine(space, c.terms)
+    alphas, betas = _sample_weights(rng, 2), [_sample_weights(rng, 2) for _ in range(2)]
+    c.flattening = alphas, betas, [[space.sample(rng) for _ in range(2)] for _ in range(2)]
+    u = space.sample(rng)
+    for _ in range(32):  # redraw an endpoint within _MIN_GAP of the other
+        v = space.sample(rng)
+        if space.distance(v, u) > _MIN_GAP:
+            break
+    c.continuity = rng.uniform(0.15, 0.85), u, v
+    c.curvature = rng.uniform(0.05, 0.95), *(space.sample(rng) for _ in range(4))
+    c.x, c.u, c.v = (space.sample(rng) for _ in range(3))
+    c.kx, c.ku, c.kv = map(space.convexify_exact, (c.x, c.u, c.v))
+    c.ws, c.merge = _sample_weights(rng, 3), _sample_weights(rng, 3)
+    if space.unbiased:
+        c.w, c.w_weights = space.sample(rng), _sample_weights(rng, 3)
+    return c
+
+
+def _continuity(space, c):
+    # the displacement under a weight perturbation must vanish linearly in it
+    lam, u, v = c.continuity
+    base = combine(space, [(lam, u), (1.0 - lam, v)])
+    worst = 0.0
+    for step in range(_CONTINUITY_STEPS + 1):
+        delta = _CONTINUITY_DELTA0 * 4.0 ** (-step)
+        moved = combine(space, [(lam + delta, u), (1.0 - lam - delta, v)])
+        worst = nan_max(worst, space.distance(moved, base) - _CONTINUITY_LIPSCHITZ * delta)
+    return worst, lam, u, v
+
+
+def _negative_curvature(space, c):
+    # combination is jointly non-expansive
+    lam, u1, u2, v1, v2 = c.curvature
+    d = space.distance
+    lhs = d(combine(space, [(lam, u1), (1.0 - lam, u2)]), combine(space, [(lam, v1), (1.0 - lam, v2)]))
+    return lhs - (lam * d(u1, v1) + (1.0 - lam) * d(u2, v2)), *c.curvature
+
+
+def _convexification_cauchy(space, c):
+    # successive gaps along equal-weight doublings may not grow
+    iterates = [c.x]
+    for _ in range(_DOUBLINGS):
+        iterates.append(midpoint(space, iterates[-1], iterates[-1]))
+    gaps = [space.distance(a, b) for a, b in zip(iterates, iterates[1:])]
+    worst = nan_max((later - earlier for earlier, later in zip(gaps, gaps[1:])), default=0.0)
+    return worst, c.x, gaps
+
+
+def _repeated_convex_merge(space, c):
+    # a repeated convex term merges its weights; the outer term stays raw
+    # unless the instance cannot mix the two representations
+    l1, l2, l3 = c.merge
+    outer, kv = c.u, c.kv
+    try:
+        lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
+    except TypeError:
+        outer = c.ku
+        lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
+    return space.distance(lhs, combine(space, [(l1, outer), (l2 + l3, kv)])), l1, l2, l3, outer, kv
+
+
+AXIOM_CHECKS = (
+    # permuting terms leaves the value unchanged
+    Check("commutativity", lambda space, c: (
+        space.distance(c.combined, combine(space, c.permuted)), c.terms)),
+    # a nested two-level combination equals the product-weight form
+    Check("flattening", lambda space, c: (space.distance(
+        combine(space, [(a, combine(space, list(zip(b, row)))) for a, b, row in zip(*c.flattening)]),
+        combine(space, [(a * w, p) for a, b, row in zip(*c.flattening) for w, p in zip(b, row)]),
+    ), *c.flattening)),
+    Check("continuity", _continuity),
+    Check("negative_curvature", _negative_curvature),
+    Check("convexification_cauchy", _convexification_cauchy),
+    # a weight-1 term with zero-weight padding is the identity
+    Check("unit_weight_identity", lambda space, c: (
+        space.distance(combine(space, [(1.0, c.u), (0.0, c.v)]), c.u), c.u, c.v)),
+    # convex points are fixed by equal-weight self-combination
+    Check("convexification_fixed_point", lambda space, c: (nan_max(
+        space.distance(self_combination(space, c.kx, n), c.kx) for n in (2, 3, 5)), c.x, c.kx)),
+    # idempotence, both as K(K x) = K x and K([w_j, x]_j) = K x
+    Check("convexifier_idempotent", lambda space, c: (nan_max(
+        space.distance(space.convexify_exact(c.kx), c.kx),
+        space.distance(space.convexify_exact(combine(space, [(w, c.x) for w in c.ws])), c.kx),
+    ), c.x, c.ws)),
+    # K(combination) equals the combination of images
+    Check("convexifier_linear", lambda space, c: (space.distance(
+        space.convexify_exact(c.combined),
+        combine(space, [(w, space.convexify_exact(p)) for w, p in c.terms])), c.terms)),
+    Check("convexifier_nonexpansive", lambda space, c: (
+        space.distance(c.ku, c.kv) - space.distance(c.u, c.v), c.u, c.v)),
+    Check("repeated_convex_merge", _repeated_convex_merge),
+)
+# unbiased instances: self-combinations leave every point fixed
+UNBIASED_IDENTITY = Check("unbiased_identity", lambda space, c: (nan_max(
+    *(space.distance(self_combination(space, c.w, n), c.w) for n in (2, 5)),
+    space.distance(combine(space, [(wt, c.w) for wt in c.w_weights]), c.w),
+), c.w, c.w_weights))
 
 
 def check_axioms(
@@ -137,124 +259,38 @@ def check_axioms(
     operator; merging of a repeated convex term; and, on unbiased instances,
     the identity behaviour of equal-weight self-combinations.
     """
-    report = AxiomReport.for_space(space, tol, seed)
-    d = space.distance
+    table = AXIOM_CHECKS + (UNBIASED_IDENTITY,) if space.unbiased else AXIOM_CHECKS
+    return run_trials(space, _draw_axioms, table, trials, tol, seed)
 
-    for _, rng in seeded_trials(trials, seed):
-        # commutativity: permuting terms leaves the value unchanged
-        k = rng.randint(2, _MAX_ARITY)
-        weights = _sample_weights(rng, k)
-        points = [space.sample(rng) for _ in range(k)]
-        terms = list(zip(weights, points))
-        permuted = terms[:]
-        rng.shuffle(permuted)
-        combined = combine(space, terms)
-        gap = d(combined, combine(space, permuted))
-        report.check("commutativity").record(gap, terms)
 
-        # flattening: nested two-level combination equals the product-weight form
-        m, n_inner = 2, 2
-        alphas = _sample_weights(rng, m)
-        betas = [_sample_weights(rng, n_inner) for _ in range(m)]
-        grid = [[space.sample(rng) for _ in range(n_inner)] for _ in range(m)]
-        inner = [combine(space, list(zip(betas[i], grid[i]))) for i in range(m)]
-        nested = combine(space, list(zip(alphas, inner)))
-        flat = combine(
-            space,
-            [
-                (alphas[i] * betas[i][j], grid[i][j])
-                for i in range(m)
-                for j in range(n_inner)
-            ],
-        )
-        report.check("flattening").record(d(nested, flat), alphas, betas, grid)
+def _draw_cancellation(space, rng, trial, convex_points):
+    points = [space.sample(rng) for _ in range(3)]
+    x, y, z = map(space.convexify_exact, points) if convex_points else points
+    roll = rng.random()
+    lam = 0.0 if roll < 0.05 else 1.0 if roll < 0.1 else rng.uniform(0.0, 1.0)
+    lam_in = rng.uniform(0.05, 0.95)
+    u = combine(space, [(lam_in, x), (1.0 - lam_in, y)])
+    return SimpleNamespace(x=x, y=y, z=z, lam=lam, lam_in=lam_in, u=u)
 
-        # continuity: the displacement under a weight perturbation must vanish
-        # linearly with the perturbation
-        u = space.sample(rng)
-        v = _sample_distinct(space, rng, u)
-        lam = rng.uniform(0.15, 0.85)
-        base = combine(space, [(lam, u), (1.0 - lam, v)])
-        worst = 0.0
-        for step in range(_CONTINUITY_STEPS + 1):
-            delta = _CONTINUITY_DELTA0 * 4.0 ** (-step)
-            moved = combine(space, [(lam + delta, u), (1.0 - lam - delta, v)])
-            worst = nan_max(worst, d(moved, base) - _CONTINUITY_LIPSCHITZ * delta)
-        report.check("continuity").record(worst, lam, u, v)
 
-        # negative curvature: combination is jointly non-expansive
-        lam = rng.uniform(0.05, 0.95)
-        u1, u2 = space.sample(rng), space.sample(rng)
-        v1, v2 = space.sample(rng), space.sample(rng)
-        lhs = d(
-            combine(space, [(lam, u1), (1.0 - lam, u2)]),
-            combine(space, [(lam, v1), (1.0 - lam, v2)]),
-        )
-        rhs = lam * d(u1, v1) + (1.0 - lam) * d(u2, v2)
-        report.check("negative_curvature").record(lhs - rhs, lam, u1, u2, v1, v2)
+def _endpoint_ratios(space, c):
+    dxy = space.distance(c.x, c.y)
+    gap = nan_max(abs(space.distance(c.u, c.x) - (1.0 - c.lam_in) * dxy),
+                  abs(space.distance(c.u, c.y) - c.lam_in * dxy))
+    return gap, c.lam_in, c.x, c.y
 
-        # convexification iterates: successive gaps along doublings may not grow
-        x = space.sample(rng)
-        iterates = [x]
-        for _ in range(_DOUBLINGS):
-            iterates.append(midpoint(space, iterates[-1], iterates[-1]))
-        gaps = [d(a, b) for a, b in zip(iterates, iterates[1:])]
-        worst = nan_max(
-            (later - earlier for earlier, later in zip(gaps, gaps[1:])), default=0.0
-        )
-        report.check("convexification_cauchy").record(worst, x, gaps)
 
-        # unit weight: a weight-1 term with zero-weight padding is the identity
-        u, v = space.sample(rng), space.sample(rng)
-        gap = d(combine(space, [(1.0, u), (0.0, v)]), u)
-        report.check("unit_weight_identity").record(gap, u, v)
-
-        kx = space.convexify_exact(x)
-
-        # convex points are fixed by equal-weight self-combination
-        worst = nan_max(d(self_combination(space, kx, n), kx) for n in (2, 3, 5))
-        report.check("convexification_fixed_point").record(worst, x, kx)
-
-        # idempotence, both as K(K x) = K x and K([w_j, x]_j) = K x
-        gap = d(space.convexify_exact(kx), kx)
-        ws = _sample_weights(rng, 3)
-        repeated = combine(space, [(w, x) for w in ws])
-        gap = nan_max(gap, d(space.convexify_exact(repeated), kx))
-        report.check("convexifier_idempotent").record(gap, x, ws)
-
-        # linearity: K(combination) equals the combination of images
-        gap = d(
-            space.convexify_exact(combined),
-            combine(space, [(w, space.convexify_exact(p)) for w, p in terms]),
-        )
-        report.check("convexifier_linear").record(gap, terms)
-
-        # non-expansiveness
-        ku = space.convexify_exact(u)
-        kv = space.convexify_exact(v)
-        report.check("convexifier_nonexpansive").record(d(ku, kv) - d(u, v), u, v)
-
-        # a repeated convex term merges its weights; the outer term stays
-        # raw unless the instance cannot mix the two representations
-        outer = u
-        l1, l2, l3 = _sample_weights(rng, 3)
-        try:
-            lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
-        except TypeError:
-            outer = ku
-            lhs = combine(space, [(l1, outer), (l2, kv), (l3, kv)])
-        gap = d(lhs, combine(space, [(l1, outer), (l2 + l3, kv)]))
-        report.check("repeated_convex_merge").record(gap, l1, l2, l3, outer, kv)
-
-        if space.unbiased:
-            # unbiased instances: self-combinations leave every point fixed
-            w = space.sample(rng)
-            worst = nan_max(d(self_combination(space, w, n), w) for n in (2, 5))
-            ws = _sample_weights(rng, 3)
-            worst = nan_max(worst, d(combine(space, [(wt, w) for wt in ws]), w))
-            report.check("unbiased_identity").record(worst, w, ws)
-
-    return report
+CANCELLATION_CHECKS = (
+    Check("cancellation_equality", lambda space, c: (abs(space.distance(
+        combine(space, [(c.lam, c.x), (1.0 - c.lam, c.y)]),
+        combine(space, [(c.lam, c.x), (1.0 - c.lam, c.z)]),
+    ) - (1.0 - c.lam) * space.distance(c.y, c.z)), c.lam, c.x, c.y, c.z)),
+    Check("endpoint_ratios", _endpoint_ratios),
+    Check("parallelogram_transfer", lambda space, c: (abs(
+        space.distance(c.u, combine(space, [(c.lam_in, c.x), (1.0 - c.lam_in, c.z)]))
+        - space.distance(c.y, combine(space, [(c.lam_in, c.y), (1.0 - c.lam_in, c.z)]))
+    ), c.lam_in, c.x, c.y, c.z)),
+)
 
 
 def check_cancellation(
@@ -274,44 +310,5 @@ def check_cancellation(
     samples the equalities are generally false; the report then documents the
     violation rather than raising.
     """
-    report = AxiomReport.for_space(space, tol, seed)
-    d = space.distance
-
-    def pick(rng: random.Random) -> Point:
-        p = space.sample(rng)
-        return space.convexify_exact(p) if convex_points else p
-
-    for _, rng in seeded_trials(trials, seed):
-        x = pick(rng)
-        y = pick(rng)
-        z = pick(rng)
-        roll = rng.random()
-        if roll < 0.05:
-            lam = 0.0
-        elif roll < 0.1:
-            lam = 1.0
-        else:
-            lam = rng.uniform(0.0, 1.0)
-
-        lhs = d(
-            combine(space, [(lam, x), (1.0 - lam, y)]),
-            combine(space, [(lam, x), (1.0 - lam, z)]),
-        )
-        gap = abs(lhs - (1.0 - lam) * d(y, z))
-        report.check("cancellation_equality").record(gap, lam, x, y, z)
-
-        lam_in = rng.uniform(0.05, 0.95)
-        u = combine(space, [(lam_in, x), (1.0 - lam_in, y)])
-        dxy = d(x, y)
-        gap = nan_max(
-            abs(d(u, x) - (1.0 - lam_in) * dxy),
-            abs(d(u, y) - lam_in * dxy),
-        )
-        report.check("endpoint_ratios").record(gap, lam_in, x, y)
-
-        v = combine(space, [(lam_in, x), (1.0 - lam_in, z)])
-        w = combine(space, [(lam_in, y), (1.0 - lam_in, z)])
-        gap = abs(d(u, v) - d(y, w))
-        report.check("parallelogram_transfer").record(gap, lam_in, x, y, z)
-
-    return report
+    draw = functools.partial(_draw_cancellation, convex_points=convex_points)
+    return run_trials(space, draw, CANCELLATION_CHECKS, trials, tol, seed)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
-from .axioms import AxiomReport, CheckResult, seeded_trials
+from .axioms import AxiomReport, Check, run_trials
 from .core import nan_max
 from .geometry import ConvexPolytope, FinitePointSet, convex_hull, hausdorff_distance, polytope_combine
 from .instances import _vector_sampler, compact_sets_space
@@ -21,6 +22,7 @@ from .instances import _vector_sampler, compact_sets_space
 _UNIT_NORM_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 _AFFINITY_TOL = 1e-12  # the affinity check's own bound, whatever embedding_suite's tol
+_ORIGIN = ConvexPolytope(((0.0, 0.0),))
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,26 @@ def random_polygon(rng: random.Random, max_vertices: int = 8) -> ConvexPolytope:
     return convex_hull(FinitePointSet.of(pts))
 
 
+def _draw_polygons(space, rng: random.Random, trial: int) -> SimpleNamespace:
+    c = SimpleNamespace(p=random_polygon(rng), q=random_polygon(rng), lam=rng.uniform(0.05, 0.95))
+    c.mixed = polytope_combine([c.lam, 1.0 - c.lam], [c.p, c.q])
+    c.dirs = direction_set_for(c.p, c.q, c.mixed)
+    c.embedded_p = embed(c.p, c.dirs)
+    return c
+
+
+EMBEDDING_CHECKS = (
+    Check("isometry", lambda space, c: (
+        abs(embedded_distance(c.p, c.q) - hausdorff_distance(c.p, c.q)), c.p.vertices, c.q.vertices)),
+    Check("affinity", lambda space, c: (sup_norm_gap(
+        embed(c.mixed, c.dirs),
+        combine_support_vectors([c.lam, 1.0 - c.lam], [c.embedded_p, embed(c.q, c.dirs)]),
+    ), c.lam, c.p.vertices, c.q.vertices), tolerance=_AFFINITY_TOL),
+    Check("linear_growth", lambda space, c: (
+        max(abs(v) for v in c.embedded_p.values) - hausdorff_distance(c.p, _ORIGIN), c.p.vertices)),
+)
+
+
 def embedding_suite(trials: int = 1000, seed: int = 0, tol: float | None = None) -> AxiomReport:
     """Isometry, affinity, and linear growth of the support embedding.
 
@@ -194,27 +216,4 @@ def embedding_suite(trials: int = 1000, seed: int = 0, tol: float | None = None)
     Hausdorff distance to the origin.  Affinity is held to 1e-12 whatever
     ``tol`` is.
     """
-    report = AxiomReport.for_space(compact_sets_space(2), tol, seed)
-    affinity = report.checks["affinity"] = CheckResult("affinity", tolerance=_AFFINITY_TOL)
-    origin = ConvexPolytope(((0.0, 0.0),))
-    for _, rng in seeded_trials(trials, seed):
-        p = random_polygon(rng)
-        q = random_polygon(rng)
-
-        gap = abs(embedded_distance(p, q) - hausdorff_distance(p, q))
-        report.check("isometry").record(gap, p.vertices, q.vertices)
-
-        lam = rng.uniform(0.05, 0.95)
-        mixed = polytope_combine([lam, 1.0 - lam], [p, q])
-        dirs = direction_set_for(p, q, mixed)
-        embedded_p = embed(p, dirs)
-        gap = sup_norm_gap(
-            embed(mixed, dirs),
-            combine_support_vectors([lam, 1.0 - lam], [embedded_p, embed(q, dirs)]),
-        )
-        affinity.record(gap, lam, p.vertices, q.vertices)
-
-        reach = hausdorff_distance(p, origin)
-        worst = max(abs(v) for v in embedded_p.values) - reach
-        report.check("linear_growth").record(worst, p.vertices)
-    return report
+    return run_trials(compact_sets_space(2), _draw_polygons, EMBEDDING_CHECKS, trials, tol, seed)

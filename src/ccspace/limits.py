@@ -16,9 +16,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .axioms import AxiomReport, _sample_weights, nan_max, seeded_trials
+from .axioms import AxiomReport, Check, _sample_weights, nan_max, run_trials
 from .core import (
     EXACT_TOL,
     WEIGHT_SUM_TOL,
@@ -312,17 +313,12 @@ def raw_vs_convex_average_run(
     )
 
 
-def _weight_perturbation_gap(space: SpaceContract, a_weights, b_weights, xs, u) -> float:
+def _weight_perturbation(space: SpaceContract, c) -> tuple:
     """d([a_i, Kx_i], [b_i, Kx_i]) - sum |a_i - b_i| d(x_i, u); the bound holds at <= 0."""
-    kxs = [convexify(space, x) for x in xs]
-    lhs = space.distance(
-        combine(space, list(zip(a_weights, kxs))),
-        combine(space, list(zip(b_weights, kxs))),
-    )
-    rhs = math.fsum(
-        abs(a - b) * space.distance(x, u) for a, b, x in zip(a_weights, b_weights, xs)
-    )
-    return lhs - rhs
+    kxs = [convexify(space, x) for x in c.xs]
+    lhs = space.distance(combine(space, list(zip(c.a, kxs))), combine(space, list(zip(c.b, kxs))))
+    rhs = math.fsum(abs(a - b) * space.distance(x, c.u) for a, b, x in zip(c.a, c.b, c.xs))
+    return lhs - rhs, c.trial, c.a, c.b
 
 
 def weight_perturbation_check(
@@ -341,7 +337,8 @@ def weight_perturbation_check(
             raise ValueError("weights must lie in [0, 1]")
         if abs(math.fsum(ws) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights must sum to 1")
-    return _weight_perturbation_gap(space, a_weights, b_weights, xs, u) <= tol
+    case = SimpleNamespace(trial=None, a=a_weights, b=b_weights, xs=xs, u=u)
+    return _weight_perturbation(space, case)[0] <= tol
 
 
 def scaling_counterexample(scale: float = 1.0) -> CounterexampleResult:
@@ -362,21 +359,6 @@ def scaling_counterexample(scale: float = 1.0) -> CounterexampleResult:
     )
     rhs = abs(0.8 - 0.4) * space.distance(x, u) + abs(0.2 - 0.6) * space.distance(y, u)
     return CounterexampleResult(lhs, rhs, "fails" if lhs > rhs else "holds")
-
-
-def _rational_jensen_gaps(space: SpaceContract, phi, qs, xs, denom: int) -> tuple[float, float]:
-    """phi([q_i, x_i]) - sum q_i phi(x_i), and the replication gap; both hold at <= 0.
-
-    The replication gap is the distance from [q_i, x_i] to the equal-weight
-    combination of each x_i repeated q_i * denom times; it is 0.0, unchecked,
-    when denom exceeds 64.
-    """
-    mixed = combine(space, [(float(q), x) for q, x in zip(qs, xs)])
-    jensen_gap = phi(mixed) - math.fsum(float(q) * phi(x) for q, x in zip(qs, xs))
-    if denom > 64:
-        return jensen_gap, 0.0
-    replicated = [x for q, x in zip(qs, xs) for _ in range(q.numerator * (denom // q.denominator))]
-    return jensen_gap, space.distance(mixed, uniform_mix(space, replicated))
 
 
 def rational_jensen_check(
@@ -401,46 +383,69 @@ def rational_jensen_check(
         raise ValueError("rational weights must be positive")
     if len(qs) != len(xs):
         raise ValueError("weights and points must align")
-    denom = math.lcm(*(q.denominator for q in qs))
-    return all(gap <= tol for gap in _rational_jensen_gaps(space, phi, qs, xs, denom))
+    case = _rational_case(space, phi, qs, xs, math.lcm(*(q.denominator for q in qs)))
+    return all(check.measure(space, case)[0] <= tol for check in RATIONAL_JENSEN_CHECKS)
 
 
 # ---------------------------------------------------------------------------
 # seeded suites
 
 
+def _draw_perturbation(space: SpaceContract, rng: random.Random, trial: int) -> SimpleNamespace:
+    k = rng.randint(2, 4)
+    c = SimpleNamespace(trial=trial, a=_sample_weights(rng, k), b=_sample_weights(rng, k))
+    if rng.random() < 0.1 and k >= 3:
+        # exercise a zero entry: shift all mass of one coordinate
+        c.b[1] += c.b[0]
+        c.b[0] = 0.0
+    c.xs = [space.sample(rng) for _ in range(k)]
+    c.u = space.sample(rng)
+    return c
+
+
+WEIGHT_PERTURBATION_CHECKS = (Check("weight_perturbation", _weight_perturbation),)
+
+
 def weight_perturbation_suite(
     space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
 ) -> AxiomReport:
-    report = AxiomReport.for_space(space, tol, seed)
-    for t, rng in seeded_trials(trials, seed):
-        k = rng.randint(2, 4)
-        a = _sample_weights(rng, k)
-        b = _sample_weights(rng, k)
-        if rng.random() < 0.1 and k >= 3:
-            # exercise a zero entry: shift all mass of one coordinate
-            b[1] += b[0]
-            b[0] = 0.0
-        xs = [space.sample(rng) for _ in range(k)]
-        u = space.sample(rng)
-        gap = _weight_perturbation_gap(space, a, b, xs, u)
-        report.check("weight_perturbation").record(gap, t, a, b)
-    return report
+    return run_trials(space, _draw_perturbation, WEIGHT_PERTURBATION_CHECKS, trials, tol, seed)
+
+
+def _rational_case(space: SpaceContract, phi, qs, xs, m: int, trial: int | None = None):
+    """A case of the rational Jensen checks, with [q_i, x_i] combined once."""
+    mixed = combine(space, [(float(q), x) for q, x in zip(qs, xs)])
+    return SimpleNamespace(trial=trial, phi=phi, qs=qs, xs=xs, m=m, mixed=mixed)
+
+
+def _draw_rational(space: SpaceContract, rng: random.Random, trial: int) -> SimpleNamespace:
+    k = rng.randint(2, 3)
+    m = rng.choice((6, 12, 24))
+    cuts = sorted(rng.sample(range(1, m), k - 1))
+    qs = [Fraction(b - a, m) for a, b in zip([0] + cuts, cuts + [m])]
+    xs = [convexify(space, space.sample(rng)) for _ in range(k)]
+    phi = DistanceTo(space, convexify(space, space.sample(rng)))
+    return _rational_case(space, phi, qs, xs, m, trial)
+
+
+def _replication_identity(space, c):
+    # the distance from [q_i, x_i] to the equal-weight combination of each x_i
+    # repeated q_i * m times; 0.0, unchecked, when m exceeds 64
+    if c.m > 64:
+        return 0.0, c.trial, c.qs
+    replicated = [x for q, x in zip(c.qs, c.xs) for _ in range(q.numerator * (c.m // q.denominator))]
+    return space.distance(c.mixed, uniform_mix(space, replicated)), c.trial, c.qs
+
+
+RATIONAL_JENSEN_CHECKS = (
+    # phi([q_i, x_i]) - sum q_i phi(x_i); the inequality holds at <= 0
+    Check("rational_jensen", lambda space, c: (
+        c.phi(c.mixed) - math.fsum(float(q) * c.phi(x) for q, x in zip(c.qs, c.xs)), c.trial, c.qs)),
+    Check("replication_identity", _replication_identity),
+)
 
 
 def rational_jensen_suite(
     space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
 ) -> AxiomReport:
-    report = AxiomReport.for_space(space, tol, seed)
-    for t, rng in seeded_trials(trials, seed):
-        k = rng.randint(2, 3)
-        m = rng.choice((6, 12, 24))
-        cuts = sorted(rng.sample(range(1, m), k - 1))
-        counts = [b - a for a, b in zip([0] + cuts, cuts + [m])]
-        qs = [Fraction(c, m) for c in counts]
-        xs = [convexify(space, space.sample(rng)) for _ in range(k)]
-        phi = DistanceTo(space, convexify(space, space.sample(rng)))
-        jensen_gap, replication_gap = _rational_jensen_gaps(space, phi, qs, xs, m)
-        report.check("rational_jensen").record(jensen_gap, t, qs)
-        report.check("replication_identity").record(replication_gap, t, qs)
-    return report
+    return run_trials(space, _draw_rational, RATIONAL_JENSEN_CHECKS, trials, tol, seed)

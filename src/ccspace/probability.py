@@ -34,10 +34,10 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Hashable, Mapping, Sequence
 
-from .axioms import AxiomReport, CheckResult, _sample_weights, nan_max, seeded_trials
+from .axioms import AxiomReport, Check, CheckResult, _sample_weights, nan_max, run_trials
 from .core import EXACT_TOL, Point, SpaceContract, combine, convexify
 from .distributions import _check_mass
 from .embedding import AffineFunctional
@@ -540,26 +540,14 @@ def jensen_check(
     if not isinstance(phi, CERTIFIED_FUNCTIONALS):
         raise TypeError(f"functional {phi!r} is not certified midpoint-convex")
     ce = None if conditional is None else conditional_expectation(x, conditional)
-    return _jensen_rows(x, phi, conditional, ce, tol)
-
-
-def _jensen_rows(
-    x: RandomElement,
-    phi,
-    g: FinitePartition | None,
-    ce: RandomElement | None,
-    tol: float | None,
-) -> AxiomReport:
-    """The ``jensen`` row, and the ``conditional_jensen`` row when ``ce`` is
-    ``conditional_expectation(x, g)``; phi is evaluated once per atom."""
     report = AxiomReport.for_space(x.space, tol)
-    phis = [*map(phi, x.ordered)]
+    phis = [*map(phi, x.ordered)]  # phi is evaluated once per atom
     lhs = phi(x.mean)
     rhs = math.fsum(p * v for p, v in zip(x.sample_space.probs, phis))
     report.check("jensen").record(lhs - rhs, lhs, rhs)
-    if g is None:
+    if conditional is None:
         return report
-    for block, first, rhs in _block_means(x.sample_space, g, phis.__getitem__):
+    for block, first, rhs in _block_means(x.sample_space, conditional, phis.__getitem__):
         lhs = phi(ce.ordered[first])
         report.check("conditional_jensen").record(lhs - rhs, block, lhs, rhs)
     return report
@@ -600,49 +588,59 @@ def sample_partition(rng: random.Random, omega: FiniteSampleSpace, n_blocks: int
     return FinitePartition.of(blocks, omega)
 
 
+def _draw_elements(space: SpaceContract, rng: random.Random, trial: int) -> SimpleNamespace:
+    omega = sample_sample_space(rng, rng.randint(2, 5))
+    x = sample_random_element(space, omega, rng)
+    y = sample_random_element(space, omega, rng)
+    return SimpleNamespace(trial=trial, x=x, y=y, lam=rng.uniform(0.05, 0.95))
+
+
+EXPECTATION_CHECKS = (
+    Check("expectation_contraction", lambda space, c: (
+        space.distance(c.x.mean, c.y.mean) - expected_distance(c.x, c.y), c.trial)),
+    Check("expectation_mixing", lambda space, c: (space.distance(
+        expectation(mix_elements(c.lam, c.x, c.y)),
+        combine(space, [(c.lam, c.x.mean), (1.0 - c.lam, c.y.mean)])), c.trial, c.lam)),
+)
+
+
 def expectation_identity_suite(
     space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
 ) -> AxiomReport:
     """Contraction and mixing identities for the expectation operator."""
-    report = AxiomReport.for_space(space, tol, seed)
-    for t, rng in seeded_trials(trials, seed):
-        omega = sample_sample_space(rng, rng.randint(2, 5))
-        x = sample_random_element(space, omega, rng)
-        y = sample_random_element(space, omega, rng)
+    return run_trials(space, _draw_elements, EXPECTATION_CHECKS, trials, tol, seed)
 
-        gap = space.distance(x.mean, y.mean) - expected_distance(x, y)
-        report.check("expectation_contraction").record(gap, t)
 
-        lam = rng.uniform(0.05, 0.95)
-        lhs = expectation(mix_elements(lam, x, y))
-        rhs = combine(space, [(lam, x.mean), (1.0 - lam, y.mean)])
-        report.check("expectation_mixing").record(space.distance(lhs, rhs), t, lam)
-    return report
+def _draw_conditioned(space: SpaceContract, rng: random.Random, trial: int) -> SimpleNamespace:
+    omega = sample_sample_space(rng, rng.randint(4, 6))
+    g = sample_partition(rng, omega, rng.randint(2, 3))
+    x = sample_random_element(space, omega, rng)
+    y = sample_random_element(space, omega, rng)
+    phi = DistanceTo(space, convexify(space, space.sample(rng)))
+    ce_x = conditional_expectation(x, g)
+    return SimpleNamespace(trial=trial, g=g, x=x, y=y, phi=phi, ce_x=ce_x, phis=[*map(phi, x.ordered)])
+
+
+def _conditional_contraction(space, c):
+    xs, ys = c.x.ordered, c.y.ordered
+    cx, cy = c.ce_x.ordered, conditional_expectation(c.y, c.g).ordered
+    worst = nan_max(space.distance(cx[first], cy[first]) - cond_dist for _, first, cond_dist
+                    in _block_means(c.x.sample_space, c.g, lambda i: space.distance(xs[i], ys[i])))
+    return worst, c.trial, c.g.blocks
+
+
+CONDITIONAL_CHECKS = (
+    Check("conditional_contraction", _conditional_contraction),
+    Check("conditional_jensen", lambda space, c: (nan_max(
+        c.phi(c.ce_x.ordered[first]) - rhs
+        for _, first, rhs in _block_means(c.x.sample_space, c.g, c.phis.__getitem__)), c.trial)),
+    Check("jensen", lambda space, c: (c.phi(c.x.mean) - math.fsum(
+        p * v for p, v in zip(c.x.sample_space.probs, c.phis)), c.trial)),
+)
 
 
 def conditional_suite(
     space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
 ) -> AxiomReport:
     """Conditional contraction and conditional Jensen with certified functionals."""
-    report = AxiomReport.for_space(space, tol, seed)
-    for t, rng in seeded_trials(trials, seed):
-        omega = sample_sample_space(rng, rng.randint(4, 6))
-        g = sample_partition(rng, omega, rng.randint(2, 3))
-        x = sample_random_element(space, omega, rng)
-        y = sample_random_element(space, omega, rng)
-
-        ce_x = conditional_expectation(x, g)
-        ce_y = conditional_expectation(y, g)
-        xs, ys, cx, cy = x.ordered, y.ordered, ce_x.ordered, ce_y.ordered
-        worst = 0.0
-        for _, first, cond_dist in _block_means(
-            omega, g, lambda i: space.distance(xs[i], ys[i])
-        ):
-            worst = nan_max(worst, space.distance(cx[first], cy[first]) - cond_dist)
-        report.check("conditional_contraction").record(worst, t, g.blocks)
-
-        phi = DistanceTo(space, convexify(space, space.sample(rng)))
-        jensen = _jensen_rows(x, phi, g, ce_x, report.tolerance).checks
-        report.check("conditional_jensen").record(jensen["conditional_jensen"].worst_violation, t)
-        report.check("jensen").record(jensen["jensen"].worst_violation, t)
-    return report
+    return run_trials(space, _draw_conditioned, CONDITIONAL_CHECKS, trials, tol, seed)

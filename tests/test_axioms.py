@@ -16,7 +16,7 @@ from ccspace import (
 from ccspace.axioms import AxiomReport, nan_max
 from ccspace.core import trial_rng
 from ccspace.limits import rational_jensen_suite, weight_perturbation_suite
-from ccspace import embedding, probability
+from ccspace import axioms, embedding, limits, probability
 from ccspace.probability import conditional_suite, expectation_identity_suite
 from mutants import MUTANTS, _offset_mutant
 
@@ -126,24 +126,67 @@ def test_witness_is_formatted_only_for_a_failing_trial():
     assert check.witness == "'a' | (1.0,)"
 
 
-def test_check_axioms_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        check_axioms(euclidean_space(1), trials=0)
-
-
 @pytest.mark.parametrize("run", [
+    lambda: check_axioms(euclidean_space(1), trials=0),
+    lambda: check_cancellation(euclidean_space(1), trials=0),
     lambda: expectation_identity_suite(euclidean_space(1), trials=0),
     lambda: conditional_suite(euclidean_space(1), trials=0),
     lambda: weight_perturbation_suite(euclidean_space(1), trials=0),
     lambda: rational_jensen_suite(euclidean_space(1), trials=0),
     lambda: embedding_suite(trials=0),
     lambda: embedding_suite(trials=-3),
-], ids=["expectation_identity", "conditional", "weight_perturbation", "rational_jensen",
-        "embedding", "embedding_negative"])
+], ids=["axioms", "cancellation", "expectation_identity", "conditional", "weight_perturbation",
+        "rational_jensen", "embedding", "embedding_negative"])
 def test_suites_reject_fewer_than_one_trial(run):
     # an empty report would pass vacuously
     with pytest.raises(ValueError, match="trials must be at least 1"):
         run()
+
+
+def test_worst_trial_keeps_its_case_and_index():
+    check = AxiomReport(space="x", seed=0, tolerance=1.0).check("law")
+    check.record(-1.0, case="below the floor", trial=0)
+    assert check.case is None and check.trial is None
+    check.record(0.5, case="largest", trial=1)
+    check.record(0.25, case="smaller", trial=2)
+    assert (check.case, check.trial) == ("largest", 1)
+    check.record(math.nan, case="first nan", trial=3)
+    check.record(math.nan, case="second nan", trial=4)
+    assert (check.case, check.trial) == ("first nan", 3)
+
+
+# each seeded suite as (run on a space, the space it measures on, its check tables)
+SUITE_TABLES = {
+    "axioms": (check_axioms, None, (axioms.AXIOM_CHECKS, (axioms.UNBIASED_IDENTITY,))),
+    "cancellation": (check_cancellation, None, (axioms.CANCELLATION_CHECKS,)),
+    "expectation_identity": (expectation_identity_suite, None, (probability.EXPECTATION_CHECKS,)),
+    "conditional": (conditional_suite, None, (probability.CONDITIONAL_CHECKS,)),
+    "weight_perturbation": (weight_perturbation_suite, None, (limits.WEIGHT_PERTURBATION_CHECKS,)),
+    "rational_jensen": (rational_jensen_suite, None, (limits.RATIONAL_JENSEN_CHECKS,)),
+    "embedding": (lambda space, **kw: embedding_suite(**kw), compact_sets_space(2),
+                  (embedding.EMBEDDING_CHECKS,)),
+}
+
+
+@pytest.mark.parametrize("trials", [3, 20])
+@pytest.mark.parametrize("make", [m[0] for m in MUTANTS] + [lambda: euclidean_space(2)],
+                         ids=[m[0].__name__ for m in MUTANTS] + ["euclidean_d2"])
+@pytest.mark.parametrize("suite", list(SUITE_TABLES))
+def test_each_recorded_case_measures_its_worst_violation_again(suite, make, trials):
+    # at seed 1, as the battery-mutant goldens run
+    run, measured_on, tables = SUITE_TABLES[suite]
+    space = make()
+    report = run(space, trials=trials, seed=1)
+    checks = {check.name: check for table in tables for check in table}
+    for name, result in report.checks.items():
+        if not result.passed:
+            assert result.case is not None, name
+        if result.case is None:  # no violation rose above the 0.0 floor
+            assert result.worst_violation == 0.0 and result.trial is None, name
+            continue
+        assert 0 <= result.trial < trials, name
+        again = checks[name].measure(measured_on or space, result.case)[0]
+        assert repr(again) == repr(result.worst_violation), name
 
 
 @pytest.mark.parametrize(
@@ -193,33 +236,50 @@ def test_cancellation_raw_power_space_matches_closed_form():
     )
 
 
-COUNTED_FIELDS = ("combine_terms", "distance", "convexify_exact")
-# (combine_terms, distance, convexify_exact) calls of each suite at 10
-# trials, seed 4.  Each suite computes each value once per trial, so a
-# duplicate put back raises a count
+COUNTED_FIELDS = ("combine_terms", "distance", "convexify_exact", "sampler")
+# (combine_terms, distance, convexify_exact, sampler) calls of each suite at
+# 10 trials, seed 4.  Each suite draws each point and computes each value
+# once per trial, so a duplicate put back raises a count
 SUITE_CALLS = {
     "euclidean": {
-        check_axioms: (320, 320, 88),
-        check_cancellation: (46, 70, 30),
-        expectation_identity_suite: (68, 48, 84),
-        conditional_suite: (42, 154, 106),
-        weight_perturbation_suite: (20, 38, 28),
-        rational_jensen_suite: (20, 43, 33),
+        check_axioms: (320, 320, 88, 168),
+        check_cancellation: (46, 70, 30, 30),
+        expectation_identity_suite: (68, 48, 84, 56),
+        conditional_suite: (42, 154, 106, 106),
+        weight_perturbation_suite: (20, 38, 28, 38),
+        rational_jensen_suite: (20, 43, 33, 33),
     },
     "compact-sets": {
-        check_axioms: (300, 290, 88),
-        check_cancellation: (50, 70, 30),
-        expectation_identity_suite: (68, 48, 84),
-        conditional_suite: (42, 154, 106),
-        weight_perturbation_suite: (20, 38, 28),
-        rational_jensen_suite: (20, 43, 33),
+        check_axioms: (300, 290, 88, 158),
+        check_cancellation: (50, 70, 30, 30),
+        expectation_identity_suite: (68, 48, 84, 56),
+        conditional_suite: (42, 154, 106, 106),
+        weight_perturbation_suite: (20, 38, 28, 38),
+        rational_jensen_suite: (20, 43, 33, 33),
+    },
+    "power": {
+        check_axioms: (290, 290, 88, 158),
+        check_cancellation: (50, 70, 30, 30),
+        expectation_identity_suite: (68, 48, 84, 56),
+        conditional_suite: (42, 154, 106, 106),
+        weight_perturbation_suite: (20, 38, 28, 38),
+        rational_jensen_suite: (20, 43, 33, 33),
+    },
+    "distributions": {
+        check_axioms: (290, 290, 88, 158),
+        check_cancellation: (50, 70, 30, 30),
+        expectation_identity_suite: (68, 48, 84, 56),
+        conditional_suite: (42, 154, 106, 106),
+        weight_perturbation_suite: (20, 38, 28, 38),
+        rational_jensen_suite: (20, 43, 33, 33),
     },
 }
+# the constructor arguments of each counted space: d=2, and power r=2 d=1
+SPACE_ARGS = {"euclidean": (2,), "compact-sets": (2,), "power": (2.0, 1), "distributions": ()}
 
 
 def counted_contract(space):
-    """``space`` with ``combine_terms``, ``distance`` and ``convexify_exact``
-    counting their calls."""
+    """``space`` with each field of ``COUNTED_FIELDS`` counting its calls."""
     counts = dict.fromkeys(COUNTED_FIELDS, 0)
 
     def counted(name):
@@ -234,13 +294,14 @@ def counted_contract(space):
     return dataclasses.replace(space, **{name: counted(name) for name in COUNTED_FIELDS}), counts
 
 
-@pytest.mark.parametrize("name, make", [("euclidean", euclidean_space), ("compact-sets", compact_sets_space)])
+@pytest.mark.parametrize("name, make", [("euclidean", euclidean_space), ("compact-sets", compact_sets_space),
+                                        ("power", power_space), ("distributions", distribution_space)])
 def test_each_suite_computes_each_value_once(name, make, monkeypatch):
     expectations = []
     expectation = probability.expectation
     monkeypatch.setattr(probability, "expectation", lambda x: expectations.append(x) or expectation(x))
     for suite, want in SUITE_CALLS[name].items():
-        space, counts = counted_contract(make(2))
+        space, counts = counted_contract(make(*SPACE_ARGS[name]))
         expectations.clear()
         suite(space, trials=10, seed=4)
         assert tuple(counts[name] for name in COUNTED_FIELDS) == want, suite.__name__

@@ -28,7 +28,7 @@ from mutants import MUTANTS
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # (case name, argv, exit code); every command, both formats, --config,
-# --raw-points and --fixture-file, at 40 trials or fewer
+# --raw-points and --fixture-file, at 40 trials or fewer except battery-200
 CASES = [
     ("axioms-euclidean-d2", ["check-axioms", "--space", "euclidean", "--dim", "2",
                              "--trials", "30", "--seed", "7"], 0),
@@ -114,6 +114,9 @@ CASES = [
     ("prop55-euclidean-default", ["prop55", "--space", "euclidean", "--format", "csv"], 0),
     ("battery-csv", ["battery", "--trials", "20", "--seed", "7", "--format", "csv"], 0),
     ("battery", ["battery", "--trials", "5", "--seed", "3"], 0),
+    # sha256 740ba86a16e358398bb8931760ad6542c8942c26b2db90a782ee552c032d8680,
+    # the digest quoted for a byte-identical battery
+    ("battery-200", ["battery", "--trials", "200", "--seed", "7"], 0),
     # longer traces, at the seeds and lengths of the limit experiments
     ("slln_euclidean_bernoulli", ["slln", "--space", "euclidean", "--fixture", "bernoulli",
                                   "--n-max", "50", "--seed", "7", "--format", "csv"], 1),

@@ -39,7 +39,8 @@ from ccspace import (
 )
 from ccspace import cli, fixtures, get_space, probability
 from ccspace.embedding import combine_support_vectors, direction_set_for, sup_norm_gap
-from ccspace.axioms import AxiomReport, CheckResult, nan_max, seeded_trials
+from ccspace.axioms import AxiomReport, CheckResult, nan_max
+from ccspace.core import trial_rng
 from ccspace.probability import (
     Filtration,
     FinitePartition,
@@ -760,7 +761,8 @@ def reference_conditional_suite(space, trials, seed):
     """``conditional_suite`` with every value computed where it is used, from
     ``conditional_expectation``, ``expectation`` and phi."""
     report = AxiomReport.for_space(space, None, seed)
-    for t, rng in seeded_trials(trials, seed):
+    for t in range(trials):
+        rng = trial_rng(seed, t)
         omega = sample_sample_space(rng, rng.randint(4, 6))
         g = sample_partition(rng, omega, rng.randint(2, 3))
         x = sample_random_element(space, omega, rng)
