@@ -6,6 +6,9 @@ enumeration with duplicate merging.  The metric is the Wasserstein-1
 distance, integrated exactly from the merged CDF breakpoints.  Large operands
 take numpy array kernels that make the same floating-point operations in the
 same order as the loops, so both paths give bit-identical laws and distances.
+numpy is imported inside the kernels and the array properties, when one
+first runs: importing this module, and every law and distance that stays on
+the loops, does not load it.
 
 A law keeps its atoms and probabilities as tuples; the kernels read them as
 read-only float64 arrays that the law converts once and caches
@@ -47,9 +50,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ATOM_MERGE_RESOLUTION = 1e-12
 PROB_SUM_TOL = 1e-12
@@ -144,6 +148,8 @@ class DiscreteDistribution:
     def cdf_array(self) -> np.ndarray:
         """``cdf_array[k]`` is the running sum of the first k probabilities,
         added left to right (``np.cumsum`` is sequential); ``cdf_array[0]`` is 0."""
+        import numpy as np
+
         cdf = np.empty(len(self) + 1)
         cdf[0] = 0.0
         np.cumsum(self.probs_array, out=cdf[1:])
@@ -176,6 +182,8 @@ class _ArrayLaw(DiscreteDistribution):
 
 
 def _as_array(values: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     # with a count, np.fromiter converts a tuple of floats faster than np.asarray
     return np.fromiter(values, dtype=float, count=len(values))
 
@@ -232,6 +240,8 @@ def quantile_resample(f: DiscreteDistribution, m: int) -> DiscreteDistribution:
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
+    import numpy as np
+
     cum = f.cdf_array[1:]  # the running sums of quantile()
     keys = (np.arange(m) + 0.5) / m - 1e-15
     picks = np.minimum(np.searchsorted(cum, keys, "left"), len(cum) - 1)
@@ -315,7 +325,6 @@ def _dirac_step(atom: float, prob: float, w: float,
     return atom, prob
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
                         f: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     """The product step of the law ``(atoms, probs)`` with ``f`` as array
@@ -331,64 +340,67 @@ def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
     increasing, more than the resolution apart, with positive probabilities,
     they are the law as they are, unsorted.
     """
-    w = float(w)
-    one_atom = len(f) == 1 or len(atoms) == 1
-    if len(f) == 1:
-        atoms = atoms + w * f.atoms[0]
-        probs = probs * f.probs[0]
-    elif len(atoms) == 1:
-        atoms = float(atoms[0]) + w * f.atoms_array
-        probs = float(probs[0]) * f.probs_array
-    else:
-        atoms = (atoms[:, None] + w * f.atoms_array).ravel()
-        probs = np.multiply.outer(probs, f.probs_array).ravel()
-    low = probs.min()
-    _check_mass_array(probs, low)
-    if not (low >= 0.0 and np.isfinite(atoms).all()):
-        raise ValueError(_BAD_ATOM)
-    if one_atom and low > 0.0:
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = float(w)
+        one_atom = len(f) == 1 or len(atoms) == 1
+        if len(f) == 1:
+            atoms = atoms + w * f.atoms[0]
+            probs = probs * f.probs[0]
+        elif len(atoms) == 1:
+            atoms = float(atoms[0]) + w * f.atoms_array
+            probs = float(probs[0]) * f.probs_array
+        else:
+            atoms = (atoms[:, None] + w * f.atoms_array).ravel()
+            probs = np.multiply.outer(probs, f.probs_array).ravel()
+        low = probs.min()
+        _check_mass_array(probs, low)
+        if not (low >= 0.0 and np.isfinite(atoms).all()):
+            raise ValueError(_BAD_ATOM)
+        if one_atom and low > 0.0:
+            gaps = atoms[1:] - atoms[:-1]
+            if gaps.min(initial=math.inf) > ATOM_MERGE_RESOLUTION:
+                return atoms, probs
+        order = np.argsort(atoms, kind="stable")
+        if low == 0.0:  # products that underflowed to 0 drop out
+            order = order[probs[order] != 0.0]
+        atoms = atoms[order]
+        probs = probs[order]
+        n = len(atoms)
         gaps = atoms[1:] - atoms[:-1]
         if gaps.min(initial=math.inf) > ATOM_MERGE_RESOLUTION:
             return atoms, probs
-    order = np.argsort(atoms, kind="stable")
-    if low == 0.0:  # products that underflowed to 0 drop out
-        order = order[probs[order] != 0.0]
-    atoms = atoms[order]
-    probs = probs[order]
-    n = len(atoms)
-    gaps = atoms[1:] - atoms[:-1]
-    if gaps.min(initial=math.inf) > ATOM_MERGE_RESOLUTION:
-        return atoms, probs
-    # a gap above the resolution always starts a group; inside a run of
-    # smaller gaps whose span exceeds the resolution, the loop's rule
-    # (distance to the group's first atom) decides atom by atom
-    first = np.empty(n + 1, dtype=bool)
-    first[0] = first[n] = True
-    np.greater(gaps, ATOM_MERGE_RESOLUTION, out=first[1:n])
-    bounds = np.flatnonzero(first)
-    sizes = bounds[1:] - bounds[:-1]
-    longest = int(sizes.max())
-    if longest > 2:  # a run of two spans one gap, which is within the resolution
-        runs = bounds[:-1]
-        wide = atoms[bounds[1:] - 1] - atoms[runs] > ATOM_MERGE_RESOLUTION
-        for lo, hi in zip(runs[wide].tolist(), bounds[1:][wide].tolist()):
-            head = atoms[lo]
-            for i in range(lo + 1, hi):
-                if atoms[i] - head > ATOM_MERGE_RESOLUTION:
-                    first[i] = True
-                    head = atoms[i]
+        # a gap above the resolution always starts a group; inside a run of
+        # smaller gaps whose span exceeds the resolution, the loop's rule
+        # (distance to the group's first atom) decides atom by atom
+        first = np.empty(n + 1, dtype=bool)
+        first[0] = first[n] = True
+        np.greater(gaps, ATOM_MERGE_RESOLUTION, out=first[1:n])
         bounds = np.flatnonzero(first)
         sizes = bounds[1:] - bounds[:-1]
         longest = int(sizes.max())
-    starts = bounds[:-1]
-    merged = probs[starts]
-    # group g's sum is probs[starts[g]] + probs[starts[g] + 1] + ..., added
-    # one member at a time across all groups still that long
-    live = np.arange(len(starts))
-    for j in range(1, longest):
-        live = live[sizes[live] > j]
-        merged[live] += probs[starts[live] + j]
-    return atoms[starts], merged
+        if longest > 2:  # a run of two spans one gap, which is within the resolution
+            runs = bounds[:-1]
+            wide = atoms[bounds[1:] - 1] - atoms[runs] > ATOM_MERGE_RESOLUTION
+            for lo, hi in zip(runs[wide].tolist(), bounds[1:][wide].tolist()):
+                head = atoms[lo]
+                for i in range(lo + 1, hi):
+                    if atoms[i] - head > ATOM_MERGE_RESOLUTION:
+                        first[i] = True
+                        head = atoms[i]
+            bounds = np.flatnonzero(first)
+            sizes = bounds[1:] - bounds[:-1]
+            longest = int(sizes.max())
+        starts = bounds[:-1]
+        merged = probs[starts]
+        # group g's sum is probs[starts[g]] + probs[starts[g] + 1] + ..., added
+        # one member at a time across all groups still that long
+        live = np.arange(len(starts))
+        for j in range(1, longest):
+            live = live[sizes[live] > j]
+            merged[live] += probs[starts[live] + j]
+        return atoms[starts], merged
 
 
 def wasserstein1(f: DiscreteDistribution, g: DiscreteDistribution) -> float:
@@ -428,6 +440,8 @@ def _wasserstein1_array(f: DiscreteDistribution, g: DiscreteDistribution) -> flo
     """The loop of ``wasserstein1`` as array operations, bit for bit: the CDF
     at each breakpoint is the same running sum (``np.cumsum`` is sequential),
     and the terms are added left to right."""
+    import numpy as np
+
     fa = f.atoms_array
     ga = g.atoms_array
     breaks = np.sort(np.concatenate((fa, ga)))
@@ -446,6 +460,8 @@ def _wasserstein1_to_atom(f: DiscreteDistribution, g: DiscreteDistribution) -> f
     on.  When t is one of f's atoms it is kept as a second breakpoint, whose
     interval adds a zero term.  A NaN atom makes a NaN width, so the distance
     is NaN."""
+    import numpy as np
+
     atoms = f.atoms_array
     cdf = f.cdf_array
     k = int(atoms.searchsorted(g.atoms[0]))

@@ -5,6 +5,11 @@ compact sets sampled at desk scale, and ``ConvexPolytope`` (interval / convex
 polygon) for convex points of the hyperspace.  Minkowski combinations are
 exact in both representations, and the Hausdorff distance is computed exactly
 for every pairing of the two, including point-set versus polytope.
+
+Small operands run on plain-float loops.  numpy is imported by the first
+array kernel that runs (the blocked Hausdorff distance of two point sets at
+``_HAUSDORFF_LOOP_PAIRS`` pairs or more, the covering radius of a polygon,
+``.arr``), not by importing this module.
 """
 
 from __future__ import annotations
@@ -15,11 +20,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core import nan_max
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Points closer than this (per coordinate) are considered duplicates.
 DEDUP_RESOLUTION = 1e-12
@@ -112,6 +118,8 @@ class FinitePointSet:
 
     @cached_property
     def arr(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.points, dtype=float)
 
 
@@ -156,6 +164,8 @@ class ConvexPolytope:
 
     @cached_property
     def arr(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.vertices, dtype=float)
 
     @cached_property
@@ -167,13 +177,28 @@ class ConvexPolytope:
             return tuple(zip(verts, verts[1:]))
         return tuple(zip(verts, verts[1:] + verts[:1]))
 
+    @cached_property
+    def edge_spans(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """``(ax, ay, dx, dy, dx*dx + dy*dy)`` of each polygon edge ``(a, b)``
+        in ``edges``, with ``(dx, dy) = b - a``; d=2 only."""
+        spans = []
+        for (ax, ay), (bx, by) in self.edges:
+            dx, dy = bx - ax, by - ay
+            spans.append((ax, ay, dx, dy, dx * dx + dy * dy))
+        return tuple(spans)
+
 
 def _cross(o: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _monotone_chain(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Counterclockwise hull, strictly convex (collinear vertices dropped)."""
+    """Counterclockwise hull, strictly convex (collinear vertices dropped).
+
+    The hull starts at the lexicographic minimum of ``points``, as a canonical
+    ``ConvexPolytope`` does: ``lower[0]`` is the first sorted point and is
+    never popped.  (Tuples with a NaN coordinate have no minimum to start at.)
+    """
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -190,13 +215,6 @@ def _monotone_chain(points: Sequence[tuple[float, float]]) -> list[tuple[float, 
     return lower[:-1] + upper[:-1]
 
 
-def _canonical_polygon(verts: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    if len(verts) <= 2:
-        return tuple(verts)
-    start = min(range(len(verts)), key=lambda i: verts[i])
-    return tuple(verts[start:] + verts[:start])
-
-
 def convex_hull(a: FinitePointSet) -> ConvexPolytope:
     """Smallest convex set containing ``a``: [min, max] in d=1, planar hull in d=2."""
     if a.dim == 1:
@@ -204,8 +222,7 @@ def convex_hull(a: FinitePointSet) -> ConvexPolytope:
         return ConvexPolytope.interval(min(values), max(values))
     if a.dim != 2:
         raise ValueError("convex hull supports d in {1, 2}")
-    hull = _monotone_chain([(p[0], p[1]) for p in a.points])
-    return ConvexPolytope(_canonical_polygon(hull))
+    return ConvexPolytope(tuple(_monotone_chain([(p[0], p[1]) for p in a.points])))
 
 
 def _scaled(w: float, points: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]]:
@@ -283,10 +300,13 @@ def _lowest(verts: Sequence[tuple[float, float]]) -> tuple[float, float]:
 
 
 def _edge_vectors(p: ConvexPolytope) -> list[tuple[float, float, float]]:
-    """(angle, dx, dy) of the boundary edges, angle on [0, 2pi), in edge order.
+    """(angle, dx, dy) of the boundary edges, angle on [0, 2pi], in edge order.
 
     A point contributes no edges; a segment contributes its two opposite
-    traversal directions.
+    traversal directions.  An edge that goes down (``dy < 0``) is at
+    ``atan2(dy, dx) + 2pi``, so a negative subnormal ``dy`` is at 2pi, not at
+    the ``-0.0`` that ``atan2`` gives it; every other edge is at
+    ``atan2(dy, dx) % 2pi``.
     """
     walk = p.edges
     if len(walk) == 1:
@@ -295,7 +315,8 @@ def _edge_vectors(p: ConvexPolytope) -> list[tuple[float, float, float]]:
     out = []
     for a, b in walk:
         dx, dy = b[0] - a[0], b[1] - a[1]
-        out.append((math.atan2(dy, dx) % (2.0 * math.pi), dx, dy))
+        angle = math.atan2(dy, dx)
+        out.append((angle + 2.0 * math.pi if dy < 0.0 else angle % (2.0 * math.pi), dx, dy))
     return out
 
 
@@ -312,14 +333,13 @@ def _minkowski_sum_pair(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
         y += dy
         pts.append((x, y))
     # Final hull pass removes collinear chains from merged parallel edges.
-    hull = _monotone_chain(pts)
-    return ConvexPolytope(_canonical_polygon(hull))
+    return ConvexPolytope(tuple(_monotone_chain(pts)))
 
 
 def _scale_polytope(w: float, p: ConvexPolytope) -> ConvexPolytope:
     """``w * p`` for a polygon; ``polytope_combine`` handles intervals itself."""
     verts = [(w * v[0], w * v[1]) for v in p.vertices]
-    return ConvexPolytope(_canonical_polygon(_monotone_chain(verts)))
+    return ConvexPolytope(tuple(_monotone_chain(verts)))
 
 
 def polytope_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) -> ConvexPolytope:
@@ -348,29 +368,12 @@ def polytope_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) 
 _point_dist = math.dist
 
 
-def _point_segment_distance(p: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    denom = dx * dx + dy * dy
-    if denom == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / denom
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def _polygon_contains(poly: ConvexPolytope, p: Sequence[float]) -> bool:
-    """Whether ``p`` is in the polygon: on no edge's right.  Below three
-    vertices nothing is inside, and a NaN cross product reads as inside."""
-    return len(poly.vertices) >= 3 and not any(_cross(a, b, p) < 0.0 for a, b in poly.edges)
-
-
 def _polygon_contains_all(poly: ConvexPolytope, pts: np.ndarray) -> np.ndarray:
-    """``_polygon_contains`` on each row of ``pts``: every point against every
-    edge at once, with the cross product evaluated in ``_cross``'s operation
-    order."""
+    """Whether each row of ``pts`` is in the polygon, by ``point_to_polytope``'s
+    containment test: every point against every edge at once, with the cross
+    product evaluated in ``_cross``'s operation order."""
+    import numpy as np
+
     if len(poly.vertices) < 3 or len(pts) == 0:
         return np.zeros(len(pts), dtype=bool)
     o = poly.arr
@@ -380,14 +383,38 @@ def _polygon_contains_all(poly: ConvexPolytope, pts: np.ndarray) -> np.ndarray:
 
 
 def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
+    """Distance from ``p`` to ``poly``.
+
+    For a polygon or segment, one loop over ``edge_spans`` makes both the
+    containment test and the least distance to an edge.  ``p`` is inside
+    when the polygon has three vertices or more and ``p`` is on no edge's
+    right (``_cross(a, b, p) < 0``); a NaN cross product reads as inside.
+    Each edge's distance projects ``p`` onto the segment and clamps the
+    parameter as ``min(1.0, max(0.0, t))`` does, and the least distance is
+    taken as ``min`` takes it, so a NaN first distance is the result.
+    """
     if poly.dim == 1:
         x = p[0]
         return max(poly.lo - x, x - poly.hi, 0.0)
     if len(poly.vertices) == 1:
         return _point_dist(p, poly.vertices[0])
-    if _polygon_contains(poly, p):
-        return 0.0
-    return min(_point_segment_distance(p, a, b) for a, b in poly.edges)
+    px, py = p
+    outside = len(poly.vertices) < 3
+    best = None
+    for ax, ay, dx, dy, denom in poly.edge_spans:
+        ux, uy = px - ax, py - ay
+        if dx * uy - dy * ux < 0.0:
+            outside = True
+        if denom == 0.0:
+            d = math.hypot(ux, uy)
+        else:
+            t = (ux * dx + uy * dy) / denom
+            t = t if t > 0.0 else 0.0
+            t = t if t < 1.0 else 1.0
+            d = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        if best is None or d < best:
+            best = d
+    return best if outside else 0.0
 
 
 def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
@@ -401,6 +428,8 @@ def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
     """
     if len(a) * len(b) < _HAUSDORFF_LOOP_PAIRS:
         return _hausdorff_sets_loop(a.points, b.points)
+    import numpy as np
+
     blocks = _squared_distance_blocks(a.arr, b.arr)
     d2 = next(blocks)
     worst = d2.min(axis=1).max()
@@ -472,6 +501,8 @@ def _squared_distance_blocks(pa: np.ndarray, pb: np.ndarray) -> Iterator[np.ndar
 def _squared_distances(pa: np.ndarray, pb: np.ndarray, d2: np.ndarray | None = None,
                        dy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """The block of ``pa`` against ``pb``, in ``d2`` (and ``dy`` in d=2) when given."""
+    import numpy as np
+
     d2 = np.subtract(pa[:, 0:1], pb[:, 0], out=d2)
     d2 *= d2
     if pb.shape[1] == 2:
@@ -529,6 +560,8 @@ def _bisector_edge_hits(
 
 def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Circumcenters of the site triples in the rows of ``idx`` (collinear ones dropped)."""
+    import numpy as np
+
     if len(idx) == 0:
         return np.empty((0, 2))
     a, b, c = sites[idx[:, 0]], sites[idx[:, 1]], sites[idx[:, 2]]
@@ -550,6 +583,8 @@ def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray) -> float:
     Since sqrt is monotone, the result is the root of the largest least
     squared distance, the same value as from the matrix of distances.
     """
+    import numpy as np
+
     worst = [d2.min(axis=1).max() for d2 in _squared_distance_blocks(cands, sites)]
     return float(np.sqrt(np.max(worst)))
 
@@ -682,6 +717,8 @@ def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet)
     """
     if poly.dim == 1:
         return _interval_to_sites_1d(poly.lo, poly.hi, [p[0] for p in sites_set.points])
+    import numpy as np
+
     sites = sites_set.arr
     cands = [np.asarray(poly.vertices, dtype=float)]
     if len(sites) >= 2 and len(poly.vertices) >= 2:

@@ -5,9 +5,11 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import ccspace
 from ccspace import cli, compact_sets_space, get_space, probability
 from ccspace.cli import main
 from ccspace.fixtures import load_fixture_file, parse_fixture_lines
@@ -275,6 +277,51 @@ def test_unknown_command_exits_two():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's ccspace."""
+    src = str(Path(ccspace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+
+
+# commands whose spaces and sizes run on the plain-float loops only
+NUMPY_FREE_RUN = """
+import sys
+import ccspace.cli
+assert "numpy" not in sys.modules
+for argv in (["check-axioms", "--space", "euclidean", "--dim", "2", "--trials", "25"],
+             ["slln", "--space", "euclidean"],
+             ["martingale", "--space", "distributions"]):
+    assert ccspace.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_light_commands_never_import_numpy(tmp_path):
+    proc = run_fresh(NUMPY_FREE_RUN, str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+
+
+KERNEL_RUN = """
+import sys
+import ccspace.cli
+assert "numpy" not in sys.modules
+assert ccspace.cli.main(sys.argv[2:] + ["--out", sys.argv[1]]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    # the product-step and Wasserstein-1 kernels of the distributions module
+    ["convexify-rate", "--space", "distributions"],
+    # the covering radius of a polygon
+    ["convexify-rate", "--space", "compact-sets", "--dim", "2", "--n-max", "5"],
+], ids=["distributions", "compact-sets"])
+def test_array_kernels_import_numpy_when_they_run(argv, tmp_path):
+    proc = run_fresh(KERNEL_RUN, str(tmp_path / "report.json"), *argv)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_env_var_sets_default_seed(tmp_path, monkeypatch):

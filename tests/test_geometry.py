@@ -37,8 +37,6 @@ from ccspace.geometry import (
     _hausdorff_sets,
     _minkowski_sum_pair,
     _point_dist,
-    _point_segment_distance,
-    _polygon_contains,
     _polygon_contains_all,
     point_to_polytope,
 )
@@ -370,6 +368,19 @@ def test_pairwise_sum_oracle(p_pts, q_pts):
     assert len(got.vertices) <= len(p.vertices) + len(q.vertices)
 
 
+@pytest.mark.parametrize("ends", [
+    ((0.0, 5e-324), (2.0, 0.0)),
+    ((0.0, -5e-324), (-2.0, 0.0)),  # the first segment reflected through the origin
+], ids=["subnormal-rise", "subnormal-drop"])
+def test_edge_going_down_by_a_subnormal_is_walked_last(ends):
+    # atan2 of a negative subnormal dy over a positive dx is -0.0; walked at
+    # angle 0 instead of 2pi, that edge led the sum 2.0 away from the segment
+    origin = ConvexPolytope(((0.0, 0.0),))
+    segment = convex_hull(FinitePointSet.of(ends))
+    assert _minkowski_sum_pair(origin, segment).vertices == segment.vertices
+    assert _minkowski_sum_pair(segment, origin).vertices == segment.vertices
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.lists(point2, min_size=1, max_size=4), min_size=2, max_size=3),
@@ -414,6 +425,28 @@ def test_hausdorff_rejects_dim_mismatch():
         hausdorff_distance(FinitePointSet.of([(0.0,)]), FinitePointSet.of([(0.0, 0.0)]))
 
 
+def reference_polygon_contains(poly, p):
+    """Oracle: the containment test of ``point_to_polytope`` before its one
+    edge loop.  Below three vertices nothing is inside, and a NaN cross
+    product reads as inside."""
+    return len(poly.vertices) >= 3 and not any(_cross(a, b, p) < 0.0 for a, b in poly.edges)
+
+
+def reference_point_segment_distance(p, a, b):
+    """Oracle: the distance from ``p`` to segment ``ab`` before
+    ``point_to_polytope`` read ``ConvexPolytope.edge_spans``."""
+    ax, ay = a
+    bx, by = b
+    px, py = p
+    dx, dy = bx - ax, by - ay
+    denom = dx * dx + dy * dy
+    if denom == 0.0:
+        return math.hypot(px - ax, py - ay)
+    t = ((px - ax) * dx + (py - ay) * dy) / denom
+    t = min(1.0, max(0.0, t))
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
 def test_contains_all_matches_polygon_contains():
     rng = random.Random(5)
     for _ in range(10):
@@ -427,7 +460,9 @@ def test_contains_all_matches_polygon_contains():
         pts = np.array(
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(300)] + list(verts) + on_edges
         )
-        assert _polygon_contains_all(poly, pts).tolist() == [_polygon_contains(poly, p) for p in pts]
+        assert _polygon_contains_all(poly, pts).tolist() == [
+            reference_polygon_contains(poly, p) for p in pts
+        ]
     segment = ConvexPolytope(((0.0, 0.0), (1.0, 1.0)))
     assert not _polygon_contains_all(segment, np.array([(0.5, 0.5)])).any()
 
@@ -451,16 +486,18 @@ def reference_point_to_polytope(p, poly):
     if len(verts) == 1:
         return _point_dist(p, verts[0])
     if len(verts) == 2:
-        return _point_segment_distance(p, verts[0], verts[1])
+        return reference_point_segment_distance(p, verts[0], verts[1])
     n = len(verts)
     if not any(_cross(verts[i], verts[(i + 1) % n], p) < 0.0 for i in range(n)):
         return 0.0
-    return min(_point_segment_distance(p, verts[i], verts[(i + 1) % n]) for i in range(n))
+    return min(reference_point_segment_distance(p, verts[i], verts[(i + 1) % n]) for i in range(n))
 
 
 def reference_edge_vectors(verts):
     """Oracle: ``_edge_vectors`` before it read ``ConvexPolytope.edges``,
-    walking from the bottom-most vertex with its own segment case."""
+    walking from the bottom-most vertex with its own segment case.  An edge
+    going down (dy < 0) is at atan2 + 2pi, so a negative subnormal dy is not
+    at angle 0."""
     if len(verts) == 1:
         return []
     start = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
@@ -472,7 +509,8 @@ def reference_edge_vectors(verts):
         n = len(ordered)
         pairs = [(ordered[(i + 1) % n][0] - ordered[i][0], ordered[(i + 1) % n][1] - ordered[i][1])
                  for i in range(n)]
-    return [(math.atan2(dy, dx) % (2.0 * math.pi), dx, dy) for dx, dy in pairs]
+    return [(math.atan2(dy, dx) + 2.0 * math.pi if dy < 0.0 else math.atan2(dy, dx) % (2.0 * math.pi),
+             dx, dy) for dx, dy in pairs]
 
 
 def reference_edge_normals(p):
@@ -510,6 +548,7 @@ boundary_shape = st.one_of(
 @given(boundary_shape, boundary_shape,
        st.lists(st.one_of(boundary_point, st.just((math.nan, 0.0))), min_size=1, max_size=6))
 @example(ConvexPolytope(((-0.0, 0.0), (0.0, 1.0))), ConvexPolytope(((0.0, -0.0),)), [(-0.0, 0.5)])
+@example(ConvexPolytope(((0.0, 5e-324), (2.0, 0.0))), ConvexPolytope(((0.0, 0.0),)), [(1.0, 0.0)])
 def test_boundary_walks_match_their_index_walks(p, q, queries):
     for query in queries + list(q.vertices):
         got = point_to_polytope(query, p)
