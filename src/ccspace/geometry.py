@@ -2,9 +2,11 @@
 
 Two representations are kept side by side: ``FinitePointSet`` for arbitrary
 compact sets sampled at desk scale, and ``ConvexPolytope`` (interval / convex
-polygon) for convex points of the hyperspace.  Minkowski combinations are
-exact in both representations, and the Hausdorff distance is computed exactly
-for every pairing of the two, including point-set versus polytope.
+polygon) for convex points of the hyperspace.  A point-set combination
+enumerates its weighted selection sums; a polygon combination is the hull of
+its weighted vertex sums, and an interval combination takes ``math.fsum`` of
+the weighted endpoints.  The Hausdorff distance is computed exactly for every
+pairing of the two representations, including point-set versus polytope.
 
 Small operands run on plain-float loops.  numpy is imported by the first
 array kernel that runs (the blocked Hausdorff distance of two point sets at
@@ -293,57 +295,14 @@ def _interval_combine(
     return ConvexPolytope.interval(lo, hi)
 
 
-def _lowest(verts: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """The bottom-most, then left-most vertex: where a walk along the edges
-    in increasing angle from 0 starts."""
-    return min(verts, key=lambda v: (v[1], v[0]))
-
-
-def _edge_vectors(p: ConvexPolytope) -> list[tuple[float, float, float]]:
-    """(angle, dx, dy) of the boundary edges, angle on [0, 2pi], in edge order.
-
-    A point contributes no edges; a segment contributes its two opposite
-    traversal directions.  An edge that goes down (``dy < 0``) is at
-    ``atan2(dy, dx) + 2pi``, so a negative subnormal ``dy`` is at 2pi, not at
-    the ``-0.0`` that ``atan2`` gives it; every other edge is at
-    ``atan2(dy, dx) % 2pi``.
-    """
-    walk = p.edges
-    if len(walk) == 1:
-        (a, b), = walk
-        walk = ((a, b), (b, a))
-    out = []
-    for a, b in walk:
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        angle = math.atan2(dy, dx)
-        out.append((angle + 2.0 * math.pi if dy < 0.0 else angle % (2.0 * math.pi), dx, dy))
-    return out
-
-
-def _minkowski_sum_pair(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
-    """Edge-merge Minkowski sum of two convex polygons (degenerate allowed)."""
-    pv = _lowest(p.vertices)
-    qv = _lowest(q.vertices)
-    edges = sorted(_edge_vectors(p) + _edge_vectors(q))
-    x = pv[0] + qv[0]
-    y = pv[1] + qv[1]
-    pts = [(x, y)]
-    for _, dx, dy in edges[:-1] if edges else []:
-        x += dx
-        y += dy
-        pts.append((x, y))
-    # Final hull pass removes collinear chains from merged parallel edges.
-    return ConvexPolytope(tuple(_monotone_chain(pts)))
-
-
-def _scale_polytope(w: float, p: ConvexPolytope) -> ConvexPolytope:
-    """``w * p`` for a polygon; ``polytope_combine`` handles intervals itself."""
-    verts = [(w * v[0], w * v[1]) for v in p.vertices]
-    return ConvexPolytope(tuple(_monotone_chain(verts)))
-
-
 def polytope_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) -> ConvexPolytope:
-    """Exact scaled Minkowski sum of convex polytopes."""
+    """Scaled Minkowski sum ``sum_i w_i P_i`` of convex polytopes.
+
+    An interval combination takes ``math.fsum`` of the weighted endpoints.
+    A polygon combination is the hull of its weighted vertex sums, since
+    P + Q = conv{p + q : p in vert P, q in vert Q}: one fold over the terms
+    takes ``minkowski_combine``'s selection sums and ``convex_hull``'s chain.
+    """
     if len(weights) != len(polys):
         raise ValueError("weights and polytopes must align")
     if not polys:
@@ -354,10 +313,10 @@ def polytope_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) 
         raise ValueError("polytopes must share one dimension")
     if dim == 1:
         return _interval_combine(weights, verts)
-    acc = _scale_polytope(weights[0], polys[0])
-    for w, p in zip(weights[1:], polys[1:]):
-        acc = _minkowski_sum_pair(acc, _scale_polytope(w, p))
-    return acc
+    acc: Sequence[tuple[float, ...]] = ((0.0, 0.0),)
+    for w, v in zip(weights, verts):
+        acc = _monotone_chain(_sums(acc, _scaled(w, v)))
+    return ConvexPolytope(tuple(acc))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every case runs ``ccspace.cli.main`` in-process from ``tests/golden`` (so
 fixture and config paths echo as written) and compares stdout with
 ``tests/golden/<case>.<format>``.  To rewrite the golden files after a
 deliberate output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``
-and record the change in CHANGES.md.  ``golden/battery-mutant-<name>.json``
+and record the change in CHANGES.md; it writes only the goldens whose bytes
+change and prints their names.  ``golden/battery-mutant-<name>.json``
 pins the failing witnesses of a ``battery`` run with each broken space of
 ``mutants.MUTANTS`` standing in for ``power-d1``.
 ``golden/scripts/run_all_checks.txt``
@@ -67,6 +68,9 @@ CASES = [
     ("martingale-distributions", ["martingale", "--space", "distributions", "--format", "csv"], 0),
     ("martingale-sets-file", ["martingale", "--space", "compact-sets",
                               "--fixture-file", "ramp-sets.fixture"], 0),
+    # polygons and point sets in the plane, about half of them hulls
+    ("martingale-sets-d2-file16", ["martingale", "--space", "compact-sets", "--dim", "2",
+                                   "--fixture-file", "seeded16-sets-d2.fixture"], 0),
     ("martingale-euclidean-file64", ["martingale", "--space", "euclidean",
                                      "--fixture-file", "seeded64-euclidean.fixture"], 0),
     ("martingale-sets-file64", ["martingale", "--space", "compact-sets", "--p", "2",
@@ -89,6 +93,8 @@ CASES = [
                                  "--fixture-file", "seeded64-euclidean.fixture"], 0),
     ("jensen-sets-file64", ["jensen", "--space", "compact-sets",
                             "--fixture-file", "seeded64-sets.fixture"], 0),
+    ("jensen-sets-d2-file16", ["jensen", "--space", "compact-sets", "--dim", "2",
+                               "--fixture-file", "seeded16-sets-d2.fixture"], 0),
     ("jensen-distributions-file64", ["jensen", "--space", "distributions",
                                      "--fixture-file", "seeded64-distributions.fixture"], 0),
     ("embed", ["embed-verify", "--trials", "20", "--seed", "2"], 0),
@@ -114,7 +120,7 @@ CASES = [
     ("prop55-euclidean-default", ["prop55", "--space", "euclidean", "--format", "csv"], 0),
     ("battery-csv", ["battery", "--trials", "20", "--seed", "7", "--format", "csv"], 0),
     ("battery", ["battery", "--trials", "5", "--seed", "3"], 0),
-    # sha256 740ba86a16e358398bb8931760ad6542c8942c26b2db90a782ee552c032d8680,
+    # sha256 ff75033d18221482206f4ac6f9485e18595ec253f93f4dee020cb79cb4ebfb4f,
     # the digest quoted for a byte-identical battery
     ("battery-200", ["battery", "--trials", "200", "--seed", "7"], 0),
     # longer traces, at the seeds and lengths of the limit experiments
@@ -198,6 +204,14 @@ def test_battery_rows_match_run_all_checks_lines(monkeypatch):
     assert set(lines) == set(expected.splitlines())
 
 
+def rewrite(path, text):
+    """Write ``text`` to ``path`` and print its name, unless the bytes are already there."""
+    data = text.encode("utf-8")
+    if not path.exists() or path.read_bytes() != data:
+        path.write_bytes(data)
+        print(path.name)
+
+
 if __name__ == "__main__":
     os.environ.pop(SEED_ENV_VAR, None)
     os.chdir(GOLDEN)
@@ -205,11 +219,9 @@ if __name__ == "__main__":
         got_code, text = render(argv)
         if got_code != code:
             sys.exit(f"{name}: exit code {got_code}, expected {code}")
-        golden_path(name, argv).write_text(text, encoding="utf-8")
-        print(golden_path(name, argv).name)
+        rewrite(golden_path(name, argv), text)
     for make, _ in MUTANTS:
         got_code, text = render_battery_mutant(make)
         if got_code != 1:
             sys.exit(f"{make.__name__}: exit code {got_code}, expected 1")
-        mutant_golden_path(make).write_text(text, encoding="utf-8")
-        print(mutant_golden_path(make).name)
+        rewrite(mutant_golden_path(make), text)

@@ -32,10 +32,8 @@ from ccspace.geometry import (
     _cross,
     _dedup_sorted,
     _directed_polytope_to_sites,
-    _edge_vectors,
     _farthest_nearest_site,
     _hausdorff_sets,
-    _minkowski_sum_pair,
     _point_dist,
     _polygon_contains_all,
     point_to_polytope,
@@ -360,25 +358,38 @@ def test_square_translation_average():
 def test_pairwise_sum_oracle(p_pts, q_pts):
     p = convex_hull(FinitePointSet.of(p_pts))
     q = convex_hull(FinitePointSet.of(q_pts))
-    got = _minkowski_sum_pair(p, q)
+    got = polytope_combine([1.0, 1.0], [p, q])
     oracle = convex_hull(
         FinitePointSet.of([(a[0] + b[0], a[1] + b[1]) for a in p.vertices for b in q.vertices])
     )
     assert hausdorff_distance(got, oracle) <= 1e-9
     assert len(got.vertices) <= len(p.vertices) + len(q.vertices)
+    assert bits(polytope_combine([1.0, 1.0], [q, p]).vertices) == bits(got.vertices)
+
+
+def test_far_vertex_does_not_shift_the_combination():
+    # each vertex of the combination is one weighted vertex sum, so the small
+    # vertices keep their own rounding next to one at x = 5e299
+    p = convex_hull(FinitePointSet.of([(-2.7, 0.0), (1.19, -0.0), (1e300, 1.0), (1.5, 1.0)]))
+    q = convex_hull(FinitePointSet.of([(4.0, -1.0), (5.0, 0.5), (3.0, 2.0)]))
+    got = polytope_combine([0.5, 0.5], [p, q])
+    oracle = convex_hull(FinitePointSet.of(
+        [(0.5 * a[0] + 0.5 * b[0], 0.5 * a[1] + 0.5 * b[1]) for a in p.vertices for b in q.vertices]
+    ))
+    assert got.vertices == oracle.vertices
+    assert (2.25, 1.5) in got.vertices and hausdorff_distance(got, oracle) == 0.0
 
 
 @pytest.mark.parametrize("ends", [
     ((0.0, 5e-324), (2.0, 0.0)),
     ((0.0, -5e-324), (-2.0, 0.0)),  # the first segment reflected through the origin
 ], ids=["subnormal-rise", "subnormal-drop"])
-def test_edge_going_down_by_a_subnormal_is_walked_last(ends):
-    # atan2 of a negative subnormal dy over a positive dx is -0.0; walked at
-    # angle 0 instead of 2pi, that edge led the sum 2.0 away from the segment
+def test_segment_with_a_subnormal_slope_plus_a_point_is_itself(ends):
+    # the edge that goes down by a subnormal has atan2 -0.0, not 2pi
     origin = ConvexPolytope(((0.0, 0.0),))
     segment = convex_hull(FinitePointSet.of(ends))
-    assert _minkowski_sum_pair(origin, segment).vertices == segment.vertices
-    assert _minkowski_sum_pair(segment, origin).vertices == segment.vertices
+    assert polytope_combine([1.0, 1.0], [origin, segment]).vertices == segment.vertices
+    assert polytope_combine([1.0, 1.0], [segment, origin]).vertices == segment.vertices
 
 
 @settings(max_examples=60, deadline=None)
@@ -493,26 +504,6 @@ def reference_point_to_polytope(p, poly):
     return min(reference_point_segment_distance(p, verts[i], verts[(i + 1) % n]) for i in range(n))
 
 
-def reference_edge_vectors(verts):
-    """Oracle: ``_edge_vectors`` before it read ``ConvexPolytope.edges``,
-    walking from the bottom-most vertex with its own segment case.  An edge
-    going down (dy < 0) is at atan2 + 2pi, so a negative subnormal dy is not
-    at angle 0."""
-    if len(verts) == 1:
-        return []
-    start = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
-    ordered = verts[start:] + verts[:start]
-    if len(ordered) == 2:
-        a, b = ordered
-        pairs = [(b[0] - a[0], b[1] - a[1]), (a[0] - b[0], a[1] - b[1])]
-    else:
-        n = len(ordered)
-        pairs = [(ordered[(i + 1) % n][0] - ordered[i][0], ordered[(i + 1) % n][1] - ordered[i][1])
-                 for i in range(n)]
-    return [(math.atan2(dy, dx) + 2.0 * math.pi if dy < 0.0 else math.atan2(dy, dx) % (2.0 * math.pi),
-             dx, dy) for dx, dy in pairs]
-
-
 def reference_edge_normals(p):
     """Oracle: ``embedding.edge_normals`` before it read ``ConvexPolytope.edges``."""
     verts = p.vertices
@@ -554,11 +545,6 @@ def test_boundary_walks_match_their_index_walks(p, q, queries):
         got = point_to_polytope(query, p)
         assert got.hex() == reference_point_to_polytope(query, p).hex(), (query, p)
     assert bits(edge_normals(p)) == bits(reference_edge_normals(p))
-    # _minkowski_sum_pair sorts the edges of both operands together, so the
-    # start vertex of each walk does not reach the sum
-    got = sorted(_edge_vectors(p) + _edge_vectors(q))
-    assert bits(got) == bits(sorted(reference_edge_vectors(p.vertices)
-                                    + reference_edge_vectors(q.vertices)))
 
 
 def _grid_covering_radius(poly, sites, k=220):
