@@ -9,16 +9,18 @@ the weighted endpoints.  The Hausdorff distance is computed exactly for every
 pairing of the two representations, including point-set versus polytope.
 
 Small operands run on plain-float loops.  numpy is imported by the first
-array kernel that runs (the blocked Hausdorff distance of two point sets at
-``_HAUSDORFF_LOOP_PAIRS`` pairs or more, the covering radius of a polygon,
-``.arr``), not by importing this module.
+array kernel that runs, not by importing this module: the blocked Hausdorff
+distance of two point sets at ``_HAUSDORFF_LOOP_PAIRS`` pairs or more, the
+containment test of point-set sites in a polygon at that many site-edge
+pairs or more, the covering radius of a d=2 polytope by point-set sites
+(its neighbour order and candidate distances), and ``.arr``.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +41,10 @@ _NEAREST_BLOCK = 1 << 18
 # than numpy's fixed cost per call, so the Hausdorff distance of two point
 # sets runs as one; above it, in row blocks
 _HAUSDORFF_LOOP_PAIRS = 128
+# the covering radius sorts this many nearest neighbours of each site up
+# front, and the rest only when clipping its cell goes past them; a cell of
+# the lattice sites of `convexify-rate --dim 2` takes at most 9
+_FIRST_NEIGHBOURS = 16
 
 
 class EnumerationCapError(RuntimeError):
@@ -484,14 +490,51 @@ def _hausdorff_polys(a: ConvexPolytope, b: ConvexPolytope) -> float:
     return max(d_ab, d_ba)
 
 
-def _interval_to_sites_1d(lo: float, hi: float, sites: Sequence[float]) -> float:
-    xs = sorted(sites)
-    best = max(min(abs(lo - s) for s in xs), min(abs(hi - s) for s in xs))
-    for left, right in zip(xs, xs[1:]):
-        mid = 0.5 * (left + right)
-        if lo <= mid <= hi:
-            best = max(best, min(mid - left, right - mid))
-    return best
+def _sites_to_interval(xs: Sequence[float], lo: float, hi: float) -> float:
+    """``nan_max(point_to_polytope((x,), [lo, hi]) for x in xs)`` for ascending
+    ``xs``, from its ends.
+
+    ``lo - x`` falls and ``x - hi`` rises along ``xs`` (rounding is monotone),
+    so a positive maximum sits at an end.  A zero maximum is the first
+    site's value, whose sign the loop's ``max`` keeps.  A NaN sum (a NaN
+    site, or sites at both infinities) runs the loop, which keeps a NaN
+    wherever it sits.
+    """
+    if math.isnan(sum(xs)):
+        return nan_max(max(lo - x, x - hi, 0.0) for x in xs)
+    far = max(lo - xs[0], xs[-1] - hi)
+    return far if far > 0.0 else max(lo - xs[0], xs[0] - hi, 0.0)
+
+
+def _nearest_gap(x: float, xs: Sequence[float]) -> float:
+    """``min(abs(x - s) for s in xs)`` for ascending ``xs``: ``abs(x - s)``
+    falls up to ``x``'s insertion point and rises after it."""
+    i = bisect_left(xs, x)
+    return min([abs(x - s) for s in xs[max(i - 1, 0):i + 1]])
+
+
+def _interval_to_sites_1d(lo: float, hi: float, xs: Sequence[float]) -> float:
+    """sup over ``[lo, hi]`` of the distance to the nearest of the ascending
+    sites ``xs``: at an endpoint or at the midpoint of two adjacent sites."""
+    halves = [min(mid - left, right - mid) for left, right in zip(xs, xs[1:])
+              if lo <= (mid := 0.5 * (left + right)) <= hi]
+    return max([_nearest_gap(lo, xs), _nearest_gap(hi, xs), *halves])
+
+
+def _sites_to_polygon(sites: FinitePointSet, poly: ConvexPolytope) -> float:
+    """``nan_max(point_to_polytope(p, poly) for p in sites.points)`` in d=2.
+
+    From ``_HAUSDORFF_LOOP_PAIRS`` site-edge pairs on, one
+    ``_polygon_contains_all`` pass (the same cross test in the same
+    operation order) finds the sites inside, whose distance is 0.0, and
+    only the sites outside walk the edges.  Every distance is +0.0 or more
+    (or NaN), so leaving the zeros out keeps the bits of the maximum.
+    """
+    pts = sites.points
+    if len(pts) * len(poly.edges) < _HAUSDORFF_LOOP_PAIRS:
+        return nan_max(point_to_polytope(p, poly) for p in pts)
+    inside = _polygon_contains_all(poly, sites.arr).tolist()
+    return nan_max((point_to_polytope(p, poly) for p, isin in zip(pts, inside) if not isin), default=0.0)
 
 
 def _bisector_edge_hits(
@@ -548,115 +591,95 @@ def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray) -> float:
     return float(np.sqrt(np.max(worst)))
 
 
-class _SiteGrid:
-    """Uniform square buckets over the sites, for nearest-first searches.
+def _nearest_first(sites: np.ndarray) -> Iterator[Iterator[tuple[float, int]]]:
+    """For each site in turn, the ``(d², index)`` of every site (itself
+    included), nearest first and ties by index: a stable argsort of the
+    site's row of ``_squared_distances``.
 
-    The bucket side ``h`` gives about one site per bucket.  A site ``r + 1``
-    or more rings of buckets away from site ``i``'s bucket is at least
-    ``r * h`` from it; ``nearest_first`` takes ``(r - 1/2) * h``, which
-    leaves room for the rounding of the bucket coordinates.
+    The rows go in blocks of at most ``_NEAREST_BLOCK`` distances.  Each row
+    keeps the entries at most its ``(_FIRST_NEIGHBOURS + 1)``-th least value
+    (``np.partition``; ties are all kept), in index order, and sorts them
+    stably by value: that is the stable argsort's prefix.  The rest of the
+    row is sorted only when the prefix is used up (a NaN least value keeps
+    nothing).  A row's iterator is valid only until the next row is taken,
+    since a later block overwrites its distances.
     """
+    import numpy as np
 
-    def __init__(self, pts: list[list[float]]):
-        self.pts = pts
-        xs = [x for x, _ in pts]
-        ys = [y for _, y in pts]
-        x0, y0 = min(xs), min(ys)
-        wx, wy = max(xs) - x0, max(ys) - y0
-        m = len(pts)
-        h = max(math.sqrt(wx * wy / m), max(wx, wy) / m)
-        self.h = h
-        if math.isfinite(h):
-            self.keys = [(int((x - x0) / h), int((y - y0) / h)) for x, y in pts]
-        else:  # a spread past the float range: one bucket
-            self.keys = [(0, 0)] * m
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        for j, key in enumerate(self.keys):
-            self.buckets.setdefault(key, []).append(j)
-        self.nx = max(bx for bx, _ in self.keys)
-        self.ny = max(by for _, by in self.keys)
-        self.rings = max(self.nx, self.ny)  # rings 0..rings cover every bucket
+    m = len(sites)
+    first = min(_FIRST_NEIGHBOURS + 1, m)
+    for d2 in _squared_distance_blocks(sites, sites):
+        kth = np.partition(d2, first - 1, axis=1)[:, first - 1:first]
+        rows, cols = np.nonzero(d2 <= kth)  # row by row, columns ascending
+        near = d2[rows, cols]
+        order = np.lexsort((near, rows))
+        cols, near = cols[order].tolist(), near[order].tolist()
+        start = 0
+        for row, end in zip(d2, np.cumsum(np.bincount(rows, minlength=len(d2))).tolist()):
+            head = zip(near[start:end], cols[start:end])
+            yield head if end - start == m else itertools.chain(head, _sorted_rest(row, end - start))
+            start = end
 
-    def ring(self, i: int, r: int) -> list[int]:
-        """Sites in the buckets exactly ``r`` rings from site ``i``'s bucket."""
-        bx, by = self.keys[i]
-        if r == 0:
-            return self.buckets[bx, by]
-        get = self.buckets.get
-        out: list[int] = []
-        cols = range(max(bx - r, 0), min(bx + r, self.nx) + 1)
-        for row in (by - r, by + r):
-            if 0 <= row <= self.ny:
-                for col in cols:
-                    out.extend(get((col, row), ()))
-        rows = range(max(by - r + 1, 0), min(by + r - 1, self.ny) + 1)
-        for col in (bx - r, bx + r):
-            if 0 <= col <= self.nx:
-                for row in rows:
-                    out.extend(get((col, row), ()))
-        return out
 
-    def nearest_first(self, i: int) -> Iterator[tuple[float, int]]:
-        """(squared distance, index) of every other site, nearest first and
-        ties by index, collecting rings only as far as the next one needs."""
-        sx, sy = self.pts[i]
-        heap: list[tuple[float, int]] = []
-        for r in range(self.rings + 1):
-            for j in self.ring(i, r):
-                if j != i:
-                    tx, ty = self.pts[j]
-                    heapq.heappush(heap, ((sx - tx) * (sx - tx) + (sy - ty) * (sy - ty), j))
-            # every uncollected site is farther than (r - 1/2) h
-            reach = max(r - 0.5, 0.0) * self.h
-            while r < self.rings and heap and heap[0][0] < reach * reach:
-                yield heapq.heappop(heap)
-        while heap:
-            yield heapq.heappop(heap)
+def _sorted_rest(row: np.ndarray, start: int) -> Iterator[tuple[float, int]]:
+    """``(row[j], j)`` from position ``start`` of ``row``'s stable argsort on;
+    the sort runs when the first pair is taken."""
+    import numpy as np
+
+    rest = np.argsort(row, kind="stable")[start:]
+    yield from zip(row[rest].tolist(), rest.tolist())
+
+
+_REACH2 = operator.itemgetter(3)  # a cell vertex's squared distance from its site
 
 
 def _clipped_cell_labels(
-    poly: ConvexPolytope, sites: np.ndarray
+    poly: ConvexPolytope, sites: np.ndarray, pts: Sequence[Sequence[float]]
 ) -> tuple[set[tuple[int, int, int]], set[tuple[int, int, int]]]:
     """Bisector-edge pairs and bisector triples that meet at a vertex of some
-    site's Voronoi cell clipped to ``poly`` (Sutherland-Hodgman).
+    site's Voronoi cell clipped to ``poly`` (Sutherland-Hodgman); ``pts`` is
+    ``sites.tolist()``.
 
-    Each cell edge carries the label of its supporting line: a site ``j >= 0``
-    for the bisector with site ``j``, or ``~e < 0`` for polygon edge ``e``.  A
-    cell vertex sits where its incoming and outgoing lines meet.  Site ``i``'s
-    cell is clipped by the other sites nearest first (ties by index), and
+    Each cell vertex carries the label of its outgoing edge's supporting line
+    (a site ``j >= 0`` for the bisector with site ``j``, or ``~e < 0`` for
+    polygon edge ``e``) and its squared distance from ``s_i``.  A cell
+    vertex sits where its incoming and outgoing lines meet.  Site ``i``'s
+    cell is clipped by the other sites in ``_nearest_first`` order, and
     clipping stops once the next site is more than twice the cell's reach
     from ``s_i``: its bisector then lies beyond every point of the cell.
     """
-    pts = sites.tolist()
-    nearest_first = _SiteGrid(pts).nearest_first
     n_edges = len(poly.edges)
     # vertex k starts edge k; a segment's second vertex starts its one edge, walked back
     boundary = [(x, y, ~(k % n_edges)) for k, (x, y) in enumerate(poly.vertices)]
     pairs, triples = set(), set()
-    for i, (sx, sy) in enumerate(pts):
-        cell = boundary
-        for d2, j in nearest_first(i):
-            reach2 = max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y, _ in cell)
-            if d2 > 4.0 * reach2:
+    for i, neighbours in enumerate(_nearest_first(sites)):
+        sx, sy = pts[i]
+        cell = [(x, y, label, (x - sx) * (x - sx) + (y - sy) * (y - sy)) for x, y, label in boundary]
+        for d2, j in neighbours:
+            if j == i:
+                continue
+            if d2 > 4.0 * max(cell, key=_REACH2)[3]:
                 break
             tx, ty = pts[j]
             mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
             dx, dy = tx - sx, ty - sy
             clipped = []
-            px, py, plabel = cell[-1]
+            px, py, plabel, _ = cell[-1]
             gp = (px - mx) * dx + (py - my) * dy
-            for x, y, label in cell:
+            for vertex in cell:
+                x, y, label, _ = vertex
                 g = (x - mx) * dx + (y - my) * dy
                 if (g <= 0.0) != (gp <= 0.0):
                     t = gp / (gp - g)
-                    clipped.append((px + t * (x - px), py + t * (y - py), plabel if g <= 0.0 else j))
+                    cx, cy = px + t * (x - px), py + t * (y - py)
+                    clipped.append((cx, cy, plabel if g <= 0.0 else j, (cx - sx) * (cx - sx) + (cy - sy) * (cy - sy)))
                 if g <= 0.0:
-                    clipped.append((x, y, label))
+                    clipped.append(vertex)
                 px, py, plabel, gp = x, y, label, g
             cell = clipped
             if not cell:
                 break
-        for (_, _, a), (_, _, b) in zip(cell[-1:] + cell[:-1], cell):
+        for (_, _, a, _), (_, _, b, _) in zip(cell[-1:] + cell[:-1], cell):
             if a >= 0 and b >= 0 and a != b:
                 triples.add(tuple(sorted((i, a, b))))
             elif (a >= 0) != (b >= 0):
@@ -675,23 +698,34 @@ def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet)
     nearest-site distance over those candidates gives the true supremum.
     """
     if poly.dim == 1:
-        return _interval_to_sites_1d(poly.lo, poly.hi, [p[0] for p in sites_set.points])
+        return _interval_to_sites_1d(poly.lo, poly.hi, [x for (x,) in sites_set.points])
     import numpy as np
 
     sites = sites_set.arr
-    cands = [np.asarray(poly.vertices, dtype=float)]
+    cands = [poly.arr]
     if len(sites) >= 2 and len(poly.vertices) >= 2:
-        pairs, triples = _clipped_cell_labels(poly, sites)
-        hits = _bisector_edge_hits(sites.tolist(), poly.edges, pairs)
+        pts = sites.tolist()
+        pairs, triples = _clipped_cell_labels(poly, sites, pts)
+        hits = _bisector_edge_hits(pts, poly.edges, pairs)
         centers = _circumcenters(sites, np.array(sorted(triples), dtype=int).reshape(-1, 3))
         cands += [np.asarray(hits, dtype=float).reshape(-1, 2), centers[_polygon_contains_all(poly, centers)]]
     return _farthest_nearest_site(np.concatenate(cands), sites)
 
 
 def _hausdorff_mixed(sites: FinitePointSet, poly: ConvexPolytope) -> float:
-    d_sp = nan_max(point_to_polytope(p, poly) for p in sites.points)
-    d_ps = _directed_polytope_to_sites(poly, sites)
-    return nan_max(d_sp, d_ps)
+    """Hausdorff distance between a point set and a polytope: the larger of
+    the sites' distance to the polytope and the polytope's covering radius.
+
+    In d=1 both directions read the sorted sites: the first from their ends
+    (``_sites_to_interval``), the second by bisecting for each endpoint's
+    nearest site.  In d=2 only the sites outside the polygon walk its edges
+    (``_sites_to_polygon``), and the covering radius clips each site's
+    Voronoi cell (``_directed_polytope_to_sites``).
+    """
+    if poly.dim == 1:
+        xs = [x for (x,) in sites.points]
+        return nan_max(_sites_to_interval(xs, poly.lo, poly.hi), _interval_to_sites_1d(poly.lo, poly.hi, xs))
+    return nan_max(_sites_to_polygon(sites, poly), _directed_polytope_to_sites(poly, sites))
 
 
 def hausdorff_distance(

@@ -22,20 +22,23 @@ from ccspace import (
     minkowski_combine,
     polytope_combine,
 )
-from ccspace.core import self_combination
+from ccspace.core import nan_max, self_combination
 from ccspace.embedding import edge_normals
 from ccspace.fixtures import convexify_point
 from ccspace.geometry import (
     DEDUP_RESOLUTION,
-    _SiteGrid,
     _clipped_cell_labels,
     _cross,
     _dedup_sorted,
     _directed_polytope_to_sites,
     _farthest_nearest_site,
     _hausdorff_sets,
+    _interval_to_sites_1d,
+    _nearest_first,
     _point_dist,
     _polygon_contains_all,
+    _sites_to_interval,
+    _sites_to_polygon,
     point_to_polytope,
 )
 from ccspace.instances import compact_sets_space
@@ -431,6 +434,116 @@ def test_hausdorff_mixed_degenerate_polytope():
     assert hausdorff_distance(s, dot) == 3.0
 
 
+def reference_sites_to_polytope(sites, poly):
+    """Oracle: the sites' distance to the polytope before ``_sites_to_interval``
+    and ``_sites_to_polygon``, one ``point_to_polytope`` per site."""
+    return nan_max(point_to_polytope(p, poly) for p in sites.points)
+
+
+def reference_interval_to_sites_1d(lo, hi, sites):
+    """Oracle: ``_interval_to_sites_1d`` before it bisected the sorted sites
+    for each endpoint's nearest site."""
+    xs = sorted(sites)
+    best = max(min(abs(lo - s) for s in xs), min(abs(hi - s) for s in xs))
+    for left, right in zip(xs, xs[1:]):
+        mid = 0.5 * (left + right)
+        if lo <= mid <= hi:
+            best = max(best, min(mid - left, right - mid))
+    return best
+
+
+def mixed_cases_1d():
+    """Intervals (a point among them) against 1-3 sites inside, outside and
+    on an endpoint, signed zeros at a zero endpoint, lattice sites, a wide
+    random set, and sites kept as given (both zeros, infinities)."""
+    rng = random.Random(29)
+    inf = math.inf
+    polys = [ConvexPolytope.interval(0, 1), ConvexPolytope.interval(-1, 0.0), ConvexPolytope.interval(-0.0, 1),
+             ConvexPolytope.interval(0.5, 0.5), ConvexPolytope.interval(0.0, 0.0), ConvexPolytope.interval(-0.0, -0.0),
+             ConvexPolytope.interval(-2.5, 3.75)]
+    groups = [[(0.5,)], [(0.0,)], [(-0.0,)], [(1.0,)], [(2.0,)], [(-3.0,)], [(-0.5,), (-0.0,)], [(-0.0,), (0.5,)],
+              [(0.0,), (1.0,)], [(-1.0,), (0.0,)], [(-2.0,), (0.25,), (4.0,)], [(0.1,), (0.2,), (0.9,)],
+              [(-5.0,), (5.0,)], [(k / 4,) for k in range(-12, 17)],
+              [(rng.uniform(-4, 4),) for _ in range(60)]]
+    sets = [FinitePointSet.of(g) for g in groups]
+    sets += [FinitePointSet(((-0.0,), (0.0,))), FinitePointSet(((0.0,), (-0.0,))),
+             FinitePointSet(((-inf,), (0.5,))), FinitePointSet(((0.5,), (inf,))), FinitePointSet(((-inf,), (inf,)))]
+    return [(sites, poly) for sites in sets for poly in polys]
+
+
+def mixed_cases_2d():
+    """A point, segments and polygons against 1-3 sites inside, outside, at
+    a vertex and on an edge, a -0.0 site at a 0.0 vertex, lattice
+    (cocircular) sites, and random sets past ``_HAUSDORFF_LOOP_PAIRS``."""
+    rng = random.Random(30)
+    triangle = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
+    square = convex_hull(FinitePointSet.of([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]))
+    polys = [
+        ConvexPolytope(((0.0, 0.0),)),
+        ConvexPolytope(((-0.0, 0.0),)),
+        convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0)])),
+        convex_hull(FinitePointSet.of([(-1.0, -1.0), (2.0, 0.5)])),
+        triangle,
+        square,
+        convex_hull(FinitePointSet.of([(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(9)])),
+    ]
+    groups = [
+        [(0.25, 0.25)], [(0.0, 0.0)], [(-0.0, 0.0)], [(0.0, -0.0)], [(-0.0, -0.0)], [(0.5, 0.0)], [(1.0, 1.0)],
+        [(2.0, -3.0)], [(0.5, 0.5), (0.0, 0.5)], [(-0.0, 0.5), (3.0, 3.0)], [(0.1, 0.1), (0.2, 0.3), (5.0, 0.0)],
+        [(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)], [(0.5, -0.0), (1.0, -0.0), (-0.0, 1.0)],
+        [(i / 2, j / 2) for i in range(-4, 5) for j in range(-4, 5)],
+        [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(50)],
+        [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(50)],
+    ]
+    sets = [FinitePointSet.of(g) for g in groups]
+    space = compact_sets_space(dim=2)
+    sets.append(self_combination(space, FinitePointSet.of(triangle.vertices), 8))
+    return [(sites, poly) for sites in sets for poly in polys]
+
+
+@pytest.mark.parametrize("loop_pairs", [128, 0])
+def test_sites_to_polytope_matches_per_site_oracle(monkeypatch, loop_pairs):
+    # 128 is the default crossover, so small sets loop and large ones test
+    # containment first; 0 tests containment first for every set
+    monkeypatch.setattr(geometry, "_HAUSDORFF_LOOP_PAIRS", loop_pairs)
+    for sites, poly in mixed_cases_1d():
+        xs = [x for (x,) in sites.points]
+        want = reference_sites_to_polytope(sites, poly)
+        assert _sites_to_interval(xs, poly.lo, poly.hi).hex() == want.hex(), (sites, poly)
+    for sites, poly in mixed_cases_2d():
+        want = reference_sites_to_polytope(sites, poly)
+        assert _sites_to_polygon(sites, poly).hex() == want.hex(), (sites, poly)
+        assert hausdorff_distance(sites, poly).hex() == nan_max(
+            want, _directed_polytope_to_sites(poly, sites)).hex()
+
+
+@np.errstate(invalid="ignore")
+def test_sites_to_polytope_keeps_a_nan_site():
+    # in d=1 a NaN site, or sites at both infinities, make the sum of the
+    # sites NaN and take the per-site loop; in d=2 a NaN site's cross
+    # products are NaN, so it reads as inside the polygon and outside a segment
+    nan = math.nan
+    for sites, poly in (
+        (FinitePointSet(((0.5,), (nan,))), ConvexPolytope.interval(0, 1)),
+        (FinitePointSet(((nan,), (5.0,))), ConvexPolytope.interval(0, 1)),
+        (FinitePointSet(((-math.inf,), (math.inf,), (0.0,))), ConvexPolytope.interval(0, 1)),
+    ):
+        xs = [x for (x,) in sites.points]
+        assert _sites_to_interval(xs, poly.lo, poly.hi).hex() == reference_sites_to_polytope(sites, poly).hex()
+    triangle = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
+    segment = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0)]))
+    sites = FinitePointSet(tuple((k / 8, k / 16) for k in range(60)) + ((nan, 0.5),))
+    for poly in (triangle, segment):
+        assert _sites_to_polygon(sites, poly).hex() == reference_sites_to_polytope(sites, poly).hex()
+
+
+def test_interval_to_sites_1d_matches_oracle():
+    for sites, poly in mixed_cases_1d():
+        xs = [x for (x,) in sites.points]
+        want = reference_interval_to_sites_1d(poly.lo, poly.hi, xs)
+        assert _interval_to_sites_1d(poly.lo, poly.hi, xs).hex() == want.hex(), (sites, poly)
+
+
 def test_hausdorff_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         hausdorff_distance(FinitePointSet.of([(0.0,)]), FinitePointSet.of([(0.0, 0.0)]))
@@ -698,27 +811,27 @@ def reference_clipped_cell_labels(poly, n_edges, sites):
 
 def assert_labels_match_reference(poly, sites):
     n_edges = len(poly.edges)
-    got = _clipped_cell_labels(poly, sites.arr)
+    got = _clipped_cell_labels(poly, sites.arr, sites.arr.tolist())
     assert got == reference_clipped_cell_labels(poly, n_edges, sites.arr), (len(sites), poly)
 
 
-def assert_grid_order_matches_argsort(sites):
-    """Every site's ``_SiteGrid`` neighbour order is that of a stable argsort
-    of its row of the full squared-distance matrix, with the same values."""
+def assert_neighbour_order_matches_argsort(sites):
+    """Every site's ``_nearest_first`` neighbour order is that of a stable
+    argsort of its row of the full squared-distance matrix, with the same
+    values."""
     arr = sites.arr
     diff = arr[:, None, :] - arr[None, :, :]
     d2 = (diff * diff).sum(axis=2)
     order = np.argsort(d2, axis=1, kind="stable")
-    grid = _SiteGrid(arr.tolist())
-    for i in range(len(arr)):
-        assert list(grid.nearest_first(i)) == [(d2[i, j], j) for j in order[i, 1:].tolist()], i
+    for i, neighbours in enumerate(_nearest_first(arr)):
+        assert list(neighbours) == [(d2[i, j], j) for j in order[i].tolist()], i
 
 
 @pytest.mark.parametrize("kind", ["random", "collinear", "lattice"])
-def test_site_grid_orders_neighbours_like_a_stable_argsort(kind):
+def test_nearest_first_orders_neighbours_like_a_stable_argsort(kind):
     rng = random.Random(kind)
     for m in (2, 3, 4, 7, 12, 25, 60, 150, 289):
-        assert_grid_order_matches_argsort(site_layout(kind, m, rng))
+        assert_neighbour_order_matches_argsort(site_layout(kind, m, rng))
 
 
 @pytest.mark.parametrize("kind", ["random", "collinear", "lattice"])
@@ -732,13 +845,31 @@ def test_clipped_cell_labels_match_reference(kind):
                 assert_labels_match_reference(poly, sites)
 
 
+def test_clipped_cell_labels_match_reference_across_row_blocks(monkeypatch):
+    # blocks of 1, 7 and 64 distances hold one row, one row and two or more
+    # rows of 25 or 60 sites; a first-neighbour count of 1 or 3 leaves most
+    # lattice ties and most clipping to the rest of a row
+    rng = random.Random("blocks")
+    for block, first in ((1, 16), (7, 3), (64, 1), (64, 16)):
+        monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+        monkeypatch.setattr(geometry, "_FIRST_NEIGHBOURS", first)
+        for kind in ("random", "collinear", "lattice"):
+            for m in (2, 25, 60):
+                sites = site_layout(kind, m, rng)
+                assert_neighbour_order_matches_argsort(sites)
+                polygon, segment, _ = polytope_shapes(rng)
+                for poly in (polygon, segment, convex_hull(sites)):
+                    if len(poly.vertices) >= 2:
+                        assert_labels_match_reference(poly, sites)
+
+
 def test_clipped_cell_labels_match_reference_on_triangle_self_combinations():
     space = compact_sets_space(dim=2)
     triangle = convexify_point("compact-sets", "two-point", dim=2)
     for n in (2, 5, 9, 16, 24):  # 6 to 325 sites
         sites = self_combination(space, triangle, n)
         assert_labels_match_reference(convex_hull(triangle), sites)
-        assert_grid_order_matches_argsort(sites)
+        assert_neighbour_order_matches_argsort(sites)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -748,18 +879,18 @@ def test_covering_radius_past_the_float_range():
     poly = convex_hull(FinitePointSet.of([(-1e308, -1.0), (1.0, -1.0), (0.0, 1e308)]))
     sites = FinitePointSet.of([(-1e308, -1e308), (1e308, 1e308), (0.0, 1.0), (1e308, -1e308)])
     assert_labels_match_reference(poly, sites)
-    assert_grid_order_matches_argsort(sites)
+    assert_neighbour_order_matches_argsort(sites)
     assert _directed_polytope_to_sites(poly, sites) == math.inf
     poly = convex_hull(FinitePointSet.of([(2.67e154, 9.54e154), (3.73e154, -4.01e154), (7.2e154, -3.19e153)]))
     sites = FinitePointSet.of([(6.8e-146, 7.8e154), (9.0e-146, -3.7e154)])
     assert_labels_match_reference(poly, sites)
-    assert_grid_order_matches_argsort(sites)
+    assert_neighbour_order_matches_argsort(sites)
     assert _directed_polytope_to_sites(poly, sites) == math.inf
     poly = convex_hull(FinitePointSet.of([(2.9e149, 4.6e149), (-7.0e149, -2.6e149), (8.4e149, -9.2e148)]))
     sites = FinitePointSet.of([(8.8e-151, 3.6e149), (-2.6e-151, -4.1e149), (3.5e-151, -7.9e149),
                                (8.9e-151, 3.5e149), (7.2e148, 3.3e149), (1.7e148, 4.4e149)])
     assert_labels_match_reference(poly, sites)
-    assert_grid_order_matches_argsort(sites)
+    assert_neighbour_order_matches_argsort(sites)
     assert math.isnan(_directed_polytope_to_sites(poly, sites))
     # the mixed Hausdorff distance keeps that NaN in both argument orders
     assert math.isnan(hausdorff_distance(sites, poly))
@@ -897,7 +1028,7 @@ def test_clipped_cell_labels_match_reference_hypothesis(site_pts, poly_pts):
     sites = FinitePointSet.of(site_pts)
     poly = convex_hull(FinitePointSet.of(poly_pts))
     if len(sites) >= 2:
-        assert_grid_order_matches_argsort(sites)
+        assert_neighbour_order_matches_argsort(sites)
         if len(poly.vertices) >= 2:
             assert_labels_match_reference(poly, sites)
 
