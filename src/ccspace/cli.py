@@ -320,7 +320,8 @@ def _jensen(cfg: RunConfig) -> Outcome:
 
 
 def _embed_verify(cfg: RunConfig) -> Outcome:
-    return _suite(embedding_suite(trials=cfg.trials, seed=cfg.seed), {"trials": cfg.trials})
+    report = embedding_suite(get_space("compact-sets", dim=2), trials=cfg.trials, seed=cfg.seed)
+    return _suite(report, {"trials": cfg.trials})
 
 
 def _convexify_rate(cfg: RunConfig) -> Outcome:
@@ -389,7 +390,8 @@ def _battery(cfg: RunConfig) -> Outcome:
         for suite, trials in suites:
             report.checks.update(suite(space, trials=trials, seed=cfg.seed).checks)
         reports[label] = report
-    reports["embedding"] = embedding_suite(trials=cfg.trials, seed=cfg.seed)
+    reports["embedding"] = embedding_suite(get_space("compact-sets", dim=2), trials=cfg.trials,
+                                           seed=cfg.seed)
     tolerances = {label: report.tolerance for label, report in reports.items()}
     # each check keeps its configuration's tolerance; the report states the loosest
     battery = AxiomReport("battery", cfg.seed, max(tolerances.values()))

@@ -112,14 +112,6 @@ class DiscreteDistribution:
     def mean(self) -> float:
         return math.fsum(a * p for a, p in zip(self.atoms, self.probs))
 
-    def quantile(self, q: float) -> float:
-        acc = 0.0
-        for a, p in zip(self.atoms, self.probs):
-            acc += p
-            if acc >= q - 1e-15:
-                return a
-        return self.atoms[-1]
-
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -235,14 +227,16 @@ def quantile_resample(f: DiscreteDistribution, m: int) -> DiscreteDistribution:
     """m equal-probability atoms at mid-quantiles F^-1((k - 1/2) / m).
 
     The Wasserstein-1 error of this reduction is at most
-    (max atom - min atom) / m.  Each atom is ``f.quantile((k + 0.5) / m)``,
-    found by binary search in the cumulative probabilities: O(n + m log n).
+    (max atom - min atom) / m.  Atom k is the first atom of ``f`` whose
+    running probability sum reaches ``(k + 0.5) / m - 1e-15`` (the last atom
+    if none does), found by binary search in the cumulative probabilities:
+    O(n + m log n).
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
     import numpy as np
 
-    cum = f.cdf_array[1:]  # the running sums of quantile()
+    cum = f.cdf_array[1:]  # the running probability sums, one per atom
     keys = (np.arange(m) + 0.5) / m - 1e-15
     picks = np.minimum(np.searchsorted(cum, keys, "left"), len(cum) - 1)
     return DiscreteDistribution.of(f.atoms_array[picks].tolist(), [1.0 / m] * m)

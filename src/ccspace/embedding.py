@@ -15,9 +15,9 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from .axioms import AxiomReport, Check, run_trials
-from .core import nan_max
-from .geometry import ConvexPolytope, FinitePointSet, convex_hull, hausdorff_distance, polytope_combine
-from .instances import _vector_sampler, compact_sets_space
+from .core import SpaceContract, combine, nan_max
+from .geometry import ConvexPolytope, FinitePointSet, convex_hull
+from .instances import _vector_sampler
 
 _UNIT_NORM_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
@@ -188,7 +188,7 @@ def random_polygon(rng: random.Random, max_vertices: int = 8) -> ConvexPolytope:
 
 def _draw_polygons(space, rng: random.Random, trial: int) -> SimpleNamespace:
     c = SimpleNamespace(p=random_polygon(rng), q=random_polygon(rng), lam=rng.uniform(0.05, 0.95))
-    c.mixed = polytope_combine([c.lam, 1.0 - c.lam], [c.p, c.q])
+    c.mixed = combine(space, [(c.lam, c.p), (1.0 - c.lam, c.q)])
     c.dirs = direction_set_for(c.p, c.q, c.mixed)
     c.embedded_p = embed(c.p, c.dirs)
     return c
@@ -196,24 +196,28 @@ def _draw_polygons(space, rng: random.Random, trial: int) -> SimpleNamespace:
 
 EMBEDDING_CHECKS = (
     Check("isometry", lambda space, c: (
-        abs(embedded_distance(c.p, c.q) - hausdorff_distance(c.p, c.q)), c.p.vertices, c.q.vertices)),
+        abs(embedded_distance(c.p, c.q) - space.distance(c.p, c.q)), c.p.vertices, c.q.vertices)),
     Check("affinity", lambda space, c: (sup_norm_gap(
         embed(c.mixed, c.dirs),
         combine_support_vectors([c.lam, 1.0 - c.lam], [c.embedded_p, embed(c.q, c.dirs)]),
     ), c.lam, c.p.vertices, c.q.vertices), tolerance=_AFFINITY_TOL),
     Check("linear_growth", lambda space, c: (
-        max(abs(v) for v in c.embedded_p.values) - hausdorff_distance(c.p, _ORIGIN), c.p.vertices)),
+        max(abs(v) for v in c.embedded_p.values) - space.distance(c.p, _ORIGIN), c.p.vertices)),
 )
 
 
-def embedding_suite(trials: int = 1000, seed: int = 0, tol: float | None = None) -> AxiomReport:
-    """Isometry, affinity, and linear growth of the support embedding.
+def embedding_suite(
+    space: SpaceContract, trials: int = 1000, tol: float | None = None, seed: int = 0
+) -> AxiomReport:
+    """Isometry, affinity, and linear growth of the support embedding of the
+    polygons of ``space``, a compact-sets d=2 instance.
 
     Per trial, for a random convex polygon pair (P, Q): the sup-norm distance
-    between their support functions must match the Hausdorff distance; the
-    embedding of a random Minkowski combination must equal the weighted sum of
-    embeddings componentwise; and each support value must be dominated by the
-    Hausdorff distance to the origin.  Affinity is held to 1e-12 whatever
-    ``tol`` is.
+    between their support functions must match ``space.distance``; the
+    embedding of their combination in ``space`` at a random weight must equal
+    the weighted sum of embeddings componentwise; and each support value must
+    be dominated by the distance to the origin.  The metric and the
+    combination are read from ``space`` only, so a broken one fails here.
+    Affinity is held to 1e-12 whatever ``tol`` is.
     """
-    return run_trials(compact_sets_space(2), _draw_polygons, EMBEDDING_CHECKS, trials, tol, seed)
+    return run_trials(space, _draw_polygons, EMBEDDING_CHECKS, trials, tol, seed)

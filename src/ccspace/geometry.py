@@ -5,13 +5,18 @@ compact sets sampled at desk scale, and ``ConvexPolytope`` (interval / convex
 polygon) for convex points of the hyperspace.  A point-set combination
 enumerates its weighted selection sums; a polygon combination is the hull of
 its weighted vertex sums, and an interval combination takes ``math.fsum`` of
-the weighted endpoints.  The Hausdorff distance is computed exactly for every
-pairing of the two representations, including point-set versus polytope.
+the weighted endpoints.  The Hausdorff distance has a closed form for every
+pairing of the two representations, including point-set versus polytope:
+a maximum over finitely many candidate distances, each evaluated in floats,
+so it is not correctly rounded.  The d=2 covering radius of a polytope by
+point sets measures from computed candidate points (bisector crossings,
+circumcenters) and can sit several ulps below the true radius.
 
-Small operands run on plain-float loops.  numpy is imported by the first
-array kernel that runs, not by importing this module: the blocked Hausdorff
-distance of two point sets at ``_HAUSDORFF_LOOP_PAIRS`` pairs or more, the
-containment test of point-set sites in a polygon at that many site-edge
+Small operands run on plain-float loops, and two d=1 point sets take one
+walk over their sorted coordinates.  numpy is imported by the first array
+kernel that runs, not by importing this module: the blocked Hausdorff
+distance of two d=2 point sets at ``_HAUSDORFF_LOOP_PAIRS`` pairs or more,
+the containment test of point-set sites in a polygon at that many site-edge
 pairs or more, the covering radius of a d=2 polytope by point-set sites
 (its neighbour order and candidate distances), and ``.arr``.
 """
@@ -34,12 +39,12 @@ if TYPE_CHECKING:
 # Points closer than this (per coordinate) are considered duplicates.
 DEDUP_RESOLUTION = 1e-12
 ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
-# the covering radius and the Hausdorff distance of two point sets hold at
-# most this many squared distances at once
+# the covering radius and the d=2 Hausdorff distance of two point sets hold
+# at most this many squared distances at once
 _NEAREST_BLOCK = 1 << 18
 # below this many point pairs (len(a) * len(b)) a plain-float loop is faster
-# than numpy's fixed cost per call, so the Hausdorff distance of two point
-# sets runs as one; above it, in row blocks
+# than numpy's fixed cost per call, so the Hausdorff distance of two d=2
+# point sets runs as one; above it, in row blocks
 _HAUSDORFF_LOOP_PAIRS = 128
 # the covering radius sorts this many nearest neighbours of each site up
 # front, and the rest only when clipping its cell goes past them; a cell of
@@ -385,12 +390,19 @@ def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
 def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
     """Hausdorff distance between two point sets.
 
-    Below ``_HAUSDORFF_LOOP_PAIRS`` point pairs a plain-float loop runs
-    (``_hausdorff_sets_loop``); above, the squared distances go in row blocks
-    (``_squared_distance_blocks``), with a running minimum per point of
-    ``b``.  Since sqrt is monotone, the result is the same value as from the
-    matrix of distances, and both paths give the same bits.
+    In d=1 one walk over the sorted coordinates (``_farthest_nearest_gap``,
+    each way) takes every point's gap ``abs(x - y)`` to its nearest point of
+    the other set.  In d=2, below ``_HAUSDORFF_LOOP_PAIRS`` point pairs a
+    plain-float loop runs (``_hausdorff_sets_loop``); above, the squared
+    distances go in row blocks (``_squared_distance_blocks``), with a running
+    minimum per point of ``b``.  Since sqrt is monotone, the result is the
+    same value as from the matrix of distances, and both d=2 paths give the
+    same bits.
     """
+    if a.dim == 1:
+        xs = sorted([x for (x,) in a.points])
+        ys = sorted([y for (y,) in b.points])
+        return nan_max(_farthest_nearest_gap(xs, ys), _farthest_nearest_gap(ys, xs))
     if len(a) * len(b) < _HAUSDORFF_LOOP_PAIRS:
         return _hausdorff_sets_loop(a.points, b.points)
     import numpy as np
@@ -405,50 +417,60 @@ def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
     return math.sqrt(max(worst, nearest.max()))
 
 
-def _hausdorff_sets_loop(pa: Sequence[tuple[float, ...]], pb: Sequence[tuple[float, ...]]) -> float:
-    """The blocked path's value on tuples: the same ``dx*dx + dy*dy``
-    (``dx*dx`` in d=1), minima, maximum and sqrt.  A NaN squared distance
-    makes numpy's minima and maximum NaN, so it returns NaN at once."""
+def _farthest_nearest_gap(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """The largest gap ``abs(x - y)`` from an ``x`` of ``xs`` to its nearest
+    ``y`` of ``ys``, both sorted; NaN at the first NaN gap.
+
+    The walk keeps ``j`` at the last ``y`` at most ``x`` (or at the first
+    ``y``), so the nearest is ``ys[j]`` or ``ys[j + 1]``.  A gap is NaN where
+    the pairwise gaps have one: for an ``x`` and a ``y`` at the same
+    infinity, where ``ys[j]`` is that infinity, and for a NaN ``x``, whose
+    every gap is NaN.  A NaN ``y`` leaves ``ys`` out of order, but its own
+    walk, ``_farthest_nearest_gap(ys, xs)``, returns NaN.
+    """
+    worst = 0.0
+    j, last = 0, len(ys) - 1
+    for x in xs:
+        while j < last and ys[j + 1] <= x:
+            j += 1
+        gap = abs(x - ys[j])
+        if j < last and ys[j + 1] - x < gap:
+            gap = ys[j + 1] - x
+        if gap > worst:
+            worst = gap
+        elif gap != gap:
+            return gap
+    return worst
+
+
+def _hausdorff_sets_loop(pa: Sequence[tuple[float, float]], pb: Sequence[tuple[float, float]]) -> float:
+    """The blocked path's value on d=2 tuples: the same ``dx*dx + dy*dy``,
+    minima, maximum and sqrt.  A NaN squared distance makes numpy's minima
+    and maximum NaN, so it returns NaN at once."""
     nearest = [math.inf] * len(pb)
     worst = 0.0
     cols = range(len(pb))
-    if len(pb[0]) == 1:
-        xs = [q[0] for q in pb]
-        for (x,) in pa:
-            row = math.inf
-            for j in cols:
-                dx = x - xs[j]
-                d2 = dx * dx
-                if d2 < row:
-                    row = d2
-                if d2 < nearest[j]:
-                    nearest[j] = d2
-                elif d2 != d2:
-                    return math.nan
-            if row > worst:
-                worst = row
-    else:
-        for x, y in pa:
-            row = math.inf
-            for j in cols:
-                qx, qy = pb[j]
-                dx = x - qx
-                dy = y - qy
-                d2 = dx * dx + dy * dy
-                if d2 < row:
-                    row = d2
-                if d2 < nearest[j]:
-                    nearest[j] = d2
-                elif d2 != d2:
-                    return math.nan
-            if row > worst:
-                worst = row
+    for x, y in pa:
+        row = math.inf
+        for j in cols:
+            qx, qy = pb[j]
+            dx = x - qx
+            dy = y - qy
+            d2 = dx * dx + dy * dy
+            if d2 < row:
+                row = d2
+            if d2 < nearest[j]:
+                nearest[j] = d2
+            elif d2 != d2:
+                return math.nan
+        if row > worst:
+            worst = row
     return math.sqrt(max(worst, max(nearest)))
 
 
 def _squared_distance_blocks(pa: np.ndarray, pb: np.ndarray) -> Iterator[np.ndarray]:
-    """``d2[i, j] = dx*dx + dy*dy`` (``dx*dx`` in d=1) from ``pa[i]`` to
-    ``pb[j]``, in row blocks of at most ``_NEAREST_BLOCK`` entries.
+    """``d2[i, j] = dx*dx + dy*dy`` from the d=2 point ``pa[i]`` to ``pb[j]``,
+    in row blocks of at most ``_NEAREST_BLOCK`` entries.
 
     Later blocks are written into the first block's arrays, so a block is
     valid only until the next one is taken; fresh large arrays per block
@@ -460,20 +482,19 @@ def _squared_distance_blocks(pa: np.ndarray, pb: np.ndarray) -> Iterator[np.ndar
     for start in range(rows, len(pa), rows):
         block = pa[start:start + rows]
         k = len(block)
-        yield _squared_distances(block, pb, d2[:k], None if dy is None else dy[:k])[0]
+        yield _squared_distances(block, pb, d2[:k], dy[:k])[0]
 
 
 def _squared_distances(pa: np.ndarray, pb: np.ndarray, d2: np.ndarray | None = None,
-                       dy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """The block of ``pa`` against ``pb``, in ``d2`` (and ``dy`` in d=2) when given."""
+                       dy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The block of d=2 points ``pa`` against ``pb``, in ``d2`` and ``dy`` when given."""
     import numpy as np
 
     d2 = np.subtract(pa[:, 0:1], pb[:, 0], out=d2)
     d2 *= d2
-    if pb.shape[1] == 2:
-        dy = np.subtract(pa[:, 1:2], pb[:, 1], out=dy)
-        dy *= dy
-        d2 += dy
+    dy = np.subtract(pa[:, 1:2], pb[:, 1], out=dy)
+    dy *= dy
+    d2 += dy
     return d2, dy
 
 
@@ -689,13 +710,18 @@ def _clipped_cell_labels(
 
 
 def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet) -> float:
-    """sup over the polytope of the distance to the nearest site (exact).
+    """sup over the polytope of the distance to the nearest site, in closed
+    form.
 
     The maximizer is a vertex of some site's Voronoi cell clipped to the
     polytope: a polytope vertex, a boundary point equidistant to two sites,
     or an interior point equidistant to three (a Voronoi vertex).  Clipping
-    picks which site pairs and triples meet there, and evaluating the
-    nearest-site distance over those candidates gives the true supremum.
+    picks which site pairs and triples meet there, and the nearest-site
+    distance over those candidates is the supremum.  In d=2 the candidates
+    are float points, so the result is the supremum up to their rounding,
+    not correctly rounded: on the running means of the ``convexify-rate
+    --dim 2`` triangle sweep it sits up to 11.6 ulps below the exact radius
+    of their float sites (n <= 32).
     """
     if poly.dim == 1:
         return _interval_to_sites_1d(poly.lo, poly.hi, [x for (x,) in sites_set.points])
@@ -731,7 +757,8 @@ def _hausdorff_mixed(sites: FinitePointSet, poly: ConvexPolytope) -> float:
 def hausdorff_distance(
     a: FinitePointSet | ConvexPolytope, b: FinitePointSet | ConvexPolytope
 ) -> float:
-    """Exact Hausdorff distance between compact sets in either representation."""
+    """Hausdorff distance between compact sets in either representation, in
+    closed form (see the module docstring for where it rounds)."""
     a_poly = isinstance(a, ConvexPolytope)
     b_poly = isinstance(b, ConvexPolytope)
     if a_poly and b_poly:

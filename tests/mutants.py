@@ -5,7 +5,9 @@ Each factory returns a ``SpaceContract`` with one behaviour broken.
 that must fail on them; ``golden/battery-mutant-<name>.json`` pins a
 ``battery`` run with each standing in for ``power-d1``.  The other space
 mutants break what only a trace sees: associativity of long combinations,
-and a distance that is NaN away from the trace's target.  ``CE_MUTANTS``
+and a distance that is NaN away from the trace's target.  ``METRIC_MUTANTS``
+rescale the compact-sets d=2 metric, which only the embedding rows see; their
+kill matrix is in ``test_cli.py``.  ``CE_MUTANTS``
 are broken stand-ins for ``probability.conditional_expectation``; their kill
 matrix is in ``test_cli.py``.
 """
@@ -13,7 +15,7 @@ matrix is in ``test_cli.py``.
 import dataclasses
 import math
 
-from ccspace import distribution_space, euclidean_space
+from ccspace import compact_sets_space, distribution_space, euclidean_space
 from ccspace.core import SpaceContract, combine, convexify
 from ccspace.probability import RandomElement
 
@@ -47,6 +49,29 @@ MUTANTS = [
     (_nan_distance_mutant, ("commutativity", "continuity", "convexification_cauchy",
                             "convexification_fixed_point", "convexifier_idempotent",
                             "unbiased_identity")),
+]
+
+
+def _scaled_hausdorff(factor, name):
+    base = compact_sets_space(2)
+    return dataclasses.replace(base, name=name, distance=lambda a, b: factor * base.distance(a, b))
+
+
+def _doubled_hausdorff_mutant():
+    return _scaled_hausdorff(2.0, "sets-d2-distance-x2")
+
+
+def _halved_hausdorff_mutant():
+    return _scaled_hausdorff(0.5, "sets-d2-distance-x0.5")
+
+
+# compact-sets d=2 with a rescaled metric, each with the battery rows that
+# must fail on it: every axiom holds for any multiple of a metric, so only the
+# embedding's isometry (and, below the true distance, its linear growth) can
+# tell
+METRIC_MUTANTS = [
+    (_doubled_hausdorff_mutant, ("embedding/isometry",)),
+    (_halved_hausdorff_mutant, ("embedding/isometry", "embedding/linear_growth")),
 ]
 
 

@@ -123,7 +123,7 @@ def test_criterion_04_convexification_rate_exact():
 
 def test_criterion_05_embedding_witness():
     started = time.monotonic()
-    report = embedding_suite(trials=1000, seed=2)
+    report = embedding_suite(compact_sets_space(2), trials=1000, seed=2)
     assert report.checks["isometry"].passed
     assert report.checks["isometry"].worst_violation <= 1e-9
     assert report.checks["affinity"].worst_violation <= 1e-12

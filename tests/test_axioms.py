@@ -18,7 +18,7 @@ from ccspace.core import trial_rng
 from ccspace.limits import rational_jensen_suite, weight_perturbation_suite
 from ccspace import axioms, embedding, limits, probability
 from ccspace.probability import conditional_suite, expectation_identity_suite
-from mutants import MUTANTS, _offset_mutant
+from mutants import METRIC_MUTANTS, MUTANTS, _offset_mutant
 
 SPACES = [
     euclidean_space(2),
@@ -133,8 +133,8 @@ def test_witness_is_formatted_only_for_a_failing_trial():
     lambda: conditional_suite(euclidean_space(1), trials=0),
     lambda: weight_perturbation_suite(euclidean_space(1), trials=0),
     lambda: rational_jensen_suite(euclidean_space(1), trials=0),
-    lambda: embedding_suite(trials=0),
-    lambda: embedding_suite(trials=-3),
+    lambda: embedding_suite(compact_sets_space(2), trials=0),
+    lambda: embedding_suite(compact_sets_space(2), trials=-3),
 ], ids=["axioms", "cancellation", "expectation_identity", "conditional", "weight_perturbation",
         "rational_jensen", "embedding", "embedding_negative"])
 def test_suites_reject_fewer_than_one_trial(run):
@@ -155,26 +155,39 @@ def test_worst_trial_keeps_its_case_and_index():
     assert (check.case, check.trial) == ("first nan", 3)
 
 
-# each seeded suite as (run on a space, the space it measures on, its check tables)
+# each seeded suite as (the suite, its check tables)
 SUITE_TABLES = {
-    "axioms": (check_axioms, None, (axioms.AXIOM_CHECKS, (axioms.UNBIASED_IDENTITY,))),
-    "cancellation": (check_cancellation, None, (axioms.CANCELLATION_CHECKS,)),
-    "expectation_identity": (expectation_identity_suite, None, (probability.EXPECTATION_CHECKS,)),
-    "conditional": (conditional_suite, None, (probability.CONDITIONAL_CHECKS,)),
-    "weight_perturbation": (weight_perturbation_suite, None, (limits.WEIGHT_PERTURBATION_CHECKS,)),
-    "rational_jensen": (rational_jensen_suite, None, (limits.RATIONAL_JENSEN_CHECKS,)),
-    "embedding": (lambda space, **kw: embedding_suite(**kw), compact_sets_space(2),
-                  (embedding.EMBEDDING_CHECKS,)),
+    "axioms": (check_axioms, (axioms.AXIOM_CHECKS, (axioms.UNBIASED_IDENTITY,))),
+    "cancellation": (check_cancellation, (axioms.CANCELLATION_CHECKS,)),
+    "expectation_identity": (expectation_identity_suite, (probability.EXPECTATION_CHECKS,)),
+    "conditional": (conditional_suite, (probability.CONDITIONAL_CHECKS,)),
+    "weight_perturbation": (weight_perturbation_suite, (limits.WEIGHT_PERTURBATION_CHECKS,)),
+    "rational_jensen": (rational_jensen_suite, (limits.RATIONAL_JENSEN_CHECKS,)),
+    "embedding": (embedding_suite, (embedding.EMBEDDING_CHECKS,)),
 }
 
 
+def euclidean_d2():
+    return euclidean_space(2)
+
+
+def compact_sets_d2():
+    return compact_sets_space(2)
+
+
+# the broken spaces and an honest one that each suite runs on; the embedding
+# draws polygons, so it takes compact-sets d=2 spaces
+SUITE_SPACES = {suite: [m[0] for m in MUTANTS] + [euclidean_d2] for suite in SUITE_TABLES}
+SUITE_SPACES["embedding"] = [m[0] for m in METRIC_MUTANTS] + [compact_sets_d2]
+
+
 @pytest.mark.parametrize("trials", [3, 20])
-@pytest.mark.parametrize("make", [m[0] for m in MUTANTS] + [lambda: euclidean_space(2)],
-                         ids=[m[0].__name__ for m in MUTANTS] + ["euclidean_d2"])
-@pytest.mark.parametrize("suite", list(SUITE_TABLES))
+@pytest.mark.parametrize(
+    "suite,make", [(suite, make) for suite, makes in SUITE_SPACES.items() for make in makes],
+    ids=[f"{suite}-{make.__name__}" for suite, makes in SUITE_SPACES.items() for make in makes])
 def test_each_recorded_case_measures_its_worst_violation_again(suite, make, trials):
     # at seed 1, as the battery-mutant goldens run
-    run, measured_on, tables = SUITE_TABLES[suite]
+    run, tables = SUITE_TABLES[suite]
     space = make()
     report = run(space, trials=trials, seed=1)
     checks = {check.name: check for table in tables for check in table}
@@ -185,7 +198,7 @@ def test_each_recorded_case_measures_its_worst_violation_again(suite, make, tria
             assert result.worst_violation == 0.0 and result.trial is None, name
             continue
         assert 0 <= result.trial < trials, name
-        again = checks[name].measure(measured_on or space, result.case)[0]
+        again = checks[name].measure(space, result.case)[0]
         assert repr(again) == repr(result.worst_violation), name
 
 
@@ -314,5 +327,5 @@ def test_embedding_suite_embeds_each_polygon_once(monkeypatch):
     calls = []
     embed = embedding.embed
     monkeypatch.setattr(embedding, "embed", lambda *args: calls.append(args) or embed(*args))
-    embedding_suite(trials=10, seed=4)
+    embedding_suite(compact_sets_space(2), trials=10, seed=4)
     assert len(calls) == 30  # the mixture, p and q per trial

@@ -15,7 +15,7 @@ from ccspace.cli import main
 from ccspace.fixtures import load_fixture_file, parse_fixture_lines
 from ccspace.geometry import ConvexPolytope, EnumerationCapError
 from ccspace.instances import parse_point
-from mutants import CE_MUTANTS, MUTANTS, _equal_weights_ce, _nan_off_the_mean_mutant
+from mutants import CE_MUTANTS, METRIC_MUTANTS, MUTANTS, _equal_weights_ce, _nan_off_the_mean_mutant
 
 
 def run_cli(args, env_seed=None, monkeypatch=None):
@@ -475,6 +475,24 @@ def test_battery_fails_on_a_broken_space(make, checks, monkeypatch, capsys):
         assert rows[f"power-d1/{check}"][1] == "fail", check
     assert all(verdict == "pass" for label, (_, verdict) in rows.items()
                if not label.startswith("power-d1/"))
+
+
+@pytest.mark.parametrize("make,checks", METRIC_MUTANTS, ids=[m[0].__name__ for m in METRIC_MUTANTS])
+def test_embedding_rows_fail_on_a_rescaled_hausdorff_metric(make, checks, monkeypatch, capsys):
+    # every compact-sets d=2 space the commands ask for is the mutant; the
+    # axiom rows hold for any multiple of a metric, so exactly the embedding
+    # rows named fail
+    real = cli.get_space
+    monkeypatch.setattr(cli, "get_space", lambda name, dim: (
+        make() if (name, dim) == ("compact-sets", 2) else real(name, dim=dim)))
+    assert run_cli(["battery", "--trials", "40", "--seed", "1", "--format", "csv"],
+                   monkeypatch=monkeypatch) == 1
+    rows = battery_rows(capsys)
+    assert sorted(label for label, (_, verdict) in rows.items() if verdict == "fail") == list(checks)
+    assert run_cli(["embed-verify", "--trials", "40", "--format", "csv"], monkeypatch=monkeypatch) == 1
+    rows = battery_rows(capsys)
+    assert sorted(label for label, (_, verdict) in rows.items() if verdict == "fail") == [
+        check.removeprefix("embedding/") for check in checks]
 
 
 CE_COMMANDS = {

@@ -7,6 +7,7 @@ from ccspace import (
     AffineFunctional,
     ConvexPolytope,
     FinitePointSet,
+    compact_sets_space,
     convex_hull,
     embed,
     embedded_distance,
@@ -143,7 +144,7 @@ def test_linear_growth_bound():
 
 
 def test_embedding_suite_passes():
-    report = embedding_suite(trials=150, seed=2)
+    report = embedding_suite(compact_sets_space(2), trials=150, seed=2)
     assert report.passed, report.failures()
     assert report.checks["affinity"].worst_violation <= 1e-12
     assert report.checks["isometry"].worst_violation <= 1e-9

@@ -915,7 +915,7 @@ def test_farthest_nearest_site_in_blocks_matches_full_matrix():
 
 def reference_hausdorff_sets(a, b):
     """The full-matrix Hausdorff distance of two point sets, which
-    ``_hausdorff_sets`` computes in row blocks."""
+    ``_hausdorff_sets`` computes in row blocks in d=2."""
     diff = a.arr[:, None, :] - b.arr[None, :, :]
     dmat = np.sqrt((diff * diff).sum(axis=2))
     return float(max(dmat.min(axis=1).max(), dmat.min(axis=0).max()))
@@ -926,8 +926,9 @@ def reference_hausdorff_sets(a, b):
 def test_hausdorff_sets_in_row_blocks_matches_full_matrix(monkeypatch, block, dim):
     # blocks of 1 << 18 distances hold every row; a block of 1 (or fewer than
     # len(b)) distances holds one row; 7 and 36 end a block inside and at the
-    # end of a set of 9 or 12 rows against 4 or 3 columns.  Every case takes
-    # the blocked path, small sets included
+    # end of a set of 9 or 12 rows against 4 or 3 columns.  Every d=2 case
+    # takes the blocked path, small sets included; d=1 takes the sorted walk,
+    # which must give the pairwise loop's bits whatever the two settings
     monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
     monkeypatch.setattr(geometry, "_HAUSDORFF_LOOP_PAIRS", 0)
     rng = random.Random(dim * 100 + block)
@@ -950,14 +951,42 @@ def test_hausdorff_sets_in_row_blocks_matches_full_matrix(monkeypatch, block, di
     ]
     for a, b in cases:
         for x, y in ((a, b), (b, a)):
-            assert _hausdorff_sets(x, y) == reference_hausdorff_sets(x, y)
-            assert hausdorff_distance(x, y) == reference_hausdorff_sets(x, y)
+            # d=1 takes the sorted walk, whatever the block size and crossover
+            want = reference_hausdorff_sets(x, y) if dim == 2 else reference_hausdorff_sets_loop(x, y)
+            assert _hausdorff_sets(x, y) == want
+            assert hausdorff_distance(x, y) == want
+
+
+def reference_hausdorff_sets_loop(a, b):
+    """The d=1 Hausdorff distance of two point sets as a loop over every
+    pair of points: the least squared gap ``dx*dx`` of each point, the
+    largest of those, and its sqrt; NaN at the first NaN squared gap."""
+    pa, pb = a.points, b.points
+    nearest = [math.inf] * len(pb)
+    worst = 0.0
+    xs = [q[0] for q in pb]
+    for (x,) in pa:
+        row = math.inf
+        for j in range(len(pb)):
+            dx = x - xs[j]
+            d2 = dx * dx
+            if d2 < row:
+                row = d2
+            if d2 < nearest[j]:
+                nearest[j] = d2
+            elif d2 != d2:
+                return math.nan
+        if row > worst:
+            worst = row
+    return math.sqrt(max(worst, max(nearest)))
 
 
 def hausdorff_loop_cases():
     """Point-set pairs for the small-set loop: seeded random sets on both
     sides of the crossover, one-point sets, near-duplicate self-midpoint
-    lattices, and sets with infinite (or NaN) coordinates."""
+    lattices, sets with infinite (or NaN) coordinates, and d=1 sets drawn
+    partly from a small pool (repeated points, signed zeros, the
+    infinities), unsorted."""
     rng = random.Random(16)
     cases = []
     for dim in (1, 2):
@@ -984,7 +1013,7 @@ def hausdorff_loop_cases():
         ((0.0,), (1.0,), (inf,)), ((inf,), (2.0,)), ((2.0,), (inf,), (3.0,)), ((-inf,), (0.0,)),
         ((inf, 0.0), (0.0, 0.0)), ((inf, 1.0),), ((0.0, -inf),), ((1.0, 2.0), (0.0, -inf), (3.0, 3.0)),
         ((inf, -inf),), ((-inf, inf), (0.0, 0.0)), ((1e200, 0.0),), ((-1e200, 0.0), (0.0, 0.0)),
-        ((nan, 0.0), (1.0, 1.0)),
+        ((nan, 0.0), (1.0, 1.0)), ((nan,), (1.0,)), ((0.0,), (nan,), (-inf,)),
     ]
     for pts in odd:
         for other in odd:
@@ -993,21 +1022,43 @@ def hausdorff_loop_cases():
     wide = tuple((float(i), float(-i)) for i in range(12))
     cases += [(FinitePointSet(wide + ((inf, 0.0),)), FinitePointSet(((inf, 5.0),) + wide)),
               (FinitePointSet(wide[:6] + ((0.0, -inf),) + wide[6:]), FinitePointSet(wide))]
+    pool = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1 / 3, -2.5, inf, -inf)
+
+    def pooled():
+        return FinitePointSet(tuple((rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-5, 5),)
+                                    for _ in range(rng.randint(1, 12))))
+
+    cases += [(pooled(), pooled()) for _ in range(2000)]
     return cases
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def test_hausdorff_sets_loop_matches_array_path(monkeypatch):
     cases = hausdorff_loop_cases()
-    below = [len(a) * len(b) < geometry._HAUSDORFF_LOOP_PAIRS for a, b in cases]
-    assert True in below and False in below
     pairs = [(x, y) for a, b in cases for x, y in ((a, b), (b, a))]
+    # d=1: the sorted walk gives the pairwise loop's bits, NaN wherever it gives NaN
+    for x, y in pairs:
+        if x.dim == 1:
+            assert _hausdorff_sets(x, y).hex() == reference_hausdorff_sets_loop(x, y).hex(), (x, y)
+    pairs = [(x, y) for x, y in pairs if x.dim == 2]
+    below = [len(x) * len(y) < geometry._HAUSDORFF_LOOP_PAIRS for x, y in pairs]
+    assert True in below and False in below
     dispatched = [_hausdorff_sets(x, y) for x, y in pairs]
     monkeypatch.setattr(geometry, "_HAUSDORFF_LOOP_PAIRS", 0)  # the blocked array path
     for (x, y), got in zip(pairs, dispatched):
         want = _hausdorff_sets(x, y).hex()
         assert geometry._hausdorff_sets_loop(x.points, y.points).hex() == want, (x, y)
         assert got.hex() == want
+
+
+@pytest.mark.parametrize("far", [1e200, 1e-170, 1.5e308, 5e-324])
+def test_hausdorff_sets_1d_squares_no_gap(far):
+    # dx*dx overflows to inf at 1e200 and underflows to 0.0 at 1e-170, so a
+    # squared gap would read the sets as infinitely far or equal
+    a, b = FinitePointSet.of([(0.0,)]), FinitePointSet.of([(far,)])
+    assert hausdorff_distance(a, b) == far == hausdorff_distance(b, a)
+    pair = FinitePointSet.of([(-far,), (0.0,)])
+    assert hausdorff_distance(pair, FinitePointSet.of([(far,), (0.0,)])) == far
 
 
 lattice_coord = st.integers(-8, 8).map(lambda k: k / 2)
