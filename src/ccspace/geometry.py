@@ -12,13 +12,13 @@ so it is not correctly rounded.  The d=2 covering radius of a polytope by
 point sets measures from computed candidate points (bisector crossings,
 circumcenters) and can sit several ulps below the true radius.
 
-Small operands run on plain-float loops, and two d=1 point sets take one
-walk over their sorted coordinates.  numpy is imported by the first array
-kernel that runs, not by importing this module: the blocked Hausdorff
-distance of two d=2 point sets at ``_HAUSDORFF_LOOP_PAIRS`` pairs or more,
-the containment test of point-set sites in a polygon at that many site-edge
-pairs or more, the covering radius of a d=2 polytope by point-set sites
-(its neighbour order and candidate distances), and ``.arr``.
+Two d=1 point sets take one walk over their sorted coordinates, and each
+d=2 distance to the nearest point of a finite set one sweep in x measured
+with ``math.hypot`` (``_farthest_nearest``); a d=2 point set and polygon are
+first scaled by a power of two into ``_FLOAT_BAND``.  numpy is imported by
+the first array kernel that runs, not on import: the containment test of
+sites in a polygon at ``_CONTAINMENT_PAIRS`` site-edge pairs or more, the
+covering radius's neighbour order and circumcenters, and ``.arr``.
 """
 
 from __future__ import annotations
@@ -39,13 +39,16 @@ if TYPE_CHECKING:
 # Points closer than this (per coordinate) are considered duplicates.
 DEDUP_RESOLUTION = 1e-12
 ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
-# the covering radius and the d=2 Hausdorff distance of two point sets hold
-# at most this many squared distances at once
+# the covering radius's neighbour order holds at most this many squared
+# distances at once
 _NEAREST_BLOCK = 1 << 18
-# below this many point pairs (len(a) * len(b)) a plain-float loop is faster
-# than numpy's fixed cost per call, so the Hausdorff distance of two d=2
-# point sets runs as one; above it, in row blocks
-_HAUSDORFF_LOOP_PAIRS = 128
+# from this many site-edge pairs on, the distance from d=2 sites to a polygon
+# tests every site for containment in one numpy pass before walking edges
+_CONTAINMENT_PAIRS = 128
+# while the largest |coordinate| has a binary exponent within this band, the
+# circumcenters' cubes of coordinates and products of three differences near
+# a coordinate's ulp, and point_to_polytope's squares, stay normal floats
+_FLOAT_BAND = 256
 # the covering radius sorts this many nearest neighbours of each site up
 # front, and the rest only when clipping its cell goes past them; a cell of
 # the lattice sites of `convexify-rate --dim 2` takes at most 9
@@ -388,33 +391,16 @@ def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
 
 
 def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
-    """Hausdorff distance between two point sets.
-
-    In d=1 one walk over the sorted coordinates (``_farthest_nearest_gap``,
-    each way) takes every point's gap ``abs(x - y)`` to its nearest point of
-    the other set.  In d=2, below ``_HAUSDORFF_LOOP_PAIRS`` point pairs a
-    plain-float loop runs (``_hausdorff_sets_loop``); above, the squared
-    distances go in row blocks (``_squared_distance_blocks``), with a running
-    minimum per point of ``b``.  Since sqrt is monotone, the result is the
-    same value as from the matrix of distances, and both d=2 paths give the
-    same bits.
-    """
+    """Hausdorff distance between two point sets, from each point's distance
+    to its nearest point of the other set, each way: in d=1 the gap
+    ``abs(x - y)`` of one walk over the sorted coordinates
+    (``_farthest_nearest_gap``), in d=2 the ``hypot`` sweep
+    (``_farthest_nearest``)."""
     if a.dim == 1:
         xs = sorted([x for (x,) in a.points])
         ys = sorted([y for (y,) in b.points])
         return nan_max(_farthest_nearest_gap(xs, ys), _farthest_nearest_gap(ys, xs))
-    if len(a) * len(b) < _HAUSDORFF_LOOP_PAIRS:
-        return _hausdorff_sets_loop(a.points, b.points)
-    import numpy as np
-
-    blocks = _squared_distance_blocks(a.arr, b.arr)
-    d2 = next(blocks)
-    worst = d2.min(axis=1).max()
-    nearest = d2.min(axis=0)
-    for d2 in blocks:
-        worst = np.maximum(worst, d2.min(axis=1).max())
-        np.minimum(nearest, d2.min(axis=0), out=nearest)
-    return math.sqrt(max(worst, nearest.max()))
+    return _farthest_nearest(b.points, a.points, _farthest_nearest(a.points, b.points))
 
 
 def _farthest_nearest_gap(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -443,29 +429,50 @@ def _farthest_nearest_gap(xs: Sequence[float], ys: Sequence[float]) -> float:
     return worst
 
 
-def _hausdorff_sets_loop(pa: Sequence[tuple[float, float]], pb: Sequence[tuple[float, float]]) -> float:
-    """The blocked path's value on d=2 tuples: the same ``dx*dx + dy*dy``,
-    minima, maximum and sqrt.  A NaN squared distance makes numpy's minima
-    and maximum NaN, so it returns NaN at once."""
-    nearest = [math.inf] * len(pb)
-    worst = 0.0
-    cols = range(len(pb))
-    for x, y in pa:
-        row = math.inf
-        for j in cols:
-            qx, qy = pb[j]
-            dx = x - qx
-            dy = y - qy
-            d2 = dx * dx + dy * dy
-            if d2 < row:
-                row = d2
-            if d2 < nearest[j]:
-                nearest[j] = d2
-            elif d2 != d2:
-                return math.nan
-        if row > worst:
-            worst = row
-    return math.sqrt(max(worst, max(nearest)))
+def _farthest_nearest(queries: Sequence[Sequence[float]], sites: Iterable[Sequence[float]],
+                      worst: float = 0.0) -> float:
+    """The larger of ``worst`` and each d=2 query's distance to its nearest
+    site, ``math.hypot(qx - sx, qy - sy)``: the bits of the loop over every
+    pair, or NaN when a coordinate of either argument is not finite.
+
+    Each query bisects to its place among the sites sorted by x and scans
+    outward, the nearer side in x first, until the gap in x reaches its best
+    distance (``hypot`` is never below either argument), and stops as soon
+    as its best is at or below the running maximum.
+    """
+    order = sorted(sites, key=operator.itemgetter(0))
+    if not all(map(math.isfinite, itertools.chain(*queries, *order))):
+        return math.nan
+    xs = [x for x, _ in order]
+    n = len(order)
+    hypot, inf = math.hypot, math.inf
+    for qx, qy in queries:
+        hi = bisect_left(xs, qx)
+        lo = hi - 1
+        left = qx - xs[lo] if lo >= 0 else inf
+        right = xs[hi] - qx if hi < n else inf
+        best = inf
+        while True:
+            if left <= right:
+                if left >= best:
+                    break
+                sx, sy = order[lo]
+                lo -= 1
+                left = qx - xs[lo] if lo >= 0 else inf
+            else:
+                if right >= best:
+                    break
+                sx, sy = order[hi]
+                hi += 1
+                right = xs[hi] - qx if hi < n else inf
+            d = hypot(qx - sx, qy - sy)
+            if d < best:
+                best = d
+                if best <= worst:
+                    break
+        if best > worst:
+            worst = best
+    return worst
 
 
 def _squared_distance_blocks(pa: np.ndarray, pb: np.ndarray) -> Iterator[np.ndarray]:
@@ -476,26 +483,19 @@ def _squared_distance_blocks(pa: np.ndarray, pb: np.ndarray) -> Iterator[np.ndar
     valid only until the next one is taken; fresh large arrays per block
     would be fresh pages, each faulted in again.
     """
-    rows = max(1, _NEAREST_BLOCK // len(pb))
-    d2, dy = _squared_distances(pa[:rows], pb)
-    yield d2
-    for start in range(rows, len(pa), rows):
-        block = pa[start:start + rows]
-        k = len(block)
-        yield _squared_distances(block, pb, d2[:k], dy[:k])[0]
-
-
-def _squared_distances(pa: np.ndarray, pb: np.ndarray, d2: np.ndarray | None = None,
-                       dy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The block of d=2 points ``pa`` against ``pb``, in ``d2`` and ``dy`` when given."""
     import numpy as np
 
-    d2 = np.subtract(pa[:, 0:1], pb[:, 0], out=d2)
-    d2 *= d2
-    dy = np.subtract(pa[:, 1:2], pb[:, 1], out=dy)
-    dy *= dy
-    d2 += dy
-    return d2, dy
+    rows = max(1, _NEAREST_BLOCK // len(pb))
+    d2, dy = np.empty((2, min(rows, len(pa)), len(pb)))
+    for start in range(0, len(pa), rows):
+        block = pa[start:start + rows]
+        out, tmp = d2[:len(block)], dy[:len(block)]
+        np.subtract(block[:, 0:1], pb[:, 0], out=out)
+        out *= out
+        np.subtract(block[:, 1:2], pb[:, 1], out=tmp)
+        tmp *= tmp
+        out += tmp
+        yield out
 
 
 def _hausdorff_polys(a: ConvexPolytope, b: ConvexPolytope) -> float:
@@ -538,24 +538,38 @@ def _interval_to_sites_1d(lo: float, hi: float, xs: Sequence[float]) -> float:
     """sup over ``[lo, hi]`` of the distance to the nearest of the ascending
     sites ``xs``: at an endpoint or at the midpoint of two adjacent sites."""
     halves = [min(mid - left, right - mid) for left, right in zip(xs, xs[1:])
-              if lo <= (mid := 0.5 * (left + right)) <= hi]
+              if lo <= (mid := 0.5 * left + 0.5 * right) <= hi]
     return max([_nearest_gap(lo, xs), _nearest_gap(hi, xs), *halves])
 
 
-def _sites_to_polygon(sites: FinitePointSet, poly: ConvexPolytope) -> float:
-    """``nan_max(point_to_polytope(p, poly) for p in sites.points)`` in d=2.
+def _in_float_band(poly: ConvexPolytope, sites: FinitePointSet) -> tuple[int, ConvexPolytope, FinitePointSet]:
+    """``(e, poly, sites)``, both d=2 operands scaled by ``2**-e`` when the
+    largest |coordinate| has a binary exponent ``e`` outside ``±_FLOAT_BAND``
+    (else ``e = 0``).  The scaling is exact short of subnormals, so a
+    distance on the returned operands is the given ones' times ``2**-e``."""
+    e = math.frexp(max(map(abs, itertools.chain(*poly.vertices, *sites.points))))[1]
+    if -_FLOAT_BAND <= e <= _FLOAT_BAND:
+        return 0, poly, sites
+    return (e, ConvexPolytope(tuple((math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in poly.vertices)),
+            FinitePointSet(tuple((math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in sites.points)))
 
-    From ``_HAUSDORFF_LOOP_PAIRS`` site-edge pairs on, one
+
+def _sites_to_polygon(sites: FinitePointSet, poly: ConvexPolytope) -> float:
+    """``nan_max(point_to_polytope(p, poly) for p in sites.points)`` in d=2,
+    measured on the operands scaled into the float band (``_in_float_band``).
+
+    From ``_CONTAINMENT_PAIRS`` site-edge pairs on, one
     ``_polygon_contains_all`` pass (the same cross test in the same
     operation order) finds the sites inside, whose distance is 0.0, and
     only the sites outside walk the edges.  Every distance is +0.0 or more
     (or NaN), so leaving the zeros out keeps the bits of the maximum.
     """
+    e, poly, sites = _in_float_band(poly, sites)
     pts = sites.points
-    if len(pts) * len(poly.edges) < _HAUSDORFF_LOOP_PAIRS:
-        return nan_max(point_to_polytope(p, poly) for p in pts)
-    inside = _polygon_contains_all(poly, sites.arr).tolist()
-    return nan_max((point_to_polytope(p, poly) for p, isin in zip(pts, inside) if not isin), default=0.0)
+    if len(pts) * len(poly.edges) >= _CONTAINMENT_PAIRS:
+        inside = _polygon_contains_all(poly, sites.arr).tolist()
+        pts = [p for p, isin in zip(pts, inside) if not isin]
+    return math.ldexp(nan_max((point_to_polytope(p, poly) for p in pts), default=0.0), e)
 
 
 def _bisector_edge_hits(
@@ -582,14 +596,13 @@ def _bisector_edge_hits(
 
 
 def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Circumcenters of the site triples in the rows of ``idx`` (collinear ones dropped)."""
+    """Circumcenters of the site triples in the rows of ``idx``, but of those
+    whose determinant is 0.0 (collinear in floats)."""
     import numpy as np
 
-    if len(idx) == 0:
-        return np.empty((0, 2))
     a, b, c = sites[idx[:, 0]], sites[idx[:, 1]], sites[idx[:, 2]]
     d = 2.0 * (a[:, 0] * (b[:, 1] - c[:, 1]) + b[:, 0] * (c[:, 1] - a[:, 1]) + c[:, 0] * (a[:, 1] - b[:, 1]))
-    mask = np.abs(d) > 1e-14
+    mask = d != 0.0
     a, b, c, d = a[mask], b[mask], c[mask], d[mask]
     a2 = (a * a).sum(axis=1)
     b2 = (b * b).sum(axis=1)
@@ -599,23 +612,10 @@ def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.column_stack([ux, uy])
 
 
-def _farthest_nearest_site(cands: np.ndarray, sites: np.ndarray) -> float:
-    """Largest distance from a row of ``cands`` to its nearest site.
-
-    The candidates go in blocks of at most ``_NEAREST_BLOCK`` distances.
-    Since sqrt is monotone, the result is the root of the largest least
-    squared distance, the same value as from the matrix of distances.
-    """
-    import numpy as np
-
-    worst = [d2.min(axis=1).max() for d2 in _squared_distance_blocks(cands, sites)]
-    return float(np.sqrt(np.max(worst)))
-
-
 def _nearest_first(sites: np.ndarray) -> Iterator[Iterator[tuple[float, int]]]:
     """For each site in turn, the ``(d², index)`` of every site (itself
     included), nearest first and ties by index: a stable argsort of the
-    site's row of ``_squared_distances``.
+    site's row of ``_squared_distance_blocks``.
 
     The rows go in blocks of at most ``_NEAREST_BLOCK`` distances.  Each row
     keeps the entries at most its ``(_FIRST_NEIGHBOURS + 1)``-th least value
@@ -658,8 +658,8 @@ def _clipped_cell_labels(
     poly: ConvexPolytope, sites: np.ndarray, pts: Sequence[Sequence[float]]
 ) -> tuple[set[tuple[int, int, int]], set[tuple[int, int, int]]]:
     """Bisector-edge pairs and bisector triples that meet at a vertex of some
-    site's Voronoi cell clipped to ``poly`` (Sutherland-Hodgman); ``pts`` is
-    ``sites.tolist()``.
+    site's Voronoi cell clipped to ``poly`` (Sutherland-Hodgman); ``pts`` holds
+    the rows of ``sites`` as Python floats.
 
     Each cell vertex carries the label of its outgoing edge's supporting line
     (a site ``j >= 0`` for the bisector with site ``j``, or ``~e < 0`` for
@@ -710,32 +710,31 @@ def _clipped_cell_labels(
 
 
 def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet) -> float:
-    """sup over the polytope of the distance to the nearest site, in closed
-    form.
+    """sup over the d=2 polytope of the distance to the nearest site, in
+    closed form.
 
     The maximizer is a vertex of some site's Voronoi cell clipped to the
     polytope: a polytope vertex, a boundary point equidistant to two sites,
     or an interior point equidistant to three (a Voronoi vertex).  Clipping
     picks which site pairs and triples meet there, and the nearest-site
-    distance over those candidates is the supremum.  In d=2 the candidates
-    are float points, so the result is the supremum up to their rounding,
-    not correctly rounded: on the running means of the ``convexify-rate
-    --dim 2`` triangle sweep it sits up to 11.6 ulps below the exact radius
-    of their float sites (n <= 32).
+    distance over those candidates is the supremum.  The operands are
+    scaled into the float band first (``_in_float_band``), and the nearest-
+    site distances run the sweep ``_farthest_nearest``.  The candidates are
+    float points, so the result is the supremum up to their rounding, not
+    correctly rounded: on the n-fold self-averages of the ``two-point``
+    triangle (n <= 32) it sits from 7.05 ulps below to 1.2 above the radius
+    recomputed in exact rationals from the same clipping labels.
     """
-    if poly.dim == 1:
-        return _interval_to_sites_1d(poly.lo, poly.hi, [x for (x,) in sites_set.points])
-    import numpy as np
+    e, poly, sites_set = _in_float_band(poly, sites_set)
+    cands = list(poly.vertices)
+    if len(sites_set) >= 2 and len(poly.vertices) >= 2:
+        import numpy as np
 
-    sites = sites_set.arr
-    cands = [poly.arr]
-    if len(sites) >= 2 and len(poly.vertices) >= 2:
-        pts = sites.tolist()
-        pairs, triples = _clipped_cell_labels(poly, sites, pts)
-        hits = _bisector_edge_hits(pts, poly.edges, pairs)
-        centers = _circumcenters(sites, np.array(sorted(triples), dtype=int).reshape(-1, 3))
-        cands += [np.asarray(hits, dtype=float).reshape(-1, 2), centers[_polygon_contains_all(poly, centers)]]
-    return _farthest_nearest_site(np.concatenate(cands), sites)
+        pairs, triples = _clipped_cell_labels(poly, sites_set.arr, sites_set.points)
+        cands += _bisector_edge_hits(sites_set.points, poly.edges, pairs)
+        centers = _circumcenters(sites_set.arr, np.array(sorted(triples), dtype=int).reshape(-1, 3))
+        cands += centers[_polygon_contains_all(poly, centers)].tolist()
+    return math.ldexp(_farthest_nearest(cands, sites_set.points), e)
 
 
 def _hausdorff_mixed(sites: FinitePointSet, poly: ConvexPolytope) -> float:

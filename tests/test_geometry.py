@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +33,7 @@ from ccspace.geometry import (
     _cross,
     _dedup_sorted,
     _directed_polytope_to_sites,
-    _farthest_nearest_site,
+    _farthest_nearest,
     _hausdorff_sets,
     _interval_to_sites_1d,
     _nearest_first,
@@ -474,7 +476,7 @@ def mixed_cases_1d():
 def mixed_cases_2d():
     """A point, segments and polygons against 1-3 sites inside, outside, at
     a vertex and on an edge, a -0.0 site at a 0.0 vertex, lattice
-    (cocircular) sites, and random sets past ``_HAUSDORFF_LOOP_PAIRS``."""
+    (cocircular) sites, and random sets past ``_CONTAINMENT_PAIRS``."""
     rng = random.Random(30)
     triangle = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
     square = convex_hull(FinitePointSet.of([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]))
@@ -501,11 +503,11 @@ def mixed_cases_2d():
     return [(sites, poly) for sites in sets for poly in polys]
 
 
-@pytest.mark.parametrize("loop_pairs", [128, 0])
-def test_sites_to_polytope_matches_per_site_oracle(monkeypatch, loop_pairs):
+@pytest.mark.parametrize("containment_pairs", [128, 0])
+def test_sites_to_polytope_matches_per_site_oracle(monkeypatch, containment_pairs):
     # 128 is the default crossover, so small sets loop and large ones test
     # containment first; 0 tests containment first for every set
-    monkeypatch.setattr(geometry, "_HAUSDORFF_LOOP_PAIRS", loop_pairs)
+    monkeypatch.setattr(geometry, "_CONTAINMENT_PAIRS", containment_pairs)
     for sites, poly in mixed_cases_1d():
         xs = [x for (x,) in sites.points]
         want = reference_sites_to_polytope(sites, poly)
@@ -542,6 +544,15 @@ def test_interval_to_sites_1d_matches_oracle():
         xs = [x for (x,) in sites.points]
         want = reference_interval_to_sites_1d(poly.lo, poly.hi, xs)
         assert _interval_to_sites_1d(poly.lo, poly.hi, xs).hex() == want.hex(), (sites, poly)
+
+
+def test_interval_to_sites_1d_midpoint_does_not_overflow():
+    # 1e308 + 1.7e308 overflows; the half-gap is that of the halved operands, doubled
+    big = (ConvexPolytope.interval(1e308, 1.7e308), FinitePointSet.of([(1e308,), (1.7e308,)]))
+    half = (ConvexPolytope.interval(0.5e308, 0.85e308), FinitePointSet.of([(0.5e308,), (0.85e308,)]))
+    want = 2.0 * hausdorff_distance(*half)
+    assert want == pytest.approx(3.5e307, rel=1e-15)
+    assert hausdorff_distance(*big) == hausdorff_distance(*big[::-1]) == want
 
 
 def test_hausdorff_rejects_dim_mismatch():
@@ -874,87 +885,167 @@ def test_clipped_cell_labels_match_reference_on_triangle_self_combinations():
 
 @np.errstate(over="ignore", invalid="ignore")
 def test_covering_radius_past_the_float_range():
-    # squared distances overflow: the neighbour search still ends, an infinite
-    # radius stays infinite and a NaN one stays NaN
+    # squared distances overflow, so the neighbour search must still end;
+    # the radius is measured on the operands scaled into the float band, and
+    # each want is the radius of the same operands scaled down by a power of two
     poly = convex_hull(FinitePointSet.of([(-1e308, -1.0), (1.0, -1.0), (0.0, 1e308)]))
     sites = FinitePointSet.of([(-1e308, -1e308), (1e308, 1e308), (0.0, 1.0), (1e308, -1e308)])
     assert_labels_match_reference(poly, sites)
     assert_neighbour_order_matches_argsort(sites)
-    assert _directed_polytope_to_sites(poly, sites) == math.inf
+    assert _directed_polytope_to_sites(poly, sites) == 1e308
     poly = convex_hull(FinitePointSet.of([(2.67e154, 9.54e154), (3.73e154, -4.01e154), (7.2e154, -3.19e153)]))
     sites = FinitePointSet.of([(6.8e-146, 7.8e154), (9.0e-146, -3.7e154)])
     assert_labels_match_reference(poly, sites)
     assert_neighbour_order_matches_argsort(sites)
-    assert _directed_polytope_to_sites(poly, sites) == math.inf
+    assert _directed_polytope_to_sites(poly, sites) == 8.391237818143997e154
     poly = convex_hull(FinitePointSet.of([(2.9e149, 4.6e149), (-7.0e149, -2.6e149), (8.4e149, -9.2e148)]))
     sites = FinitePointSet.of([(8.8e-151, 3.6e149), (-2.6e-151, -4.1e149), (3.5e-151, -7.9e149),
                                (8.9e-151, 3.5e149), (7.2e148, 3.3e149), (1.7e148, 4.4e149)])
     assert_labels_match_reference(poly, sites)
     assert_neighbour_order_matches_argsort(sites)
-    assert math.isnan(_directed_polytope_to_sites(poly, sites))
-    # the mixed Hausdorff distance keeps that NaN in both argument orders
-    assert math.isnan(hausdorff_distance(sites, poly))
-    assert math.isnan(hausdorff_distance(poly, sites))
+    assert _directed_polytope_to_sites(poly, sites) == 8.763036003577756e149
+    # the covering radius is the mixed Hausdorff distance in both argument orders
+    assert hausdorff_distance(sites, poly) == hausdorff_distance(poly, sites) == 8.763036003577756e149
 
 
-@np.errstate(invalid="ignore")
-def test_farthest_nearest_site_in_blocks_matches_full_matrix():
-    rng = np.random.default_rng(7)
-    # 513 x 1024 distances are more than _NEAREST_BLOCK: blocks of 256
-    # candidates, the last one holding a single candidate
-    sites = rng.uniform(-5, 5, size=(1024, 2))
-    cands = rng.uniform(-5, 5, size=(513, 2))
-    full = np.sqrt(((cands[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)).min(axis=1).max()
-    assert _farthest_nearest_site(cands, sites) == full
-    # a candidate past the float range gives an infinite or NaN radius in any block
-    for row in (0, 300, 512):
-        for bad, want in (((math.inf, 0.0), math.inf), ((0.0, -math.inf), math.inf), ((math.nan, 0.0), math.nan)):
-            got = _farthest_nearest_site(np.vstack([cands[:row], [bad], cands[row + 1:]]), sites)
-            assert got == want or (math.isnan(got) and math.isnan(want))
+@pytest.mark.parametrize("k", [-35, -30, -26, 0, 30])
+def test_covering_radius_of_a_hexagon_by_its_vertices_at_every_scale(k):
+    # the hull of a regular hexagon of circumradius 2**k is covered by its
+    # vertices at radius 2**k, from the center; a circumcenter test that
+    # reads a small determinant as collinear loses the center below 2**-26
+    base = FinitePointSet.of([(math.cos(j * math.pi / 3), math.sin(j * math.pi / 3)) for j in range(6)])
+    sites = FinitePointSet(scaled_points(base.points, k))
+    hull = ConvexPolytope(scaled_points(convex_hull(base).vertices, k))
+    assert math.ldexp(_directed_polytope_to_sites(hull, sites), -k) == pytest.approx(1.0, rel=4e-16)
+
+
+def reference_farthest_nearest(queries, sites):
+    """Oracle: the largest over ``queries`` of the least ``math.hypot``
+    distance to a site, over every pair."""
+    return max(min(math.hypot(x - u, y - v) for u, v in sites) for x, y in queries)
+
+
+def reference_hausdorff_hypot(a, b):
+    """Oracle: the d=2 Hausdorff distance of two point sets over every pair,
+    each measured with ``math.hypot``."""
+    return max(reference_farthest_nearest(a.points, b.points), reference_farthest_nearest(b.points, a.points))
 
 
 def reference_hausdorff_sets(a, b):
-    """The full-matrix Hausdorff distance of two point sets, which
-    ``_hausdorff_sets`` computes in row blocks in d=2."""
+    """The full-matrix Hausdorff distance of two point sets from squared
+    distances: NaN or inf wherever a coordinate is not finite, which bounds
+    the sweep's NaN rule from below."""
     diff = a.arr[:, None, :] - b.arr[None, :, :]
     dmat = np.sqrt((diff * diff).sum(axis=2))
     return float(max(dmat.min(axis=1).max(), dmat.min(axis=0).max()))
 
 
-@pytest.mark.parametrize("block", [1 << 18, 1, 7, 36])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_hausdorff_sets_in_row_blocks_matches_full_matrix(monkeypatch, block, dim):
-    # blocks of 1 << 18 distances hold every row; a block of 1 (or fewer than
-    # len(b)) distances holds one row; 7 and 36 end a block inside and at the
-    # end of a set of 9 or 12 rows against 4 or 3 columns.  Every d=2 case
-    # takes the blocked path, small sets included; d=1 takes the sorted walk,
-    # which must give the pairwise loop's bits whatever the two settings
-    monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
-    monkeypatch.setattr(geometry, "_HAUSDORFF_LOOP_PAIRS", 0)
-    rng = random.Random(dim * 100 + block)
+def assert_sweep_matches_hypot_oracle(x, y):
+    """On finite sets, both directions and the Hausdorff distance carry the
+    pairwise ``hypot`` oracle's bits.  A coordinate that is not finite makes
+    them NaN, and the squared-distance matrix is then not finite either."""
+    got = (_farthest_nearest(x.points, y.points), _hausdorff_sets(x, y), hausdorff_distance(x, y))
+    if all(map(math.isfinite, itertools.chain(*x.points, *y.points))):
+        want = (reference_farthest_nearest(x.points, y.points), reference_hausdorff_hypot(x, y))
+        assert [v.hex() for v in got] == [want[0].hex(), want[1].hex(), want[1].hex()], (x, y)
+    else:
+        assert all(map(math.isnan, got)), (x, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(reference_hausdorff_sets(x, y)), (x, y)
 
-    def points(n):
-        return [tuple(rng.choice((rng.uniform(-5, 5), rng.randint(-3, 3) / 2)) for _ in range(dim))
-                for _ in range(n)]
 
-    one = FinitePointSet.of(points(1))
-    shared = points(6)
-    cases = [
-        (one, one),
-        (one, FinitePointSet.of(points(40))),
-        (FinitePointSet.of(points(9)), FinitePointSet.of(points(4))),
-        (FinitePointSet.of(points(12)), FinitePointSet.of(points(3))),
-        (FinitePointSet.of(shared + points(5)), FinitePointSet.of(shared)),
-        # repeated points, kept as given
-        (FinitePointSet(tuple(shared * 2)), FinitePointSet(tuple(shared[:2] * 3))),
-        (FinitePointSet.of(points(200)), FinitePointSet.of(points(150))),
-    ]
-    for a, b in cases:
-        for x, y in ((a, b), (b, a)):
-            # d=1 takes the sorted walk, whatever the block size and crossover
-            want = reference_hausdorff_sets(x, y) if dim == 2 else reference_hausdorff_sets_loop(x, y)
-            assert _hausdorff_sets(x, y) == want
-            assert hausdorff_distance(x, y) == want
+def test_hausdorff_sets_2d_sweep_matches_pairwise_hypot():
+    pairs = [(x, y) for a, b in hausdorff_loop_cases() for x, y in ((a, b), (b, a)) if a.dim == 2]
+    for x, y in pairs:
+        assert_sweep_matches_hypot_oracle(x, y)
+    # a query dropped early, ties in x and y, and candidates that sit in no order
+    rng = random.Random(7)
+    sites = FinitePointSet(tuple((rng.randint(-6, 6) / 2, rng.uniform(-5, 5)) for _ in range(300)))
+    queries = FinitePointSet(tuple((rng.uniform(-5, 5), rng.randint(-6, 6) / 2) for _ in range(200)))
+    assert_sweep_matches_hypot_oracle(queries, sites)
+
+
+lattice_coord = st.integers(-8, 8).map(lambda k: k / 2)
+# lattice ties, small floats, and any finite float (differences may overflow)
+wide_coord = st.one_of(coord, lattice_coord, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(wide_coord, wide_coord), min_size=1, max_size=25),
+       st.lists(st.tuples(wide_coord, wide_coord), min_size=1, max_size=25))
+@example([(0.0, 0.0)], [(1e200, 0.0)])
+@example([(0.0, 0.0)], [(1e-170, 0.0)])
+@example([(-1.7e308, 0.0)], [(1.7e308, 1.0), (1.7e308, -1.0)])
+def test_hausdorff_sets_2d_sweep_matches_pairwise_hypot_hypothesis(a, b):
+    # kept as drawn: unsorted, with repeated points
+    assert_sweep_matches_hypot_oracle(FinitePointSet(tuple(a)), FinitePointSet(tuple(b)))
+
+
+# coordinates that scale by 2**-600 without a subnormal: zero, or at least 2**-60
+twin_coord = st.one_of(lattice_coord, st.floats(-10, 10, allow_subnormal=False).map(
+    lambda x: x if abs(x) >= 2.0 ** -60 else 0.0))
+
+
+def scaled_points(points, k):
+    return tuple(tuple(math.ldexp(c, k) for c in p) for p in points)
+
+
+@pytest.mark.parametrize("k", [-600, -40, 40, 600])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_hausdorff_distance_scales_with_its_operands_hypothesis(k, dim, data):
+    # scaling by 2**k is exact, so the distance of the scaled twins is the
+    # distance scaled by 2**k, bit for bit; the twins are built with the
+    # constructors, so that no deduplication at an absolute resolution
+    # merges their points
+    def points(min_size, max_size):
+        return data.draw(st.lists(st.tuples(*[twin_coord] * dim), min_size=min_size, max_size=max_size))
+
+    a, b = FinitePointSet.of(points(1, 12)), FinitePointSet.of(points(1, 12))
+    poly = convex_hull(FinitePointSet.of(points(1, 7)))
+    twin_a, twin_b = FinitePointSet(scaled_points(a.points, k)), FinitePointSet(scaled_points(b.points, k))
+    twin_poly = ConvexPolytope(scaled_points(poly.vertices, k))
+    for x, y, twin_x, twin_y in ((a, b, twin_a, twin_b), (a, poly, twin_a, twin_poly)):
+        want = math.ldexp(hausdorff_distance(x, y), k).hex()
+        assert hausdorff_distance(twin_x, twin_y).hex() == want
+        assert hausdorff_distance(twin_y, twin_x).hex() == want
+
+
+def test_hausdorff_distance_scales_into_the_subnormal_range():
+    # at 2**-1070 only small-integer coordinates scale exactly, and the scale
+    # back up is 2**1070 times, past the largest float power of two
+    poly = convex_hull(FinitePointSet.of([(0, 0), (4, 0), (0, 4)]))
+    sites = FinitePointSet.of([(1, 1), (3, 0), (0, 3)])
+    twin_poly, twin_sites = ConvexPolytope(scaled_points(poly.vertices, -1070)), FinitePointSet(
+        scaled_points(sites.points, -1070))
+    want = math.ldexp(hausdorff_distance(sites, poly), -1070)
+    assert want > 0.0
+    assert hausdorff_distance(twin_sites, twin_poly) == want == hausdorff_distance(twin_poly, twin_sites)
+
+
+def test_hypot_rounds_as_pinned():
+    # the d=2 point distances, and so several goldens, carry the bits of
+    # math.hypot; CPython 3.10 to 3.13 give this digest.  The nearest-site
+    # sweep also needs hypot(x, y) to be at least max(|x|, |y|)
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(100_000):
+        e = rng.randint(-600, 600)
+        x = math.ldexp(rng.uniform(-1.0, 1.0), e)
+        y = math.ldexp(rng.uniform(-1.0, 1.0), e + rng.randint(-30, 30))
+        h = math.hypot(x, y)
+        assert h >= abs(x) and h >= abs(y), (x, y)
+        digest.update(struct.pack("<d", h))
+    assert digest.hexdigest() == "e37e309b58d70e2c373f58c5dc4b1377adf7a49b783c58fe9c5b8c98fef455a5"
+
+
+@pytest.mark.parametrize("far", [1e200, 1e-170, 1.5e308, 5e-324])
+def test_hausdorff_sets_2d_squares_no_gap(far):
+    # dx*dx overflows to inf at 1e200 and underflows to 0.0 at 1e-170
+    a, b = FinitePointSet.of([(0.0, 0.0)]), FinitePointSet.of([(far, 0.0)])
+    assert hausdorff_distance(a, b) == far == hausdorff_distance(b, a)
+    c = FinitePointSet.of([(0.0, far)])
+    assert hausdorff_distance(b, c) == math.hypot(far, far)
 
 
 def reference_hausdorff_sets_loop(a, b):
@@ -982,11 +1073,11 @@ def reference_hausdorff_sets_loop(a, b):
 
 
 def hausdorff_loop_cases():
-    """Point-set pairs for the small-set loop: seeded random sets on both
-    sides of the crossover, one-point sets, near-duplicate self-midpoint
-    lattices, sets with infinite (or NaN) coordinates, and d=1 sets drawn
-    partly from a small pool (repeated points, signed zeros, the
-    infinities), unsorted."""
+    """Point-set pairs for the Hausdorff distance of two point sets: seeded
+    random sets from one point to 200 against 150, repeated points kept as
+    given, one-point sets, near-duplicate self-midpoint lattices, sets with
+    infinite (or NaN) coordinates, and d=1 sets drawn partly from a small
+    pool (repeated points, signed zeros, the infinities), unsorted."""
     rng = random.Random(16)
     cases = []
     for dim in (1, 2):
@@ -997,6 +1088,8 @@ def hausdorff_loop_cases():
             cases.append((FinitePointSet.of(points(n)), FinitePointSet.of(points(m))))
         shared = points(5)
         cases.append((FinitePointSet.of(shared), FinitePointSet.of(shared[:3] + points(2))))
+        cases.append((FinitePointSet(tuple(shared * 2)), FinitePointSet(tuple(shared[:2] * 3))))
+        cases.append((FinitePointSet.of(points(200)), FinitePointSet.of(points(150))))
     for dim, base in ((1, [(0.0,), (1 / 3,), (1.0,)]), (2, [(0.0, 0.0), (1 / 3, 0.1), (0.7, 1 / 7)])):
         space = compact_sets_space(dim)
         iterates = [FinitePointSet.of(base)]
@@ -1032,23 +1125,12 @@ def hausdorff_loop_cases():
     return cases
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def test_hausdorff_sets_loop_matches_array_path(monkeypatch):
-    cases = hausdorff_loop_cases()
-    pairs = [(x, y) for a, b in cases for x, y in ((a, b), (b, a))]
-    # d=1: the sorted walk gives the pairwise loop's bits, NaN wherever it gives NaN
-    for x, y in pairs:
-        if x.dim == 1:
-            assert _hausdorff_sets(x, y).hex() == reference_hausdorff_sets_loop(x, y).hex(), (x, y)
-    pairs = [(x, y) for x, y in pairs if x.dim == 2]
-    below = [len(x) * len(y) < geometry._HAUSDORFF_LOOP_PAIRS for x, y in pairs]
-    assert True in below and False in below
-    dispatched = [_hausdorff_sets(x, y) for x, y in pairs]
-    monkeypatch.setattr(geometry, "_HAUSDORFF_LOOP_PAIRS", 0)  # the blocked array path
-    for (x, y), got in zip(pairs, dispatched):
-        want = _hausdorff_sets(x, y).hex()
-        assert geometry._hausdorff_sets_loop(x.points, y.points).hex() == want, (x, y)
-        assert got.hex() == want
+def test_hausdorff_sets_1d_walk_matches_pairwise_loop():
+    # the sorted walk gives the pairwise loop's bits, NaN wherever it gives NaN
+    for a, b in hausdorff_loop_cases():
+        for x, y in ((a, b), (b, a)):
+            if x.dim == 1:
+                assert _hausdorff_sets(x, y).hex() == reference_hausdorff_sets_loop(x, y).hex(), (x, y)
 
 
 @pytest.mark.parametrize("far", [1e200, 1e-170, 1.5e308, 5e-324])
@@ -1059,9 +1141,6 @@ def test_hausdorff_sets_1d_squares_no_gap(far):
     assert hausdorff_distance(a, b) == far == hausdorff_distance(b, a)
     pair = FinitePointSet.of([(-far,), (0.0,)])
     assert hausdorff_distance(pair, FinitePointSet.of([(far,), (0.0,)])) == far
-
-
-lattice_coord = st.integers(-8, 8).map(lambda k: k / 2)
 
 
 @settings(max_examples=150, deadline=None)
