@@ -12,13 +12,17 @@ so it is not correctly rounded.  The d=2 covering radius of a polytope by
 point sets measures from computed candidate points (bisector crossings,
 circumcenters) and can sit several ulps below the true radius.
 
-Two d=1 point sets take one walk over their sorted coordinates, and each
-d=2 distance to the nearest point of a finite set one sweep in x measured
-with ``math.hypot`` (``_farthest_nearest``); a d=2 point set and polygon are
-first scaled by a power of two into ``_FLOAT_BAND``.  numpy is imported by
-the first array kernel that runs, not on import: the containment test of
-sites in a polygon at ``_CONTAINMENT_PAIRS`` site-edge pairs or more, the
-covering radius's neighbour order and circumcenters, and ``.arr``.
+The Hausdorff distance is the larger of two directed distances, each with
+one kernel per kind of target: to a polytope, the ends of sorted coordinates
+in d=1 and an edge walk in d=2 (``_to_polytope``); to a point set, each
+candidate point's nearest point, by a walk over sorted coordinates in d=1
+and a sweep in x measured with ``math.hypot`` in d=2 (``_to_sites``).  Two
+intervals keep their endpoint formula, and two single d=2 points are one
+``math.dist`` apart.  A d=2 pairing with a polytope is scaled once by a
+power of two into ``_FLOAT_BAND``; in d=2 a coordinate that is not finite
+gives NaN.  numpy is imported by the first array kernel that runs, not on
+import: the containment pass, the covering radius's neighbour order and
+circumcenters, and ``.arr``.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
 # the covering radius's neighbour order holds at most this many squared
 # distances at once
 _NEAREST_BLOCK = 1 << 18
-# from this many site-edge pairs on, the distance from d=2 sites to a polygon
-# tests every site for containment in one numpy pass before walking edges
+# from this many point-edge pairs on, the distance from d=2 points to a polygon
+# tests every point for containment in one numpy pass before walking edges
 _CONTAINMENT_PAIRS = 128
 # while the largest |coordinate| has a binary exponent within this band, the
 # circumcenters' cubes of coordinates and products of three differences near
@@ -390,38 +394,28 @@ def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
     return best if outside else 0.0
 
 
-def _hausdorff_sets(a: FinitePointSet, b: FinitePointSet) -> float:
-    """Hausdorff distance between two point sets, from each point's distance
-    to its nearest point of the other set, each way: in d=1 the gap
-    ``abs(x - y)`` of one walk over the sorted coordinates
-    (``_farthest_nearest_gap``), in d=2 the ``hypot`` sweep
-    (``_farthest_nearest``)."""
-    if a.dim == 1:
-        xs = sorted([x for (x,) in a.points])
-        ys = sorted([y for (y,) in b.points])
-        return nan_max(_farthest_nearest_gap(xs, ys), _farthest_nearest_gap(ys, xs))
-    return _farthest_nearest(b.points, a.points, _farthest_nearest(a.points, b.points))
+def _farthest_nearest_gap(xs: Sequence[float], ys: Sequence[float], worst: float = -math.inf) -> float:
+    """The larger of ``worst`` and the largest gap ``abs(x - y)`` from an
+    ``x`` of ``xs`` to its nearest ``y`` of ``ys``, both sorted; NaN at the
+    first NaN gap, or when ``worst`` is NaN.
 
-
-def _farthest_nearest_gap(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """The largest gap ``abs(x - y)`` from an ``x`` of ``xs`` to its nearest
-    ``y`` of ``ys``, both sorted; NaN at the first NaN gap.
-
-    The walk keeps ``j`` at the last ``y`` at most ``x`` (or at the first
-    ``y``), so the nearest is ``ys[j]`` or ``ys[j + 1]``.  A gap is NaN where
-    the pairwise gaps have one: for an ``x`` and a ``y`` at the same
-    infinity, where ``ys[j]`` is that infinity, and for a NaN ``x``, whose
-    every gap is NaN.  A NaN ``y`` leaves ``ys`` out of order, but its own
-    walk, ``_farthest_nearest_gap(ys, xs)``, returns NaN.
+    The walk keeps ``y = ys[j]`` at the last ``y`` at most ``x`` (or at the
+    first ``y``), so the nearest is ``y`` or ``nxt = ys[j + 1]``; past the
+    last ``y``, ``nxt`` is NaN, which every comparison reads as false.  A
+    gap is NaN where the pairwise gaps have one: for an ``x`` and a ``y`` at
+    the same infinity, where ``y`` is that infinity, and for a NaN ``x``,
+    whose every gap is NaN.  A NaN ``y`` leaves ``ys`` out of order, but its
+    own walk, ``_farthest_nearest_gap(ys, xs)``, returns NaN.
     """
-    worst = 0.0
     j, last = 0, len(ys) - 1
+    y, nxt = ys[0], (ys[1] if last else math.nan)
     for x in xs:
-        while j < last and ys[j + 1] <= x:
+        while nxt <= x:
             j += 1
-        gap = abs(x - ys[j])
-        if j < last and ys[j + 1] - x < gap:
-            gap = ys[j + 1] - x
+            y, nxt = nxt, (ys[j + 1] if j < last else math.nan)
+        gap = abs(x - y)
+        if nxt - x < gap:
+            gap = nxt - x
         if gap > worst:
             worst = gap
         elif gap != gap:
@@ -430,7 +424,7 @@ def _farthest_nearest_gap(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def _farthest_nearest(queries: Sequence[Sequence[float]], sites: Iterable[Sequence[float]],
-                      worst: float = 0.0) -> float:
+                      worst: float = -math.inf) -> float:
     """The larger of ``worst`` and each d=2 query's distance to its nearest
     site, ``math.hypot(qx - sx, qy - sy)``: the bits of the loop over every
     pair, or NaN when a coordinate of either argument is not finite.
@@ -498,19 +492,6 @@ def _squared_distance_blocks(pa: np.ndarray, pb: np.ndarray) -> Iterator[np.ndar
         yield out
 
 
-def _hausdorff_polys(a: ConvexPolytope, b: ConvexPolytope) -> float:
-    va, vb = a.vertices, b.vertices
-    dim = len(va[0])
-    if dim != len(vb[0]):
-        raise ValueError("operands must share one dimension")
-    if dim == 1:  # intervals: the larger endpoint gap
-        return max(abs(va[0][0] - vb[0][0]), abs(va[-1][0] - vb[-1][0]))
-    # distance to a convex set is convex, so directed sups sit at vertices
-    d_ab = max(point_to_polytope(v, b) for v in a.vertices)
-    d_ba = max(point_to_polytope(v, a) for v in b.vertices)
-    return max(d_ab, d_ba)
-
-
 def _sites_to_interval(xs: Sequence[float], lo: float, hi: float) -> float:
     """``nan_max(point_to_polytope((x,), [lo, hi]) for x in xs)`` for ascending
     ``xs``, from its ends.
@@ -525,51 +506,6 @@ def _sites_to_interval(xs: Sequence[float], lo: float, hi: float) -> float:
         return nan_max(max(lo - x, x - hi, 0.0) for x in xs)
     far = max(lo - xs[0], xs[-1] - hi)
     return far if far > 0.0 else max(lo - xs[0], xs[0] - hi, 0.0)
-
-
-def _nearest_gap(x: float, xs: Sequence[float]) -> float:
-    """``min(abs(x - s) for s in xs)`` for ascending ``xs``: ``abs(x - s)``
-    falls up to ``x``'s insertion point and rises after it."""
-    i = bisect_left(xs, x)
-    return min([abs(x - s) for s in xs[max(i - 1, 0):i + 1]])
-
-
-def _interval_to_sites_1d(lo: float, hi: float, xs: Sequence[float]) -> float:
-    """sup over ``[lo, hi]`` of the distance to the nearest of the ascending
-    sites ``xs``: at an endpoint or at the midpoint of two adjacent sites."""
-    halves = [min(mid - left, right - mid) for left, right in zip(xs, xs[1:])
-              if lo <= (mid := 0.5 * left + 0.5 * right) <= hi]
-    return max([_nearest_gap(lo, xs), _nearest_gap(hi, xs), *halves])
-
-
-def _in_float_band(poly: ConvexPolytope, sites: FinitePointSet) -> tuple[int, ConvexPolytope, FinitePointSet]:
-    """``(e, poly, sites)``, both d=2 operands scaled by ``2**-e`` when the
-    largest |coordinate| has a binary exponent ``e`` outside ``±_FLOAT_BAND``
-    (else ``e = 0``).  The scaling is exact short of subnormals, so a
-    distance on the returned operands is the given ones' times ``2**-e``."""
-    e = math.frexp(max(map(abs, itertools.chain(*poly.vertices, *sites.points))))[1]
-    if -_FLOAT_BAND <= e <= _FLOAT_BAND:
-        return 0, poly, sites
-    return (e, ConvexPolytope(tuple((math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in poly.vertices)),
-            FinitePointSet(tuple((math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in sites.points)))
-
-
-def _sites_to_polygon(sites: FinitePointSet, poly: ConvexPolytope) -> float:
-    """``nan_max(point_to_polytope(p, poly) for p in sites.points)`` in d=2,
-    measured on the operands scaled into the float band (``_in_float_band``).
-
-    From ``_CONTAINMENT_PAIRS`` site-edge pairs on, one
-    ``_polygon_contains_all`` pass (the same cross test in the same
-    operation order) finds the sites inside, whose distance is 0.0, and
-    only the sites outside walk the edges.  Every distance is +0.0 or more
-    (or NaN), so leaving the zeros out keeps the bits of the maximum.
-    """
-    e, poly, sites = _in_float_band(poly, sites)
-    pts = sites.points
-    if len(pts) * len(poly.edges) >= _CONTAINMENT_PAIRS:
-        inside = _polygon_contains_all(poly, sites.arr).tolist()
-        pts = [p for p, isin in zip(pts, inside) if not isin]
-    return math.ldexp(nan_max((point_to_polytope(p, poly) for p in pts), default=0.0), e)
 
 
 def _bisector_edge_hits(
@@ -709,63 +645,126 @@ def _clipped_cell_labels(
     return pairs, triples
 
 
-def _directed_polytope_to_sites(poly: ConvexPolytope, sites_set: FinitePointSet) -> float:
-    """sup over the d=2 polytope of the distance to the nearest site, in
-    closed form.
+def _points(x: FinitePointSet | ConvexPolytope) -> tuple[tuple[float, ...], ...]:
+    return x.vertices if isinstance(x, ConvexPolytope) else x.points
 
-    The maximizer is a vertex of some site's Voronoi cell clipped to the
-    polytope: a polytope vertex, a boundary point equidistant to two sites,
-    or an interior point equidistant to three (a Voronoi vertex).  Clipping
-    picks which site pairs and triples meet there, and the nearest-site
-    distance over those candidates is the supremum.  The operands are
-    scaled into the float band first (``_in_float_band``), and the nearest-
-    site distances run the sweep ``_farthest_nearest``.  The candidates are
-    float points, so the result is the supremum up to their rounding, not
-    correctly rounded: on the n-fold self-averages of the ``two-point``
+
+def _in_float_band(
+    a: FinitePointSet | ConvexPolytope, b: FinitePointSet | ConvexPolytope
+) -> tuple[int, FinitePointSet | ConvexPolytope, FinitePointSet | ConvexPolytope] | None:
+    """``(e, a, b)``, both d=2 operands scaled by ``2**-e`` when the largest
+    |coordinate| has a binary exponent ``e`` outside ``±_FLOAT_BAND`` (else
+    ``e = 0``), or None when a coordinate is not finite.  The scaling is
+    exact short of subnormals, so a distance on the returned operands is the
+    given ones' times ``2**-e``."""
+    top = 0.0
+    for x in itertools.chain(*_points(a), *_points(b)):
+        if not abs(x) <= top:  # a larger |x|, or NaN
+            top = abs(x)
+            if not top < math.inf:
+                return None
+    e = math.frexp(top)[1]
+    if -_FLOAT_BAND <= e <= _FLOAT_BAND:
+        return 0, a, b
+    return e, *(type(x)(tuple((math.ldexp(u, -e), math.ldexp(v, -e)) for u, v in _points(x)))
+                for x in (a, b))
+
+
+def _to_polytope(a: FinitePointSet | ConvexPolytope, poly: ConvexPolytope, worst: float = -math.inf) -> float:
+    """``nan_max(worst, sup over a of the distance to poly)``, which sits at a
+    point of a point set or a vertex of a polytope (the distance is convex).
+
+    d=1 reads the ends of the sorted points of a point set ``a``
+    (``_sites_to_interval``).  In d=2 each point walks the edges
+    (``point_to_polytope``), but a polygon of three vertices or more first
+    drops the points inside, whose distance is 0.0, by one
+    ``_polygon_contains_all`` pass from ``_CONTAINMENT_PAIRS`` point-edge
+    pairs on.  A d=2 distance is +0.0 or more (or NaN), so starting the
+    maximum at 0.0 in their place keeps its bits.
+    """
+    if poly.dim == 1:
+        return nan_max(worst, _sites_to_interval(sorted([x for (x,) in a.points]), poly.lo, poly.hi))
+    pts, n = _points(a), len(poly.vertices)
+    if n >= 3 and len(pts) * n >= _CONTAINMENT_PAIRS:  # a point or segment has no inside
+        inside = _polygon_contains_all(poly, a.arr).tolist()
+        pts = [p for p, isin in zip(pts, inside) if not isin]
+    if worst < 0.0:
+        worst = 0.0
+    for p in pts:
+        d = point_to_polytope(p, poly)
+        if d > worst:
+            worst = d
+        elif d != d:
+            return d
+    return worst
+
+
+def _to_sites(a: FinitePointSet | ConvexPolytope, sites: FinitePointSet, worst: float = -math.inf) -> float:
+    """``nan_max(worst, sup over a of the distance to the nearest site)``: the
+    largest nearest-site distance of finitely many candidates, measured by
+    the walk ``_farthest_nearest_gap`` in d=1 and the sweep
+    ``_farthest_nearest`` in d=2.
+
+    The candidates are a point set's points; an interval's ends and the
+    midpoints of adjacent sites inside it; or the vertices of the sites'
+    Voronoi cells clipped to a polygon (``_clipped_cell_labels``): its
+    vertices, boundary points equidistant to two sites and interior points
+    equidistant to three.  Those are float points, so a polygon's result is
+    not correctly rounded: on the n-fold self-averages of the ``two-point``
     triangle (n <= 32) it sits from 7.05 ulps below to 1.2 above the radius
     recomputed in exact rationals from the same clipping labels.
     """
-    e, poly, sites_set = _in_float_band(poly, sites_set)
-    cands = list(poly.vertices)
-    if len(sites_set) >= 2 and len(poly.vertices) >= 2:
+    if sites.dim == 1:
+        ys = sorted([y for (y,) in sites.points])
+        if isinstance(a, FinitePointSet):
+            xs = sorted([x for (x,) in a.points])
+        else:  # a midpoint as 0.5 * left + 0.5 * right, which does not overflow
+            lo, hi = a.lo, a.hi
+            xs = [lo, *[mid for left, right in zip(ys, ys[1:])
+                        if lo <= (mid := 0.5 * left + 0.5 * right) <= hi], hi]
+        return _farthest_nearest_gap(xs, ys, worst)
+    if isinstance(a, FinitePointSet):
+        return _farthest_nearest(a.points, sites.points, worst)
+    cands = list(a.vertices)
+    if len(sites) >= 2 and len(cands) >= 2:
         import numpy as np
 
-        pairs, triples = _clipped_cell_labels(poly, sites_set.arr, sites_set.points)
-        cands += _bisector_edge_hits(sites_set.points, poly.edges, pairs)
-        centers = _circumcenters(sites_set.arr, np.array(sorted(triples), dtype=int).reshape(-1, 3))
-        cands += centers[_polygon_contains_all(poly, centers)].tolist()
-    return math.ldexp(_farthest_nearest(cands, sites_set.points), e)
-
-
-def _hausdorff_mixed(sites: FinitePointSet, poly: ConvexPolytope) -> float:
-    """Hausdorff distance between a point set and a polytope: the larger of
-    the sites' distance to the polytope and the polytope's covering radius.
-
-    In d=1 both directions read the sorted sites: the first from their ends
-    (``_sites_to_interval``), the second by bisecting for each endpoint's
-    nearest site.  In d=2 only the sites outside the polygon walk its edges
-    (``_sites_to_polygon``), and the covering radius clips each site's
-    Voronoi cell (``_directed_polytope_to_sites``).
-    """
-    if poly.dim == 1:
-        xs = [x for (x,) in sites.points]
-        return nan_max(_sites_to_interval(xs, poly.lo, poly.hi), _interval_to_sites_1d(poly.lo, poly.hi, xs))
-    return nan_max(_sites_to_polygon(sites, poly), _directed_polytope_to_sites(poly, sites))
+        pairs, triples = _clipped_cell_labels(a, sites.arr, sites.points)
+        cands += _bisector_edge_hits(sites.points, a.edges, pairs)
+        centers = _circumcenters(sites.arr, np.array(sorted(triples), dtype=int).reshape(-1, 3))
+        cands += centers[_polygon_contains_all(a, centers)].tolist()
+    return _farthest_nearest(cands, sites.points, worst)
 
 
 def hausdorff_distance(
     a: FinitePointSet | ConvexPolytope, b: FinitePointSet | ConvexPolytope
 ) -> float:
     """Hausdorff distance between compact sets in either representation, in
-    closed form (see the module docstring for where it rounds)."""
-    a_poly = isinstance(a, ConvexPolytope)
-    b_poly = isinstance(b, ConvexPolytope)
-    if a_poly and b_poly:
-        return _hausdorff_polys(a, b)
-    if a.dim != b.dim:
+    closed form (see the module docstring): the larger of the two directed
+    distances (``_to_polytope``, ``_to_sites``), a point set's first, keeping
+    it on a tie, so that both argument orders give the same bits."""
+    a_poly, b_poly = isinstance(a, ConvexPolytope), isinstance(b, ConvexPolytope)
+    pa, pb = _points(a), _points(b)
+    dim = len(pa[0])
+    if dim != len(pb[0]):
         raise ValueError("operands must share one dimension")
-    if not a_poly and not b_poly:
-        return _hausdorff_sets(a, b)
-    if a_poly:
-        return _hausdorff_mixed(b, a)
-    return _hausdorff_mixed(a, b)
+    if dim == 1 and a_poly and b_poly:  # intervals: the larger endpoint gap
+        return max(abs(pa[0][0] - pb[0][0]), abs(pa[-1][0] - pb[-1][0]))
+    if dim == 2 and len(pa) == len(pb) == 1:  # two points
+        d = _point_dist(pa[0], pb[0])
+        # inf is an overflow unless a coordinate is not finite, which gives NaN
+        return d if d < math.inf or all(map(math.isfinite, pa[0] + pb[0])) else math.nan
+    if a_poly and not b_poly:
+        a, b, a_poly, b_poly = b, a, False, True
+    e = 0
+    if dim == 2 and b_poly:
+        band = _in_float_band(a, b)
+        if band is None:
+            return math.nan
+        e, a, b = band
+    d = _to_polytope(a, b) if b_poly else _to_sites(a, b)
+    d = _to_polytope(b, a, d) if a_poly else _to_sites(b, a, d)
+    try:
+        return math.ldexp(d, e)
+    except OverflowError:  # past the largest float, which rounds to inf
+        return math.inf

@@ -293,7 +293,9 @@ import ccspace.cli
 assert "numpy" not in sys.modules
 for argv in (["check-axioms", "--space", "euclidean", "--dim", "2", "--trials", "25"],
              ["slln", "--space", "euclidean"],
-             ["martingale", "--space", "distributions"]):
+             ["martingale", "--space", "distributions"],
+             ["cancellation", "--space", "compact-sets", "--dim", "2", "--raw-points", "--trials", "25"],
+             ["check-axioms", "--space", "compact-sets", "--dim", "1", "--trials", "25"]):
     assert ccspace.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
     assert "numpy" not in sys.modules, argv
 """

@@ -32,15 +32,14 @@ from ccspace.geometry import (
     _clipped_cell_labels,
     _cross,
     _dedup_sorted,
-    _directed_polytope_to_sites,
     _farthest_nearest,
-    _hausdorff_sets,
-    _interval_to_sites_1d,
+    _in_float_band,
     _nearest_first,
     _point_dist,
     _polygon_contains_all,
     _sites_to_interval,
-    _sites_to_polygon,
+    _to_polytope,
+    _to_sites,
     point_to_polytope,
 )
 from ccspace.instances import compact_sets_space
@@ -438,13 +437,13 @@ def test_hausdorff_mixed_degenerate_polytope():
 
 def reference_sites_to_polytope(sites, poly):
     """Oracle: the sites' distance to the polytope before ``_sites_to_interval``
-    and ``_sites_to_polygon``, one ``point_to_polytope`` per site."""
+    and the containment pass, one ``point_to_polytope`` per site."""
     return nan_max(point_to_polytope(p, poly) for p in sites.points)
 
 
 def reference_interval_to_sites_1d(lo, hi, sites):
-    """Oracle: ``_interval_to_sites_1d`` before it bisected the sorted sites
-    for each endpoint's nearest site."""
+    """Oracle: the d=1 covering radius before it bisected the sorted sites
+    for each endpoint's nearest site, or walked them with the candidates."""
     xs = sorted(sites)
     best = max(min(abs(lo - s) for s in xs), min(abs(hi - s) for s in xs))
     for left, right in zip(xs, xs[1:]):
@@ -514,9 +513,8 @@ def test_sites_to_polytope_matches_per_site_oracle(monkeypatch, containment_pair
         assert _sites_to_interval(xs, poly.lo, poly.hi).hex() == want.hex(), (sites, poly)
     for sites, poly in mixed_cases_2d():
         want = reference_sites_to_polytope(sites, poly)
-        assert _sites_to_polygon(sites, poly).hex() == want.hex(), (sites, poly)
-        assert hausdorff_distance(sites, poly).hex() == nan_max(
-            want, _directed_polytope_to_sites(poly, sites)).hex()
+        assert _to_polytope(sites, poly).hex() == want.hex(), (sites, poly)
+        assert hausdorff_distance(sites, poly).hex() == nan_max(want, _to_sites(poly, sites)).hex()
 
 
 @np.errstate(invalid="ignore")
@@ -536,14 +534,14 @@ def test_sites_to_polytope_keeps_a_nan_site():
     segment = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0)]))
     sites = FinitePointSet(tuple((k / 8, k / 16) for k in range(60)) + ((nan, 0.5),))
     for poly in (triangle, segment):
-        assert _sites_to_polygon(sites, poly).hex() == reference_sites_to_polytope(sites, poly).hex()
+        assert _to_polytope(sites, poly).hex() == reference_sites_to_polytope(sites, poly).hex()
 
 
 def test_interval_to_sites_1d_matches_oracle():
     for sites, poly in mixed_cases_1d():
         xs = [x for (x,) in sites.points]
         want = reference_interval_to_sites_1d(poly.lo, poly.hi, xs)
-        assert _interval_to_sites_1d(poly.lo, poly.hi, xs).hex() == want.hex(), (sites, poly)
+        assert _to_sites(poly, sites).hex() == want.hex(), (sites, poly)
 
 
 def test_interval_to_sites_1d_midpoint_does_not_overflow():
@@ -671,6 +669,14 @@ def test_boundary_walks_match_their_index_walks(p, q, queries):
     assert bits(edge_normals(p)) == bits(reference_edge_normals(p))
 
 
+def covering_radius(poly, sites):
+    """The d=2 polytope's directed distance to the point set, measured as
+    ``hausdorff_distance`` measures it: on the operands scaled into the
+    float band."""
+    e, poly, sites = _in_float_band(poly, sites)
+    return math.ldexp(_to_sites(poly, sites), e)
+
+
 def _grid_covering_radius(poly, sites, k=220):
     arr = np.array(poly.vertices)
     lo, hi = arr.min(0), arr.max(0)
@@ -690,7 +696,7 @@ def test_covering_radius_against_grid_oracle():
         sites = FinitePointSet.of(
             [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(rng.randint(1, 10))]
         )
-        exact = _directed_polytope_to_sites(poly, sites)
+        exact = covering_radius(poly, sites)
         grid = _grid_covering_radius(poly, sites)
         assert exact >= grid - 1e-9
         assert exact <= grid + 0.2  # grid resolution slack
@@ -775,7 +781,7 @@ def test_covering_radius_matches_bruteforce_oracle(kind):
     for m in (1, 2, 3, 4, 7, 12, 25, 60, 150):
         sites = site_layout(kind, m, rng)
         for poly in polytope_shapes(rng):
-            got = _directed_polytope_to_sites(poly, sites)
+            got = covering_radius(poly, sites)
             assert got == pytest.approx(brute_covering_radius(poly, sites), abs=1e-12), (m, poly)
 
 
@@ -892,18 +898,18 @@ def test_covering_radius_past_the_float_range():
     sites = FinitePointSet.of([(-1e308, -1e308), (1e308, 1e308), (0.0, 1.0), (1e308, -1e308)])
     assert_labels_match_reference(poly, sites)
     assert_neighbour_order_matches_argsort(sites)
-    assert _directed_polytope_to_sites(poly, sites) == 1e308
+    assert covering_radius(poly, sites) == 1e308
     poly = convex_hull(FinitePointSet.of([(2.67e154, 9.54e154), (3.73e154, -4.01e154), (7.2e154, -3.19e153)]))
     sites = FinitePointSet.of([(6.8e-146, 7.8e154), (9.0e-146, -3.7e154)])
     assert_labels_match_reference(poly, sites)
     assert_neighbour_order_matches_argsort(sites)
-    assert _directed_polytope_to_sites(poly, sites) == 8.391237818143997e154
+    assert covering_radius(poly, sites) == 8.391237818143997e154
     poly = convex_hull(FinitePointSet.of([(2.9e149, 4.6e149), (-7.0e149, -2.6e149), (8.4e149, -9.2e148)]))
     sites = FinitePointSet.of([(8.8e-151, 3.6e149), (-2.6e-151, -4.1e149), (3.5e-151, -7.9e149),
                                (8.9e-151, 3.5e149), (7.2e148, 3.3e149), (1.7e148, 4.4e149)])
     assert_labels_match_reference(poly, sites)
     assert_neighbour_order_matches_argsort(sites)
-    assert _directed_polytope_to_sites(poly, sites) == 8.763036003577756e149
+    assert covering_radius(poly, sites) == 8.763036003577756e149
     # the covering radius is the mixed Hausdorff distance in both argument orders
     assert hausdorff_distance(sites, poly) == hausdorff_distance(poly, sites) == 8.763036003577756e149
 
@@ -916,7 +922,7 @@ def test_covering_radius_of_a_hexagon_by_its_vertices_at_every_scale(k):
     base = FinitePointSet.of([(math.cos(j * math.pi / 3), math.sin(j * math.pi / 3)) for j in range(6)])
     sites = FinitePointSet(scaled_points(base.points, k))
     hull = ConvexPolytope(scaled_points(convex_hull(base).vertices, k))
-    assert math.ldexp(_directed_polytope_to_sites(hull, sites), -k) == pytest.approx(1.0, rel=4e-16)
+    assert math.ldexp(covering_radius(hull, sites), -k) == pytest.approx(1.0, rel=4e-16)
 
 
 def reference_farthest_nearest(queries, sites):
@@ -944,10 +950,10 @@ def assert_sweep_matches_hypot_oracle(x, y):
     """On finite sets, both directions and the Hausdorff distance carry the
     pairwise ``hypot`` oracle's bits.  A coordinate that is not finite makes
     them NaN, and the squared-distance matrix is then not finite either."""
-    got = (_farthest_nearest(x.points, y.points), _hausdorff_sets(x, y), hausdorff_distance(x, y))
+    got = (_farthest_nearest(x.points, y.points), _to_sites(x, y), hausdorff_distance(x, y))
     if all(map(math.isfinite, itertools.chain(*x.points, *y.points))):
         want = (reference_farthest_nearest(x.points, y.points), reference_hausdorff_hypot(x, y))
-        assert [v.hex() for v in got] == [want[0].hex(), want[1].hex(), want[1].hex()], (x, y)
+        assert [v.hex() for v in got] == [want[0].hex(), want[0].hex(), want[1].hex()], (x, y)
     else:
         assert all(map(math.isnan, got)), (x, y)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1002,13 +1008,63 @@ def test_hausdorff_distance_scales_with_its_operands_hypothesis(k, dim, data):
         return data.draw(st.lists(st.tuples(*[twin_coord] * dim), min_size=min_size, max_size=max_size))
 
     a, b = FinitePointSet.of(points(1, 12)), FinitePointSet.of(points(1, 12))
-    poly = convex_hull(FinitePointSet.of(points(1, 7)))
+    poly, other = convex_hull(FinitePointSet.of(points(1, 7))), convex_hull(FinitePointSet.of(points(1, 7)))
     twin_a, twin_b = FinitePointSet(scaled_points(a.points, k)), FinitePointSet(scaled_points(b.points, k))
-    twin_poly = ConvexPolytope(scaled_points(poly.vertices, k))
-    for x, y, twin_x, twin_y in ((a, b, twin_a, twin_b), (a, poly, twin_a, twin_poly)):
+    twin_poly, twin_other = (ConvexPolytope(scaled_points(p.vertices, k)) for p in (poly, other))
+    for x, y, twin_x, twin_y in ((a, b, twin_a, twin_b), (a, poly, twin_a, twin_poly),
+                                 (poly, other, twin_poly, twin_other)):
         want = math.ldexp(hausdorff_distance(x, y), k).hex()
         assert hausdorff_distance(twin_x, twin_y).hex() == want
         assert hausdorff_distance(twin_y, twin_x).hex() == want
+
+
+def test_hausdorff_distance_past_the_largest_float_is_inf():
+    # the true distance, about 3.4e308, rounds to inf in every pairing; the
+    # scaled measure must not raise on its way back up
+    left, right = [(-1.7e308, 0.0), (-1.7e308, 1.0)], [(1.7e308, 0.0), (1.7e308, 1.0)]
+    for a in (FinitePointSet.of(left), convex_hull(FinitePointSet.of(left)), FinitePointSet.of(left[:1])):
+        for b in (FinitePointSet.of(right), convex_hull(FinitePointSet.of(right)), ConvexPolytope(tuple(right[:1]))):
+            assert hausdorff_distance(a, b) == math.inf == hausdorff_distance(b, a), (a, b)
+
+
+def test_hausdorff_distance_2d_is_nan_at_a_coordinate_that_is_not_finite():
+    # only the dataclass constructors, or an overflowing combination, make
+    # such operands; a NaN vertex must not read as inside, an infinite one
+    # must not give inf, and neither argument order may drop the NaN
+    nan, inf = math.nan, math.inf
+    triangle = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    finite = [convex_hull(FinitePointSet.of(triangle)), FinitePointSet.of(triangle),
+              convex_hull(FinitePointSet.of([(5, 5), (6, 5), (5, 6)])),
+              ConvexPolytope(((5.0, 5.0),)), FinitePointSet.of([(5.0, 5.0)])]
+    odd = []
+    for bad in ((nan, 5.0), (inf, 5.0), (5.0, -inf)):
+        verts = ((5.0, 5.0), bad, (5.0, 6.0))
+        odd += [ConvexPolytope(verts), FinitePointSet(verts), ConvexPolytope((bad,)), FinitePointSet((bad,))]
+    for x in odd:
+        for y in finite + odd:
+            assert math.isnan(hausdorff_distance(x, y)), (x, y)
+            assert math.isnan(hausdorff_distance(y, x)), (y, x)
+
+
+signed_coord = st.one_of(st.sampled_from((0.0, -0.0)), lattice_coord, coord)
+
+
+def compact_sets(dim):
+    """Point sets and their hulls (intervals, polygons, segments, points)."""
+    pts = st.lists(st.tuples(*[signed_coord] * dim), min_size=1, max_size=8).map(FinitePointSet.of)
+    return st.one_of(pts, pts.map(convex_hull))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(compact_sets(dim), compact_sets(dim))))
+@example((ConvexPolytope.interval(-0.0, -0.0), FinitePointSet.of([(0.0,)])))
+@example((ConvexPolytope.interval(-0.0, 1.0), FinitePointSet.of([(0.0,), (1.0,)])))
+def test_hausdorff_distance_is_symmetric_bit_for_bit(pair):
+    # the two directed distances are folded in one order whatever the
+    # argument order, so a signed zero comes out the same both ways: the
+    # first example is -0.0 in both orders
+    a, b = pair
+    assert hausdorff_distance(a, b).hex() == hausdorff_distance(b, a).hex(), (a, b)
 
 
 def test_hausdorff_distance_scales_into_the_subnormal_range():
@@ -1130,7 +1186,7 @@ def test_hausdorff_sets_1d_walk_matches_pairwise_loop():
     for a, b in hausdorff_loop_cases():
         for x, y in ((a, b), (b, a)):
             if x.dim == 1:
-                assert _hausdorff_sets(x, y).hex() == reference_hausdorff_sets_loop(x, y).hex(), (x, y)
+                assert hausdorff_distance(x, y).hex() == reference_hausdorff_sets_loop(x, y).hex(), (x, y)
 
 
 @pytest.mark.parametrize("far", [1e200, 1e-170, 1.5e308, 5e-324])
@@ -1177,7 +1233,7 @@ def test_clipped_cell_labels_match_reference_hypothesis(site_pts, poly_pts):
 def test_covering_radius_matches_bruteforce_oracle_hypothesis(site_pts, poly_pts):
     sites = FinitePointSet.of(site_pts)
     poly = convex_hull(FinitePointSet.of(poly_pts))
-    got = _directed_polytope_to_sites(poly, sites)
+    got = covering_radius(poly, sites)
     assert got == pytest.approx(brute_covering_radius(poly, sites), abs=1e-12)
 
 
@@ -1187,7 +1243,7 @@ def test_covering_radius_of_triangle_self_combinations(n):
     triangle = convexify_point("compact-sets", "two-point", dim=2)
     sites = self_combination(space, triangle, n)
     hull = convex_hull(triangle)
-    got = _directed_polytope_to_sites(hull, sites)
+    got = covering_radius(hull, sites)
     assert got == pytest.approx(brute_covering_radius(hull, sites), abs=1e-12)
 
 
@@ -1195,7 +1251,7 @@ def test_covering_radius_voronoi_path_matches_bruteforce():
     rng = random.Random(5)
     poly = convex_hull(FinitePointSet.of([(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(6)]))
     sites = FinitePointSet.of([(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(150)])
-    assert _directed_polytope_to_sites(poly, sites) == pytest.approx(
+    assert covering_radius(poly, sites) == pytest.approx(
         brute_covering_radius(poly, sites), abs=1e-9
     )
 
