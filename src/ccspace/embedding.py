@@ -33,6 +33,15 @@ class SupportVector:
     values: tuple[float, ...]
 
 
+def _unit(v: Sequence[float]) -> tuple[float, ...]:
+    """``v`` as floats, or ValueError unless its norm is within
+    ``_UNIT_NORM_TOL`` of 1 (a NaN norm is not)."""
+    norm = math.hypot(*v)
+    if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
+        raise ValueError(f"direction must be unit-norm, got {v!r} of norm {norm!r}")
+    return tuple(float(c) for c in v)
+
+
 @dataclass(frozen=True)
 class AffineFunctional:
     """x -> h_x(v) for a fixed unit direction v, affine over combinations."""
@@ -40,9 +49,7 @@ class AffineFunctional:
     direction: tuple[float, ...]
 
     def __post_init__(self):
-        norm = math.hypot(*self.direction)
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"direction must be unit-norm, got {norm!r}")
+        _unit(self.direction)
 
     def __call__(self, body: ConvexPolytope | FinitePointSet | Sequence[float]) -> float:
         return support_function(body, self.direction)
@@ -105,12 +112,7 @@ def direction_set_for(*polys: ConvexPolytope, grid: int = 16) -> tuple[tuple[flo
 
 def embed(p: ConvexPolytope, direction_set: Sequence[Sequence[float]]) -> SupportVector:
     """Componentwise support values; affine over polytope combinations."""
-    dirs = []
-    for v in direction_set:
-        norm = math.hypot(*v)
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"directions must be unit-norm, got {v!r}")
-        dirs.append(tuple(float(c) for c in v))
+    dirs = [_unit(v) for v in direction_set]
     values = tuple(support_function(p, v) for v in dirs)
     return SupportVector(tuple(dirs), values)
 

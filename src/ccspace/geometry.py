@@ -20,9 +20,7 @@ and a sweep in x measured with ``math.hypot`` in d=2 (``_to_sites``).  Two
 intervals keep their endpoint formula, and two single d=2 points are one
 ``math.dist`` apart.  A d=2 pairing with a polytope is scaled once by a
 power of two into ``_FLOAT_BAND``; in d=2 a coordinate that is not finite
-gives NaN.  numpy is imported by the first array kernel that runs, not on
-import: the containment pass, the covering radius's neighbour order and
-circumcenters, and ``.arr``.
+gives NaN.  Every kernel runs on Python floats; the module imports no numpy.
 """
 
 from __future__ import annotations
@@ -33,30 +31,18 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import nan_max
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Points closer than this (per coordinate) are considered duplicates.
 DEDUP_RESOLUTION = 1e-12
 ENUMERATION_CAP = 100_000  # most points a selection enumeration may hold
-# the covering radius's neighbour order holds at most this many squared
-# distances at once
-_NEAREST_BLOCK = 1 << 18
-# from this many point-edge pairs on, the distance from d=2 points to a polygon
-# tests every point for containment in one numpy pass before walking edges
-_CONTAINMENT_PAIRS = 128
 # while the largest |coordinate| has a binary exponent within this band, the
-# circumcenters' cubes of coordinates and products of three differences near
-# a coordinate's ulp, and point_to_polytope's squares, stay normal floats
+# covering radius's squared distances and its circumcenters' cubes of
+# coordinates stay finite, its products of three differences near a
+# coordinate's ulp stay normal floats, and so do point_to_polytope's squares
 _FLOAT_BAND = 256
-# the covering radius sorts this many nearest neighbours of each site up
-# front, and the rest only when clipping its cell goes past them; a cell of
-# the lattice sites of `convexify-rate --dim 2` takes at most 9
-_FIRST_NEIGHBOURS = 16
 
 
 class EnumerationCapError(RuntimeError):
@@ -136,12 +122,6 @@ class FinitePointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    @cached_property
-    def arr(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.points, dtype=float)
-
 
 @dataclass(frozen=True)
 class ConvexPolytope:
@@ -181,12 +161,6 @@ class ConvexPolytope:
         if self.dim != 1:
             raise ValueError("hi is defined for intervals only")
         return self.vertices[-1][0]
-
-    @cached_property
-    def arr(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.vertices, dtype=float)
 
     @cached_property
     def edges(self) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
@@ -345,18 +319,16 @@ def polytope_combine(weights: Sequence[float], polys: Sequence[ConvexPolytope]) 
 _point_dist = math.dist
 
 
-def _polygon_contains_all(poly: ConvexPolytope, pts: np.ndarray) -> np.ndarray:
-    """Whether each row of ``pts`` is in the polygon, by ``point_to_polytope``'s
-    containment test: every point against every edge at once, with the cross
-    product evaluated in ``_cross``'s operation order."""
-    import numpy as np
-
-    if len(poly.vertices) < 3 or len(pts) == 0:
-        return np.zeros(len(pts), dtype=bool)
-    o = poly.arr
-    a = np.concatenate((o[1:], o[:1]))
-    ox, oy, ax, ay = o[:, 0:1], o[:, 1:2], a[:, 0:1], a[:, 1:2]
-    return ~((ax - ox) * (pts[:, 1] - oy) - (ay - oy) * (pts[:, 0] - ox) < 0.0).any(axis=0)
+def _in_polygon(poly: ConvexPolytope, pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The points of ``pts`` in the polygon, in order, by ``point_to_polytope``'s
+    containment test: on no edge's right, with the cross product in
+    ``_cross``'s operation order.  Below three vertices nothing is inside,
+    and a NaN cross product reads as inside."""
+    if len(poly.vertices) < 3:
+        return []
+    for ax, ay, dx, dy, _ in poly.edge_spans:
+        pts = [p for p in pts if not dx * (p[1] - ay) - dy * (p[0] - ax) < 0.0]
+    return pts
 
 
 def point_to_polytope(p: Sequence[float], poly: ConvexPolytope) -> float:
@@ -469,29 +441,6 @@ def _farthest_nearest(queries: Sequence[Sequence[float]], sites: Iterable[Sequen
     return worst
 
 
-def _squared_distance_blocks(pa: np.ndarray, pb: np.ndarray) -> Iterator[np.ndarray]:
-    """``d2[i, j] = dx*dx + dy*dy`` from the d=2 point ``pa[i]`` to ``pb[j]``,
-    in row blocks of at most ``_NEAREST_BLOCK`` entries.
-
-    Later blocks are written into the first block's arrays, so a block is
-    valid only until the next one is taken; fresh large arrays per block
-    would be fresh pages, each faulted in again.
-    """
-    import numpy as np
-
-    rows = max(1, _NEAREST_BLOCK // len(pb))
-    d2, dy = np.empty((2, min(rows, len(pa)), len(pb)))
-    for start in range(0, len(pa), rows):
-        block = pa[start:start + rows]
-        out, tmp = d2[:len(block)], dy[:len(block)]
-        np.subtract(block[:, 0:1], pb[:, 0], out=out)
-        out *= out
-        np.subtract(block[:, 1:2], pb[:, 1], out=tmp)
-        tmp *= tmp
-        out += tmp
-        yield out
-
-
 def _sites_to_interval(xs: Sequence[float], lo: float, hi: float) -> float:
     """``nan_max(point_to_polytope((x,), [lo, hi]) for x in xs)`` for ascending
     ``xs``, from its ends.
@@ -531,71 +480,105 @@ def _bisector_edge_hits(
     return hits
 
 
-def _circumcenters(sites: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Circumcenters of the site triples in the rows of ``idx``, but of those
-    whose determinant is 0.0 (collinear in floats)."""
-    import numpy as np
+def _circumcenters(
+    sites: Sequence[Sequence[float]], triples: Iterable[tuple[int, int, int]]
+) -> list[tuple[float, float]]:
+    """Circumcenters of the site triples ``(i, j, k)``, but of those whose
+    determinant is 0.0 (collinear in floats)."""
+    centers = []
+    for i, j, k in triples:
+        (ax, ay), (bx, by), (cx, cy) = sites[i], sites[j], sites[k]
+        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        if d != 0.0:
+            a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+            centers.append(((a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
+                            (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d))
+    return centers
 
-    a, b, c = sites[idx[:, 0]], sites[idx[:, 1]], sites[idx[:, 2]]
-    d = 2.0 * (a[:, 0] * (b[:, 1] - c[:, 1]) + b[:, 0] * (c[:, 1] - a[:, 1]) + c[:, 0] * (a[:, 1] - b[:, 1]))
-    mask = d != 0.0
-    a, b, c, d = a[mask], b[mask], c[mask], d[mask]
-    a2 = (a * a).sum(axis=1)
-    b2 = (b * b).sum(axis=1)
-    c2 = (c * c).sum(axis=1)
-    ux = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1]) + c2 * (a[:, 1] - b[:, 1])) / d
-    uy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0]) + c2 * (b[:, 0] - a[:, 0])) / d
-    return np.column_stack([ux, uy])
 
+def _nearest_first(sites: Sequence[Sequence[float]]) -> Iterator[Iterator[tuple[float, int]]]:
+    """For each d=2 site in turn, the ``(d², index)`` of every site (itself
+    included), nearest first and ties by index, where ``d²`` is
+    ``dx*dx + dy*dy``: a stable argsort of the site's row of squared
+    distances.  Coordinates must be finite.
 
-def _nearest_first(sites: np.ndarray) -> Iterator[Iterator[tuple[float, int]]]:
-    """For each site in turn, the ``(d², index)`` of every site (itself
-    included), nearest first and ties by index: a stable argsort of the
-    site's row of ``_squared_distance_blocks``.
-
-    The rows go in blocks of at most ``_NEAREST_BLOCK`` distances.  Each row
-    keeps the entries at most its ``(_FIRST_NEIGHBOURS + 1)``-th least value
-    (``np.partition``; ties are all kept), in index order, and sorts them
-    stably by value: that is the stable argsort's prefix.  The rest of the
-    row is sorted only when the prefix is used up (a NaN least value keeps
-    nothing).  A row's iterator is valid only until the next row is taken,
-    since a later block overwrites its distances.
+    The sites are sorted by (x, y) into columns of equal x.  A site's
+    neighbours come in batches of growing bound ``r²``: the first bound is
+    eight times the square of the least gap to a site next to it in its
+    column or to a column next to its own, and each later one four times
+    the last.  A batch widens, site by site, the run of columns with
+    ``dx*dx <= r²`` around the site's own, and in each column the run with
+    ``d² <= r²`` around the site's y (rounding is monotone, so both are
+    runs).  So it holds exactly the sites with ``d²`` in (previous bound,
+    ``r²``], sorted by ``(d², index)``.  A bound of inf takes every site
+    left.
     """
-    import numpy as np
+    m, inf = len(sites), math.inf
+    xs: list[float] = []  # the x of each column
+    cols: list[tuple[list[float], list[int]]] = []  # each column's ascending y, and their sites
+    column = [0] * m
+    for j in sorted(range(m), key=sites.__getitem__):
+        x, y = sites[j]
+        if not xs or xs[-1] != x:
+            xs.append(x)
+            cols.append(([], []))
+        cols[-1][0].append(y)
+        cols[-1][1].append(j)
+        column[j] = len(xs) - 1
 
-    m = len(sites)
-    first = min(_FIRST_NEIGHBOURS + 1, m)
-    for d2 in _squared_distance_blocks(sites, sites):
-        kth = np.partition(d2, first - 1, axis=1)[:, first - 1:first]
-        rows, cols = np.nonzero(d2 <= kth)  # row by row, columns ascending
-        near = d2[rows, cols]
-        order = np.lexsort((near, rows))
-        cols, near = cols[order].tolist(), near[order].tolist()
-        start = 0
-        for row, end in zip(d2, np.cumsum(np.bincount(rows, minlength=len(d2))).tolist()):
-            head = zip(near[start:end], cols[start:end])
-            yield head if end - start == m else itertools.chain(head, _sorted_rest(row, end - start))
-            start = end
+    def batches(i: int) -> Iterator[list[tuple[float, int]]]:
+        sx, sy = sites[i]
+        left = right = own = column[i]  # columns left..right-1 are open
+        ys = cols[own][0]
+        k = bisect_left(ys, sy)
+        gap = min(sy - ys[k - 1] if k else inf, ys[k + 1] - sy if k + 1 < len(ys) else inf,
+                  sx - xs[own - 1] if own else inf, xs[own + 1] - sx if own + 1 < len(xs) else inf)
+        r2 = 8.0 * gap * gap
+        runs: dict[int, tuple[int, int]] = {}  # each open column's run of taken sites
+        taken = 0
+        while True:
+            while left and (sx - xs[left - 1]) * (sx - xs[left - 1]) <= r2:
+                left -= 1
+            while right < len(xs) and (sx - xs[right]) * (sx - xs[right]) <= r2:
+                right += 1
+            batch = []
+            for c in range(left, right):
+                ys, ids = cols[c]
+                lo, hi = runs.get(c) or (bisect_left(ys, sy),) * 2
+                dx2 = (sx - xs[c]) * (sx - xs[c])
+                while lo:
+                    dy = sy - ys[lo - 1]
+                    d2 = dx2 + dy * dy
+                    if d2 > r2:
+                        break
+                    lo -= 1
+                    batch.append((d2, ids[lo]))
+                while hi < len(ys):
+                    dy = sy - ys[hi]
+                    d2 = dx2 + dy * dy
+                    if d2 > r2:
+                        break
+                    batch.append((d2, ids[hi]))
+                    hi += 1
+                runs[c] = lo, hi
+            batch.sort()
+            yield batch
+            taken += len(batch)
+            if taken == m or r2 == inf:
+                return
+            r2 = 4.0 * r2 or math.ulp(0.0)  # a bound of 0.0 grows from the least float
 
-
-def _sorted_rest(row: np.ndarray, start: int) -> Iterator[tuple[float, int]]:
-    """``(row[j], j)`` from position ``start`` of ``row``'s stable argsort on;
-    the sort runs when the first pair is taken."""
-    import numpy as np
-
-    rest = np.argsort(row, kind="stable")[start:]
-    yield from zip(row[rest].tolist(), rest.tolist())
+    return (itertools.chain.from_iterable(batches(i)) for i in range(m))
 
 
 _REACH2 = operator.itemgetter(3)  # a cell vertex's squared distance from its site
 
 
 def _clipped_cell_labels(
-    poly: ConvexPolytope, sites: np.ndarray, pts: Sequence[Sequence[float]]
+    poly: ConvexPolytope, sites: Sequence[Sequence[float]]
 ) -> tuple[set[tuple[int, int, int]], set[tuple[int, int, int]]]:
     """Bisector-edge pairs and bisector triples that meet at a vertex of some
-    site's Voronoi cell clipped to ``poly`` (Sutherland-Hodgman); ``pts`` holds
-    the rows of ``sites`` as Python floats.
+    site's Voronoi cell clipped to ``poly`` (Sutherland-Hodgman).
 
     Each cell vertex carries the label of its outgoing edge's supporting line
     (a site ``j >= 0`` for the bisector with site ``j``, or ``~e < 0`` for
@@ -603,21 +586,22 @@ def _clipped_cell_labels(
     vertex sits where its incoming and outgoing lines meet.  Site ``i``'s
     cell is clipped by the other sites in ``_nearest_first`` order, and
     clipping stops once the next site is more than twice the cell's reach
-    from ``s_i``: its bisector then lies beyond every point of the cell.
+    from ``s_i``: its bisector then lies beyond every point of the cell, so
+    the batches past that reach are never gathered.
     """
     n_edges = len(poly.edges)
     # vertex k starts edge k; a segment's second vertex starts its one edge, walked back
     boundary = [(x, y, ~(k % n_edges)) for k, (x, y) in enumerate(poly.vertices)]
     pairs, triples = set(), set()
     for i, neighbours in enumerate(_nearest_first(sites)):
-        sx, sy = pts[i]
+        sx, sy = sites[i]
         cell = [(x, y, label, (x - sx) * (x - sx) + (y - sy) * (y - sy)) for x, y, label in boundary]
         for d2, j in neighbours:
             if j == i:
                 continue
             if d2 > 4.0 * max(cell, key=_REACH2)[3]:
                 break
-            tx, ty = pts[j]
+            tx, ty = sites[j]
             mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
             dx, dy = tx - sx, ty - sy
             clipped = []
@@ -676,21 +660,15 @@ def _to_polytope(a: FinitePointSet | ConvexPolytope, poly: ConvexPolytope, worst
 
     d=1 reads the ends of the sorted points of a point set ``a``
     (``_sites_to_interval``).  In d=2 each point walks the edges
-    (``point_to_polytope``), but a polygon of three vertices or more first
-    drops the points inside, whose distance is 0.0, by one
-    ``_polygon_contains_all`` pass from ``_CONTAINMENT_PAIRS`` point-edge
-    pairs on.  A d=2 distance is +0.0 or more (or NaN), so starting the
+    (``point_to_polytope``, whose containment test gives 0.0 inside a
+    polygon).  A d=2 distance is +0.0 or more (or NaN), so starting the
     maximum at 0.0 in their place keeps its bits.
     """
     if poly.dim == 1:
         return nan_max(worst, _sites_to_interval(sorted([x for (x,) in a.points]), poly.lo, poly.hi))
-    pts, n = _points(a), len(poly.vertices)
-    if n >= 3 and len(pts) * n >= _CONTAINMENT_PAIRS:  # a point or segment has no inside
-        inside = _polygon_contains_all(poly, a.arr).tolist()
-        pts = [p for p, isin in zip(pts, inside) if not isin]
     if worst < 0.0:
         worst = 0.0
-    for p in pts:
+    for p in _points(a):
         d = point_to_polytope(p, poly)
         if d > worst:
             worst = d
@@ -708,8 +686,8 @@ def _to_sites(a: FinitePointSet | ConvexPolytope, sites: FinitePointSet, worst: 
     The candidates are a point set's points; an interval's ends and the
     midpoints of adjacent sites inside it; or the vertices of the sites'
     Voronoi cells clipped to a polygon (``_clipped_cell_labels``): its
-    vertices, boundary points equidistant to two sites and interior points
-    equidistant to three.  Those are float points, so a polygon's result is
+    vertices, boundary points equidistant to two sites and the
+    circumcenters of three that ``_in_polygon`` keeps.  Those are float points, so a polygon's result is
     not correctly rounded: on the n-fold self-averages of the ``two-point``
     triangle (n <= 32) it sits from 7.05 ulps below to 1.2 above the radius
     recomputed in exact rationals from the same clipping labels.
@@ -727,12 +705,9 @@ def _to_sites(a: FinitePointSet | ConvexPolytope, sites: FinitePointSet, worst: 
         return _farthest_nearest(a.points, sites.points, worst)
     cands = list(a.vertices)
     if len(sites) >= 2 and len(cands) >= 2:
-        import numpy as np
-
-        pairs, triples = _clipped_cell_labels(a, sites.arr, sites.points)
+        pairs, triples = _clipped_cell_labels(a, sites.points)
         cands += _bisector_edge_hits(sites.points, a.edges, pairs)
-        centers = _circumcenters(sites.arr, np.array(sorted(triples), dtype=int).reshape(-1, 3))
-        cands += centers[_polygon_contains_all(a, centers)].tolist()
+        cands += _in_polygon(a, _circumcenters(sites.points, triples))
     return _farthest_nearest(cands, sites.points, worst)
 
 

@@ -295,7 +295,9 @@ for argv in (["check-axioms", "--space", "euclidean", "--dim", "2", "--trials", 
              ["slln", "--space", "euclidean"],
              ["martingale", "--space", "distributions"],
              ["cancellation", "--space", "compact-sets", "--dim", "2", "--raw-points", "--trials", "25"],
-             ["check-axioms", "--space", "compact-sets", "--dim", "1", "--trials", "25"]):
+             ["check-axioms", "--space", "compact-sets", "--dim", "1", "--trials", "25"],
+             ["convexify-rate", "--space", "compact-sets", "--dim", "2", "--n-max", "5"],
+             ["jensen", "--space", "compact-sets", "--dim", "2", "--trials", "25"]):
     assert ccspace.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
     assert "numpy" not in sys.modules, argv
 """
@@ -318,9 +320,7 @@ assert "numpy" in sys.modules
 @pytest.mark.parametrize("argv", [
     # the product-step and Wasserstein-1 kernels of the distributions module
     ["convexify-rate", "--space", "distributions"],
-    # the covering radius of a polygon
-    ["convexify-rate", "--space", "compact-sets", "--dim", "2", "--n-max", "5"],
-], ids=["distributions", "compact-sets"])
+], ids=["distributions"])
 def test_array_kernels_import_numpy_when_they_run(argv, tmp_path):
     proc = run_fresh(KERNEL_RUN, str(tmp_path / "report.json"), *argv)
     assert proc.returncode == 0, proc.stderr

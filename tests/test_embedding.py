@@ -24,6 +24,7 @@ from ccspace.embedding import (
     random_polygon,
     sup_norm_gap,
 )
+from ccspace.probability import SupportMax
 SQUARE = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
 
 
@@ -153,6 +154,16 @@ def test_embedding_suite_passes():
 def test_affine_functional_requires_unit_direction():
     with pytest.raises(ValueError):
         AffineFunctional((0.5, 0.5))
+
+
+def test_a_nan_direction_is_not_unit_norm():
+    # abs(nan - 1.0) > tol is False, so the check must be written to fail on NaN
+    with pytest.raises(ValueError, match="unit-norm"):
+        AffineFunctional((math.nan, 0.0))
+    with pytest.raises(ValueError, match="unit-norm"):
+        SupportMax.of([[math.nan, 0.0]], [0.0])
+    with pytest.raises(ValueError, match="unit-norm"):
+        embed(SQUARE, [(1.0, 0.0), (math.nan, 0.0)])
 
 
 def test_support_function_on_point_sets():

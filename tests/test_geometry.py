@@ -10,11 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ccspace
-from ccspace import geometry
 from ccspace import (
     ConvexPolytope,
     EnumerationCapError,
@@ -34,9 +33,9 @@ from ccspace.geometry import (
     _dedup_sorted,
     _farthest_nearest,
     _in_float_band,
+    _in_polygon,
     _nearest_first,
     _point_dist,
-    _polygon_contains_all,
     _sites_to_interval,
     _to_polytope,
     _to_sites,
@@ -475,7 +474,7 @@ def mixed_cases_1d():
 def mixed_cases_2d():
     """A point, segments and polygons against 1-3 sites inside, outside, at
     a vertex and on an edge, a -0.0 site at a 0.0 vertex, lattice
-    (cocircular) sites, and random sets past ``_CONTAINMENT_PAIRS``."""
+    (cocircular) sites, and random sets of 50 points."""
     rng = random.Random(30)
     triangle = convex_hull(FinitePointSet.of([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
     square = convex_hull(FinitePointSet.of([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]))
@@ -502,11 +501,7 @@ def mixed_cases_2d():
     return [(sites, poly) for sites in sets for poly in polys]
 
 
-@pytest.mark.parametrize("containment_pairs", [128, 0])
-def test_sites_to_polytope_matches_per_site_oracle(monkeypatch, containment_pairs):
-    # 128 is the default crossover, so small sets loop and large ones test
-    # containment first; 0 tests containment first for every set
-    monkeypatch.setattr(geometry, "_CONTAINMENT_PAIRS", containment_pairs)
+def test_sites_to_polytope_matches_per_site_oracle():
     for sites, poly in mixed_cases_1d():
         xs = [x for (x,) in sites.points]
         want = reference_sites_to_polytope(sites, poly)
@@ -590,14 +585,10 @@ def test_contains_all_matches_polygon_contains():
         verts = poly.vertices
         on_edges = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
                     for a, b in zip(verts, verts[1:] + verts[:1])]
-        pts = np.array(
-            [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(300)] + list(verts) + on_edges
-        )
-        assert _polygon_contains_all(poly, pts).tolist() == [
-            reference_polygon_contains(poly, p) for p in pts
-        ]
+        pts = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(300)] + list(verts) + on_edges
+        assert _in_polygon(poly, pts) == [p for p in pts if reference_polygon_contains(poly, p)]
     segment = ConvexPolytope(((0.0, 0.0), (1.0, 1.0)))
-    assert not _polygon_contains_all(segment, np.array([(0.5, 0.5)])).any()
+    assert _in_polygon(segment, [(0.5, 0.5)]) == []
 
 
 def test_edges_walk_the_boundary_in_vertex_order():
@@ -682,8 +673,9 @@ def _grid_covering_radius(poly, sites, k=220):
     lo, hi = arr.min(0), arr.max(0)
     gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], k), np.linspace(lo[1], hi[1], k))
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    pts = pts[_polygon_contains_all(poly, pts)]
-    dists = np.sqrt(((pts[:, None, :] - sites.arr[None, :, :]) ** 2).sum(2)).min(1)
+    for (ox, oy), (ax, ay) in poly.edges:  # the polygons here have three vertices or more
+        pts = pts[~((ax - ox) * (pts[:, 1] - oy) - (ay - oy) * (pts[:, 0] - ox) < 0.0)]
+    dists = np.sqrt(((pts[:, None, :] - np.asarray(sites.points)[None, :, :]) ** 2).sum(2)).min(1)
     return float(dists.max()) if len(dists) else 0.0
 
 
@@ -710,7 +702,7 @@ def brute_covering_radius(poly, sites, chunk=1 << 16):
     evaluated on arrays of all pairs and all triples at once.
     """
     verts = poly.vertices
-    pts = sites.arr
+    pts = np.asarray(sites.points)
     cands = [np.asarray(verts, dtype=float)]
     if len(pts) >= 2 and len(verts) >= 2:
         n = len(verts)
@@ -828,27 +820,31 @@ def reference_clipped_cell_labels(poly, n_edges, sites):
 
 def assert_labels_match_reference(poly, sites):
     n_edges = len(poly.edges)
-    got = _clipped_cell_labels(poly, sites.arr, sites.arr.tolist())
-    assert got == reference_clipped_cell_labels(poly, n_edges, sites.arr), (len(sites), poly)
+    got = _clipped_cell_labels(poly, sites.points)
+    assert got == reference_clipped_cell_labels(poly, n_edges, np.asarray(sites.points)), (len(sites), poly)
 
 
-def assert_neighbour_order_matches_argsort(sites):
-    """Every site's ``_nearest_first`` neighbour order is that of a stable
-    argsort of its row of the full squared-distance matrix, with the same
-    values."""
-    arr = sites.arr
+def assert_neighbour_order_matches_argsort(points):
+    """Every site's ``_nearest_first`` neighbour stream holds each site once,
+    in the order of a stable argsort of its row of the full squared-distance
+    matrix, with the same values.  ``points`` may be unsorted and repeat."""
+    arr = np.asarray(points, dtype=float)
     diff = arr[:, None, :] - arr[None, :, :]
     d2 = (diff * diff).sum(axis=2)
     order = np.argsort(d2, axis=1, kind="stable")
-    for i, neighbours in enumerate(_nearest_first(arr)):
-        assert list(neighbours) == [(d2[i, j], j) for j in order[i].tolist()], i
+    streams = list(_nearest_first(points))
+    assert len(streams) == len(points)
+    for i, neighbours in enumerate(streams):
+        got = list(neighbours)
+        assert sorted(j for _, j in got) == list(range(len(points))), i
+        assert got == [(d2[i, j], j) for j in order[i].tolist()], i
 
 
 @pytest.mark.parametrize("kind", ["random", "collinear", "lattice"])
 def test_nearest_first_orders_neighbours_like_a_stable_argsort(kind):
     rng = random.Random(kind)
-    for m in (2, 3, 4, 7, 12, 25, 60, 150, 289):
-        assert_neighbour_order_matches_argsort(site_layout(kind, m, rng))
+    for m in (1, 2, 3, 4, 7, 12, 25, 60, 150, 289):
+        assert_neighbour_order_matches_argsort(site_layout(kind, m, rng).points)
 
 
 @pytest.mark.parametrize("kind", ["random", "collinear", "lattice"])
@@ -862,31 +858,13 @@ def test_clipped_cell_labels_match_reference(kind):
                 assert_labels_match_reference(poly, sites)
 
 
-def test_clipped_cell_labels_match_reference_across_row_blocks(monkeypatch):
-    # blocks of 1, 7 and 64 distances hold one row, one row and two or more
-    # rows of 25 or 60 sites; a first-neighbour count of 1 or 3 leaves most
-    # lattice ties and most clipping to the rest of a row
-    rng = random.Random("blocks")
-    for block, first in ((1, 16), (7, 3), (64, 1), (64, 16)):
-        monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
-        monkeypatch.setattr(geometry, "_FIRST_NEIGHBOURS", first)
-        for kind in ("random", "collinear", "lattice"):
-            for m in (2, 25, 60):
-                sites = site_layout(kind, m, rng)
-                assert_neighbour_order_matches_argsort(sites)
-                polygon, segment, _ = polytope_shapes(rng)
-                for poly in (polygon, segment, convex_hull(sites)):
-                    if len(poly.vertices) >= 2:
-                        assert_labels_match_reference(poly, sites)
-
-
 def test_clipped_cell_labels_match_reference_on_triangle_self_combinations():
     space = compact_sets_space(dim=2)
     triangle = convexify_point("compact-sets", "two-point", dim=2)
     for n in (2, 5, 9, 16, 24):  # 6 to 325 sites
         sites = self_combination(space, triangle, n)
         assert_labels_match_reference(convex_hull(triangle), sites)
-        assert_neighbour_order_matches_argsort(sites)
+        assert_neighbour_order_matches_argsort(sites.points)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -897,18 +875,18 @@ def test_covering_radius_past_the_float_range():
     poly = convex_hull(FinitePointSet.of([(-1e308, -1.0), (1.0, -1.0), (0.0, 1e308)]))
     sites = FinitePointSet.of([(-1e308, -1e308), (1e308, 1e308), (0.0, 1.0), (1e308, -1e308)])
     assert_labels_match_reference(poly, sites)
-    assert_neighbour_order_matches_argsort(sites)
+    assert_neighbour_order_matches_argsort(sites.points)
     assert covering_radius(poly, sites) == 1e308
     poly = convex_hull(FinitePointSet.of([(2.67e154, 9.54e154), (3.73e154, -4.01e154), (7.2e154, -3.19e153)]))
     sites = FinitePointSet.of([(6.8e-146, 7.8e154), (9.0e-146, -3.7e154)])
     assert_labels_match_reference(poly, sites)
-    assert_neighbour_order_matches_argsort(sites)
+    assert_neighbour_order_matches_argsort(sites.points)
     assert covering_radius(poly, sites) == 8.391237818143997e154
     poly = convex_hull(FinitePointSet.of([(2.9e149, 4.6e149), (-7.0e149, -2.6e149), (8.4e149, -9.2e148)]))
     sites = FinitePointSet.of([(8.8e-151, 3.6e149), (-2.6e-151, -4.1e149), (3.5e-151, -7.9e149),
                                (8.9e-151, 3.5e149), (7.2e148, 3.3e149), (1.7e148, 4.4e149)])
     assert_labels_match_reference(poly, sites)
-    assert_neighbour_order_matches_argsort(sites)
+    assert_neighbour_order_matches_argsort(sites.points)
     assert covering_radius(poly, sites) == 8.763036003577756e149
     # the covering radius is the mixed Hausdorff distance in both argument orders
     assert hausdorff_distance(sites, poly) == hausdorff_distance(poly, sites) == 8.763036003577756e149
@@ -941,7 +919,7 @@ def reference_hausdorff_sets(a, b):
     """The full-matrix Hausdorff distance of two point sets from squared
     distances: NaN or inf wherever a coordinate is not finite, which bounds
     the sweep's NaN rule from below."""
-    diff = a.arr[:, None, :] - b.arr[None, :, :]
+    diff = np.asarray(a.points)[:, None, :] - np.asarray(b.points)[None, :, :]
     dmat = np.sqrt((diff * diff).sum(axis=2))
     return float(max(dmat.min(axis=1).max(), dmat.min(axis=0).max()))
 
@@ -1214,9 +1192,62 @@ def test_clipped_cell_labels_match_reference_hypothesis(site_pts, poly_pts):
     sites = FinitePointSet.of(site_pts)
     poly = convex_hull(FinitePointSet.of(poly_pts))
     if len(sites) >= 2:
-        assert_neighbour_order_matches_argsort(sites)
+        assert_neighbour_order_matches_argsort(sites.points)
         if len(poly.vertices) >= 2:
             assert_labels_match_reference(poly, sites)
+
+
+# integer grids scaled by a power of two: columns of equal x, exact squared
+# distances with many ties, repeated points, and for a unit gap g the squared
+# distances 8 g², 32 g², ... of the batch bounds
+grid_sites = st.builds(
+    lambda e, pts: [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in pts],
+    st.integers(-4, 4),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=40),
+)
+
+
+@st.composite
+def sites_on_batch_bounds(draw):
+    """The site (0, 0) with (0, g) next to it in its column, so that its
+    batch bounds are 8 g², 32 g², 128 g², ..., and columns at x = ±r for
+    those bounds with r*r equal to the bound in floats: a site at y = 0 in
+    such a column sits exactly on the bound, and sites at multiples of g
+    just past it.  The sites (±2g, ±2g), scaled alike, tie with it from
+    columns inside the bound."""
+    g = draw(st.floats(1e-3, 1e3))
+    r = math.sqrt(8.0 * g * g)
+    assume(r * r == 8.0 * g * g)
+    pts = [(0.0, 0.0), (0.0, g)]
+    for k in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)):
+        x = math.ldexp(r, k) * draw(st.sampled_from((1.0, -1.0)))
+        pts += [(x, j * g) for j in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))]
+        pts += [(math.ldexp(u * g, k + 1), math.ldexp(v * g, k + 1))
+                for u, v in draw(st.lists(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]), max_size=2))]
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_sites)
+def test_nearest_first_matches_argsort_on_grids(points):
+    assert_neighbour_order_matches_argsort(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sites_on_batch_bounds())
+def test_nearest_first_matches_argsort_on_the_batch_bounds(points):
+    assert_neighbour_order_matches_argsort(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(wide_coord, wide_coord), min_size=1, max_size=12))
+@example([(-1e308, -1e308), (1e308, 1e308), (0.0, 1.0), (1e308, -1e308)])
+@example([(6.8e-146, 7.8e154), (9.0e-146, -3.7e154), (6.8e-146, 7.8e154)])
+@np.errstate(over="ignore", invalid="ignore")
+def test_nearest_first_matches_argsort_on_any_finite_floats(points):
+    # the squared distances of the 1e308 sites overflow to inf, which only
+    # the last batch, of bound inf, takes
+    assert_neighbour_order_matches_argsort(points)
 
 
 @settings(max_examples=150, deadline=None)
