@@ -4,6 +4,15 @@ A space instance supplies a metric, an n-ary weighted combination, its
 closed-form convexification operator and a seeded point sampler.  Everything
 else in the package (checkers, expectation, limit experiments) is generic over
 this contract.
+
+Weights are checked where they enter.  ``combine`` runs
+``WeightedCombination.of`` on every term list a caller hands it: the public
+``combine`` and ``midpoint``, ``probability.mix_elements`` and the seeded
+suites.  ``FiniteSampleSpace.of`` checks a sample space's probabilities.
+A combination whose weights the library derives from checked inputs (an
+expectation's probabilities, a conditional expectation's p_i / P(block), a
+running mean's (n-1)/n and 1/n, ``uniform_mix``'s 1/n) passes its terms as
+a ``WeightedCombination``, which ``combine`` takes as checked.
 """
 
 from __future__ import annotations
@@ -92,7 +101,8 @@ class SpaceContract:
 
 
 def combine(space: SpaceContract, wc: WeightedCombination | Iterable[tuple[float, Point]]) -> Point:
-    """Evaluate the space's combination after validating the weights.
+    """Evaluate the space's combination after validating the weights; a
+    ``WeightedCombination`` is taken as checked.
 
     A single surviving term is returned as-is, so ``combine([(1, u)]) == u``
     holds exactly in every instance.

@@ -85,10 +85,17 @@ class DiscreteDistribution:
 
     @staticmethod
     def of(atoms: Iterable[float], probs: Iterable[float]) -> "DiscreteDistribution":
-        pairs = sorted(zip(map(float, atoms), map(float, probs)), key=itemgetter(0))
+        return DiscreteDistribution._of_floats(zip(map(float, atoms), map(float, probs)))
+
+    @staticmethod
+    def _of_floats(pairs: Iterable[tuple[float, float]]) -> "DiscreteDistribution":
+        """``of`` for ``(atom, probability)`` pairs of Python floats, as the
+        fixture parser gives them: the same checks and messages, without
+        converting each number again."""
+        pairs = sorted(pairs, key=itemgetter(0))
         if not pairs:
             raise ValueError("distribution needs at least one atom")
-        _check_mass(p for _, p in pairs)
+        _check_mass([p for _, p in pairs])
         merged_atoms: list[float] = []
         merged_probs: list[float] = []
         for a, p in pairs:
@@ -271,19 +278,22 @@ def scaled_convolution_combine(
     dirac = False
     atom = prob = 0.0
     for w, f in zip(weights, dists):
+        # a law built from tuples is sized by its tuple, without a call of
+        # the Python-level __len__; a law from a kernel's arrays, by its array
+        size = len(f.atoms) if type(f) is DiscreteDistribution else len(f)
         if dirac:
-            if len(f) == 1:
+            if size == 1:
                 atom, prob = _dirac_step(atom, prob, w, f)
                 continue
             acc, dirac = DiscreteDistribution((atom,), (prob,)), False
-        if arrays is not None and len(arrays[0]) * len(f) < PRODUCT_ARRAY_ATOMS:
+        if arrays is not None and len(arrays[0]) * size < PRODUCT_ARRAY_ATOMS:
             acc, arrays = DiscreteDistribution._from_arrays(*arrays), None
-        if arrays is not None or len(acc) * len(f) >= PRODUCT_ARRAY_ATOMS:
+        if arrays is not None or len(acc) * size >= PRODUCT_ARRAY_ATOMS:
             arrays = _product_step_array(*(arrays or (acc.atoms_array, acc.probs_array)), w, f)
             if atom_cap is None or len(arrays[0]) <= atom_cap:
                 continue
             acc, arrays = DiscreteDistribution._from_arrays(*arrays), None
-        elif len(acc) == 1 and len(f) == 1:
+        elif len(acc) == 1 and size == 1:
             atom, prob = _dirac_step(acc.atoms[0], acc.probs[0], w, f)
             dirac = True
             continue
@@ -399,8 +409,10 @@ def _product_step_array(atoms: np.ndarray, probs: np.ndarray, w: float,
 
 def wasserstein1(f: DiscreteDistribution, g: DiscreteDistribution) -> float:
     """Exact integral of |F(t) - G(t)| over the merged breakpoints."""
-    if len(f) == 1 and len(g) == 1:
-        # the loop's one term: the lower law's mass times the gap
+    # two one-atom laws built from tuples, sized by their tuples without a
+    # call of the Python-level __len__: the loop's one term, the lower law's
+    # mass times the gap (laws from a kernel's arrays take the loop)
+    if type(f) is type(g) is DiscreteDistribution and len(f.atoms) == 1 == len(g.atoms):
         a = f.atoms[0]
         b = g.atoms[0]
         if a == b:

@@ -104,6 +104,21 @@ class FinitePointSet:
     @staticmethod
     def of(points: Iterable[Sequence[float]]) -> "FinitePointSet":
         pts = [tuple(map(float, p)) for p in points]
+        FinitePointSet._check_shape(pts)
+        if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
+            raise ValueError("coordinates must be finite")
+        return FinitePointSet(_dedup_sorted(pts))
+
+    @staticmethod
+    def _of_finite(pts: list[tuple[float, ...]]) -> "FinitePointSet":
+        """``of`` for tuples of finite Python floats, as the fixture parser
+        gives them: the same shape checks and messages, without converting
+        and checking each coordinate again."""
+        FinitePointSet._check_shape(pts)
+        return FinitePointSet(_dedup_sorted(pts))
+
+    @staticmethod
+    def _check_shape(pts: list[tuple[float, ...]]) -> None:
         if not pts:
             raise ValueError("point set must be nonempty")
         dims = set(map(len, pts))
@@ -111,9 +126,6 @@ class FinitePointSet:
             raise ValueError("points must share one dimension")
         if not dims <= {1, 2}:
             raise ValueError("points must have dimension 1 or 2")
-        if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
-            raise ValueError("coordinates must be finite")
-        return FinitePointSet(_dedup_sorted(pts))
 
     @property
     def dim(self) -> int:
@@ -719,12 +731,15 @@ def hausdorff_distance(
     distances (``_to_polytope``, ``_to_sites``), a point set's first, keeping
     it on a tie, so that both argument orders give the same bits."""
     a_poly, b_poly = isinstance(a, ConvexPolytope), isinstance(b, ConvexPolytope)
+    if a_poly and b_poly:
+        pa, pb = a.vertices, b.vertices
+        if len(pa[0]) == 1 == len(pb[0]):  # intervals: the larger endpoint gap
+            lo_gap, hi_gap = abs(pa[0][0] - pb[0][0]), abs(pa[-1][0] - pb[-1][0])
+            return hi_gap if hi_gap > lo_gap else lo_gap  # max() without its call
     pa, pb = _points(a), _points(b)
     dim = len(pa[0])
     if dim != len(pb[0]):
         raise ValueError("operands must share one dimension")
-    if dim == 1 and a_poly and b_poly:  # intervals: the larger endpoint gap
-        return max(abs(pa[0][0] - pb[0][0]), abs(pa[-1][0] - pb[-1][0]))
     if dim == 2 and len(pa) == len(pb) == 1:  # two points
         d = _point_dist(pa[0], pb[0])
         # inf is an overflow unless a coordinate is not finite, which gives NaN

@@ -188,17 +188,16 @@ def parse_vector(text: str) -> tuple[float, ...]:
 
 
 def parse_point_set(text: str) -> FinitePointSet:
-    return FinitePointSet.of([parse_vector(tok) for tok in text.split()])
+    # parse_vector gives float tuples with finite coordinates
+    return FinitePointSet._of_finite([parse_vector(tok) for tok in text.split()])
 
 
 def parse_distribution(text: str) -> DiscreteDistribution:
-    atoms = []
-    probs = []
+    pairs = []
     for token in text.split():
         atom, _, prob = token.partition(":")
-        atoms.append(float(atom))
-        probs.append(float(prob))
-    return DiscreteDistribution.of(atoms, probs)
+        pairs.append((float(atom), float(prob)))
+    return DiscreteDistribution._of_floats(pairs)
 
 
 def parse_point(space_name: str, text: str):

@@ -25,6 +25,7 @@ from .core import (
     WEIGHT_SUM_TOL,
     Point,
     SpaceContract,
+    WeightedCombination,
     combine,
     convexify,
     uniform_mix,
@@ -154,6 +155,8 @@ def _running_means(
 
     Each mean is advanced from the previous one by one binary combination,
     by associativity: [n^-1, x]^n = [(n-1)/n, [(n-1)^-1, x]^(n-1) ; 1/n, x_n].
+    Its weights are positive and sum to 1 within ``WEIGHT_SUM_TOL`` for
+    every n >= 2, so they are passed as checked terms.
     At a length in ``resets`` the mean is ``reset_to`` instead.  The first
     64 terms are kept: at ``DIRECT_CHECK_LENGTHS`` the mean is also evaluated
     directly with ``uniform_mix``, and the distance between the two is
@@ -168,7 +171,7 @@ def _running_means(
         elif n == 1:
             running = x
         else:
-            running = combine(space, [((n - 1) / n, running), (1.0 / n, x)])
+            running = combine(space, WeightedCombination((((n - 1) / n, running), (1.0 / n, x))))
         if n in DIRECT_CHECK_LENGTHS:
             gaps.append(space.distance(uniform_mix(space, kept), running))
         yield running

@@ -38,7 +38,7 @@ from types import MappingProxyType, SimpleNamespace
 from typing import Hashable, Mapping, Sequence
 
 from .axioms import AxiomReport, Check, CheckResult, _sample_weights, nan_max, run_trials
-from .core import EXACT_TOL, Point, SpaceContract, combine, convexify
+from .core import EXACT_TOL, Point, SpaceContract, WeightedCombination, combine, convexify
 from .distributions import _check_mass
 from .embedding import AffineFunctional
 
@@ -261,8 +261,12 @@ def dyadic_filtration(omega: FiniteSampleSpace) -> Filtration:
 
 
 def expectation(x: RandomElement) -> Point:
-    """Probability-weighted combination of the convexified values."""
-    return combine(x.space, [*zip(x.sample_space.probs, x.ordered_convexified)])
+    """Probability-weighted combination of the convexified values.
+
+    The weights are the sample space's probabilities, which
+    ``FiniteSampleSpace.of`` checked, so they are passed as checked terms."""
+    terms = tuple(zip(x.sample_space.probs, x.ordered_convexified))
+    return combine(x.space, WeightedCombination(terms))
 
 
 def _pair_distances(x: RandomElement, y: RandomElement) -> list[float]:
@@ -318,7 +322,9 @@ def conditional_expectation(x: RandomElement, g: FinitePartition) -> RandomEleme
     """Blockwise probability-weighted combination of convexified values.
 
     The result is measurable for ``g`` (constant on each block) and takes
-    convex-point values.
+    convex-point values.  A block's weights p_i / P(block) come from the
+    checked probabilities, so they are positive and sum to 1 within
+    ``WEIGHT_SUM_TOL``; they are passed as checked terms.
     """
     space = x.space
     omega = x.sample_space
@@ -331,10 +337,8 @@ def conditional_expectation(x: RandomElement, g: FinitePartition) -> RandomEleme
         block_prob = math.fsum(block_probs)
         if block_prob <= 0.0:
             raise ValueError(f"zero-probability block {block!r}")
-        mixed = combine(
-            space,
-            [(p / block_prob, convexified[i]) for p, i in zip(block_probs, where)],
-        )
+        mixed = combine(space, WeightedCombination(
+            tuple([(p / block_prob, convexified[i]) for p, i in zip(block_probs, where)])))
         for i in where:
             values[i] = mixed
     # every label is an atom, so the blocks cover omega when they hold as many
@@ -359,8 +363,9 @@ def check_ce_characterization(
     values come from ``x`` or from ``y``; this holds for all A exactly when
     ``y`` is the conditional expectation of ``x`` given ``g``.  Values off A
     are replaced pointwise (``anchor`` must be a convex point).  Each
-    expectation is one ``combine`` of the cached convexified values, with
-    ``anchor`` convexified once.
+    expectation is one ``combine`` of the cached convexified values under
+    the checked probabilities, as in ``expectation``, with ``anchor``
+    convexified once.
     """
     _check_same_base(x, y)
     space = x.space
@@ -371,8 +376,9 @@ def check_ce_characterization(
         for chosen in itertools.combinations(g.blocks, k):
             kept = set(omega.positions([a for block in chosen for a in block]))
             ex_on, ey_on = (
-                combine(space, [(prob, v if i in kept else k_anchor) for i, (prob, v)
-                                in enumerate(zip(omega.probs, z.ordered_convexified))])
+                combine(space, WeightedCombination(tuple(
+                    [(prob, v if i in kept else k_anchor) for i, (prob, v)
+                     in enumerate(zip(omega.probs, z.ordered_convexified))])))
                 for z in (x, y)
             )
             fold.record(space.distance(ex_on, ey_on), chosen)

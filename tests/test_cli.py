@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -291,20 +292,26 @@ NUMPY_FREE_RUN = """
 import sys
 import ccspace.cli
 assert "numpy" not in sys.modules
+fixture = sys.argv[2]
 for argv in (["check-axioms", "--space", "euclidean", "--dim", "2", "--trials", "25"],
              ["slln", "--space", "euclidean"],
              ["martingale", "--space", "distributions"],
              ["cancellation", "--space", "compact-sets", "--dim", "2", "--raw-points", "--trials", "25"],
              ["check-axioms", "--space", "compact-sets", "--dim", "1", "--trials", "25"],
              ["convexify-rate", "--space", "compact-sets", "--dim", "2", "--n-max", "5"],
-             ["jensen", "--space", "compact-sets", "--dim", "2", "--trials", "25"]):
+             ["jensen", "--space", "compact-sets", "--dim", "2", "--trials", "25"],
+             # the conditioning benchmark's distributions commands, at its sizes
+             ["martingale", "--space", "distributions", "--fixture-file", fixture],
+             ["jensen", "--space", "distributions", "--fixture-file", fixture],
+             ["ergodic", "--space", "distributions", "--modulus", "500"]):
     assert ccspace.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
     assert "numpy" not in sys.modules, argv
 """
 
 
 def test_light_commands_never_import_numpy(tmp_path):
-    proc = run_fresh(NUMPY_FREE_RUN, str(tmp_path / "report.json"))
+    fixture = Path(__file__).parent / "golden" / "seeded512-distributions.fixture"
+    proc = run_fresh(NUMPY_FREE_RUN, str(tmp_path / "report.json"), str(fixture))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -649,6 +656,28 @@ def test_fixture_file_loading(tmp_path):
         parse_fixture_lines(space, "compact-sets", ["w0 ;  0.5 x ; 0 1"])
     with pytest.raises(ValueError, match=r"^could not convert string to float: '1 x'$"):
         parse_fixture_lines(get_space("euclidean"), "euclidean", ["w0 ; 1.0 ;  1 x "])
+
+
+@pytest.mark.parametrize("space_name, value, message", [
+    ("compact-sets", "", "point set must be nonempty"),
+    ("compact-sets", "0 1,2", "points must share one dimension"),
+    ("compact-sets", "1,2,3", "points must have dimension 1 or 2"),
+    ("compact-sets", "0 nan", "coordinates must be finite"),
+    ("compact-sets", "hull: 0,0 inf,1", "coordinates must be finite"),
+    ("compact-sets", "0 1,x", "could not convert string to float: 'x'"),
+    ("distributions", "", "distribution needs at least one atom"),
+    ("distributions", "0:0.5", "probabilities sum to 0.5, expected 1"),
+    ("distributions", "0:nan", "probabilities sum to nan, expected 1"),
+    ("distributions", "inf:1", "atoms must be finite with nonnegative probabilities"),
+    ("distributions", "0:1.5 1:-0.5", "atoms must be finite with nonnegative probabilities"),
+    ("distributions", "0:1 x:0", "could not convert string to float: 'x'"),
+])
+def test_fixture_values_keep_the_constructors_rejections(space_name, value, message):
+    # the parser converts each number once; the constructors' checks and
+    # messages stand for everything else
+    lines = [f"w0 ; 1.0 ; {value}"]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_fixture_lines(get_space(space_name), space_name, lines)
 
 
 def test_commands_consume_fixture_files(tmp_path, monkeypatch):

@@ -1,8 +1,12 @@
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ccspace import cli
 from ccspace import (
@@ -14,6 +18,8 @@ from ccspace import (
     FinitePointSet,
     FiniteSampleSpace,
     RandomElement,
+    WeightedCombination,
+    combine,
     compact_sets_space,
     convexification_rate,
     distribution_space,
@@ -27,9 +33,11 @@ from ccspace import (
     slln_run,
     weight_perturbation_check,
 )
-from ccspace.core import EXACT_TOL
+from ccspace import limits
+from ccspace.core import EXACT_TOL, WEIGHT_SUM_TOL
 from ccspace.limits import (
     ConvergenceTrace,
+    _running_means,
     rational_jensen_suite,
     weight_perturbation_suite,
 )
@@ -314,6 +322,46 @@ def test_direct_check_catches_non_associative_combination(name):
 def test_direct_check_gap_nan_fails():
     trace = ConvergenceTrace.build([1], [0.0], "x", 1.0, direct_check_gap=math.nan)
     assert not trace.verdict
+
+
+# ---------------------------------------------------------------------------
+# the running mean's weights, which it passes as checked terms
+
+
+def test_running_means_pass_checked_binary_steps():
+    passed = []
+
+    def record(space, wc):
+        assert isinstance(wc, WeightedCombination)
+        passed.append(wc.terms)
+        return combine(space, wc)
+
+    terms = [(float(i % 5),) for i in range(100)]
+    with mock.patch.object(limits, "combine", record):
+        means = list(_running_means(E1, terms, []))
+    assert len(means) == 100
+    assert [t[0][0] for t in passed] == [(n - 1) / n for n in range(2, 101)]
+    assert [t[1] for t in passed] == [(1.0 / n, x) for n, x in enumerate(terms[1:], 2)]
+    assert [t[0][1] for t in passed] == means[:-1]
+
+
+def test_running_mean_weights_pass_the_caller_check_up_to_a_million():
+    # WeightedCombination.of's verdict on ((n-1)/n, 1/n) for every n: both
+    # weights positive, and 0.0 + (n-1)/n + 1/n within WEIGHT_SUM_TOL of 1;
+    # float64 division and addition round as Python floats do
+    n = np.arange(2, 10 ** 6 + 1, dtype=float)
+    first, second = (n - 1) / n, 1.0 / n
+    assert (first > 0.0).all() and (second > 0.0).all()
+    assert (np.abs(0.0 + first + second - 1.0) <= WEIGHT_SUM_TOL).all()
+
+
+@given(st.integers(2, 10 ** 6))
+@example(2)
+@example(3)
+@example(10 ** 6)
+def test_running_mean_weights_are_kept_by_the_caller_check(n):
+    terms = (((n - 1) / n, "running"), (1.0 / n, "x"))
+    assert WeightedCombination.of(terms).terms == terms
 
 
 # every trace command on each space with a default fixture, at default length

@@ -6,9 +6,10 @@ import itertools
 import math
 import pathlib
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccspace import (
@@ -17,8 +18,10 @@ from ccspace import (
     DistanceTo,
     FinitePointSet,
     FiniteSampleSpace,
+    CombinationError,
     RandomElement,
     SupportMax,
+    WeightedCombination,
     check_ce_characterization,
     check_ce_properties,
     combine,
@@ -454,6 +457,90 @@ def test_conditional_expectation_rejects_labels_of_another_sample_space():
     part = FiniteSampleSpace.of(["w0", "w2"], [0.5, 0.5])
     with pytest.raises(ValueError, match=r"^values missing for atoms \['w1', 'w3'\]$"):
         conditional_expectation(x, FinitePartition.finest(part))
+
+
+def _checked_terms(run):
+    """The terms of each checked combination (a ``WeightedCombination``) that
+    ``run()`` hands to ``probability.combine``, in call order."""
+    passed = []
+
+    def record(space, wc):
+        assert isinstance(wc, WeightedCombination)
+        passed.append(wc.terms)
+        return combine(space, wc)
+
+    with mock.patch.object(probability, "combine", record):
+        run()
+    return passed
+
+
+def _skewed_space(n, skew, mass_step, seed):
+    """``n`` atoms whose weights spread over ``skew`` decades, divided by
+    their exact sum and scaled by 1 + mass_step * 1e-13."""
+    rng = random.Random(seed)
+    weights = [10.0 ** rng.uniform(-skew, 0.0) for _ in range(n)]
+    total = math.fsum(weights)
+    scale = 1.0 + mass_step * 1e-13
+    return FiniteSampleSpace.of([f"w{i}" for i in range(n)], [w / total * scale for w in weights])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4096), skew=st.integers(0, 300), mass_step=st.integers(-4, 4),
+       n_blocks=st.integers(1, 4096), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=4096, skew=300, mass_step=4, n_blocks=1, seed=0)
+@example(n=4096, skew=300, mass_step=-4, n_blocks=4096, seed=1)
+@example(n=4096, skew=0, mass_step=4, n_blocks=2, seed=2)
+def test_derived_weights_pass_the_caller_check(n, skew, mass_step, n_blocks, seed):
+    """Conditional expectation and expectation pass their weights to
+    ``combine`` as checked terms; ``WeightedCombination.of`` would keep
+    each term list as it is.
+
+    A block's weights p_i / P(block) sum to 1 within about (k + 1) ulps for
+    k atoms, whatever the mass.  The expectation's weights are the
+    probabilities, whose exact sum ``FiniteSampleSpace.of`` checks; here it
+    is within about 4e-13 of 1, so their float sum, off by at most
+    (n - 1) * 2**-53 more, stays inside ``WEIGHT_SUM_TOL``.
+    """
+    omega = _skewed_space(n, skew, mass_step, seed)
+    rng = random.Random(seed)
+    blocks = [[] for _ in range(min(n_blocks, n))]
+    for a in omega.atoms:
+        blocks[rng.randrange(len(blocks))].append(a)
+    g = FinitePartition.of([b for b in blocks if b], omega)
+    x = RandomElement._of_ordered(E1, omega, tuple((float(i % 7),) for i in range(n)))
+    per_block = _checked_terms(lambda: conditional_expectation(x, g))
+    assert len(per_block) == len(g.blocks)
+    (mean,) = _checked_terms(lambda: expectation(x))
+    for terms in (*per_block, mean):
+        assert WeightedCombination.of(terms).terms == terms
+
+
+def test_expectation_takes_the_exact_mass_check_of_the_sample_space():
+    # 4,096 probabilities whose exact sum is 9.0e-13 over 1, which
+    # FiniteSampleSpace.of accepts; their float sum, 1.3e-12 over, is
+    # what WeightedCombination.of would have judged
+    t = 1.2e-16
+    probs = [1.0 + 0.9e-12 - 4095 * t] + [t] * 4095
+    omega = FiniteSampleSpace.of([f"w{i}" for i in range(4096)], probs)
+    with pytest.raises(CombinationError, match="^weights sum to 1.0000000000013"):
+        WeightedCombination.of(zip(omega.probs, omega.atoms))
+    values = tuple((float(i % 3),) for i in range(4096))
+    x = RandomElement._of_ordered(E1, omega, values)
+    assert expectation(x) == (math.fsum(p * v for p, (v,) in zip(probs, values)),)
+
+
+@pytest.mark.parametrize("space_name, dim", [
+    ("euclidean", 2), ("power", 1), ("compact-sets", 1), ("compact-sets", 2), ("distributions", 1)])
+def test_mix_elements_keeps_the_zero_term_drop_of_caller_weights(space_name, dim):
+    # lam is a caller's weight: WeightedCombination.of drops the zero term,
+    # and combine returns the one left, the very value object
+    space = get_space(space_name, dim=dim)
+    rng = random.Random(11)
+    omega = sample_sample_space(rng, 5)
+    x, y = (sample_random_element(space, omega, rng) for _ in range(2))
+    for lam, kept in ((1.0, x), (0.0, y)):
+        mixed = mix_elements(lam, x, y)
+        assert all(m is k for m, k in zip(mixed.ordered, kept.ordered, strict=True))
 
 
 def test_conditional_expectation_zero_probability_guard():
